@@ -223,7 +223,3 @@ class Broker:
                 residual += len(channel._messages)
                 nbytes += channel.counters.bytes_published
         return BrokerStats(published, delivered, evicted, flushed, residual, nbytes)
-
-    @property
-    def byte_counter(self) -> int:
-        return self.stats().bytes_published

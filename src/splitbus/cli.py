@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -91,12 +92,7 @@ def _load_experiment(args) -> ExperimentConfig:
         updates.setdefault("workers_passive", chosen["workers_passive"])
         updates["batch_size"] = chosen["batch_size"]
     if updates:
-        from dataclasses import replace
-
-        try:
-            train = replace(train, **updates)
-        except ConfigError:
-            raise
+        train = replace(train, **updates)
     return ExperimentConfig(dataset=exp.dataset, split=exp.split, train=train)
 
 

@@ -79,7 +79,6 @@ class TrainConfig:
     skew_passive_seconds: float = 0.0
     lookahead: int | None = None  # None: mode-dependent default
     max_retries: int = 1
-    staleness_bound: int | None = None  # optional guard, off by default
     target_metric: float | None = 0.91  # time-to-target threshold (AUC)
     shape: ModelShape = field(default_factory=ModelShape)
 
@@ -212,7 +211,6 @@ _KEYMAP: dict[str, tuple[str, str, str]] = {
     "train.skew_passive_ms": ("train", "skew_passive_seconds", "ms"),
     "train.lookahead": ("train", "lookahead", "opt_int"),
     "train.max_retries": ("train", "max_retries", "int"),
-    "train.staleness_bound": ("train", "staleness_bound", "opt_int"),
     "train.target_metric": ("train", "target_metric", "opt_float"),
 }
 

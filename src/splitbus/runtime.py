@@ -12,9 +12,12 @@ forward pass, publishes the cut-layer gradient on the batch's gradient
 channel, and applies its local updates; the passive worker consumes the
 gradient, backprops through the saved tape and updates its replica.
 
-Execution modes differ only in worker counts, lookahead (how many batches a
-passive worker may have in flight), waiting deadlines, and when the
-parameter servers average replicas — see :class:`splitbus.config.Mode`.
+Every mode runs the same worker loop per party.  The modes differ only in
+the settings of :data:`MODE_POLICIES`, the one table that says how far a
+passive worker may run ahead, whether waits expire, whether channels hold one
+message, whether the pools rendezvous after every iteration (``sync_ps``),
+and when the parameter servers average replicas at the end of an epoch; see
+:class:`splitbus.config.Mode` for the modes themselves.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ import math
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,23 +109,50 @@ def batch_loss_mean(losses: list[tuple[int, float]]) -> float:
 
 
 class WorkQueue:
-    """Shared batch queue for one party's worker pool: (batch_id, attempt)."""
+    """One party's batches for one epoch, handed out as (batch_id, attempt).
 
-    def __init__(self, batch_ids: list[int]):
-        self._items: list[tuple[int, int]] = [(b, 0) for b in batch_ids]
+    Without a barrier the whole pool shares one FIFO.  With one, the queue is
+    a rendezvous: worker ``j`` takes batch ``k * pairs + j`` in iteration
+    ``k`` and then waits at the barrier, whose action averages the party's
+    replicas.  A worker with no batch left in the last iteration takes an
+    idle ``(None, 0)`` item, so that it still reaches the barrier.
+    """
+
+    def __init__(self, batch_ids: list[int], barrier: threading.Barrier | None = None):
+        self._barrier = barrier
+        lanes = 1 if barrier is None else barrier.parties
+        padded = batch_ids + [None] * (-len(batch_ids) % lanes)
+        self._lanes = [[(b, 0) for b in padded[j::lanes]] for j in range(lanes)]
         self._lock = threading.Lock()
 
-    def pop(self) -> tuple[int, int] | None:
-        with self._lock:
-            return self._items.pop(0) if self._items else None
+    def _lane(self, w: int) -> list[tuple[int | None, int]]:
+        return self._lanes[w % len(self._lanes)]  # a shared queue has one lane
 
-    def push_retry(self, batch_id: int, attempt: int) -> None:
+    def pop(self, w: int) -> tuple[int | None, int] | None:
         with self._lock:
-            self._items.append((batch_id, attempt))
+            lane = self._lane(w)
+            return lane.pop(0) if lane else None
 
-    def empty(self) -> bool:
+    def empty(self, w: int) -> bool:
         with self._lock:
-            return not self._items
+            return not self._lane(w)
+
+    def expire(self, w: int, batch_id: int, attempt: int, max_retries: int,
+               stats: WorkerStats) -> None:
+        """A wait for ``batch_id`` ran out: queue it again, or skip it for good."""
+        if attempt < max_retries:
+            with self._lock:
+                self._lane(w).append((batch_id, attempt + 1))
+            stats.retries += 1
+        else:
+            stats.skipped += 1
+
+    def arrive(self, stats: WorkerStats) -> None:
+        """End of one item: in a rendezvous, wait for the rest of the pool."""
+        if self._barrier is not None:
+            t0 = time.perf_counter()
+            self._barrier.wait()
+            stats.add_wait(time.perf_counter() - t0)
 
 
 @dataclass
@@ -133,8 +164,6 @@ class WorkerStats:
     completed: int = 0
     skipped: int = 0
     retries: int = 0
-    pushes: int = 0
-    stale_discards: int = 0
 
     def add_wait(self, seconds: float) -> None:
         self.wait_seconds += seconds
@@ -178,15 +207,8 @@ class PartyEpochStats:
 class PartyServer:
     """Parameter server for one party: averages replica groups in place."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.syncs = 0
-        self.pushes = 0
-        self._lock = threading.Lock()
-
-    def note_push(self) -> None:
-        with self._lock:
-            self.pushes += 1
 
     def sync(self, replica_groups: list[list[nn.MlpModel]]) -> None:
         """Average each replica group and broadcast the result back."""
@@ -225,6 +247,36 @@ class EpochShared:
         return self.failure is not None
 
 
+def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> PartyEpochStats:
+    """Run ``body(w, *args, stats)`` on one thread per worker and join them all.
+
+    A worker's exception goes to :meth:`EpochShared.fail`, which stops the
+    rest; a worker released from a barrier that the failure aborted just
+    returns.
+    """
+    stats = [WorkerStats() for _ in range(num_workers)]
+
+    def run(w: int) -> None:
+        start = time.perf_counter()
+        try:
+            body(w, *args, stats[w])
+        except threading.BrokenBarrierError:
+            pass
+        except BaseException as exc:  # re-raised by run_training
+            shared.fail(exc)
+        finally:
+            stats[w].wall_seconds = time.perf_counter() - start
+
+    threads = [
+        threading.Thread(target=run, args=(w,), name=f"{name}-{w}") for w in range(num_workers)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    return PartyEpochStats(stats)
+
+
 @dataclass
 class _PendingBatch:
     tape: nn.ForwardTape
@@ -253,7 +305,7 @@ class PassiveEngine:
         self.max_retries = max_retries
         self.noise_rngs = [worker_noise_rng(noise_seed, w) for w in range(num_workers)]
         self.noise_reports = [NoiseReport() for _ in range(num_workers)]
-        self.server = PartyServer("passive")
+        self.server = PartyServer()
 
     @property
     def num_workers(self) -> int:
@@ -273,31 +325,10 @@ class PassiveEngine:
         deadline: float | None,
         lookahead: int,
     ) -> PartyEpochStats:
-        stats = [WorkerStats() for _ in range(self.num_workers)]
-        threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(w, plan, queue, shared, deadline, lookahead, stats[w]),
-                name=f"passive-{w}",
-            )
-            for w in range(self.num_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return PartyEpochStats(stats)
+        return _run_pool("passive", self.num_workers, shared, self._worker_body,
+                         plan, queue, shared, deadline, lookahead)
 
     # -- worker internals ---------------------------------------------------
-
-    def _worker_loop(self, w, plan, queue, shared, deadline, lookahead, stats):
-        start = time.perf_counter()
-        try:
-            self._worker_body(w, plan, queue, shared, deadline, lookahead, stats)
-        except BaseException as exc:  # propagate through the shared failure slot
-            shared.fail(exc)
-        finally:
-            stats.wall_seconds = time.perf_counter() - start
 
     def _worker_body(self, w, plan, queue, shared, deadline, lookahead, stats):
         model = self.replicas[w]
@@ -308,32 +339,31 @@ class PassiveEngine:
                 result = shared.broker.subscribe(bk.MessageKind.GRADIENT, batch_id, 0.0)
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.DELIVERED:
-                    self._apply_gradient(w, model, plan, batch_id, pending.pop(batch_id),
-                                         result.message, shared, stats)
+                    self._apply_gradient(model, plan, queue, batch_id, pending.pop(batch_id),
+                                         result.message, stats)
             if len(pending) < lookahead:
-                item = queue.pop()
+                item = queue.pop(w)
                 if item is not None:
                     batch_id, attempt = item
-                    tape = self._publish_embedding(w, model, plan, batch_id, shared, stats)
-                    pending[batch_id] = _PendingBatch(tape, attempt)
+                    if batch_id is None:
+                        queue.arrive(stats)
+                    else:
+                        tape = self._publish_embedding(w, model, plan, batch_id, shared, stats)
+                        pending[batch_id] = _PendingBatch(tape, attempt)
                     continue
             if pending:
                 oldest = next(iter(pending))
                 result = shared.broker.subscribe(bk.MessageKind.GRADIENT, oldest, deadline)
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.DELIVERED:
-                    self._apply_gradient(w, model, plan, oldest, pending.pop(oldest),
-                                         result.message, shared, stats)
+                    self._apply_gradient(model, plan, queue, oldest, pending.pop(oldest),
+                                         result.message, stats)
                 elif result.outcome is bk.SubscribeOutcome.EXPIRED:
                     entry = pending.pop(oldest)
-                    if entry.attempt < self.max_retries:
-                        queue.push_retry(oldest, entry.attempt + 1)
-                        stats.retries += 1
-                    else:
-                        stats.skipped += 1
+                    queue.expire(w, oldest, entry.attempt, self.max_retries, stats)
                 else:  # CLOSED
                     return
-            elif queue.empty():
+            elif queue.empty(w):
                 return
 
     def _publish_embedding(self, w, model, plan, batch_id, shared, stats) -> nn.ForwardTape:
@@ -357,7 +387,7 @@ class PassiveEngine:
         )
         return tape
 
-    def _apply_gradient(self, w, model, plan, batch_id, entry, message, shared, stats):
+    def _apply_gradient(self, model, plan, queue, batch_id, entry, message, stats):
         batch = plan.batches[batch_id]
         if message.sample_range != batch.sample_range:
             raise AlignmentError(
@@ -368,61 +398,8 @@ class PassiveEngine:
         grads, _ = nn.backward(model, entry.tape, message.payload)
         nn.sgd_step(model, grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t0
-        self.server.note_push()
-        stats.pushes += 1
         stats.completed += 1
-
-    # -- rendezvous mode ----------------------------------------------------
-
-    def run_rendezvous_epoch(
-        self,
-        plan: BatchPlan,
-        pairs: int,
-        shared: EpochShared,
-        barrier: threading.Barrier,
-    ) -> PartyEpochStats:
-        stats = [WorkerStats() for _ in range(pairs)]
-        iterations = math.ceil(plan.num_batches / pairs)
-        threads = [
-            threading.Thread(
-                target=self._rendezvous_loop,
-                args=(j, plan, pairs, iterations, shared, barrier, stats[j]),
-                name=f"passive-pair-{j}",
-            )
-            for j in range(pairs)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return PartyEpochStats(stats)
-
-    def _rendezvous_loop(self, j, plan, pairs, iterations, shared, barrier, stats):
-        start = time.perf_counter()
-        model = self.replicas[j]
-        try:
-            for k in range(iterations):
-                if shared.failed:
-                    return
-                batch_id = k * pairs + j
-                if batch_id < plan.num_batches:
-                    tape = self._publish_embedding(j, model, plan, batch_id, shared, stats)
-                    result = shared.broker.subscribe(bk.MessageKind.GRADIENT, batch_id, None)
-                    stats.add_wait(result.waited_seconds)
-                    if result.outcome is not bk.SubscribeOutcome.DELIVERED:
-                        return
-                    self._apply_gradient(j, model, plan, batch_id,
-                                         _PendingBatch(tape, 0),
-                                         result.message, shared, stats)
-                t0 = time.perf_counter()
-                barrier.wait()
-                stats.add_wait(time.perf_counter() - t0)
-        except threading.BrokenBarrierError:
-            return
-        except BaseException as exc:
-            shared.fail(exc)
-        finally:
-            stats.wall_seconds = time.perf_counter() - start
+        queue.arrive(stats)
 
 
 class ActiveEngine:
@@ -439,7 +416,6 @@ class ActiveEngine:
         eta: float,
         skew_seconds: float = 0.0,
         max_retries: int = 1,
-        staleness_bound: int | None = None,
     ):
         self.features = features
         self.labels = labels
@@ -450,8 +426,7 @@ class ActiveEngine:
         self.eta = eta
         self.skew_seconds = skew_seconds
         self.max_retries = max_retries
-        self.staleness_bound = staleness_bound
-        self.server = PartyServer("active")
+        self.server = PartyServer()
 
     @property
     def num_workers(self) -> int:
@@ -470,58 +445,25 @@ class ActiveEngine:
         shared: EpochShared,
         deadline: float | None,
     ) -> PartyEpochStats:
-        stats = [WorkerStats() for _ in range(self.num_workers)]
-        threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(w, plan, queue, shared, deadline, stats[w]),
-                name=f"active-{w}",
-            )
-            for w in range(self.num_workers)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return PartyEpochStats(stats)
+        return _run_pool("active", self.num_workers, shared, self._worker_loop,
+                         plan, queue, shared, deadline)
 
     def _worker_loop(self, w, plan, queue, shared, deadline, stats):
-        start = time.perf_counter()
-        try:
-            while not shared.failed:
-                item = queue.pop()
-                if item is None:
-                    return
-                batch_id, attempt = item
+        while not shared.failed:
+            item = queue.pop(w)
+            if item is None:
+                return
+            batch_id, attempt = item
+            if batch_id is not None:
                 result = shared.broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, deadline)
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.CLOSED:
                     return
                 if result.outcome is bk.SubscribeOutcome.EXPIRED:
-                    if attempt < self.max_retries:
-                        queue.push_retry(batch_id, attempt + 1)
-                        stats.retries += 1
-                    else:
-                        stats.skipped += 1
+                    queue.expire(w, batch_id, attempt, self.max_retries, stats)
                     continue
-                message = result.message
-                if (
-                    self.staleness_bound is not None
-                    and self.bottoms[w].param_version - message.param_version
-                    > self.staleness_bound
-                ):
-                    stats.stale_discards += 1
-                    if attempt < self.max_retries:
-                        queue.push_retry(batch_id, attempt + 1)
-                        stats.retries += 1
-                    else:
-                        stats.skipped += 1
-                    continue
-                self._process_batch(w, plan, batch_id, message, shared, stats)
-        except BaseException as exc:
-            shared.fail(exc)
-        finally:
-            stats.wall_seconds = time.perf_counter() - start
+                self._process_batch(w, plan, batch_id, result.message, shared, stats)
+            queue.arrive(stats)
 
     def _process_batch(self, w, plan, batch_id, message, shared, stats):
         batch = plan.batches[batch_id]
@@ -569,57 +511,7 @@ class ActiveEngine:
         nn.sgd_step(bottom, bottom_grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t1
         shared.record_loss(batch_id, loss)
-        self.server.note_push()
-        stats.pushes += 1
         stats.completed += 1
-
-    # -- rendezvous mode ----------------------------------------------------
-
-    def run_rendezvous_epoch(
-        self,
-        plan: BatchPlan,
-        pairs: int,
-        shared: EpochShared,
-        barrier: threading.Barrier,
-    ) -> PartyEpochStats:
-        stats = [WorkerStats() for _ in range(pairs)]
-        iterations = math.ceil(plan.num_batches / pairs)
-        threads = [
-            threading.Thread(
-                target=self._rendezvous_loop,
-                args=(j, plan, pairs, iterations, shared, barrier, stats[j]),
-                name=f"active-pair-{j}",
-            )
-            for j in range(pairs)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return PartyEpochStats(stats)
-
-    def _rendezvous_loop(self, j, plan, pairs, iterations, shared, barrier, stats):
-        start = time.perf_counter()
-        try:
-            for k in range(iterations):
-                if shared.failed:
-                    return
-                batch_id = k * pairs + j
-                if batch_id < plan.num_batches:
-                    result = shared.broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, None)
-                    stats.add_wait(result.waited_seconds)
-                    if result.outcome is not bk.SubscribeOutcome.DELIVERED:
-                        return
-                    self._process_batch(j, plan, batch_id, result.message, shared, stats)
-                t0 = time.perf_counter()
-                barrier.wait()
-                stats.add_wait(time.perf_counter() - t0)
-        except threading.BrokenBarrierError:
-            return
-        except BaseException as exc:
-            shared.fail(exc)
-        finally:
-            stats.wall_seconds = time.perf_counter() - start
 
 
 @dataclass
@@ -652,16 +544,58 @@ def evaluate_models(
     return mt.rmse(dataset.labels, scores)
 
 
-def _default_lookahead(cfg: TrainConfig, num_batches: int) -> int:
-    if cfg.mode is Mode.LOCKSTEP:
-        return 1
-    if cfg.lookahead is not None:
-        return cfg.lookahead
-    if cfg.mode in (Mode.ASYNC, Mode.ASYNC_PS):
-        return num_batches  # free-running: never wait before the queue is empty
-    # pubsub: one batch of lookahead hides the other party's latency; a single
-    # worker keeps lookahead 1 so the degenerate config stays deterministic.
-    return 1 if cfg.workers_passive == 1 else 2
+@dataclass(frozen=True)
+class ModePolicy:
+    """How one mode coordinates its workers; the only place the modes differ."""
+
+    lookahead: Callable[[TrainConfig, int], int]  # (cfg, batches per epoch) -> in flight
+    waits_expire: bool  # subscribes give up after cfg.deadline_seconds
+    depth_one_channels: bool  # capacity-1 channels instead of the configured ones
+    rendezvous: bool  # static assignment, replicas averaged after every iteration
+    end_sync: Callable[[AggregationSchedule, int], bool]  # average after this epoch?
+
+
+def _one_in_flight(cfg: TrainConfig, num_batches: int) -> int:
+    return 1
+
+
+def _pipelined(cfg: TrainConfig, num_batches: int) -> int:
+    # One batch of lookahead hides the other party's latency; a single worker
+    # keeps lookahead 1 so the degenerate config stays deterministic.
+    return cfg.lookahead or (1 if cfg.workers_passive == 1 else 2)
+
+
+def _free_running(cfg: TrainConfig, num_batches: int) -> int:
+    return cfg.lookahead or num_batches  # never wait before the queue is empty
+
+
+def _never(schedule: AggregationSchedule, epoch: int) -> bool:
+    return False
+
+
+def _always(schedule: AggregationSchedule, epoch: int) -> bool:
+    return True
+
+
+MODE_POLICIES: dict[Mode, ModePolicy] = {
+    #                      lookahead  expire  depth-1  rendezvous  end_sync
+    Mode.LOCKSTEP: ModePolicy(_one_in_flight, False, False, False, _never),
+    Mode.SYNC_PS: ModePolicy(_one_in_flight, False, False, True, _never),
+    Mode.PUBSUB: ModePolicy(_pipelined, True, False, False, AggregationSchedule.should_sync),
+    Mode.ASYNC: ModePolicy(_free_running, True, True, False, _never),
+    Mode.ASYNC_PS: ModePolicy(_free_running, True, False, False, _always),
+}
+
+
+def _rendezvous_queue(
+    engine: PassiveEngine | ActiveEngine, batch_ids: list[int], shared: EpochShared
+) -> WorkQueue:
+    """Static lanes plus a barrier whose action averages the party's replicas."""
+    barrier = threading.Barrier(
+        engine.num_workers, action=lambda: engine.server.sync(engine.replica_groups())
+    )
+    shared.barriers.append(barrier)
+    return WorkQueue(batch_ids, barrier)
 
 
 def run_training(
@@ -696,14 +630,17 @@ def run_training(
         )
     )
 
-    embed_cap = 1 if cfg.mode is Mode.ASYNC else cfg.embed_capacity
-    grad_cap = 1 if cfg.mode is Mode.ASYNC else cfg.grad_capacity
-    broker = bk.Broker(num_batches, embed_cap, grad_cap)
+    policy = MODE_POLICIES[cfg.mode]
+    capacities = (1, 1) if policy.depth_one_channels else (cfg.embed_capacity, cfg.grad_capacity)
+    broker = bk.Broker(num_batches, *capacities)
+    workers_active, workers_passive = cfg.workers_active, cfg.workers_passive
+    if policy.rendezvous:  # only matched pairs train, so only they hold replicas
+        workers_active = workers_passive = min(workers_active, workers_passive)
 
     passive = PassiveEngine(
         train.passive_features,
         passive_init,
-        cfg.workers_passive,
+        workers_passive,
         cfg.learning_rate,
         sigma,
         derive_seed(cfg.seed, _SEED_NOISE),
@@ -716,16 +653,15 @@ def run_training(
         train.task,
         active_init,
         top_init,
-        cfg.workers_active,
+        workers_active,
         cfg.learning_rate,
         skew_seconds=cfg.skew_active_seconds,
         max_retries=cfg.max_retries,
-        staleness_bound=cfg.staleness_bound,
     )
 
     schedule = AggregationSchedule(cfg.sync_base_interval)
-    lookahead = _default_lookahead(cfg, num_batches)
-    deadline = None if cfg.mode in (Mode.LOCKSTEP, Mode.SYNC_PS) else cfg.deadline_seconds
+    lookahead = policy.lookahead(cfg, num_batches)
+    deadline = cfg.deadline_seconds if policy.waits_expire else None
 
     epoch_rows: list[mt.EpochMetrics] = []
     party_rows: list[dict] = []
@@ -738,52 +674,27 @@ def run_training(
         shared = EpochShared(broker, epoch)
         epoch_start = time.perf_counter()
 
-        if cfg.mode is Mode.SYNC_PS:
-            pairs = min(cfg.workers_active, cfg.workers_passive)
-            barrier_p = threading.Barrier(
-                pairs, action=lambda: passive.server.sync(passive.replica_groups())
-            )
-            barrier_a = threading.Barrier(
-                pairs, action=lambda: active.server.sync(active.replica_groups())
-            )
-            shared.barriers = [barrier_p, barrier_a]
-            results: dict[str, PartyEpochStats] = {}
-
-            def _run(engine, barrier, key):
-                results[key] = engine.run_rendezvous_epoch(plan, pairs, shared, barrier)
-
-            t_passive = threading.Thread(target=_run, args=(passive, barrier_p, "passive"))
-            t_active = threading.Thread(target=_run, args=(active, barrier_a, "active"))
-            t_passive.start(), t_active.start()
-            t_passive.join(), t_active.join()
-            passive_stats, active_stats = results["passive"], results["active"]
-            synced = True
+        batch_ids = [b.batch_id for b in plan.batches]
+        if policy.rendezvous:
+            queue_p = _rendezvous_queue(passive, batch_ids, shared)
+            queue_a = _rendezvous_queue(active, batch_ids, shared)
         else:
-            queue_p = WorkQueue([b.batch_id for b in plan.batches])
-            queue_a = WorkQueue([b.batch_id for b in plan.batches])
-            results = {}
+            queue_p, queue_a = WorkQueue(batch_ids), WorkQueue(batch_ids)
+        results: dict[str, PartyEpochStats] = {}
+        passive_party = threading.Thread(
+            target=lambda: results.update(
+                passive=passive.run_epoch(plan, queue_p, shared, deadline, lookahead)
+            )
+        )
+        passive_party.start()
+        active_stats = active.run_epoch(plan, queue_a, shared, deadline)
+        passive_party.join()
+        passive_stats = results["passive"]
 
-            def _run_passive():
-                results["passive"] = passive.run_epoch(plan, queue_p, shared, deadline, lookahead)
-
-            def _run_active():
-                results["active"] = active.run_epoch(plan, queue_a, shared, deadline)
-
-            t_passive = threading.Thread(target=_run_passive)
-            t_active = threading.Thread(target=_run_active)
-            t_passive.start(), t_active.start()
-            t_passive.join(), t_active.join()
-            passive_stats, active_stats = results["passive"], results["active"]
-
-            if cfg.mode is Mode.PUBSUB:
-                synced = schedule.should_sync(epoch)
-            elif cfg.mode is Mode.ASYNC_PS:
-                synced = True
-            else:
-                synced = False
-            if synced:
-                passive.server.sync(passive.replica_groups())
-                active.server.sync(active.replica_groups())
+        end_sync = policy.end_sync(schedule, epoch)
+        if end_sync:
+            passive.server.sync(passive.replica_groups())
+            active.server.sync(active.replica_groups())
 
         epoch_wall = time.perf_counter() - epoch_start
         if shared.failure is not None:
@@ -812,7 +723,7 @@ def run_training(
                 batches_skipped=active_stats.skipped + passive_stats.skipped,
                 batch_retries=active_stats.retries + passive_stats.retries,
                 evictions=broker_now.evicted - prev_stats.evicted,
-                sync_performed=synced,
+                sync_performed=end_sync or policy.rendezvous,
             )
         )
         party_rows.append(

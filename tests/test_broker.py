@@ -128,7 +128,7 @@ def test_byte_counter_matches_independent_serialization_tally():
                 bk.MessageKind.EMBEDDING, i % 2, payload, (0, rows), 0, 0
             )
         )
-    assert broker.byte_counter == expected
+    assert broker.stats().bytes_published == expected
 
 
 def test_flush_all_counts_into_conservation():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -50,8 +51,8 @@ class TestProfileCommand:
             "--batches", "8,32,128", "--repetitions", "2",
         ])
         assert code == 0
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             constants = read_profile(str(out))
         coefs = [
             constants.forward_coef_active, constants.forward_coef_passive,

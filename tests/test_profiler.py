@@ -7,6 +7,7 @@ tests, which assert structure and repeat stability, not exact values.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,8 +251,8 @@ class TestProfileBuild:
     def test_end_to_end_constants_and_roundtrip(self, tmp_path):
         passive, active, top = small_models()
         samples = run_calibration(passive, active, top, [4, 16, 64, 256], repetitions=3)
-        with np.testing.suppress_warnings() as sup:
-            sup.filter(UserWarning)  # tiny-model timings may fit loosely
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # tiny-model timings may fit loosely
             constants = build_constants(
                 samples, passive, active, top,
                 cores_active=4, cores_passive=2,

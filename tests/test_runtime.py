@@ -8,6 +8,7 @@ semantics (rendezvous, free-running, deadlines) and failure plumbing.
 import math
 import time
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -130,6 +131,20 @@ class TestRendezvousMode:
         result = run_training(train, None, cfg)
         assert result.epochs[0].batches_completed == 5
         assert result.summary.ps_syncs == math.ceil(5 / 3)
+
+    def test_sync_ps_surplus_workers_change_nothing(self):
+        # min(wa, wp) pairs train; the third passive worker must not hold a
+        # replica that the parameter server averages in.
+        train, _ = vertical_pair(n=300, d=10, seed=6)
+        cfg = TrainConfig(
+            mode=Mode.SYNC_PS, batch_size=50, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=7, shape=SMALL_SHAPE,
+        )
+        pairs = run_training(train, None, cfg)
+        surplus = run_training(train, None, replace(cfg, workers_passive=3))
+        assert surplus.epoch_train_losses == pairs.epoch_train_losses
+        for key in pairs.final_models:
+            assert models_equal(surplus.final_models[key], pairs.final_models[key])
 
 
 class TestPubsubMode:
@@ -276,6 +291,33 @@ class TestFailurePlumbing:
         )
         with pytest.raises(TrainingAbort):
             run_training(train, None, cfg)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_worker_failure_ends_run_and_joins_threads(self, mode, monkeypatch):
+        train, _ = vertical_pair(n=400, d=10, seed=3)
+        workers = 1 if mode in (Mode.LOCKSTEP, Mode.ASYNC) else 2
+        cfg = TrainConfig(
+            mode=mode, batch_size=20, workers_active=workers, workers_passive=workers,
+            learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
+        )
+        real_backward = nn.backward
+        calls = []
+        lock = threading.Lock()
+
+        def failing_backward(*args):
+            with lock:
+                calls.append(None)
+                if len(calls) == 7:
+                    raise RuntimeError("injected backward failure")
+            return real_backward(*args)
+
+        monkeypatch.setattr(nn, "backward", failing_backward)
+        baseline = threading.active_count()
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected backward failure"):
+            run_training(train, None, cfg)
+        assert time.perf_counter() - started < 5.0
+        assert threading.active_count() == baseline
 
     def test_single_pair_modes_reject_worker_pools(self):
         train, _ = vertical_pair(n=80, d=6, seed=1)
