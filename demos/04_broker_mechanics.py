@@ -6,7 +6,7 @@ FIFO buffers — a full channel evicts its oldest message — and every
 subscribe carries a deadline so nobody can be parked forever.  The broker
 keeps audited counters; at any instant
 
-    published == delivered + evicted + flushed + still-buffered
+    published == delivered + evicted + flushed + dropped-after-close + still-buffered
 
 Run:  python3 demos/04_broker_mechanics.py
 """
@@ -34,7 +34,8 @@ def message(kind, batch_id, tag, worker=0):
 
 def show(stats):
     print(f"     counters: published={stats.published} delivered={stats.delivered} "
-          f"evicted={stats.evicted} flushed={stats.flushed} buffered={stats.residual}"
+          f"evicted={stats.evicted} flushed={stats.flushed} "
+          f"dropped_closed={stats.dropped_closed} buffered={stats.residual}"
           f"   conserved={stats.conserved()}")
 
 
@@ -98,6 +99,9 @@ def main():
     print(f"   a worker blocked with no deadline saw outcome={outcomes[0].outcome.name}")
     assert outcomes[0].outcome is SubscribeOutcome.CLOSED
     print("   (this is how a failing run unblocks everyone for a clean shutdown)")
+    broker.publish(message(MessageKind.GRADIENT, 1, 50))
+    print("   a publish after close() is dropped, and counted:")
+    show(broker.stats())
 
 
 if __name__ == "__main__":

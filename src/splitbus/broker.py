@@ -1,12 +1,13 @@
 """In-process pub/sub bus with one embedding and one gradient channel per batch id.
 
 Channels are bounded FIFO buffers: a publish into a full channel silently
-evicts the oldest message (the staleness backstop), and a subscribe consumes
-the oldest live message or gives up when its waiting deadline expires.  Each
-channel carries its own lock — there is no global lock on the hot path — and
-all counters needed for the conservation invariant
+evicts the oldest message (the staleness backstop), a publish into a closed
+channel is dropped, and a subscribe consumes the oldest live message or gives
+up when its waiting deadline expires.  Each channel carries its own lock —
+there is no global lock on the hot path — and all counters needed for the
+conservation invariant
 
-    published == delivered + evicted + flushed + residual
+    published == delivered + evicted + flushed + dropped_closed + residual
 
 are kept per channel and aggregated on demand.
 
@@ -94,6 +95,7 @@ class _ChannelCounters:
     delivered: int = 0
     evicted: int = 0
     flushed: int = 0
+    dropped_closed: int = 0  # published after close(); never buffered
     bytes_published: int = 0
 
 
@@ -112,14 +114,15 @@ class ChannelBuffer:
     def publish(self, message: ChannelMessage) -> None:
         rows, cols = message.payload.shape
         with self._cond:
+            self.counters.published += 1
             if self._closed:
+                self.counters.dropped_closed += 1
                 return
             message.publish_time = time.monotonic()
             if len(self._messages) == self.capacity:
                 self._messages.pop(0)
                 self.counters.evicted += 1
             self._messages.append(message)
-            self.counters.published += 1
             self.counters.bytes_published += payload_byte_size(rows, cols)
             self._cond.notify_all()
 
@@ -172,11 +175,14 @@ class BrokerStats:
     delivered: int
     evicted: int
     flushed: int
+    dropped_closed: int  # published after close(); never buffered
     residual: int
-    bytes_published: int
+    bytes_published: int  # dropped publishes add no bytes
 
     def conserved(self) -> bool:
-        return self.published == self.delivered + self.evicted + self.flushed + self.residual
+        return self.published == (
+            self.delivered + self.evicted + self.flushed + self.dropped_closed + self.residual
+        )
 
 
 class Broker:
@@ -213,13 +219,14 @@ class Broker:
             channel.close()
 
     def stats(self) -> BrokerStats:
-        published = delivered = evicted = flushed = residual = nbytes = 0
+        published = delivered = evicted = flushed = dropped = residual = nbytes = 0
         for channel in self._channels.values():
             with channel._cond:
                 published += channel.counters.published
                 delivered += channel.counters.delivered
                 evicted += channel.counters.evicted
                 flushed += channel.counters.flushed
+                dropped += channel.counters.dropped_closed
                 residual += len(channel._messages)
                 nbytes += channel.counters.bytes_published
-        return BrokerStats(published, delivered, evicted, flushed, residual, nbytes)
+        return BrokerStats(published, delivered, evicted, flushed, dropped, residual, nbytes)

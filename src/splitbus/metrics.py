@@ -30,15 +30,12 @@ def auc_score(labels: np.ndarray, scores: np.ndarray) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(labels.size)
     sorted_scores = scores[order]
-    i = 0
-    while i < labels.size:
-        j = i
-        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Tie groups are runs of equal sorted scores, [first, last]; each gets its midrank.
+    first = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    last = np.r_[first[1:], labels.size] - 1
+    ranks = np.empty(labels.size)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     rank_sum = float(ranks[positives].sum())
     return (rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
 

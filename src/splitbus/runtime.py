@@ -11,6 +11,10 @@ batch's embedding channel; an active worker consumes it, finishes the
 forward pass, publishes the cut-layer gradient on the batch's gradient
 channel, and applies its local updates; the passive worker consumes the
 gradient, backprops through the saved tape and updates its replica.
+A passive worker with several batches in flight absorbs their gradients
+oldest first and stops polling at the first one not back yet: the active
+pool takes batches in queue order, so gradients return nearly in order and
+each batch costs O(1) broker calls however far the worker has run ahead.
 
 Every mode runs the same worker loop per party.  The modes differ only in
 the settings of :data:`MODE_POLICIES`, the one table that says how far a
@@ -164,6 +168,7 @@ class WorkerStats:
     completed: int = 0
     skipped: int = 0
     retries: int = 0
+    batch_id: int | None = None  # the batch the worker is on, named if it fails
 
     def add_wait(self, seconds: float) -> None:
         self.wait_seconds += seconds
@@ -250,9 +255,9 @@ class EpochShared:
 def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> PartyEpochStats:
     """Run ``body(w, *args, stats)`` on one thread per worker and join them all.
 
-    A worker's exception goes to :meth:`EpochShared.fail`, which stops the
-    rest; a worker released from a barrier that the failure aborted just
-    returns.
+    A worker's exception gets the party, worker, epoch and batch appended to
+    its message and goes to :meth:`EpochShared.fail`, which stops the rest; a
+    worker released from a barrier that the failure aborted just returns.
     """
     stats = [WorkerStats() for _ in range(num_workers)]
 
@@ -263,6 +268,9 @@ def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> 
         except threading.BrokenBarrierError:
             pass
         except BaseException as exc:  # re-raised by run_training
+            _name_failure_site(
+                exc, f"{name} worker {w}, epoch {shared.epoch}, batch {stats[w].batch_id}"
+            )
             shared.fail(exc)
         finally:
             stats[w].wall_seconds = time.perf_counter() - start
@@ -275,6 +283,18 @@ def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> 
     for t in threads:
         t.join()
     return PartyEpochStats(stats)
+
+
+def _name_failure_site(exc: BaseException, site: str) -> None:
+    """Append ``site`` to the exception's message, keeping the same object.
+
+    ``add_note`` (Python 3.11+) would leave ``str(exc)`` unchanged, so the
+    site goes into the message itself wherever ``args`` carries one.
+    """
+    if exc.args and isinstance(exc.args[0], str):
+        exc.args = (f"{exc.args[0]} [{site}]", *exc.args[1:])
+    else:
+        exc.args = (*exc.args, site)
 
 
 @dataclass
@@ -334,13 +354,15 @@ class PassiveEngine:
         model = self.replicas[w]
         pending: OrderedDict[int, _PendingBatch] = OrderedDict()
         while not shared.failed:
-            # Opportunistically absorb any gradients that are already waiting.
-            for batch_id in list(pending):
-                result = shared.broker.subscribe(bk.MessageKind.GRADIENT, batch_id, 0.0)
+            # Absorb gradients that are already back, oldest first, up to the first miss.
+            while pending:
+                oldest = next(iter(pending))
+                result = shared.broker.subscribe(bk.MessageKind.GRADIENT, oldest, 0.0)
                 stats.add_wait(result.waited_seconds)
-                if result.outcome is bk.SubscribeOutcome.DELIVERED:
-                    self._apply_gradient(model, plan, queue, batch_id, pending.pop(batch_id),
-                                         result.message, stats)
+                if result.outcome is not bk.SubscribeOutcome.DELIVERED:
+                    break
+                self._apply_gradient(model, plan, queue, oldest, pending.pop(oldest),
+                                     result.message, stats)
             if len(pending) < lookahead:
                 item = queue.pop(w)
                 if item is not None:
@@ -359,14 +381,14 @@ class PassiveEngine:
                     self._apply_gradient(model, plan, queue, oldest, pending.pop(oldest),
                                          result.message, stats)
                 elif result.outcome is bk.SubscribeOutcome.EXPIRED:
-                    entry = pending.pop(oldest)
-                    queue.expire(w, oldest, entry.attempt, self.max_retries, stats)
+                    queue.expire(w, oldest, pending.pop(oldest).attempt, self.max_retries, stats)
                 else:  # CLOSED
                     return
             elif queue.empty(w):
                 return
 
     def _publish_embedding(self, w, model, plan, batch_id, shared, stats) -> nn.ForwardTape:
+        stats.batch_id = batch_id
         batch = plan.batches[batch_id]
         t0 = time.perf_counter()
         if self.skew_seconds > 0.0:
@@ -388,6 +410,7 @@ class PassiveEngine:
         return tape
 
     def _apply_gradient(self, model, plan, queue, batch_id, entry, message, stats):
+        stats.batch_id = batch_id
         batch = plan.batches[batch_id]
         if message.sample_range != batch.sample_range:
             raise AlignmentError(
@@ -454,6 +477,7 @@ class ActiveEngine:
             if item is None:
                 return
             batch_id, attempt = item
+            stats.batch_id = batch_id
             if batch_id is not None:
                 result = shared.broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, deadline)
                 stats.add_wait(result.waited_seconds)

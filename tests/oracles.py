@@ -37,6 +37,27 @@ def loop_forward(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
     return current
 
 
+def loop_auc(labels: np.ndarray, scores: np.ndarray) -> float:
+    """Midrank AUC with tie groups found by a scalar scan over sorted scores."""
+    labels = np.asarray(labels).ravel()
+    scores = np.asarray(scores).ravel()
+    positives = labels == 1.0
+    n_pos = int(positives.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(labels.size)
+    sorted_scores = scores[order]
+    i = 0
+    while i < labels.size:
+        j = i
+        while j + 1 < labels.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[positives].sum())
+    return (rank_sum - 0.5 * n_pos * (n_pos + 1)) / (n_pos * n_neg)
+
+
 def _loss_value(model: nn.MlpModel, x: np.ndarray, y: np.ndarray, loss: str) -> float:
     out, _ = nn.forward(model, x)
     if loss == "ce":

@@ -146,6 +146,22 @@ def test_flush_all_counts_into_conservation():
     assert stats.conserved()
 
 
+def test_publish_after_close_is_dropped_and_counted():
+    broker = bk.Broker(num_channels=2, embed_capacity=5, grad_capacity=5)
+    broker.publish(_msg(batch_id=0))
+    broker.close()
+    broker.publish(_msg(batch_id=1, kind=bk.MessageKind.GRADIENT))
+    broker.publish(_msg(batch_id=0))
+    stats = broker.stats()
+    assert stats.published == 3
+    assert stats.dropped_closed == 2
+    assert stats.residual == 1  # the one publish that beat close()
+    assert stats.bytes_published == bk.payload_byte_size(2, 3)
+    assert stats.conserved()
+    outcome = broker.subscribe(bk.MessageKind.GRADIENT, 1, timeout=0.0).outcome
+    assert outcome is bk.SubscribeOutcome.CLOSED
+
+
 def test_concurrent_stress_no_loss_no_fabrication():
     """8 publishers / 8 subscribers, 10k messages, tight capacities.
 

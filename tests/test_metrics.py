@@ -16,6 +16,8 @@ from splitbus.metrics import (
     write_jsonl,
 )
 
+from oracles import loop_auc
+
 
 def pairwise_auc(labels, scores):
     """O(P*N) definition: fraction of correctly ordered pos/neg pairs."""
@@ -80,6 +82,16 @@ class TestAuc:
             assert auc_score(labels, scores) == pytest.approx(
                 pairwise_auc(labels, scores), abs=1e-12
             )
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("decimals", [1, 2])
+    def test_heavy_ties_equal_loop_oracle(self, seed, decimals):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        labels = rng.integers(0, 2, size=n).astype(float)
+        labels[:2] = (0.0, 1.0)
+        scores = np.round(rng.uniform(size=n), decimals)
+        assert auc_score(labels, scores) == loop_auc(labels, scores)
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):

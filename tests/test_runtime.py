@@ -6,6 +6,7 @@ semantics (rendezvous, free-running, deadlines) and failure plumbing.
 """
 
 import math
+import re
 import time
 import threading
 from dataclasses import replace
@@ -206,6 +207,33 @@ class TestFreeRunningModes:
         assert all(row.batches_completed == 6 for row in result.epochs)
 
 
+class TestBrokerTraffic:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_subscribes_per_batch_do_not_grow_with_epoch_length(self, mode, monkeypatch):
+        # 94 batches per epoch, and a slower active party so that free-running
+        # passive workers get far ahead.  Polling every batch in flight would
+        # cost tens of subscribe calls per batch; oldest-first needs about 4.
+        train, _ = vertical_pair(n=4000, d=10, seed=12)
+        workers = 1 if mode in (Mode.LOCKSTEP, Mode.ASYNC) else 2
+        cfg = TrainConfig(
+            mode=mode, batch_size=32, workers_active=workers, workers_passive=workers,
+            learning_rate=0.02, epochs=2, seed=3, shape=SMALL_SHAPE,
+            skew_active_seconds=0.001,
+        )
+        real_subscribe = bk.Broker.subscribe
+        calls = []
+
+        def counting_subscribe(self, *args):
+            calls.append(None)  # list.append is atomic under the GIL
+            return real_subscribe(self, *args)
+
+        monkeypatch.setattr(bk.Broker, "subscribe", counting_subscribe)
+        result = run_training(train, None, cfg)
+        completed = sum(row.batches_completed for row in result.epochs)
+        assert completed == cfg.epochs * math.ceil(3000 / 32)
+        assert len(calls) / completed <= 5.0
+
+
 class TestDeadlines:
     def test_passive_alone_skips_every_batch_within_deadline(self):
         # No active party at all: every wait must expire on time, each batch
@@ -314,8 +342,11 @@ class TestFailurePlumbing:
         monkeypatch.setattr(nn, "backward", failing_backward)
         baseline = threading.active_count()
         started = time.perf_counter()
-        with pytest.raises(RuntimeError, match="injected backward failure"):
+        # 300 train rows / B=20 = 15 batches x 3 backward calls: the 7th is in epoch 1
+        with pytest.raises(RuntimeError, match="injected backward failure") as failure:
             run_training(train, None, cfg)
+        site = r"\[(passive|active) worker [01], epoch 1, batch \d+\]"
+        assert re.search(site, str(failure.value)), str(failure.value)
         assert time.perf_counter() - started < 5.0
         assert threading.active_count() == baseline
 
