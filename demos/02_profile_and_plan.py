@@ -3,8 +3,7 @@
 Stage timings are measured on the actual models, each stage's batch-size
 curve is fitted as a power law, and the fitted constants drive a search for
 the cheapest (workers_active, workers_passive, batch_size) triple that fits
-in memory.  The dynamic-programming search and a brute-force sweep must — and
-do — pick the same plan.
+in memory.
 
 Run:  python3 demos/02_profile_and_plan.py
 """
@@ -15,7 +14,7 @@ import numpy as np
 
 from splitbus.config import ModelShape
 from splitbus.data import Task
-from splitbus.planner import SearchSpace, brute_force_search, dp_search, iteration_objective
+from splitbus.planner import SearchSpace, dp_search, iteration_objective
 from splitbus.profiler import (
     build_constants,
     fit_power_law,
@@ -63,14 +62,11 @@ def main():
     candidates = [b for b in (32, 64, 128, 256, 512, 1024, 2048, 4096) if b <= biggest]
     space = SearchSpace(1, 8, 1, 8, candidates)
     plan = dp_search(constants, space)
-    check = brute_force_search(constants, space)
-    assert plan == check, "search strategies disagree"
 
     print("\n3. cheapest configuration over an 8x8 worker grid:")
     print(f"     workers_active={plan.workers_active}  "
           f"workers_passive={plan.workers_passive}  batch_size={plan.batch_size}")
     print(f"     predicted seconds per iteration: {plan.cost_seconds:.6f}")
-    print("   (brute-force enumeration picks the identical plan)")
 
     print("\n4. what the model predicts for a few configurations:")
     print(f"   {'wa':>4} {'wp':>4} {'batch':>6} {'iter s':>10}")

@@ -117,15 +117,6 @@ def _load_datasets(exp: ExperimentConfig) -> tuple[VerticalDataset, VerticalData
     return train, test
 
 
-def _party_dims(exp: ExperimentConfig) -> tuple[int, int]:
-    if exp.dataset.kind == "csv":
-        total = _build_tables(exp).features.shape[1]
-    else:
-        total = exp.dataset.features
-    active = exp.split.active_features or total // 2
-    return active, total - active
-
-
 def _save_models(path: str, result: RunResult) -> None:
     arrays: dict[str, np.ndarray] = {}
     for name, model in result.final_models.items():
@@ -137,9 +128,10 @@ def _save_models(path: str, result: RunResult) -> None:
 
 def cmd_profile(args) -> int:
     exp = _load_experiment(args)
-    d_active, d_passive = _party_dims(exp)
+    train, _ = _load_datasets(exp)
     passive, active, top = build_models(
-        exp.train.shape, d_active, d_passive, exp.dataset.task, exp.train.seed
+        exp.train.shape, train.active_features.shape[1],
+        train.passive_features.shape[1], exp.dataset.task, exp.train.seed,
     )
     sweep = _parse_int_list(args.batches) if args.batches else None
     samples = run_calibration(passive, active, top, sweep, repetitions=args.repetitions)

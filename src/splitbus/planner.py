@@ -2,19 +2,21 @@
 
 The per-iteration wall time is modelled as the slower party's compute time
 plus the channel transfer time; the search minimises it over a discrete
-grid, restricted to batch sizes both parties can hold in memory.  The grid
-has no overlapping subproblems, so the "table" is a full evaluation with
-the per-batch polynomial of each party hoisted out of the worker loops;
-``brute_force_search`` is the plain triple loop kept as an oracle — the two
-must agree bit for bit, including tie-breaks.
+grid, restricted to batch sizes both parties can hold in memory.  The
+memory model is affine in the batch size by construction (see
+``profiler.model_memory_bytes``), so the ceiling is closed-form.  The grid
+has no overlapping subproblems, so the search is one numpy evaluation of
+the whole grid and an argmin; the tests check it against plain enumeration
+of ``iteration_objective``, bit for bit, including tie-breaks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .profiler import DelayConstants, memory_bound
+import numpy as np
 
+from .profiler import DelayConstants, memory_bound
 
 class InfeasiblePlanError(ValueError):
     """No candidate batch size fits in memory (or the space is empty)."""
@@ -52,11 +54,8 @@ class SearchSpace:
 
 @dataclass
 class PlanState:
-    """A grid point: 1-based indices plus the decoded configuration."""
+    """The chosen configuration and its predicted seconds per iteration."""
 
-    index_active: int
-    index_passive: int
-    index_batch: int
     workers_active: int
     workers_passive: int
     batch_size: int
@@ -67,8 +66,8 @@ def party_polynomials(c: DelayConstants, batch_size: int) -> tuple[float, float]
     """Per-call compute seconds at one core per worker, per party.
 
     The active party runs its bottom model and the top model; the passive
-    party only its bottom model.  Shared by every cost evaluation below so
-    the search and its oracle perform identical float operations.
+    party only its bottom model.  Shared by ``iteration_objective`` and
+    ``dp_search`` so both perform identical float operations.
     """
     b = float(batch_size)
     active = (
@@ -119,86 +118,37 @@ def iteration_objective(
     return compute + comm_seconds(c, batch_size, message_scale_reference)
 
 
-def state_cost(c: DelayConstants, space: SearchSpace, i: int, j: int, r: int) -> float:
-    """Compute-only cost of grid state (i, j, r), all indices 1-based."""
-    if not (1 <= i <= len(space.workers_active)):
-        raise IndexError("active worker index out of range")
-    if not (1 <= j <= len(space.workers_passive)):
-        raise IndexError("passive worker index out of range")
-    if not (1 <= r <= len(space.batch_candidates)):
-        raise IndexError("batch index out of range")
-    w_a = space.workers_active_min + i - 1
-    w_p = space.workers_passive_min + j - 1
-    poly_active, poly_passive = party_polynomials(c, space.batch_candidates[r - 1])
-    return max(
-        poly_active * w_a / c.cores_active,
-        poly_passive * w_p / c.cores_passive,
-    )
-
-
-def _feasible_batches(c: DelayConstants, space: SearchSpace) -> list[tuple[int, int]]:
-    ceiling = memory_bound(c)
-    feasible = [
-        (r, b)
-        for r, b in enumerate(space.batch_candidates, start=1)
-        if b <= ceiling
-    ]
-    if not feasible:
-        raise InfeasiblePlanError(
-            f"no candidate batch size fits the memory bound {ceiling:.1f}"
-        )
-    return feasible
-
-
-def _state(space: SearchSpace, r: int, b: int, w_a: int, w_p: int, cost: float) -> PlanState:
-    return PlanState(
-        index_active=w_a - space.workers_active_min + 1,
-        index_passive=w_p - space.workers_passive_min + 1,
-        index_batch=r,
-        workers_active=w_a,
-        workers_passive=w_p,
-        batch_size=b,
-        cost_seconds=cost,
-    )
-
-
 def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
-    """Full-grid minimisation with per-batch polynomials cached.
+    """Full-grid argmin of ``iteration_objective`` over the feasible grid.
 
     Ties break toward the smaller batch size, then fewer active workers,
     then fewer passive workers — cheaper memory and coordination for free.
+    Each batch's polynomials are Python scalars, as in ``iteration_objective``,
+    so every grid cost is bit-equal to it.
     """
-    best_key: tuple | None = None
-    best: PlanState | None = None
-    for r, b in _feasible_batches(c, space):
+    ceiling = memory_bound(c)
+    batches = sorted(b for b in space.batch_candidates if b <= ceiling)
+    if not batches:
+        raise InfeasiblePlanError(
+            f"no candidate batch size fits the memory bound {ceiling:.1f}"
+        )
+    w_active = np.array(space.workers_active, dtype=float)
+    w_passive = np.array(space.workers_passive, dtype=float)
+    cost = np.empty((len(batches), w_active.size, w_passive.size))
+    for k, b in enumerate(batches):
         poly_active, poly_passive = party_polynomials(c, b)
-        comm = comm_seconds(c, b, space.message_scale_reference)
-        for w_a in space.workers_active:
-            active_time = poly_active * w_a / c.cores_active
-            for w_p in space.workers_passive:
-                cost = max(active_time, poly_passive * w_p / c.cores_passive) + comm
-                key = (cost, b, w_a, w_p)
-                if best_key is None or key < best_key:
-                    best_key, best = key, _state(space, r, b, w_a, w_p, cost)
-    assert best is not None
-    return best
-
-
-def brute_force_search(c: DelayConstants, space: SearchSpace) -> PlanState:
-    """Triple loop over the raw grid, no caching; the oracle for dp_search."""
-    best_key: tuple | None = None
-    best: PlanState | None = None
-    for w_a in space.workers_active:
-        for w_p in space.workers_passive:
-            for r, b in _feasible_batches(c, space):
-                cost = iteration_objective(
-                    c, w_a, w_p, b, space.message_scale_reference
-                )
-                key = (cost, b, w_a, w_p)
-                if best_key is None or key < best_key:
-                    best_key, best = key, _state(space, r, b, w_a, w_p, cost)
-    assert best is not None
-    return best
+        cost[k] = np.maximum(
+            poly_active * w_active[:, None] / c.cores_active,
+            poly_passive * w_passive[None, :] / c.cores_passive,
+        ) + comm_seconds(c, b, space.message_scale_reference)
+    # the first minimum in C order is the (cost, B, w_a, w_p) tie-break
+    k, i, j = np.unravel_index(np.argmin(cost), cost.shape)
+    return PlanState(
+        workers_active=space.workers_active_min + int(i),
+        workers_passive=space.workers_passive_min + int(j),
+        batch_size=batches[k],
+        cost_seconds=float(cost[k, i, j]),
+    )
 
 
 # -- plan file I/O --------------------------------------------------------------

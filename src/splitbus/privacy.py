@@ -11,6 +11,10 @@ is the explicit opt-out: sigma is exactly 0.0 and :func:`add_noise` returns
 its input untouched, drawing nothing from the stream — runs with privacy
 disabled stay bit-identical to runs without the privacy plumbing.
 
+``mu`` is nominal: the calibration assumes bounded sensitivity, but the
+embeddings are ReLU outputs and are not clipped, so a run delivers no
+formal GDP guarantee at any finite ``mu``.
+
 Each passive worker owns a private stream seeded with (noise_seed XOR
 worker_id); streams are PCG64 generators, so the mapping from seed to draws
 is stable across runs and platforms.

@@ -2,11 +2,14 @@
 
 Per-call compute time for each model stage is modelled as ``coef * B**exp``
 seconds at one core per worker; running ``w`` workers on ``C`` cores scales
-it by ``w / C``.  The twelve (coef, exp) pairs — forward and backward for
-the two bottom models and the top model — come from a log-log least-squares
-fit over a batch-size sweep.  Memory per party is modelled as
-``base + slope * B**exponent`` bytes, and the largest batch both parties can
-afford is the planner's feasibility ceiling.
+it by ``w / C``.  The six (coef, exp) pairs — forward and backward for the
+two bottom models and the top model — come from a log-log least-squares
+fit over a batch-size sweep.  Memory per party is ``base + slope * B``
+bytes, affine by construction: ``build_constants`` reads base and slope off
+the allocation formula of ``model_memory_bytes`` rather than fitting them.
+``DelayConstants`` keeps a general ``B**exponent`` term for hand-written
+profiles.  The largest batch both parties can afford is the planner's
+feasibility ceiling.
 
 The fits take the measurements at face value: if per-call time shrinks as
 the batch grows (heavily amortised vectorised code), the fitted exponent is
@@ -251,6 +254,12 @@ def memory_bound(c: DelayConstants) -> float:
 # -- memory accounting --------------------------------------------------------
 
 
+def _bytes_per_row(model: nn.MlpModel) -> int:
+    """Activation bytes per batch row: the input plus each layer's pre- and
+    post-activations, which the backward pass consumes."""
+    return 8 * (model.in_dim + 2 * sum(layer.weight.shape[1] for layer in model.layers))
+
+
 def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
     """Deterministic allocation model: parameters + gradients + activations.
 
@@ -260,19 +269,7 @@ def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    per_row = model.in_dim + 2 * sum(layer.weight.shape[1] for layer in model.layers)
-    return 2 * model.parameter_bytes + 8 * batch_size * per_row
-
-
-def fit_memory_model(
-    batch_sizes: list[int], totals: list[float], base: float
-) -> tuple[float, float]:
-    """Fit totals = base + slope * B**exponent; returns (slope, exponent)."""
-    residual = np.asarray(totals, dtype=float) - base
-    if np.any(residual <= 0.0):
-        raise ValueError("memory totals must exceed the base allocation")
-    slope, exponent, _ = fit_power_law(batch_sizes, residual)
-    return slope, exponent
+    return 2 * model.parameter_bytes + batch_size * _bytes_per_row(model)
 
 
 # -- end-to-end profile construction ------------------------------------------
@@ -290,13 +287,13 @@ def build_constants(
     bandwidth_bytes_per_sec: float = 1e9,
     mem_budget_active: float = math.inf,
     mem_budget_passive: float = math.inf,
-    memory_sweep: list[int] | None = None,
 ) -> DelayConstants:
     """Fit the full constant set from calibration samples.
 
     The fitted coefficients are scaled by the party's core count so that the
     model's prediction for one worker on the profiled machine reproduces the
-    measurement (the w/C factor divides it back out).
+    measurement (the w/C factor divides it back out).  The memory constants
+    are read off ``model_memory_bytes``, not fitted.
     """
     by_role: dict[CalibRole, tuple[list[int], list[float]]] = {
         role: ([], []) for role in CalibRole
@@ -310,16 +307,10 @@ def build_constants(
         coef, exponent, _ = fit_power_law(sizes, times)
         fits[role] = (coef, exponent)
 
-    memory_sweep = memory_sweep or [8, 16, 32, 64, 128, 256]
     base_active = 2 * (active_model.parameter_bytes + top_model.parameter_bytes)
     base_passive = 2 * passive_model.parameter_bytes
-    active_totals = [
-        model_memory_bytes(active_model, b) + model_memory_bytes(top_model, b)
-        for b in memory_sweep
-    ]
-    passive_totals = [model_memory_bytes(passive_model, b) for b in memory_sweep]
-    slope_a, chi_a = fit_memory_model(memory_sweep, active_totals, base_active)
-    slope_p, chi_p = fit_memory_model(memory_sweep, passive_totals, base_passive)
+    slope_active = _bytes_per_row(active_model) + _bytes_per_row(top_model)
+    slope_passive = _bytes_per_row(passive_model)
 
     return DelayConstants(
         forward_coef_active=fits[CalibRole.ACTIVE_BOTTOM_FORWARD][0] * cores_active,
@@ -341,9 +332,9 @@ def build_constants(
         bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
         mem_base_active=float(base_active),
         mem_base_passive=float(base_passive),
-        mem_slope_active=slope_a,
-        mem_slope_passive=slope_p,
-        mem_exponent=(chi_a + chi_p) / 2.0,  # shared exponent; both fit ~1 here
+        mem_slope_active=float(slope_active),
+        mem_slope_passive=float(slope_passive),
+        mem_exponent=1.0,
         mem_budget_active=mem_budget_active,
         mem_budget_passive=mem_budget_passive,
     )

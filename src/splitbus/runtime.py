@@ -354,37 +354,33 @@ class PassiveEngine:
         model = self.replicas[w]
         pending: OrderedDict[int, _PendingBatch] = OrderedDict()
         while not shared.failed:
-            # Absorb gradients that are already back, oldest first, up to the first miss.
-            while pending:
-                oldest = next(iter(pending))
-                result = shared.broker.subscribe(bk.MessageKind.GRADIENT, oldest, 0.0)
-                stats.add_wait(result.waited_seconds)
-                if result.outcome is not bk.SubscribeOutcome.DELIVERED:
-                    break
-                self._apply_gradient(model, plan, queue, oldest, pending.pop(oldest),
-                                     result.message, stats)
-            if len(pending) < lookahead:
-                item = queue.pop(w)
-                if item is not None:
-                    batch_id, attempt = item
-                    if batch_id is None:
-                        queue.arrive(stats)
-                    else:
-                        tape = self._publish_embedding(w, model, plan, batch_id, shared, stats)
-                        pending[batch_id] = _PendingBatch(tape, attempt)
-                    continue
             if pending:
+                # Poll the oldest batch in flight; wait for it only when nothing
+                # else can be done: the window is full or the queue is empty.
                 oldest = next(iter(pending))
-                result = shared.broker.subscribe(bk.MessageKind.GRADIENT, oldest, deadline)
+                blocking = len(pending) >= lookahead or queue.empty(w)
+                result = shared.broker.subscribe(
+                    bk.MessageKind.GRADIENT, oldest, deadline if blocking else 0.0
+                )
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.DELIVERED:
                     self._apply_gradient(model, plan, queue, oldest, pending.pop(oldest),
                                          result.message, stats)
-                elif result.outcome is bk.SubscribeOutcome.EXPIRED:
-                    queue.expire(w, oldest, pending.pop(oldest).attempt, self.max_retries, stats)
-                else:  # CLOSED
+                    continue
+                if result.outcome is bk.SubscribeOutcome.CLOSED:
                     return
-            elif queue.empty(w):
+                if blocking:
+                    queue.expire(w, oldest, pending.pop(oldest).attempt, self.max_retries, stats)
+                    continue
+            item = queue.pop(w)
+            if item is not None:
+                batch_id, attempt = item
+                if batch_id is None:
+                    queue.arrive(stats)
+                else:
+                    tape = self._publish_embedding(w, model, plan, batch_id, shared, stats)
+                    pending[batch_id] = _PendingBatch(tape, attempt)
+            elif not pending and queue.empty(w):
                 return
 
     def _publish_embedding(self, w, model, plan, batch_id, shared, stats) -> nn.ForwardTape:

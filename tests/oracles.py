@@ -184,6 +184,28 @@ def mp_iteration_objective(c, w_a: int, w_p: int, batch: int, scale_ref=None) ->
         return float(max(active, passive) + comm)
 
 
+def brute_force_search(c, space):
+    """Enumerate every grid point through ``iteration_objective``; the oracle
+    for ``planner.dp_search``, with the same (cost, B, w_a, w_p) tie-break."""
+    from splitbus.planner import InfeasiblePlanError, PlanState, iteration_objective
+
+    best = None
+    for w_a in space.workers_active:
+        for w_p in space.workers_passive:
+            for b in space.batch_candidates:
+                try:
+                    cost = iteration_objective(c, w_a, w_p, b, space.message_scale_reference)
+                except InfeasiblePlanError:
+                    continue
+                key = (cost, b, w_a, w_p)
+                if best is None or key < best:
+                    best = key
+    if best is None:
+        raise InfeasiblePlanError("no candidate batch size fits the memory bound")
+    cost, b, w_a, w_p = best
+    return PlanState(w_a, w_p, b, cost)
+
+
 def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]):
     """Valid random constants; the smallest candidate batch always fits."""
     from splitbus.profiler import DelayConstants

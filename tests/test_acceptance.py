@@ -18,7 +18,7 @@ import splitbus.broker as bk
 import splitbus.nn as nn
 from splitbus.config import Mode, TrainConfig
 from splitbus.data import LabeledTable, Task, generate_synthetic, split_rows, vertical_split
-from splitbus.planner import SearchSpace, brute_force_search, dp_search
+from splitbus.planner import SearchSpace, dp_search
 from splitbus.privacy import GdpConfig, NoiseReport, add_noise, calibrate_sigma, worker_noise_rng
 from splitbus.profiler import DEFAULT_BATCH_SWEEP, fit_power_law, memory_bound
 from splitbus.reference import run_reference
@@ -33,6 +33,7 @@ from splitbus.runtime import (
 from splitbus.schedule import sync_interval
 
 from oracles import (
+    brute_force_search,
     fd_input_grad,
     fd_model_grads,
     max_relative_error,

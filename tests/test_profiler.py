@@ -18,7 +18,6 @@ from splitbus.profiler import (
     CalibrationSample,
     DelayConstants,
     build_constants,
-    fit_memory_model,
     fit_power_law,
     memory_bound,
     model_memory_bytes,
@@ -197,15 +196,19 @@ class TestMemoryModel:
         assert model.parameter_bytes == 32 * 8
         assert model_memory_bytes(model, 4) == 2 * 32 * 8 + 8 * 4 * 17
 
-    def test_fit_recovers_affine_model(self):
-        model = nn.init_mlp([6, 12, 3], [nn.Activation.RELU, nn.Activation.IDENTITY], 1)
-        sizes = [8, 16, 32, 64, 128]
-        totals = [model_memory_bytes(model, b) for b in sizes]
-        base = 2 * model.parameter_bytes
-        slope, exponent = fit_memory_model(sizes, totals, base)
-        per_row = 6 + 2 * (12 + 3)
-        assert abs(slope - 8 * per_row) < 1e-6
-        assert abs(exponent - 1.0) < 1e-9
+    def test_build_constants_equals_allocation_formula(self):
+        samples = [
+            CalibrationSample(role, b, 0.004 * b**0.9, 3)
+            for role in CalibRole
+            for b in (8, 32, 128)
+        ]
+        passive, active, top = small_models()
+        c = build_constants(samples, passive, active, top)
+        for b in (1, 7, 256, 4096):
+            active_total = model_memory_bytes(active, b) + model_memory_bytes(top, b)
+            assert c.mem_base_active + c.mem_slope_active * b**c.mem_exponent == active_total
+            passive_total = model_memory_bytes(passive, b)
+            assert c.mem_base_passive + c.mem_slope_passive * b**c.mem_exponent == passive_total
 
 
 class TestCalibrationSweep:

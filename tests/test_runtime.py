@@ -213,6 +213,8 @@ class TestBrokerTraffic:
         # 94 batches per epoch, and a slower active party so that free-running
         # passive workers get far ahead.  Polling every batch in flight would
         # cost tens of subscribe calls per batch; oldest-first needs about 4.
+        # At lookahead 1 a batch costs exactly one embedding and one gradient
+        # subscribe.
         train, _ = vertical_pair(n=4000, d=10, seed=12)
         workers = 1 if mode in (Mode.LOCKSTEP, Mode.ASYNC) else 2
         cfg = TrainConfig(
@@ -232,6 +234,8 @@ class TestBrokerTraffic:
         completed = sum(row.batches_completed for row in result.epochs)
         assert completed == cfg.epochs * math.ceil(3000 / 32)
         assert len(calls) / completed <= 5.0
+        if mode in (Mode.LOCKSTEP, Mode.SYNC_PS):
+            assert len(calls) == 2 * completed
 
 
 class TestDeadlines:
