@@ -64,6 +64,9 @@ class EpochMetrics:
     batch_retries: int
     evictions: int  # capacity evictions during this epoch
     sync_performed: bool
+    active_wait_seconds: float  # total_wait_seconds split by party
+    passive_wait_seconds: float
+    max_single_wait: float  # longest single wait of any worker, either party
 
     def to_json(self) -> str:
         return json.dumps({"record": "epoch", **asdict(self)})

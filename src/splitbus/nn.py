@@ -2,8 +2,9 @@
 
 Everything in the trainer that touches model parameters goes through this
 module: forward passes record a tape, ``backward`` replays it to produce
-parameter gradients plus the gradient w.r.t. the layer-0 input (that input
-gradient is what crosses the party boundary at the cut layer), and
+parameter gradients plus, unless switched off, the gradient w.r.t. the
+layer-0 input (that input gradient is what crosses the party boundary at the
+cut layer; a bottom model's raw-feature gradient goes nowhere), and
 ``sgd_step`` / ``average_models`` are the only mutation points.
 
 All numerics are float64 numpy arrays, shaped (rows, cols) with rows =
@@ -58,13 +59,16 @@ def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_derivative(kind: Activation, preact: np.ndarray, postact: np.ndarray) -> np.ndarray:
+def _activation_backward(
+    kind: Activation, upstream: np.ndarray, preact: np.ndarray, postact: np.ndarray
+) -> np.ndarray:
+    """``upstream`` times the activation's derivative, elementwise."""
     if kind is Activation.RELU:
-        # Subgradient 0 at the kink.
-        return (preact > 0.0).astype(np.float64)
+        # Subgradient 0 at the kink; numpy multiplies by the mask as 1.0/0.0.
+        return upstream * (preact > 0.0)
     if kind is Activation.SIGMOID:
-        return postact * (1.0 - postact)
-    return np.ones_like(preact)
+        return upstream * (postact * (1.0 - postact))
+    return upstream
 
 
 @dataclass
@@ -196,13 +200,14 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
 
 
 def backward(
-    model: MlpModel, tape: ForwardTape, d_output: np.ndarray
-) -> tuple[list[LayerGrads], np.ndarray]:
+    model: MlpModel, tape: ForwardTape, d_output: np.ndarray, *, input_grad: bool = True
+) -> tuple[list[LayerGrads], np.ndarray | None]:
     """Backprop ``d_output`` (dLoss/dOutput) through the taped forward pass.
 
     Returns per-layer parameter gradients and the gradient w.r.t. the batch
     input.  The input gradient is the payload that travels back across the
-    cut layer during split training.
+    cut layer during split training; with ``input_grad=False`` the layer-0
+    product that computes it is skipped and ``None`` comes back instead.
     """
     if d_output.shape != tape.postacts[-1].shape:
         raise ValueError("d_output shape does not match the taped output")
@@ -210,13 +215,14 @@ def backward(
     upstream = d_output
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        deriv = _activation_derivative(layer.activation, tape.preacts[idx], tape.postacts[idx])
-        delta = upstream * deriv
+        delta = _activation_backward(
+            layer.activation, upstream, tape.preacts[idx], tape.postacts[idx]
+        )
         grads[idx] = LayerGrads(
             d_weight=tape.inputs[idx].T @ delta,
             d_bias=delta.sum(axis=0, keepdims=True),
         )
-        upstream = delta @ layer.weight.T
+        upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
     return grads, upstream
 
 

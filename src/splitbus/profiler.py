@@ -93,6 +93,8 @@ def run_calibration(
     samples: list[CalibrationSample] = []
     for role, model in stages:
         backward = role.value.endswith("backward")
+        # As in the runtime: only the top model's input gradient is consumed.
+        input_grad = role is CalibRole.TOP_BACKWARD
         for b in batch_sizes:
             x = rng.normal(size=(b, model.in_dim))
             d_out = np.ones((b, model.out_dim))
@@ -100,7 +102,7 @@ def run_calibration(
 
             def stage() -> None:
                 if backward:
-                    nn.backward(model, tape, d_out)
+                    nn.backward(model, tape, d_out, input_grad=input_grad)
                 else:
                     nn.forward(model, x)
 

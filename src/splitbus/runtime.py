@@ -11,6 +11,12 @@ batch's embedding channel; an active worker consumes it, finishes the
 forward pass, publishes the cut-layer gradient on the batch's gradient
 channel, and applies its local updates; the passive worker consumes the
 gradient, backprops through the saved tape and updates its replica.
+The active bottom model needs only the active party's rows, so its forward
+pass runs before the wait for the embedding, alongside the passive party's
+backward and forward; in ``lockstep`` a batch then costs
+``max(passive bwd + fwd, active bwd + fwd) + top``, the dependency-chain
+bound.  Neither bottom backprop computes the gradient w.r.t. its raw
+features, which nothing consumes; it stops at the parameter gradients.
 A passive worker with several batches in flight absorbs their gradients
 oldest first and stops polling at the first one not back yet: the active
 pool takes batches in queue order, so gradients return nearly in order and
@@ -414,7 +420,7 @@ class PassiveEngine:
                 f"expected {batch.sample_range}"
             )
         t0 = time.perf_counter()
-        grads, _ = nn.backward(model, entry.tape, message.payload)
+        grads, _ = nn.backward(model, entry.tape, message.payload, input_grad=False)
         nn.sgd_step(model, grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t0
         stats.completed += 1
@@ -475,17 +481,26 @@ class ActiveEngine:
             batch_id, attempt = item
             stats.batch_id = batch_id
             if batch_id is not None:
+                # Nothing but this worker touches its bottom before the wait ends,
+                # so the forward sees the weights it would see after the wait.
+                bottom_out = self._bottom_forward(w, plan.batches[batch_id], stats)
                 result = shared.broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, deadline)
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.CLOSED:
                     return
                 if result.outcome is bk.SubscribeOutcome.EXPIRED:
                     queue.expire(w, batch_id, attempt, self.max_retries, stats)
-                    continue
-                self._process_batch(w, plan, batch_id, result.message, shared, stats)
+                    continue  # the tape goes; a retry runs the forward again
+                self._process_batch(w, plan, batch_id, result.message, bottom_out, shared, stats)
             queue.arrive(stats)
 
-    def _process_batch(self, w, plan, batch_id, message, shared, stats):
+    def _bottom_forward(self, w, batch, stats) -> tuple[np.ndarray, nn.ForwardTape]:
+        t0 = time.perf_counter()
+        out = nn.forward(self.bottoms[w], self.features[batch.indices])
+        stats.busy_seconds += time.perf_counter() - t0
+        return out
+
+    def _process_batch(self, w, plan, batch_id, message, bottom_out, shared, stats):
         batch = plan.batches[batch_id]
         if message.sample_range != batch.sample_range:
             raise AlignmentError(
@@ -493,12 +508,11 @@ class ActiveEngine:
                 f"expected {batch.sample_range}"
             )
         bottom, top = self.bottoms[w], self.tops[w]
+        z_active, tape_bottom = bottom_out
         t0 = time.perf_counter()
         if self.skew_seconds > 0.0:
-            time.sleep(self.skew_seconds)  # simulated extra compute
-        x = self.features[batch.indices]
+            time.sleep(self.skew_seconds)  # simulated extra compute that needs the embedding
         y = self.labels[batch.indices]
-        z_active, tape_bottom = nn.forward(bottom, x)
         top_input = np.concatenate([z_active, message.payload], axis=1)
         predictions, tape_top = nn.forward(top, top_input)
         if self.task is Task.CLASSIFICATION:
@@ -526,7 +540,7 @@ class ActiveEngine:
             )
         )
         t1 = time.perf_counter()
-        bottom_grads, _ = nn.backward(bottom, tape_bottom, d_z_active)
+        bottom_grads, _ = nn.backward(bottom, tape_bottom, d_z_active, input_grad=False)
         nn.sgd_step(top, top_grads, self.eta)
         nn.sgd_step(bottom, bottom_grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t1
@@ -730,6 +744,7 @@ def run_training(
         )
         total_wall_threads = passive_stats.wall_seconds + active_stats.wall_seconds
         busy = passive_stats.busy_seconds + active_stats.busy_seconds
+        max_wait = max(passive_stats.max_single_wait, active_stats.max_single_wait)
         epoch_rows.append(
             mt.EpochMetrics(
                 epoch=epoch,
@@ -737,6 +752,9 @@ def run_training(
                 mean_train_loss=batch_loss_mean(shared.losses),
                 test_metric=test_metric,
                 total_wait_seconds=passive_stats.wait_seconds + active_stats.wait_seconds,
+                active_wait_seconds=active_stats.wait_seconds,
+                passive_wait_seconds=passive_stats.wait_seconds,
+                max_single_wait=max_wait,
                 busy_fraction=busy / total_wall_threads if total_wall_threads > 0 else 0.0,
                 bytes_published=broker_now.bytes_published,
                 batches_completed=active_stats.completed,
@@ -753,9 +771,7 @@ def run_training(
                 "passive_skipped": passive_stats.skipped,
                 "active_completed": active_stats.completed,
                 "active_skipped": active_stats.skipped,
-                "max_single_wait": max(
-                    passive_stats.max_single_wait, active_stats.max_single_wait
-                ),
+                "max_single_wait": max_wait,
             }
         )
         prev_stats = broker_now

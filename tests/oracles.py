@@ -37,6 +37,20 @@ def loop_forward(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
     return current
 
 
+def float_mask_activation_backward(
+    kind: nn.Activation, upstream: np.ndarray, preact: np.ndarray, postact: np.ndarray
+) -> np.ndarray:
+    """``upstream`` times the derivative materialised as a float64 array:
+    the ReLU mask cast with ``astype``, and ones for the identity."""
+    if kind is nn.Activation.RELU:
+        deriv = (preact > 0.0).astype(np.float64)
+    elif kind is nn.Activation.SIGMOID:
+        deriv = postact * (1.0 - postact)
+    else:
+        deriv = np.ones_like(preact)
+    return upstream * deriv
+
+
 def loop_auc(labels: np.ndarray, scores: np.ndarray) -> float:
     """Midrank AUC with tie groups found by a scalar scan over sorted scores."""
     labels = np.asarray(labels).ravel()

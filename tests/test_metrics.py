@@ -38,7 +38,8 @@ def sample_row(epoch=1, **overrides):
         epoch=epoch, wall_seconds=1.5, mean_train_loss=0.4, test_metric=0.9,
         total_wait_seconds=0.2, busy_fraction=0.8, bytes_published=1000,
         batches_completed=4, batches_skipped=0, batch_retries=0, evictions=0,
-        sync_performed=True,
+        sync_performed=True, active_wait_seconds=0.15, passive_wait_seconds=0.05,
+        max_single_wait=0.03,
     )
     values.update(overrides)
     return EpochMetrics(**values)
@@ -133,6 +134,19 @@ class TestRecords:
         assert loaded_rows[1]["test_metric"] is None
         assert loaded_summary["mode"] == "pubsub"
         assert loaded_summary["record"] == "summary"
+
+    def test_per_party_waits_roundtrip(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        row = sample_row(
+            total_wait_seconds=0.375, active_wait_seconds=0.25, passive_wait_seconds=0.125,
+            max_single_wait=0.0625,
+        )
+        write_jsonl(str(path), [row], sample_summary())
+        (loaded,), _ = read_jsonl(str(path))
+        assert loaded["active_wait_seconds"] == 0.25
+        assert loaded["passive_wait_seconds"] == 0.125
+        assert loaded["max_single_wait"] == 0.0625
+        assert loaded["total_wait_seconds"] == 0.375  # unchanged in meaning
 
     def test_read_ignores_blank_lines(self, tmp_path):
         path = tmp_path / "m.jsonl"

@@ -47,6 +47,37 @@ def test_input_gradient_matches_finite_differences():
         assert oracles.max_relative_error(d_input, numeric) <= 1e-5
 
 
+def test_backward_without_input_grad_keeps_parameter_grads():
+    for seed in range(12):
+        model, x, y, loss = oracles.random_mlp_case(seed)
+        out, tape = nn.forward(model, x)
+        d_out = (
+            nn.cross_entropy_loss(out, y)[1] if loss == "ce" else nn.mse_loss(out, y)[1]
+        )
+        full, d_input = nn.backward(model, tape, d_out)
+        params_only, no_input = nn.backward(model, tape, d_out, input_grad=False)
+        assert d_input is not None and no_input is None
+        for a, b in zip(full, params_only):
+            assert np.array_equal(a.d_weight, b.d_weight)
+            assert np.array_equal(a.d_bias, b.d_bias)
+
+
+@pytest.mark.parametrize("kind", list(nn.Activation))
+def test_activation_backward_equals_float_mask_oracle(kind):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        preact = rng.normal(size=(9, 7))
+        preact[rng.random(preact.shape) < 0.2] = 0.0  # exact kinks
+        preact[0, 0] = 0.0
+        postact = nn._apply_activation(kind, preact)
+        upstream = rng.normal(size=preact.shape)  # both signs: signed zeros after the mask
+        upstream[rng.random(upstream.shape) < 0.1] = -0.0
+        fast = nn._activation_backward(kind, upstream, preact, postact)
+        slow = oracles.float_mask_activation_backward(kind, upstream, preact, postact)
+        assert fast.dtype == np.float64
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))  # bits, sign of 0 too
+
+
 def test_cross_entropy_at_half_is_log_two():
     pred = np.full((2, 1), 0.5)
     target = np.array([[1.0], [0.0]])

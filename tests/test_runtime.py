@@ -238,6 +238,39 @@ class TestBrokerTraffic:
             assert len(calls) == 2 * completed
 
 
+class TestCriticalPath:
+    def test_active_bottom_forward_runs_before_embedding_wait(self, monkeypatch):
+        # The active bottom needs only the active party's rows, so batch k's
+        # bottom forward comes before the subscribe that waits for batch k's
+        # embedding, not after it.
+        train, _ = vertical_pair(n=400, d=12, seed=3)
+        d_active = train.active_features.shape[1]
+        assert d_active != SMALL_SHAPE.active_embed + SMALL_SHAPE.passive_embed  # not the top
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=50, workers_active=1, workers_passive=1,
+            learning_rate=0.05, epochs=2, seed=4, shape=SMALL_SHAPE,
+        )
+        real_forward, real_subscribe = nn.forward, bk.Broker.subscribe
+        events = []
+
+        def recording_forward(model, x):
+            if threading.current_thread().name.startswith("active") and model.in_dim == d_active:
+                events.append("bottom forward")
+            return real_forward(model, x)
+
+        def recording_subscribe(self, kind, batch_id, *args):
+            if kind is bk.MessageKind.EMBEDDING:
+                events.append(("embedding subscribe", batch_id))
+            return real_subscribe(self, kind, batch_id, *args)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        monkeypatch.setattr(bk.Broker, "subscribe", recording_subscribe)
+        result = run_training(train, None, cfg)
+        subscribes = [e for e in events if e != "bottom forward"]
+        assert len(subscribes) == sum(row.batches_completed for row in result.epochs)
+        assert events == [e for sub in subscribes for e in ("bottom forward", sub)]
+
+
 class TestDeadlines:
     def test_passive_alone_skips_every_batch_within_deadline(self):
         # No active party at all: every wait must expire on time, each batch
@@ -309,8 +342,9 @@ class TestFailurePlumbing:
         )
         from splitbus.runtime import WorkerStats
 
+        bottom_out = engine._bottom_forward(0, plan.batches[0], WorkerStats())
         with pytest.raises(AlignmentError):
-            engine._process_batch(0, plan, 0, message, shared, WorkerStats())
+            engine._process_batch(0, plan, 0, message, bottom_out, shared, WorkerStats())
         broker.close()
 
     @pytest.mark.filterwarnings("ignore:overflow")
@@ -336,12 +370,12 @@ class TestFailurePlumbing:
         calls = []
         lock = threading.Lock()
 
-        def failing_backward(*args):
+        def failing_backward(*args, **kwargs):
             with lock:
                 calls.append(None)
                 if len(calls) == 7:
                     raise RuntimeError("injected backward failure")
-            return real_backward(*args)
+            return real_backward(*args, **kwargs)
 
         monkeypatch.setattr(nn, "backward", failing_backward)
         baseline = threading.active_count()
@@ -401,6 +435,22 @@ class TestRunAccounting:
         result = run_training(train, None, cfg)
         assert result.noise_sigma == 0.0
         assert result.noise_report.entries == 0
+
+    def test_epoch_rows_split_waits_by_party(self):
+        train, _ = vertical_pair(n=400, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.PUBSUB, batch_size=50, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
+            skew_passive_seconds=0.002,  # the active party waits for embeddings
+        )
+        result = run_training(train, None, cfg)
+        for row, party in zip(result.epochs, result.party_stats):
+            assert row.total_wait_seconds == row.passive_wait_seconds + row.active_wait_seconds
+            assert row.active_wait_seconds > 0.0
+            assert row.max_single_wait == party["max_single_wait"]
+            assert 0.0 < row.max_single_wait <= max(
+                row.active_wait_seconds, row.passive_wait_seconds
+            )
 
     def test_batch_loss_mean_order_invariant(self):
         scrambled = [(2, 0.5), (0, 0.25), (1, 0.125)]
