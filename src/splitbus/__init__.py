@@ -1,4 +1,4 @@
-"""splitbus: two-party split learning over an in-process pub/sub bus.
+"""splitbus: two-party split learning over a pub/sub bus, up to one process per party.
 
 The package is organised as a plain numpy library:
 
@@ -6,6 +6,8 @@ The package is organised as a plain numpy library:
 - :mod:`splitbus.data` — synthetic/CSV tables, vertical splits, batch plans
 - :mod:`splitbus.broker` — per-batch embedding/gradient channels with
   bounded FIFO buffers, deadlines and byte accounting
+- :mod:`splitbus.transport` — the passive party's forked process and the
+  pipes its messages cross
 - :mod:`splitbus.privacy` — Gaussian embedding-noise calibration
 - :mod:`splitbus.schedule` — the tapering parameter-server sync interval
 - :mod:`splitbus.runtime` — worker pools, parameter servers, the five

@@ -1,4 +1,4 @@
-"""In-process pub/sub bus with one embedding and one gradient channel per batch id.
+"""Pub/sub bus with one embedding and one gradient channel per batch id.
 
 Channels are bounded FIFO buffers: a publish into a full channel silently
 evicts the oldest message (the staleness backstop), a publish into a closed
@@ -14,6 +14,12 @@ are kept per channel and aggregated on demand.
 Payload bytes are accounted with the wire format used by
 :func:`serialize_payload`: a (rows, cols) header of little-endian uint64
 followed by the row-major float64 payload.
+
+When the two parties run in two processes, each process holds the run's
+broker and each channel lives in the process of its consumer.  A broker
+connected to a peer (:meth:`Broker.connect`) hands publishes of the peer's
+kind to the link, whose receiver publishes them into the peer's channel;
+:meth:`Broker.stats` adds the counters the peer last reported.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import math
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -196,6 +202,23 @@ class Broker:
         for batch_id in range(num_channels):
             self._channels[(MessageKind.EMBEDDING, batch_id)] = ChannelBuffer(embed_capacity)
             self._channels[(MessageKind.GRADIENT, batch_id)] = ChannelBuffer(grad_capacity)
+        self._link = None  # a peer process's link; see connect()
+        self._remote_kind: MessageKind | None = None
+        self._peer_stats: BrokerStats | None = None
+
+    def connect(self, link, remote_kind: MessageKind) -> None:
+        """Send publishes of ``remote_kind`` to the peer process through ``link``.
+
+        ``link.send(message)`` ships a message and ``link.send_close()``
+        closes the peer's side; the peer consumes ``remote_kind``, so those
+        channels stay unused in this process.
+        """
+        self._link = link
+        self._remote_kind = remote_kind
+
+    def set_peer_stats(self, stats: BrokerStats) -> None:
+        """The peer's cumulative channel counters, added into :meth:`stats`."""
+        self._peer_stats = stats
 
     def _channel(self, kind: MessageKind, batch_id: int) -> ChannelBuffer:
         try:
@@ -204,7 +227,10 @@ class Broker:
             raise KeyError(f"no {kind.value} channel for batch id {batch_id}") from None
 
     def publish(self, message: ChannelMessage) -> None:
-        self._channel(message.kind, message.batch_id).publish(message)
+        if message.kind is self._remote_kind:
+            self._link.send(message)
+        else:
+            self._channel(message.kind, message.batch_id).publish(message)
 
     def subscribe(
         self, kind: MessageKind, batch_id: int, timeout: float | None
@@ -217,6 +243,8 @@ class Broker:
     def close(self) -> None:
         for channel in self._channels.values():
             channel.close()
+        if self._link is not None:
+            self._link.send_close()
 
     def stats(self) -> BrokerStats:
         published = delivered = evicted = flushed = dropped = residual = nbytes = 0
@@ -229,4 +257,7 @@ class Broker:
                 dropped += channel.counters.dropped_closed
                 residual += len(channel._messages)
                 nbytes += channel.counters.bytes_published
-        return BrokerStats(published, delivered, evicted, flushed, dropped, residual, nbytes)
+        local = BrokerStats(published, delivered, evicted, flushed, dropped, residual, nbytes)
+        if self._peer_stats is None:
+            return local
+        return BrokerStats(*(a + b for a, b in zip(astuple(local), astuple(self._peer_stats))))

@@ -88,6 +88,7 @@ class RunSummary:
     noise_sigma: float
     time_to_target_seconds: float | None
     stopped_early: bool
+    transport: str  # "process" or "thread": where the passive pool ran
 
     def to_json(self) -> str:
         return json.dumps({"record": "summary", **asdict(self)})

@@ -70,9 +70,12 @@ def run_calibration(
 ) -> list[CalibrationSample]:
     """Time every stage at every batch size; median of repetitions.
 
-    Single-threaded on purpose: contention would corrupt the timings.  One
-    untimed warm-up call per (stage, size) absorbs allocator and cache
-    effects before the measured repetitions.
+    Single-threaded on purpose: contention would corrupt the timings.  For
+    each batch size, every stage gets its own input and tape and one
+    untimed warm-up call (absorbing allocator and cache effects), and then
+    each repetition times all six stages round-robin, so that drift in the
+    machine's speed hits every stage alike instead of whichever stage's
+    block it falls in.  Samples come back stage by stage, each in sweep order.
     """
     if not batch_sizes:
         batch_sizes = list(DEFAULT_BATCH_SWEEP)
@@ -90,32 +93,37 @@ def run_calibration(
         (CalibRole.TOP_FORWARD, top_model),
         (CalibRole.TOP_BACKWARD, top_model),
     ]
-    samples: list[CalibrationSample] = []
-    for role, model in stages:
-        backward = role.value.endswith("backward")
-        # As in the runtime: only the top model's input gradient is consumed.
-        input_grad = role is CalibRole.TOP_BACKWARD
-        for b in batch_sizes:
-            x = rng.normal(size=(b, model.in_dim))
-            d_out = np.ones((b, model.out_dim))
-            _, tape = nn.forward(model, x)  # warm-up / tape for backward
-
-            def stage() -> None:
-                if backward:
-                    nn.backward(model, tape, d_out, input_grad=input_grad)
-                else:
-                    nn.forward(model, x)
-
-            stage()
-            timings = []
-            for _ in range(repetitions):
+    # medians[s][i]: stage s at batch_sizes[i]
+    medians: list[list[float]] = [[] for _ in stages]
+    for b in batch_sizes:
+        calls = [_stage_call(role, model, b, rng) for role, model in stages]
+        for call in calls:
+            call()  # warm-up
+        timings: list[list[float]] = [[] for _ in stages]
+        for _ in range(repetitions):
+            for call, times in zip(calls, timings):
                 t0 = time.perf_counter()
-                stage()
-                timings.append(time.perf_counter() - t0)
-            samples.append(
-                CalibrationSample(role, b, statistics.median(timings), repetitions)
-            )
-    return samples
+                call()
+                times.append(time.perf_counter() - t0)
+        for stage_medians, times in zip(medians, timings):
+            stage_medians.append(statistics.median(times))
+    return [
+        CalibrationSample(role, b, elapsed, repetitions)
+        for (role, _), stage_medians in zip(stages, medians)
+        for b, elapsed in zip(batch_sizes, stage_medians)
+    ]
+
+
+def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Generator):
+    """One stage at batch size ``b`` as a no-argument call, with its own input and tape."""
+    x = rng.normal(size=(b, model.in_dim))
+    d_out = np.ones((b, model.out_dim))
+    _, tape = nn.forward(model, x)
+    if not role.value.endswith("backward"):
+        return lambda: nn.forward(model, x)
+    # As in the runtime: only the top model's input gradient is consumed.
+    input_grad = role is CalibRole.TOP_BACKWARD
+    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad)
 
 
 def fit_power_law(

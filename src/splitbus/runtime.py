@@ -1,9 +1,17 @@
 """Two-party training runtime.
 
-One process hosts both parties.  The passive party owns the feature-only
-bottom model; the active party owns its bottom model, the top model and the
-labels.  Workers are threads; the only things the parties share are the
-batch plan (derived from the run seed on both sides) and the broker.
+The passive party owns the feature-only bottom model; the active party owns
+its bottom model, the top model and the labels.  When the passive party can
+have more than one batch in flight, its worker pool runs in one forked child
+process (the ``process`` transport, :mod:`splitbus.transport`) and the active
+pool, evaluation and the aggregation schedule stay in the parent, so the two
+parties do not share one interpreter lock; with one batch in flight, or
+without ``fork``, both pools run in this process (the ``thread`` transport).
+:func:`_transport` makes that choice and :class:`~splitbus.metrics.RunSummary`
+records it.  Workers are threads either way; the only things the parties
+share are the batch plan (derived from the run seed on both sides) and the
+broker's channels.  Both transports run the passive side of an epoch
+through the same :meth:`PassiveSide.run_epoch`.
 
 Per batch, the choreography is: a passive worker runs its bottom model
 forward, adds calibrated Gaussian noise, and publishes the embedding on the
@@ -33,17 +41,19 @@ and when the parameter servers average replicas at the end of an epoch; see
 from __future__ import annotations
 
 import math
+import multiprocessing
 import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import broker as bk
 from . import metrics as mt
 from . import nn
+from . import transport as tp
 from .config import Mode, TrainConfig, ConfigError, SINGLE_PAIR_MODES
 from .data import BatchPlan, Task, VerticalDataset, make_batch_plan
 from .privacy import GdpConfig, NoiseReport, add_noise, calibrate_sigma, worker_noise_rng
@@ -249,8 +259,17 @@ class EpochShared:
         with self._lock:
             if self.failure is None:
                 self.failure = exc
+            barriers = list(self.barriers)
         self.broker.close()
-        for barrier in self.barriers:
+        for barrier in barriers:
+            barrier.abort()
+
+    def add_barrier(self, barrier: threading.Barrier) -> None:
+        """Abort ``barrier`` on failure, at once if the epoch already failed."""
+        with self._lock:
+            self.barriers.append(barrier)
+            failed = self.failure is not None
+        if failed:
             barrier.abort()
 
     @property
@@ -628,8 +647,100 @@ def _rendezvous_queue(
     barrier = threading.Barrier(
         engine.num_workers, action=lambda: engine.server.sync(engine.replica_groups())
     )
-    shared.barriers.append(barrier)
+    shared.add_barrier(barrier)
     return WorkQueue(batch_ids, barrier)
+
+
+@dataclass
+class PassiveEpochResult:
+    """What the passive side hands back after one epoch, from either transport."""
+
+    stats: PartyEpochStats | None
+    failure: BaseException | None
+    snapshot: nn.MlpModel | None = None
+    noise_reports: list[NoiseReport] = field(default_factory=list)  # cumulative
+    syncs: int = 0  # the party server's syncs so far
+    channel_stats: bk.BrokerStats | None = None  # filled in by the process transport
+
+
+@dataclass
+class PassiveSide:
+    """Everything the passive party needs to run its side of an epoch."""
+
+    engine: PassiveEngine
+    num_rows: int
+    batch_size: int
+    seed: int
+    rendezvous: bool
+    deadline: float | None
+    lookahead: int
+
+    def run_epoch(self, epoch: int, end_sync: bool, shared: EpochShared) -> PassiveEpochResult:
+        """The pool's epoch, then the party's own end-of-epoch average."""
+        engine = self.engine
+        try:
+            plan = plan_for_epoch(self.num_rows, self.batch_size, self.seed, epoch)
+            batch_ids = [b.batch_id for b in plan.batches]
+            queue = (_rendezvous_queue(engine, batch_ids, shared) if self.rendezvous
+                     else WorkQueue(batch_ids))
+            stats = engine.run_epoch(plan, queue, shared, self.deadline, self.lookahead)
+            if end_sync:
+                engine.server.sync(engine.replica_groups())
+            snapshot = engine.snapshot()
+        except BaseException as exc:  # outside the workers; re-raised by run_training
+            _name_failure_site(exc, f"passive party, epoch {epoch}")
+            shared.fail(exc)
+            return PassiveEpochResult(None, shared.failure)
+        return PassiveEpochResult(stats, shared.failure, snapshot, engine.noise_reports,
+                                  engine.server.syncs)
+
+
+class _PassiveThread:
+    """The thread transport: the passive side of each epoch on one thread."""
+
+    def __init__(self, side: PassiveSide):
+        self._side = side
+        self._thread: threading.Thread | None = None
+        self._result: PassiveEpochResult | None = None
+
+    def begin(self, epoch: int, end_sync: bool, shared: EpochShared) -> None:
+        def run() -> None:
+            self._result = self._side.run_epoch(epoch, end_sync, shared)
+
+        self._thread = threading.Thread(target=run, name="passive-party")
+        self._thread.start()
+
+    def finish(self, failed_result) -> PassiveEpochResult:
+        self._thread.join()
+        return self._result
+
+    def close(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+
+def _transport(passive_in_flight: int) -> str:
+    """Where the passive pool runs: ``process`` (a forked child) or ``thread``.
+
+    A second interpreter pays off when the parties can compute at once: the
+    passive party has more than one batch in flight (several workers, or
+    lookahead past one batch).  With one batch in flight the parties mostly
+    take turns, and a child adds only its fork, its reaping and a pipe hop per
+    message.  Without ``fork`` every run uses threads.
+    """
+    if passive_in_flight > 1 and "fork" in multiprocessing.get_all_start_methods():
+        return "process"
+    return "thread"
+
+
+def _first_failure(
+    shared: EpochShared, passive: PassiveEpochResult
+) -> BaseException | None:
+    """The failure to raise: a party's own error before a peer-gone report."""
+    for failure in (shared.failure, passive.failure):
+        if failure is not None and not isinstance(failure, tp.PeerGone):
+            return failure
+    return passive.failure if passive.failure is not None else shared.failure
 
 
 def run_training(
@@ -694,93 +805,92 @@ def run_training(
     )
 
     schedule = AggregationSchedule(cfg.sync_base_interval)
-    lookahead = policy.lookahead(cfg, num_batches)
     deadline = cfg.deadline_seconds if policy.waits_expire else None
+    side = PassiveSide(passive, n, cfg.batch_size, cfg.seed, policy.rendezvous, deadline,
+                       policy.lookahead(cfg, num_batches))
+    transport = _transport(workers_passive * side.lookahead)
+    if transport == "process":  # fork before any runtime thread starts
+        passive_party = tp.PassiveProcess(broker, side.run_epoch)
+    else:
+        passive_party = _PassiveThread(side)
 
     epoch_rows: list[mt.EpochMetrics] = []
     party_rows: list[dict] = []
     prev_stats = broker.stats()
     stopped_early = False
 
-    for epoch in range(1, cfg.epochs + 1):
-        plan = plan_for_epoch(n, cfg.batch_size, cfg.seed, epoch)
-        broker.flush_all()  # deadline-skipped leftovers never leak across epochs
-        shared = EpochShared(broker, epoch)
-        epoch_start = time.perf_counter()
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            plan = plan_for_epoch(n, cfg.batch_size, cfg.seed, epoch)
+            broker.flush_all()  # deadline-skipped leftovers never leak across epochs
+            shared = EpochShared(broker, epoch)
+            epoch_start = time.perf_counter()
 
-        batch_ids = [b.batch_id for b in plan.batches]
-        if policy.rendezvous:
-            queue_p = _rendezvous_queue(passive, batch_ids, shared)
-            queue_a = _rendezvous_queue(active, batch_ids, shared)
-        else:
-            queue_p, queue_a = WorkQueue(batch_ids), WorkQueue(batch_ids)
-        results: dict[str, PartyEpochStats] = {}
-        passive_party = threading.Thread(
-            target=lambda: results.update(
-                passive=passive.run_epoch(plan, queue_p, shared, deadline, lookahead)
+            end_sync = policy.end_sync(schedule, epoch)
+            batch_ids = [b.batch_id for b in plan.batches]
+            queue_a = (_rendezvous_queue(active, batch_ids, shared) if policy.rendezvous
+                       else WorkQueue(batch_ids))
+            passive_party.begin(epoch, end_sync, shared)
+            active_stats = active.run_epoch(plan, queue_a, shared, deadline)
+            passive_result = passive_party.finish(lambda exc: PassiveEpochResult(None, exc))
+            if end_sync:
+                active.server.sync(active.replica_groups())
+
+            epoch_wall = time.perf_counter() - epoch_start
+            failure = _first_failure(shared, passive_result)
+            if failure is not None:
+                raise failure
+
+            passive_stats = passive_result.stats
+            broker_now = broker.stats()
+            passive_snapshot = passive_result.snapshot
+            active_bottom_snap, top_snap = active.snapshot()
+            test_metric = (
+                evaluate_models(passive_snapshot, active_bottom_snap, top_snap, test)
+                if test is not None
+                else None
             )
-        )
-        passive_party.start()
-        active_stats = active.run_epoch(plan, queue_a, shared, deadline)
-        passive_party.join()
-        passive_stats = results["passive"]
-
-        end_sync = policy.end_sync(schedule, epoch)
-        if end_sync:
-            passive.server.sync(passive.replica_groups())
-            active.server.sync(active.replica_groups())
-
-        epoch_wall = time.perf_counter() - epoch_start
-        if shared.failure is not None:
-            raise shared.failure
-
-        broker_now = broker.stats()
-        passive_snapshot = passive.snapshot()
-        active_bottom_snap, top_snap = active.snapshot()
-        test_metric = (
-            evaluate_models(passive_snapshot, active_bottom_snap, top_snap, test)
-            if test is not None
-            else None
-        )
-        total_wall_threads = passive_stats.wall_seconds + active_stats.wall_seconds
-        busy = passive_stats.busy_seconds + active_stats.busy_seconds
-        max_wait = max(passive_stats.max_single_wait, active_stats.max_single_wait)
-        epoch_rows.append(
-            mt.EpochMetrics(
-                epoch=epoch,
-                wall_seconds=epoch_wall,
-                mean_train_loss=batch_loss_mean(shared.losses),
-                test_metric=test_metric,
-                total_wait_seconds=passive_stats.wait_seconds + active_stats.wait_seconds,
-                active_wait_seconds=active_stats.wait_seconds,
-                passive_wait_seconds=passive_stats.wait_seconds,
-                max_single_wait=max_wait,
-                busy_fraction=busy / total_wall_threads if total_wall_threads > 0 else 0.0,
-                bytes_published=broker_now.bytes_published,
-                batches_completed=active_stats.completed,
-                batches_skipped=active_stats.skipped + passive_stats.skipped,
-                batch_retries=active_stats.retries + passive_stats.retries,
-                evictions=broker_now.evicted - prev_stats.evicted,
-                sync_performed=end_sync or policy.rendezvous,
+            total_wall_threads = passive_stats.wall_seconds + active_stats.wall_seconds
+            busy = passive_stats.busy_seconds + active_stats.busy_seconds
+            max_wait = max(passive_stats.max_single_wait, active_stats.max_single_wait)
+            epoch_rows.append(
+                mt.EpochMetrics(
+                    epoch=epoch,
+                    wall_seconds=epoch_wall,
+                    mean_train_loss=batch_loss_mean(shared.losses),
+                    test_metric=test_metric,
+                    total_wait_seconds=passive_stats.wait_seconds + active_stats.wait_seconds,
+                    active_wait_seconds=active_stats.wait_seconds,
+                    passive_wait_seconds=passive_stats.wait_seconds,
+                    max_single_wait=max_wait,
+                    busy_fraction=busy / total_wall_threads if total_wall_threads > 0 else 0.0,
+                    bytes_published=broker_now.bytes_published,
+                    batches_completed=active_stats.completed,
+                    batches_skipped=active_stats.skipped + passive_stats.skipped,
+                    batch_retries=active_stats.retries + passive_stats.retries,
+                    evictions=broker_now.evicted - prev_stats.evicted,
+                    sync_performed=end_sync or policy.rendezvous,
+                )
             )
-        )
-        party_rows.append(
-            {
-                "epoch": epoch,
-                "passive_completed": passive_stats.completed,
-                "passive_skipped": passive_stats.skipped,
-                "active_completed": active_stats.completed,
-                "active_skipped": active_stats.skipped,
-                "max_single_wait": max_wait,
-            }
-        )
-        prev_stats = broker_now
-        if cfg.loss_target is not None and epoch_rows[-1].mean_train_loss <= cfg.loss_target:
-            stopped_early = True
-            break
+            party_rows.append(
+                {
+                    "epoch": epoch,
+                    "passive_completed": passive_stats.completed,
+                    "passive_skipped": passive_stats.skipped,
+                    "active_completed": active_stats.completed,
+                    "active_skipped": active_stats.skipped,
+                    "max_single_wait": max_wait,
+                }
+            )
+            prev_stats = broker_now
+            if cfg.loss_target is not None and epoch_rows[-1].mean_train_loss <= cfg.loss_target:
+                stopped_early = True
+                break
+    finally:
+        passive_party.close()
 
     merged_report = NoiseReport(sigma=sigma)
-    for report in passive.noise_reports:
+    for report in passive_result.noise_reports:
         merged_report.entries += report.entries
         merged_report.total += report.total
         merged_report.total_sq += report.total_sq
@@ -808,10 +918,11 @@ def run_training(
         total_batches_skipped=sum(r.batches_skipped for r in epoch_rows),
         total_batch_retries=sum(r.batch_retries for r in epoch_rows),
         total_evictions=final_stats.evicted,
-        ps_syncs=passive.server.syncs,
+        ps_syncs=passive_result.syncs,
         noise_sigma=sigma,
         time_to_target_seconds=target_time,
         stopped_early=stopped_early,
+        transport=transport,
     )
     broker.close()
     return RunResult(

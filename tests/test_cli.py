@@ -114,6 +114,7 @@ class TestTrainCommand:
         assert len(rows) == 2
         assert summary["mode"] == "lockstep"
         assert summary["epochs_run"] == 2
+        assert summary["transport"] == "thread"  # lockstep: one batch in flight
         bundle = np.load(out / "models.npz")
         assert "passive_bottom.layer0.weight" in bundle.files
         assert "top.layer0.bias" in bundle.files

@@ -52,6 +52,7 @@ def sample_summary(**overrides):
         total_bytes_published=2000, total_batches_skipped=0,
         total_batch_retries=0, total_evictions=0, ps_syncs=2,
         noise_sigma=0.0, time_to_target_seconds=None, stopped_early=False,
+        transport="process",
     )
     values.update(overrides)
     return RunSummary(**values)
@@ -147,6 +148,14 @@ class TestRecords:
         assert loaded["passive_wait_seconds"] == 0.125
         assert loaded["max_single_wait"] == 0.0625
         assert loaded["total_wait_seconds"] == 0.375  # unchanged in meaning
+
+    @pytest.mark.parametrize("transport", ["process", "thread"])
+    def test_summary_transport_roundtrip(self, tmp_path, transport):
+        path = tmp_path / "m.jsonl"
+        write_jsonl(str(path), [sample_row()], sample_summary(transport=transport))
+        _, loaded = read_jsonl(str(path))
+        assert loaded["transport"] == transport
+        assert loaded["mode"] == "pubsub"  # the older fields keep their meaning
 
     def test_read_ignores_blank_lines(self, tmp_path):
         path = tmp_path / "m.jsonl"

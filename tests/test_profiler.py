@@ -262,6 +262,35 @@ class TestCalibrationSweep:
             switches.setdefault(id(model), set()).add(kwargs["input_grad"])
         assert switches == {id(passive): {False}, id(active): {False}, id(top): {True}}
 
+    def test_stages_alternate_within_each_batch_size(self, monkeypatch):
+        # Host drift must hit all six stages alike, so each repetition times
+        # every stage once, round-robin, instead of one stage's block at a time.
+        passive, active, top = small_models()
+        names = {id(passive): "passive", id(active): "active", id(top): "top"}
+        real_forward, real_backward = nn.forward, nn.backward
+        calls = []
+
+        def recording_forward(model, x):
+            calls.append((x.shape[0], names[id(model)], "forward"))
+            return real_forward(model, x)
+
+        def recording_backward(model, tape, d_out, **kwargs):
+            calls.append((d_out.shape[0], names[id(model)], "backward"))
+            return real_backward(model, tape, d_out, **kwargs)
+
+        monkeypatch.setattr(nn, "forward", recording_forward)
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        reps = 4
+        run_calibration(passive, active, top, [4, 16], repetitions=reps)
+        cycle = [(m, k) for m in ("passive", "active", "top") for k in ("forward", "backward")]
+        sizes = [size for size, _, _ in calls]
+        assert sizes == sorted(sizes)  # one batch size after the other
+        for b in (4, 16):
+            sequence = [(m, k) for size, m, k in calls if size == b]
+            # per stage: a forward for its tape and one warm-up call, then the timed cycles
+            assert len(sequence) == 2 * 6 + 6 * reps
+            assert sequence[-6 * reps:] == cycle * reps
+
     def test_validates_arguments(self):
         passive, active, top = small_models()
         with pytest.raises(ValueError):

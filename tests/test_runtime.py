@@ -6,7 +6,10 @@ semantics (rendezvous, free-running, deadlines) and failure plumbing.
 """
 
 import math
+import multiprocessing
+import os
 import re
+import signal
 import time
 import threading
 from dataclasses import replace
@@ -16,6 +19,8 @@ import pytest
 
 from splitbus import broker as bk
 from splitbus import nn
+from splitbus import runtime
+from splitbus import transport as tp
 from splitbus.config import ConfigError, Mode, ModelShape, TrainConfig
 from splitbus.data import Task, generate_synthetic, split_rows, vertical_split
 from splitbus.reference import run_reference
@@ -58,24 +63,44 @@ def models_equal(a: nn.MlpModel, b: nn.MlpModel) -> bool:
     )
 
 
-class TestSerialEquivalence:
-    def test_lockstep_and_single_worker_pubsub_match_reference(self):
-        train, test = vertical_pair()
-        base = TrainConfig(
-            mode=Mode.LOCKSTEP, batch_size=128, workers_active=1, workers_passive=1,
-            learning_rate=0.05, epochs=3, seed=11, shape=SMALL_SHAPE,
-        )
-        ref = run_reference(train, test, base)
-        lockstep = run_training(train, test, base)
-        pubsub = run_training(train, test, base.for_mode(Mode.PUBSUB))
+def models_bit_equal(a: nn.MlpModel, b: nn.MlpModel) -> bool:
+    """Every parameter has the same bit pattern (tells -0.0 from 0.0)."""
+    return len(a.layers) == len(b.layers) and all(
+        np.array_equal(la.weight.view(np.uint64), lb.weight.view(np.uint64))
+        and np.array_equal(la.bias.view(np.uint64), lb.bias.view(np.uint64))
+        for la, lb in zip(a.layers, b.layers)
+    )
 
-        assert lockstep.epoch_train_losses == ref["epoch_train_losses"]
-        assert pubsub.epoch_train_losses == ref["epoch_train_losses"]
-        for key in ("passive_bottom", "active_bottom", "top"):
-            assert models_equal(lockstep.final_models[key], ref["models"][key])
-            assert models_equal(pubsub.final_models[key], ref["models"][key])
-        metrics = [m for m in ref["epoch_test_metrics"]]
-        assert [row.test_metric for row in lockstep.epochs] == metrics
+
+TRANSPORTS = ("process", "thread")
+
+
+def use_transport(monkeypatch, name: str) -> None:
+    """Run the passive pool in a forked child (``process``) or a thread."""
+    monkeypatch.setattr(runtime, "_transport", lambda passive_in_flight: name)
+
+
+class TestSerialEquivalence:
+    def test_lockstep_and_single_worker_pubsub_match_reference(self, monkeypatch):
+        train, test = vertical_pair()
+        for transport in TRANSPORTS:  # one child at a time
+            use_transport(monkeypatch, transport)
+            base = TrainConfig(
+                mode=Mode.LOCKSTEP, batch_size=128, workers_active=1, workers_passive=1,
+                learning_rate=0.05, epochs=3, seed=11, shape=SMALL_SHAPE,
+            )
+            ref = run_reference(train, test, base)
+            lockstep = run_training(train, test, base)
+            pubsub = run_training(train, test, base.for_mode(Mode.PUBSUB))
+
+            assert lockstep.summary.transport == pubsub.summary.transport == transport
+            assert lockstep.epoch_train_losses == ref["epoch_train_losses"], transport
+            assert pubsub.epoch_train_losses == ref["epoch_train_losses"], transport
+            for key in ("passive_bottom", "active_bottom", "top"):
+                assert models_bit_equal(lockstep.final_models[key], ref["models"][key]), transport
+                assert models_bit_equal(pubsub.final_models[key], ref["models"][key]), transport
+            metrics = [m for m in ref["epoch_test_metrics"]]
+            assert [row.test_metric for row in lockstep.epochs] == metrics, transport
 
     def test_same_seed_same_run(self):
         train, test = vertical_pair(seed=9)
@@ -207,7 +232,115 @@ class TestFreeRunningModes:
         assert all(row.batches_completed == 6 for row in result.epochs)
 
 
+class TestTransports:
+    @pytest.mark.parametrize("mode, workers, expected", [
+        (Mode.LOCKSTEP, 1, "thread"),
+        (Mode.PUBSUB, 1, "thread"),  # lookahead 1 for a single worker
+        (Mode.SYNC_PS, 1, "thread"),
+        (Mode.SYNC_PS, 2, "process"),
+        (Mode.PUBSUB, 2, "process"),
+        (Mode.ASYNC, 1, "process"),  # free-running: the whole epoch may be in flight
+    ])
+    def test_passive_pool_forks_only_with_more_than_one_batch_in_flight(
+        self, mode, workers, expected
+    ):
+        train, _ = vertical_pair(n=200, d=8, seed=2)
+        cfg = TrainConfig(
+            mode=mode, batch_size=50, workers_active=workers, workers_passive=workers,
+            learning_rate=0.02, epochs=1, seed=1, shape=SMALL_SHAPE,
+        )
+        assert run_training(train, None, cfg).summary.transport == expected
+
+    def test_lockstep_noise_report_is_the_same_under_both_transports(self, monkeypatch):
+        train, _ = vertical_pair(n=400, d=10, seed=7)
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=40, workers_active=1, workers_passive=1,
+            learning_rate=0.02, epochs=3, privacy_mu=1.0, seed=2, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, "process")
+        process = run_training(train, None, cfg)
+        use_transport(monkeypatch, "thread")
+        thread = run_training(train, None, cfg)
+        assert (process.summary.transport, thread.summary.transport) == TRANSPORTS
+        assert process.noise_report.entries == thread.noise_report.entries > 0
+        assert process.noise_report.total == thread.noise_report.total
+        assert process.noise_report.total_sq == thread.noise_report.total_sq
+        assert process.epoch_train_losses == thread.epoch_train_losses
+
+    def test_sync_ps_is_bit_identical_across_transports(self, monkeypatch):
+        train, test = vertical_pair(n=300, d=10, seed=6)
+        cfg = TrainConfig(
+            mode=Mode.SYNC_PS, batch_size=50, workers_active=3, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=7, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, "process")
+        process = run_training(train, test, cfg)
+        use_transport(monkeypatch, "thread")
+        thread = run_training(train, test, cfg)
+        assert (process.summary.transport, thread.summary.transport) == TRANSPORTS
+        assert process.epoch_train_losses == thread.epoch_train_losses
+        assert [r.test_metric for r in process.epochs] == [r.test_metric for r in thread.epochs]
+        assert process.summary.ps_syncs == thread.summary.ps_syncs
+        for key in process.final_models:
+            assert models_bit_equal(process.final_models[key], thread.final_models[key])
+
+    def test_merged_stats_conserve_and_count_every_crossing_payload(self, monkeypatch):
+        # Deadlines of 10 s never expire here, so every batch's embedding and
+        # gradient cross exactly once per epoch, each as one frame whose
+        # payload has the batch's rows and passive_embed columns.
+        train, _ = vertical_pair(n=400, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, "process")
+        brokers, sent = [], []
+        real_init, real_send = bk.Broker.__init__, tp.Link.send
+
+        def capturing_init(self, *args):
+            real_init(self, *args)
+            brokers.append(self)
+
+        def counting_send(self, message):
+            sent.append(bk.payload_byte_size(*message.payload.shape))
+            return real_send(self, message)
+
+        monkeypatch.setattr(bk.Broker, "__init__", capturing_init)
+        monkeypatch.setattr(tp.Link, "send", counting_send)  # the parent sends gradients
+        result = run_training(train, None, cfg)
+
+        (broker,) = brokers
+        stats = broker.stats()
+        rows = [b.indices.size for e in range(1, 4) for b in plan_for_epoch(
+            train.num_rows, 32, cfg.seed, e).batches]
+        crossing = [bk.payload_byte_size(r, SMALL_SHAPE.passive_embed) for r in rows]
+        assert stats.conserved(), stats
+        assert sorted(sent) == sorted(crossing)
+        assert stats.published == stats.delivered == 2 * len(rows)
+        assert stats.bytes_published == 2 * sum(crossing)
+        assert result.summary.total_bytes_published == stats.bytes_published
+        assert result.epochs[-1].bytes_published == stats.bytes_published
+
+    def test_frames_larger_than_a_pipe_buffer_cross_bit_exactly(self, monkeypatch):
+        # 256 rows x 40 columns of float64 is 80 KiB a payload, more than the
+        # 64 KiB a Linux pipe buffers, so every send waits on the receiver.
+        train, test = vertical_pair(n=1200, d=12, seed=4)
+        shape = replace(SMALL_SHAPE, passive_embed=40)
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=256, workers_active=1, workers_passive=1,
+            learning_rate=0.05, epochs=2, seed=8, shape=shape,
+        )
+        use_transport(monkeypatch, "process")
+        ref = run_reference(train, test, cfg)
+        result = run_training(train, test, cfg)
+        assert result.epoch_train_losses == ref["epoch_train_losses"]
+        for key in ("passive_bottom", "active_bottom", "top"):
+            assert models_bit_equal(result.final_models[key], ref["models"][key])
+
+
 class TestBrokerTraffic:
+    # Counts calls through a patched Broker method, which a forked child's
+    # calls would bypass; the thread transport keeps every call in this process.
     @pytest.mark.parametrize("mode", list(Mode))
     def test_subscribes_per_batch_do_not_grow_with_epoch_length(self, mode, monkeypatch):
         # 94 batches per epoch, and a slower active party so that free-running
@@ -222,6 +355,7 @@ class TestBrokerTraffic:
             learning_rate=0.02, epochs=2, seed=3, shape=SMALL_SHAPE,
             skew_active_seconds=0.001,
         )
+        use_transport(monkeypatch, "thread")
         real_subscribe = bk.Broker.subscribe
         calls = []
 
@@ -360,33 +494,118 @@ class TestFailurePlumbing:
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_worker_failure_ends_run_and_joins_threads(self, mode, monkeypatch):
+        # Under the process transport each process counts its own calls, so
+        # the 7th call of either party raises first.
         train, _ = vertical_pair(n=400, d=10, seed=3)
         workers = 1 if mode in (Mode.LOCKSTEP, Mode.ASYNC) else 2
+        real_backward = nn.backward
+        for transport in TRANSPORTS:  # one child at a time
+            use_transport(monkeypatch, transport)
+            cfg = TrainConfig(
+                mode=mode, batch_size=20, workers_active=workers, workers_passive=workers,
+                learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
+            )
+            calls = []
+            lock = threading.Lock()
+
+            def failing_backward(*args, **kwargs):
+                with lock:
+                    calls.append(None)
+                    if len(calls) == 7:
+                        raise RuntimeError("injected backward failure")
+                return real_backward(*args, **kwargs)
+
+            monkeypatch.setattr(nn, "backward", failing_backward)
+            baseline = threading.active_count()
+            started = time.perf_counter()
+            # 300 train rows / B=20 = 15 batches x 3 backward calls: the 7th is in epoch 1
+            with pytest.raises(RuntimeError, match="injected backward failure") as failure:
+                run_training(train, None, cfg)
+            site = r"\[(passive|active) worker [01], epoch 1, batch \d+\]"
+            assert re.search(site, str(failure.value)), (transport, str(failure.value))
+            assert time.perf_counter() - started < 5.0, transport
+            assert threading.active_count() == baseline, transport
+            assert multiprocessing.active_children() == [], transport
+
+    def test_killed_passive_process_ends_a_lockstep_run(self, monkeypatch):
+        # lockstep waits never expire: only the dead pipe can end this run.
+        train, _ = vertical_pair(n=400, d=10, seed=3)
         cfg = TrainConfig(
-            mode=mode, batch_size=20, workers_active=workers, workers_passive=workers,
+            mode=Mode.LOCKSTEP, batch_size=20, workers_active=1, workers_passive=1,
             learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
         )
+        use_transport(monkeypatch, "process")
+        parent = os.getpid()
         real_backward = nn.backward
-        calls = []
-        lock = threading.Lock()
+
+        def killing_backward(*args, **kwargs):
+            if os.getpid() != parent:  # the passive party's process
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_backward(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "backward", killing_backward)
+        baseline = threading.active_count()
+        shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+        started = time.perf_counter()
+        with pytest.raises(tp.PeerGone, match=r"passive party") as failure:
+            run_training(train, None, cfg)
+        assert time.perf_counter() - started < 5.0
+        assert f"code {-signal.SIGKILL}" in str(failure.value)
+        assert "[passive party, epoch 1]" in str(failure.value)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == baseline
+        if os.path.isdir("/dev/shm"):
+            assert set(os.listdir("/dev/shm")) == shm_before
+
+    def test_peer_failure_does_not_wait_for_the_send_lock(self):
+        # The receiver thread fails the epoch when the peer closes or dies.  A
+        # worker may hold the send lock meanwhile, blocked on a full pipe that
+        # only the peer's receiver drains, so the failure must not need it.
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker = bk.Broker(1, 1, 1)
+        link = tp.Link(tx, rx, broker, peer="passive")
+        broker.connect(link, bk.MessageKind.GRADIENT)
+        shared = EpochShared(broker, 1)
+        link.watch(shared)
+        with link._send_lock:
+            receiver = threading.Thread(target=link._peer_gone, args=(tp.PeerGone("gone"),))
+            receiver.start()
+            receiver.join(2.0)
+            blocked = receiver.is_alive()
+        receiver.join()
+        rx.close()
+        tx.close()
+        assert not blocked
+        assert shared.failed
+
+    def test_unpicklable_child_failure_comes_back_as_its_text(self, monkeypatch):
+        class HoldsALock(RuntimeError):
+            def __init__(self, text):
+                super().__init__(text)
+                self.lock = threading.Lock()  # cannot be pickled
+
+        train, _ = vertical_pair(n=400, d=10, seed=3)
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=20, workers_active=1, workers_passive=1,
+            learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, "process")
+        parent = os.getpid()
+        real_backward = nn.backward
 
         def failing_backward(*args, **kwargs):
-            with lock:
-                calls.append(None)
-                if len(calls) == 7:
-                    raise RuntimeError("injected backward failure")
+            if os.getpid() != parent:
+                raise HoldsALock("injected passive failure")
             return real_backward(*args, **kwargs)
 
         monkeypatch.setattr(nn, "backward", failing_backward)
-        baseline = threading.active_count()
-        started = time.perf_counter()
-        # 300 train rows / B=20 = 15 batches x 3 backward calls: the 7th is in epoch 1
-        with pytest.raises(RuntimeError, match="injected backward failure") as failure:
+        with pytest.raises(RuntimeError) as failure:
             run_training(train, None, cfg)
-        site = r"\[(passive|active) worker [01], epoch 1, batch \d+\]"
-        assert re.search(site, str(failure.value)), str(failure.value)
-        assert time.perf_counter() - started < 5.0
-        assert threading.active_count() == baseline
+        assert type(failure.value) is RuntimeError
+        assert re.fullmatch(
+            r"HoldsALock: injected passive failure \[passive worker 0, epoch 1, batch \d+\]",
+            str(failure.value),
+        ), str(failure.value)
 
     def test_single_pair_modes_reject_worker_pools(self):
         train, _ = vertical_pair(n=80, d=6, seed=1)
