@@ -89,6 +89,10 @@ class RunSummary:
     time_to_target_seconds: float | None
     stopped_early: bool
     transport: str  # "process" or "thread": where the passive pool ran
+    # The CPUs each party's threads were pinned to, sorted; both empty when the
+    # run did not fork, or had fewer than two CPUs or no way to pin threads.
+    cpus_active: list[int]
+    cpus_passive: list[int]
 
     def to_json(self) -> str:
         return json.dumps({"record": "summary", **asdict(self)})

@@ -42,13 +42,9 @@ def as_matrix(x: np.ndarray, name: str = "array") -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # Branch on sign so exp never sees a large positive argument.
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) never overflows; for z >= 0 it is exp(-z), otherwise exp(z).
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
@@ -191,7 +187,8 @@ def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
     current = x
     for layer in model.layers:
         tape.inputs.append(current)
-        pre = current @ layer.weight + layer.bias
+        pre = current @ layer.weight
+        pre += layer.bias
         post = _apply_activation(layer.activation, pre)
         tape.preacts.append(pre)
         tape.postacts.append(post)

@@ -30,14 +30,13 @@ import numpy as np
 
 @dataclass
 class GdpConfig:
-    """Inputs to the noise calibration; ``delta`` is recorded, not used."""
+    """Inputs to the noise calibration."""
 
     privacy_mu: float
     minibatch_size: int
     whole_batch_size: int
     num_queries: int
     scale_constant: float = 1.0
-    delta: float = 1e-5
 
     def __post_init__(self) -> None:
         if not (self.privacy_mu > 0.0):  # also rejects nan

@@ -13,6 +13,15 @@ share are the batch plan (derived from the run seed on both sides) and the
 broker's channels.  Both transports run the passive side of an epoch
 through the same :meth:`PassiveSide.run_epoch`.
 
+A forked run also splits the caller's CPUs between the two processes
+(:func:`splitbus.transport.split_cpus`): the parent's runtime threads (the
+active workers and the receiver) pin themselves to the lower half, the
+child and all its threads to the rest, so the scheduler cannot stack
+both parties on one core.  The thread calling :func:`run_training` is never
+pinned.  A run on the ``thread`` transport, or with fewer than two CPUs, or
+without ``sched_setaffinity``, pins nothing; the split goes into the run
+summary's ``cpus_active`` and ``cpus_passive``.
+
 Per batch, the choreography is: a passive worker runs its bottom model
 forward, adds calibrated Gaussian noise, and publishes the embedding on the
 batch's embedding channel; an active worker consumes it, finishes the
@@ -45,7 +54,7 @@ import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -241,11 +250,16 @@ class PartyServer:
 
 
 class EpochShared:
-    """State shared by every worker thread during one epoch."""
+    """State shared by every worker thread during one epoch.
 
-    def __init__(self, broker: bk.Broker, epoch: int):
+    ``cpus`` is the share this process's worker threads pin themselves to;
+    empty, they run wherever the caller's thread may.
+    """
+
+    def __init__(self, broker: bk.Broker, epoch: int, cpus: Sequence[int] = ()):
         self.broker = broker
         self.epoch = epoch
+        self.cpus = cpus
         self.losses: list[tuple[int, float]] = []
         self._lock = threading.Lock()
         self.failure: BaseException | None = None
@@ -289,6 +303,7 @@ def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> 
     def run(w: int) -> None:
         start = time.perf_counter()
         try:
+            tp.pin_thread(shared.cpus)
             body(w, *args, stats[w])
         except threading.BrokenBarrierError:
             pass
@@ -699,6 +714,7 @@ class _PassiveThread:
     """The thread transport: the passive side of each epoch on one thread."""
 
     def __init__(self, side: PassiveSide):
+        self.cpus: tuple[list[int], list[int]] = ([], [])  # one process: nothing to split
         self._side = side
         self._thread: threading.Thread | None = None
         self._result: PassiveEpochResult | None = None
@@ -813,6 +829,7 @@ def run_training(
         passive_party = tp.PassiveProcess(broker, side.run_epoch)
     else:
         passive_party = _PassiveThread(side)
+    cpus_active, cpus_passive = passive_party.cpus
 
     epoch_rows: list[mt.EpochMetrics] = []
     party_rows: list[dict] = []
@@ -823,7 +840,7 @@ def run_training(
         for epoch in range(1, cfg.epochs + 1):
             plan = plan_for_epoch(n, cfg.batch_size, cfg.seed, epoch)
             broker.flush_all()  # deadline-skipped leftovers never leak across epochs
-            shared = EpochShared(broker, epoch)
+            shared = EpochShared(broker, epoch, cpus_active)
             epoch_start = time.perf_counter()
 
             end_sync = policy.end_sync(schedule, epoch)
@@ -923,6 +940,8 @@ def run_training(
         time_to_target_seconds=target_time,
         stopped_early=stopped_early,
         transport=transport,
+        cpus_active=cpus_active,
+        cpus_passive=cpus_passive,
     )
     broker.close()
     return RunResult(

@@ -27,6 +27,18 @@ close frame, or EOF on the pipe (the peer died), fails the receiving side's
 current epoch through :meth:`~splitbus.runtime.EpochShared.fail`, which
 closes its broker.
 
+Placement.  Separate interpreters only compute at once if the scheduler
+runs them on separate cores, and left alone it often stacks both processes'
+threads on one.  So the fork splits the CPUs the caller may use
+(``os.sched_getaffinity``) into two disjoint shares (:func:`split_cpus`):
+the lower half, plus the odd one out, for the parent; the upper half for
+the child.  The child pins itself before it starts any thread, so all of
+its threads inherit its share.  In the parent, each runtime thread pins
+itself when it starts: the active pool's workers and the receiver thread.
+The caller's own thread is never pinned, so its affinity is the same after
+the run.  With fewer than two CPUs, or without ``sched_setaffinity``,
+nothing is pinned; the ``thread`` transport never pins.
+
 Lifetime.  A run starts exactly one child and always reaps it: the parent
 sends a close frame and a stop command, joins the child (killing it if it
 does not exit in time), then joins its receiver thread, which ends at the
@@ -36,10 +48,12 @@ pipe's EOF.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import queue
 import struct
 import threading
+from collections.abc import Sequence
 
 from . import broker as bk
 
@@ -56,6 +70,32 @@ class PeerGone(RuntimeError):
     """The other party's process closed the bus or died."""
 
 
+def split_cpus() -> tuple[list[int], list[int]]:
+    """Disjoint (parent, child) shares of the CPUs the calling thread may use.
+
+    The parent, which holds the active party's heavier per-batch compute,
+    takes the lower half and the odd CPU out; the child takes the rest.  Both
+    shares are empty when there is nothing to split.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return [], []
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return [], []
+    half = (len(cpus) + 1) // 2
+    return cpus[:half], cpus[half:]
+
+
+def pin_thread(cpus: Sequence[int]) -> None:
+    """Restrict the calling thread to ``cpus``; an empty share pins nothing."""
+    if not cpus:
+        return
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass  # the allowed set shrank since the split; the thread runs unpinned
+
+
 class Link:
     """One process's end of the two pipes, plus its receiver thread.
 
@@ -64,8 +104,9 @@ class Link:
     :meth:`recv_control`, which returns None once the peer is gone.
     """
 
-    def __init__(self, tx, rx, broker: bk.Broker, peer: str):
+    def __init__(self, tx, rx, broker: bk.Broker, peer: str, cpus: Sequence[int] = ()):
         self._tx, self._rx = tx, rx
+        self._cpus = cpus  # the receiver thread's share
         self._broker = broker
         self.peer = peer
         self._send_lock = threading.Lock()
@@ -137,6 +178,7 @@ class Link:
         return obj
 
     def _receive(self) -> None:
+        pin_thread(self._cpus)
         try:
             while True:
                 try:
@@ -190,9 +232,12 @@ class PassiveProcess:
     ``run_epoch(epoch, end_sync, shared)`` runs in the child and returns an
     object with ``failure`` and ``channel_stats`` attributes; the child sends
     it back once :meth:`finish` says the active side of the epoch is done.
+    ``cpus`` is the (parent, child) split from :func:`split_cpus`; the
+    parent's runtime threads pin themselves to ``cpus[0]``.
     """
 
     def __init__(self, broker: bk.Broker, run_epoch):
+        self.cpus = split_cpus()
         ctx = multiprocessing.get_context("fork")
         down_rx, down_tx = ctx.Pipe(duplex=False)  # parent -> child
         up_rx, up_tx = ctx.Pipe(duplex=False)  # child -> parent
@@ -200,12 +245,12 @@ class PassiveProcess:
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
-            args=(broker, run_epoch, (up_tx, down_rx), (down_tx, up_rx)),
+            args=(broker, run_epoch, self.cpus[1], (up_tx, down_rx), (down_tx, up_rx)),
         )
         self._process.start()
         down_rx.close()
         up_tx.close()
-        self._link = Link(down_tx, up_rx, broker, peer="passive")
+        self._link = Link(down_tx, up_rx, broker, peer="passive", cpus=self.cpus[0])
         broker.connect(self._link, bk.MessageKind.GRADIENT)
         self._link.start()
 
@@ -239,10 +284,12 @@ class PassiveProcess:
         self._link.close()
 
 
-def _child_main(broker: bk.Broker, run_epoch, child_ends, parent_ends) -> None:
+def _child_main(broker: bk.Broker, run_epoch, cpus: Sequence[int], child_ends,
+                parent_ends) -> None:
     """The child's command loop: one passive epoch per ``("epoch", e, end_sync)``."""
     from .runtime import EpochShared  # runtime imports this module
 
+    pin_thread(cpus)  # before any thread starts, so every thread inherits it
     for end in parent_ends:
         end.close()
     link = Link(*child_ends, broker, peer="active")

@@ -163,6 +163,36 @@ def random_mlp_case(seed: int) -> tuple[nn.MlpModel, np.ndarray, np.ndarray, str
     return model, x, y, loss
 
 
+def indexed_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The first ``nn._sigmoid``: each sign branch through boolean indexing."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def out_of_place_forward(
+    model: nn.MlpModel, x: np.ndarray
+) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """The first ``nn.forward``, bias added out of place: (output, preacts, postacts)."""
+    preacts, postacts = [], []
+    current = x
+    for layer in model.layers:
+        pre = current @ layer.weight + layer.bias
+        if layer.activation is nn.Activation.RELU:
+            post = np.maximum(pre, 0.0)
+        elif layer.activation is nn.Activation.SIGMOID:
+            post = indexed_sigmoid(pre)
+        else:
+            post = pre
+        preacts.append(pre)
+        postacts.append(post)
+        current = post
+    return current, preacts, postacts
+
+
 # -- delay model oracles -------------------------------------------------------
 
 

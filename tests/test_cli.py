@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, file outputs, determinism, overrides."""
 
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import splitbus
 from splitbus.cli import _parse_range, main
 from splitbus.config import ModelShape
 from splitbus.data import Task, generate_synthetic, write_csv
@@ -243,9 +245,13 @@ class TestCompareCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # The child finds the package where this process imported it from,
+        # installed or not.
+        package_root = os.path.dirname(os.path.dirname(splitbus.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "splitbus", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         for verb in ("profile", "plan", "train", "compare"):

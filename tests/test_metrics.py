@@ -52,7 +52,7 @@ def sample_summary(**overrides):
         total_bytes_published=2000, total_batches_skipped=0,
         total_batch_retries=0, total_evictions=0, ps_syncs=2,
         noise_sigma=0.0, time_to_target_seconds=None, stopped_early=False,
-        transport="process",
+        transport="process", cpus_active=[0], cpus_passive=[1],
     )
     values.update(overrides)
     return RunSummary(**values)
@@ -156,6 +156,15 @@ class TestRecords:
         _, loaded = read_jsonl(str(path))
         assert loaded["transport"] == transport
         assert loaded["mode"] == "pubsub"  # the older fields keep their meaning
+
+    @pytest.mark.parametrize("active, passive", [([0, 1], [2, 3]), ([], [])])
+    def test_summary_cpu_split_roundtrip(self, tmp_path, active, passive):
+        path = tmp_path / "m.jsonl"
+        summary = sample_summary(cpus_active=active, cpus_passive=passive)
+        write_jsonl(str(path), [sample_row()], summary)
+        _, loaded = read_jsonl(str(path))
+        assert (loaded["cpus_active"], loaded["cpus_passive"]) == (active, passive)
+        assert loaded["transport"] == "process"  # the older fields keep their meaning
 
     def test_read_ignores_blank_lines(self, tmp_path):
         path = tmp_path / "m.jsonl"

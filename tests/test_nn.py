@@ -78,6 +78,41 @@ def test_activation_backward_equals_float_mask_oracle(kind):
         assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))  # bits, sign of 0 too
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+def test_sigmoid_is_bit_identical_to_indexed_oracle():
+    rng = np.random.default_rng(23)
+    edges = np.array([0.0, -0.0, 700.5, -700.5, 745.2, -745.2, 800.0, -800.0, 1e300, -1e300])
+    for scale in (1.0, 30.0, 1000.0):
+        z = rng.normal(0.0, scale, size=(64, 9))
+        z.ravel()[: edges.size] = edges
+        assert np.array_equal(bits(nn._sigmoid(z)), bits(oracles.indexed_sigmoid(z)))
+
+
+def test_forward_is_bit_identical_to_out_of_place_oracle():
+    # Random depths and widths, hidden sigmoids included, inputs scaled so
+    # that some preactivations pass |z| = 700 and exact zeros occur.
+    rng = np.random.default_rng(29)
+    kinds = list(nn.Activation)
+    for seed in range(40):
+        depth = int(rng.integers(1, 5))
+        dims = [int(rng.integers(1, 33)) for _ in range(depth + 1)]
+        acts = [kinds[int(rng.integers(0, len(kinds)))] for _ in range(depth)]
+        model = nn.init_mlp(dims, acts, seed=seed)
+        for layer in model.layers:
+            layer.bias[:] = rng.normal(0.0, 1.0, size=layer.bias.shape)
+        x = rng.normal(0.0, 10.0 ** float(rng.integers(0, 4)), size=(int(rng.integers(1, 65)), dims[0]))
+        x[rng.random(x.shape) < 0.1] = 0.0
+        x[rng.random(x.shape) < 0.05] = -0.0
+        out, tape = nn.forward(model, x)
+        ref_out, ref_pre, ref_post = oracles.out_of_place_forward(model, x)
+        assert np.array_equal(bits(out), bits(ref_out)), seed
+        for mine, theirs in zip(tape.preacts + tape.postacts, ref_pre + ref_post):
+            assert np.array_equal(bits(mine), bits(theirs)), seed
+
+
 def test_cross_entropy_at_half_is_log_two():
     pred = np.full((2, 1), 0.5)
     target = np.array([[1.0], [0.0]])

@@ -338,6 +338,133 @@ class TestTransports:
             assert models_bit_equal(result.final_models[key], ref["models"][key])
 
 
+ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+real_getaffinity = getattr(os, "sched_getaffinity", None)
+
+
+def thread_affinities(tids) -> dict[int, set[int]]:
+    """The CPU set of each live thread in ``tids``, by thread id."""
+    found = {}
+    for tid in tids:
+        try:
+            found[tid] = real_getaffinity(tid)
+        except ProcessLookupError:
+            pass  # the thread ended since it was listed
+    return found
+
+
+def process_threads(pid: int) -> list[int]:
+    """Thread ids of process ``pid``; just its main thread where ``/proc`` does not list them."""
+    task_dir = f"/proc/{pid}/task"
+    try:
+        return [int(t) for t in os.listdir(task_dir)]
+    except FileNotFoundError:
+        return [pid]
+
+
+def record_placement(monkeypatch) -> dict:
+    """Note, at every active batch step, where each runtime thread may run.
+
+    ``parent`` maps the name of each of this process's runtime threads (the
+    active workers and the receiver) to its CPU set; ``child`` maps the id
+    of each thread seen in the passive child to its CPU set.
+    """
+    seen: dict = {"parent": {}, "child": {}}
+    children = []
+    real_init, real_process = tp.PassiveProcess.__init__, ActiveEngine._process_batch
+
+    def capturing_init(self, *args):
+        real_init(self, *args)
+        children.append(self._process.pid)
+
+    def recording_process(self, *args):
+        threads = {t.native_id: t.name for t in threading.enumerate()
+                   if t.native_id is not None and t.name.startswith(("active-", "passive-receiver"))}
+        for tid, cpus in thread_affinities(threads).items():
+            seen["parent"][threads[tid]] = cpus
+        for pid in children:
+            seen["child"].update(thread_affinities(process_threads(pid)))
+        return real_process(self, *args)
+
+    monkeypatch.setattr(tp.PassiveProcess, "__init__", capturing_init)
+    monkeypatch.setattr(ActiveEngine, "_process_batch", recording_process)
+    return seen
+
+
+@pytest.mark.skipif(real_getaffinity is None, reason="needs os.sched_getaffinity")
+class TestPlacement:
+    @pytest.mark.parametrize("allowed, parent, child", [
+        ({0}, [], []),
+        ({3, 5}, [3], [5]),
+        ({0, 1, 2}, [0, 1], [2]),  # the parent takes the odd CPU out
+        ({7, 2, 4, 9}, [2, 4], [7, 9]),
+    ])
+    def test_split_cpus_halves_the_allowed_set(self, allowed, parent, child, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed)
+        assert tp.split_cpus() == (parent, child)
+
+    @pytest.mark.skipif(len(ALLOWED_CPUS) < 2, reason="needs two CPUs to split")
+    def test_forked_run_gives_each_party_its_own_cpus(self, monkeypatch):
+        train, _ = vertical_pair(n=400, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=2, seed=3, shape=SMALL_SHAPE,
+        )
+        caller = real_getaffinity(0)
+        seen = record_placement(monkeypatch)
+        summary = run_training(train, None, cfg).summary
+
+        active, passive = set(summary.cpus_active), set(summary.cpus_passive)
+        assert summary.transport == "process"
+        assert active and passive and not active & passive
+        assert sorted(active | passive) == ALLOWED_CPUS
+        assert summary.cpus_active == sorted(active)
+        assert summary.cpus_passive == sorted(passive)
+        assert sorted(seen["parent"]) == ["active-0", "active-1", "passive-receiver"]
+        assert all(cpus == active for cpus in seen["parent"].values()), seen
+        assert len(seen["child"]) >= 4  # main, receiver and two workers
+        assert all(cpus == passive for cpus in seen["child"].values()), seen
+        assert real_getaffinity(0) == caller
+
+    @pytest.mark.parametrize("platform", ["one cpu", "no sched_setaffinity"])
+    def test_nothing_is_pinned_without_a_split(self, platform, monkeypatch):
+        train, test = vertical_pair()
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=128, workers_active=1, workers_passive=1,
+            learning_rate=0.05, epochs=2, seed=11, shape=SMALL_SHAPE,
+        )
+        ref = run_reference(train, test, cfg)
+        caller = real_getaffinity(0)
+        use_transport(monkeypatch, "process")
+        seen = record_placement(monkeypatch)
+        if platform == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(caller)})
+        else:
+            monkeypatch.delattr(os, "sched_setaffinity")
+        result = run_training(train, test, cfg)
+
+        assert (result.summary.cpus_active, result.summary.cpus_passive) == ([], [])
+        assert sorted(seen["parent"]) == ["active-0", "passive-receiver"]
+        assert all(cpus == caller for cpus in seen["parent"].values()), seen
+        assert seen["child"] and all(cpus == caller for cpus in seen["child"].values()), seen
+        assert result.epoch_train_losses == ref["epoch_train_losses"]
+        for key in ("passive_bottom", "active_bottom", "top"):
+            assert models_bit_equal(result.final_models[key], ref["models"][key])
+
+    def test_thread_transport_pins_nothing(self, monkeypatch):
+        train, _ = vertical_pair(n=400, d=8, seed=2)
+        cfg = TrainConfig(
+            mode=Mode.PUBSUB, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.02, epochs=2, seed=1, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, "thread")
+        seen = record_placement(monkeypatch)
+        summary = run_training(train, None, cfg).summary
+        assert (summary.transport, summary.cpus_active, summary.cpus_passive) == ("thread", [], [])
+        assert sorted(seen["parent"]) == ["active-0", "active-1"]
+        assert all(cpus == set(ALLOWED_CPUS) for cpus in seen["parent"].values()), seen
+
+
 class TestBrokerTraffic:
     # Counts calls through a patched Broker method, which a forked child's
     # calls would bypass; the thread transport keeps every call in this process.
