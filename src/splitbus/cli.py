@@ -19,7 +19,6 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import broker as bk
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -135,14 +134,10 @@ def cmd_profile(args) -> int:
     )
     sweep = _parse_int_list(args.batches) if args.batches else None
     samples = run_calibration(passive, active, top, sweep, repetitions=args.repetitions)
-    embed_probe = np.zeros((exp.train.batch_size, exp.train.shape.passive_embed))
-    message_bytes = float(len(bk.serialize_payload(embed_probe)))
     cores = os.cpu_count() or 1
     constants = build_constants(
         samples, passive, active, top,
-        cores_active=cores, cores_passive=cores,
-        embed_message_bytes=message_bytes, grad_message_bytes=message_bytes,
-        bandwidth_bytes_per_sec=args.bandwidth,
+        cores_active=cores, cores_passive=cores, bandwidth_bytes_per_sec=args.bandwidth,
     )
     write_profile(args.out, constants)
     print(f"wrote delay profile ({len(samples)} samples, {cores} cores) to {args.out}")
@@ -153,11 +148,7 @@ def cmd_plan(args) -> int:
     constants = read_profile(args.profile)
     wa_lo, wa_hi = _parse_range(args.wa)
     wp_lo, wp_hi = _parse_range(args.wp)
-    space = SearchSpace(
-        wa_lo, wa_hi, wp_lo, wp_hi,
-        _parse_int_list(args.batches),
-        message_scale_reference=args.scale_messages,
-    )
+    space = SearchSpace(wa_lo, wa_hi, wp_lo, wp_hi, _parse_int_list(args.batches))
     plan = dp_search(constants, space)
     write_plan(args.out, plan)
     print(
@@ -272,6 +263,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="experiment file (key = value lines)")
         p.add_argument("--seed", type=int, help="override train.seed")
 
+    def overrides(p: argparse.ArgumentParser) -> None:
+        """The train.* overrides ``train`` and ``compare`` share; see ``_load_experiment``."""
+        p.add_argument("--wa", type=int, help="override workers_active")
+        p.add_argument("--wp", type=int, help="override workers_passive")
+        p.add_argument("--mu", type=float, help="privacy budget (inf disables noise)")
+        p.add_argument("--tddl-ms", type=float, help="waiting deadline, milliseconds")
+        p.add_argument("--p", type=int, help="embedding channel capacity")
+        p.add_argument("--q", type=int, help="gradient channel capacity")
+        p.add_argument("--delta-t0", type=int, help="aggregation base interval")
+        p.add_argument("--skew-passive-ms", type=float,
+                       help="simulated extra compute per passive batch, milliseconds")
+        p.add_argument("--skew-active-ms", type=float,
+                       help="simulated extra compute per active batch, milliseconds")
+
     profile = sub.add_parser("profile", help="time this machine and fit the delay model")
     common(profile)
     profile.add_argument("--out", default="profile.txt")
@@ -291,10 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--batches", default="16,32,64,128,256,512,1024",
         help="comma-separated candidate batch sizes",
     )
-    plan.add_argument(
-        "--scale-messages", type=int, default=None, metavar="REF_B",
-        help="treat message sizes as proportional to batch size, measured at REF_B",
-    )
     plan.set_defaults(func=cmd_plan)
 
     train = sub.add_parser("train", help="run one training job")
@@ -302,15 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--out", default="run_out")
     train.add_argument("--mode", choices=[m.value for m in Mode])
     train.add_argument("--plan", help="plan file from the plan command")
-    train.add_argument("--wa", type=int, help="override workers_active")
-    train.add_argument("--wp", type=int, help="override workers_passive")
-    train.add_argument("--mu", type=float, help="privacy budget (inf disables noise)")
-    train.add_argument("--tddl-ms", type=float, help="waiting deadline, milliseconds")
-    train.add_argument("--p", type=int, help="embedding channel capacity")
-    train.add_argument("--q", type=int, help="gradient channel capacity")
-    train.add_argument("--delta-t0", type=int, help="aggregation base interval")
-    train.add_argument("--skew-passive-ms", type=float)
-    train.add_argument("--skew-active-ms", type=float)
+    overrides(train)
     train.set_defaults(func=cmd_train)
 
     compare = sub.add_parser("compare", help="run several modes on the same data")
@@ -320,15 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--modes", default=",".join(m.value for m in Mode),
         help="comma-separated mode list",
     )
-    compare.add_argument("--mu", type=float)
-    compare.add_argument("--tddl-ms", type=float)
-    compare.add_argument("--p", type=int)
-    compare.add_argument("--q", type=int)
-    compare.add_argument("--delta-t0", type=int)
-    compare.add_argument("--skew-passive-ms", type=float)
-    compare.add_argument("--skew-active-ms", type=float)
-    compare.add_argument("--wa", type=int)
-    compare.add_argument("--wp", type=int)
+    overrides(compare)
     compare.set_defaults(func=cmd_compare)
     return parser
 

@@ -268,10 +268,15 @@ def experiment_from_mapping(values: dict[str, str], source: str = "<config>") ->
         raise ConfigError(f"{source}: {exc}") from None
 
 
-def load_experiment_config(path: str) -> ExperimentConfig:
+def read_key_value_file(path: str, what: str) -> dict[str, str]:
+    """``parse_key_value_text`` on a file; an unreadable file is a ``ConfigError`` too."""
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    return experiment_from_mapping(parse_key_value_text(text, path), path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    return parse_key_value_text(text, path)
+
+
+def load_experiment_config(path: str) -> ExperimentConfig:
+    return experiment_from_mapping(read_key_value_file(path, "config"), path)

@@ -142,16 +142,6 @@ class ForwardTape:
     preacts: list[np.ndarray] = field(default_factory=list)
     postacts: list[np.ndarray] = field(default_factory=list)
 
-    @property
-    def batch_rows(self) -> int:
-        return self.inputs[0].shape[0]
-
-    def activation_bytes(self) -> int:
-        total = 0
-        for group in (self.inputs, self.preacts, self.postacts):
-            total += sum(a.nbytes for a in group)
-        return total
-
 
 @dataclass
 class LayerGrads:

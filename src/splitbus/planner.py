@@ -1,13 +1,15 @@
 """Configuration search: pick (workers_active, workers_passive, batch_size).
 
 The per-iteration wall time is modelled as the slower party's compute time
-plus the channel transfer time; the search minimises it over a discrete
-grid, restricted to batch sizes both parties can hold in memory.  The
-memory model is affine in the batch size by construction (see
-``profiler.model_memory_bytes``), so the ceiling is closed-form.  The grid
-has no overlapping subproblems, so the search is one numpy evaluation of
-the whole grid and an argmin; the tests check it against plain enumeration
-of ``iteration_objective``, bit for bit, including tie-breaks.
+plus the wire time of the two cut-layer messages, whose size follows from
+the batch size and the cut width (see ``profiler.message_seconds``); the
+search minimises it over a discrete grid, restricted to batch sizes both
+parties can hold in memory.  The memory model is affine in the batch size
+by construction (see ``profiler.model_memory_bytes``), so the ceiling is
+closed-form.  The grid has no overlapping subproblems, so the search is one
+numpy evaluation of the whole grid and an argmin; the tests check it against
+plain enumeration of ``iteration_objective``, bit for bit, including
+tie-breaks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profiler import DelayConstants, memory_bound
+from .config import ConfigError, read_key_value_file
+from .profiler import DelayConstants, memory_bound, message_seconds
 
 class InfeasiblePlanError(ValueError):
     """No candidate batch size fits in memory (or the space is empty)."""
@@ -31,7 +34,6 @@ class SearchSpace:
     workers_passive_min: int
     workers_passive_max: int
     batch_candidates: list[int]
-    message_scale_reference: int | None = None  # see comm_seconds
 
     def __post_init__(self) -> None:
         if not (1 <= self.workers_active_min <= self.workers_active_max):
@@ -40,8 +42,6 @@ class SearchSpace:
             raise ValueError("bad passive worker range")
         if not self.batch_candidates or any(b < 1 for b in self.batch_candidates):
             raise ValueError("batch candidates must be a nonempty list of >= 1")
-        if self.message_scale_reference is not None and self.message_scale_reference < 1:
-            raise ValueError("message_scale_reference must be >= 1 when set")
 
     @property
     def workers_active(self) -> range:
@@ -83,27 +83,13 @@ def party_polynomials(c: DelayConstants, batch_size: int) -> tuple[float, float]
     return active, passive
 
 
-def comm_seconds(
-    c: DelayConstants, batch_size: int, message_scale_reference: int | None = None
-) -> float:
-    """Embedding + gradient transfer time for one iteration.
-
-    By default the measured message sizes are taken as-is for every
-    candidate batch size.  When ``message_scale_reference`` is set, sizes
-    are assumed proportional to the batch and rescaled from that reference.
-    """
-    seconds = (c.embed_message_bytes + c.grad_message_bytes) / c.bandwidth_bytes_per_sec
-    if message_scale_reference is not None:
-        seconds *= batch_size / message_scale_reference
-    return seconds
+def comm_seconds(c: DelayConstants, batch_size: int) -> float:
+    """Embedding + gradient transfer time for one iteration."""
+    return 2 * message_seconds(c, batch_size)
 
 
 def iteration_objective(
-    c: DelayConstants,
-    workers_active: int,
-    workers_passive: int,
-    batch_size: int,
-    message_scale_reference: int | None = None,
+    c: DelayConstants, workers_active: int, workers_passive: int, batch_size: int
 ) -> float:
     """Predicted wall seconds per iteration for one configuration."""
     if batch_size < 1 or workers_active < 1 or workers_passive < 1:
@@ -115,7 +101,7 @@ def iteration_objective(
         poly_active * workers_active / c.cores_active,
         poly_passive * workers_passive / c.cores_passive,
     )
-    return compute + comm_seconds(c, batch_size, message_scale_reference)
+    return compute + comm_seconds(c, batch_size)
 
 
 def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
@@ -140,7 +126,7 @@ def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
         cost[k] = np.maximum(
             poly_active * w_active[:, None] / c.cores_active,
             poly_passive * w_passive[None, :] / c.cores_passive,
-        ) + comm_seconds(c, b, space.message_scale_reference)
+        ) + comm_seconds(c, b)
     # the first minimum in C order is the (cost, B, w_a, w_p) tie-break
     k, i, j = np.unravel_index(np.argmin(cost), cost.shape)
     return PlanState(
@@ -162,22 +148,22 @@ def write_plan(path: str, plan: PlanState) -> None:
         handle.write(f"cost_seconds = {plan.cost_seconds!r}\n")
 
 
+_PLAN_FIELDS = {
+    "workers_active": int, "workers_passive": int, "batch_size": int, "cost_seconds": float,
+}
+
+
 def read_plan(path: str) -> dict:
+    """Inverse of ``write_plan``; unreadable or malformed files raise ``ConfigError``."""
     values: dict[str, float | int] = {}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            name, _, text = line.partition("=")
-            name, text = name.strip(), text.strip()
-            if name == "cost_seconds":
-                values[name] = float(text)
-            elif name in ("workers_active", "workers_passive", "batch_size"):
-                values[name] = int(text)
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown plan field {name!r}")
+    for name, text in read_key_value_file(path, "plan").items():
+        if name not in _PLAN_FIELDS:
+            raise ConfigError(f"{path}: unknown plan field {name!r}")
+        try:
+            values[name] = _PLAN_FIELDS[name](text)
+        except ValueError:
+            raise ConfigError(f"{path}: cannot parse {name} = {text!r}") from None
     for required in ("workers_active", "workers_passive", "batch_size"):
         if required not in values:
-            raise ValueError(f"{path}: missing plan field {required!r}")
+            raise ConfigError(f"{path}: missing plan field {required!r}")
     return values

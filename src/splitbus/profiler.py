@@ -4,12 +4,13 @@ Per-call compute time for each model stage is modelled as ``coef * B**exp``
 seconds at one core per worker; running ``w`` workers on ``C`` cores scales
 it by ``w / C``.  The six (coef, exp) pairs — forward and backward for the
 two bottom models and the top model — come from a log-log least-squares
-fit over a batch-size sweep.  Memory per party is ``base + slope * B``
-bytes, affine by construction: ``build_constants`` reads base and slope off
-the allocation formula of ``model_memory_bytes`` rather than fitting them.
-``DelayConstants`` keeps a general ``B**exponent`` term for hand-written
-profiles.  The largest batch both parties can afford is the planner's
-feasibility ceiling.
+fit over a batch-size sweep.  What the models fix is read off them, not
+measured or configured: memory per party is ``base + slope * B`` bytes,
+from the allocation formula of ``model_memory_bytes``, and both cut-layer
+messages (the embedding and its gradient) are ``(B, cut_width)`` float64
+arrays, ``broker.payload_byte_size(B, cut_width)`` bytes on the wire, where
+``cut_width`` is the passive model's output width.  The largest batch both
+parties can afford is the planner's feasibility ceiling.
 
 The fits take the measurements at face value: if per-call time shrinks as
 the batch grows (heavily amortised vectorised code), the fitted exponent is
@@ -29,6 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
+from .broker import payload_byte_size
+from .config import ConfigError, read_key_value_file
 
 
 class CalibRole(enum.Enum):
@@ -176,18 +179,17 @@ class DelayConstants:
     top_forward_exp: float
     top_backward_coef: float
     top_backward_exp: float
+    # both cut-layer messages are (B, cut_width) float64 arrays
+    cut_width: int
     # deployment
     cores_active: int = 1
     cores_passive: int = 1
-    embed_message_bytes: float = 0.0
-    grad_message_bytes: float = 0.0
     bandwidth_bytes_per_sec: float = 1e9
-    # memory model: bytes(B) = base + slope * B**exponent, per party
+    # memory model: bytes(B) = base + slope * B, per party
     mem_base_active: float = 0.0
     mem_base_passive: float = 0.0
     mem_slope_active: float = 1.0
     mem_slope_passive: float = 1.0
-    mem_exponent: float = 1.0
     mem_budget_active: float = math.inf
     mem_budget_passive: float = math.inf
 
@@ -196,8 +198,8 @@ class DelayConstants:
             raise ValueError("core counts must be >= 1")
         if self.bandwidth_bytes_per_sec <= 0.0:
             raise ValueError("bandwidth must be positive")
-        if self.embed_message_bytes < 0.0 or self.grad_message_bytes < 0.0:
-            raise ValueError("message sizes cannot be negative")
+        if self.cut_width < 1:
+            raise ValueError("cut_width must be >= 1")
         for coef in (
             self.forward_coef_active, self.forward_coef_passive,
             self.backward_coef_active, self.backward_coef_passive,
@@ -207,8 +209,6 @@ class DelayConstants:
                 raise ValueError("delay coefficients must be positive")
         if self.mem_slope_active <= 0.0 or self.mem_slope_passive <= 0.0:
             raise ValueError("memory slopes must be positive")
-        if self.mem_exponent <= 0.0:
-            raise ValueError("memory exponent must be positive")
         if self.mem_budget_active <= self.mem_base_active:
             raise ValueError("active memory budget must exceed its base usage")
         if self.mem_budget_passive <= self.mem_base_passive:
@@ -235,6 +235,7 @@ def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: 
     b = float(batch_size)
     share_a = w_active / c.cores_active
     share_p = w_passive / c.cores_passive
+    transfer = message_seconds(c, batch_size)
     return PredictedTimes(
         forward_active=c.forward_coef_active * b**c.forward_exp_active * share_a,
         backward_active=c.backward_coef_active * b**c.backward_exp_active * share_a,
@@ -245,20 +246,22 @@ def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: 
         * share_a,
         forward_passive=c.forward_coef_passive * b**c.forward_exp_passive * share_p,
         backward_passive=c.backward_coef_passive * b**c.backward_exp_passive * share_p,
-        embed_transfer=c.embed_message_bytes / c.bandwidth_bytes_per_sec,
-        grad_transfer=c.grad_message_bytes / c.bandwidth_bytes_per_sec,
+        embed_transfer=transfer,
+        grad_transfer=transfer,
     )
+
+
+def message_seconds(c: DelayConstants, batch_size: int) -> float:
+    """Wire time of one cut-layer message (embedding or gradient) at batch ``batch_size``."""
+    return payload_byte_size(batch_size, c.cut_width) / c.bandwidth_bytes_per_sec
 
 
 def memory_bound(c: DelayConstants) -> float:
     """Largest batch size both parties can hold in memory."""
-    active = ((c.mem_budget_active - c.mem_base_active) / c.mem_slope_active) ** (
-        1.0 / c.mem_exponent
+    return min(
+        (c.mem_budget_active - c.mem_base_active) / c.mem_slope_active,
+        (c.mem_budget_passive - c.mem_base_passive) / c.mem_slope_passive,
     )
-    passive = ((c.mem_budget_passive - c.mem_base_passive) / c.mem_slope_passive) ** (
-        1.0 / c.mem_exponent
-    )
-    return min(active, passive)
 
 
 # -- memory accounting --------------------------------------------------------
@@ -292,8 +295,6 @@ def build_constants(
     top_model: nn.MlpModel,
     cores_active: int = 1,
     cores_passive: int = 1,
-    embed_message_bytes: float = 0.0,
-    grad_message_bytes: float = 0.0,
     bandwidth_bytes_per_sec: float = 1e9,
     mem_budget_active: float = math.inf,
     mem_budget_passive: float = math.inf,
@@ -303,7 +304,8 @@ def build_constants(
     The fitted coefficients are scaled by the party's core count so that the
     model's prediction for one worker on the profiled machine reproduces the
     measurement (the w/C factor divides it back out).  The memory constants
-    are read off ``model_memory_bytes``, not fitted.
+    are read off ``model_memory_bytes`` and the cut width off the passive
+    model, not fitted.
     """
     by_role: dict[CalibRole, tuple[list[int], list[float]]] = {
         role: ([], []) for role in CalibRole
@@ -335,16 +337,14 @@ def build_constants(
         top_forward_exp=fits[CalibRole.TOP_FORWARD][1],
         top_backward_coef=fits[CalibRole.TOP_BACKWARD][0] * cores_active,
         top_backward_exp=fits[CalibRole.TOP_BACKWARD][1],
+        cut_width=passive_model.out_dim,
         cores_active=cores_active,
         cores_passive=cores_passive,
-        embed_message_bytes=embed_message_bytes,
-        grad_message_bytes=grad_message_bytes,
         bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
         mem_base_active=float(base_active),
         mem_base_passive=float(base_passive),
         mem_slope_active=float(slope_active),
         mem_slope_passive=float(slope_passive),
-        mem_exponent=1.0,
         mem_budget_active=mem_budget_active,
         mem_budget_passive=mem_budget_passive,
     )
@@ -361,21 +361,20 @@ def write_profile(path: str, constants: DelayConstants) -> None:
 
 
 def read_profile(path: str) -> DelayConstants:
-    values: dict[str, float | int] = {}
+    """Inverse of ``write_profile``; unreadable or malformed files raise ``ConfigError``."""
     field_types = {f.name: f.type for f in dataclasses.fields(DelayConstants)}
-    with open(path) as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'name = value'")
-            name, _, text = line.partition("=")
-            name, text = name.strip(), text.strip()
-            if name not in field_types:
-                raise ValueError(f"{path}:{lineno}: unknown constant {name!r}")
+    values: dict[str, float | int] = {}
+    for name, text in read_key_value_file(path, "profile").items():
+        if name not in field_types:
+            raise ConfigError(f"{path}: unknown constant {name!r} (re-run 'splitbus profile')")
+        try:
             values[name] = int(text) if field_types[name] == "int" else float(text)
+        except ValueError:
+            raise ConfigError(f"{path}: cannot parse {name} = {text!r}") from None
     missing = sorted(set(field_types) - set(values))
     if missing:
-        raise ValueError(f"{path}: missing constants: {', '.join(missing)}")
-    return DelayConstants(**values)
+        raise ConfigError(f"{path}: missing constants: {', '.join(missing)}")
+    try:
+        return DelayConstants(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

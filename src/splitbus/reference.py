@@ -10,21 +10,20 @@ divergence points at a runtime bug, not at floating-point noise.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import nn
 from .config import TrainConfig
 from .data import Task, VerticalDataset
 from .metrics import auc_score, rmse
-from .privacy import GdpConfig, add_noise, calibrate_sigma, worker_noise_rng
+from .privacy import add_noise, worker_noise_rng
 from .runtime import (
     _SEED_NOISE,
     batch_loss_mean,
     build_models,
     derive_seed,
     evaluate_models,
+    noise_sigma,
     plan_for_epoch,
 )
 
@@ -36,20 +35,11 @@ def run_reference(
 ) -> dict:
     """Serial training; returns per-epoch losses, metrics and final models."""
     n = train.num_rows
-    num_batches = math.ceil(n / cfg.batch_size)
     passive, active, top = build_models(
         cfg.shape, train.active_features.shape[1], train.passive_features.shape[1],
         train.task, cfg.seed,
     )
-    sigma = calibrate_sigma(
-        GdpConfig(
-            privacy_mu=cfg.privacy_mu,
-            minibatch_size=cfg.batch_size,
-            whole_batch_size=n,
-            num_queries=cfg.privacy_queries or num_batches,
-            scale_constant=cfg.privacy_scale_constant,
-        )
-    )
+    sigma = noise_sigma(cfg, n)
     noise_rng = worker_noise_rng(derive_seed(cfg.seed, _SEED_NOISE), 0)
     embed_cols = active.out_dim
 

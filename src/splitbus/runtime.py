@@ -123,6 +123,23 @@ def plan_for_epoch(num_rows: int, batch_size: int, run_seed: int, epoch: int) ->
     return make_batch_plan(num_rows, batch_size, derive_seed(run_seed, _SEED_PLAN, epoch))
 
 
+def noise_sigma(cfg: TrainConfig, num_rows: int) -> float:
+    """Embedding noise std for a run over ``num_rows`` training rows.
+
+    The privacy accounting counts one query per batch of an epoch unless
+    ``privacy_queries`` says otherwise.
+    """
+    return calibrate_sigma(
+        GdpConfig(
+            privacy_mu=cfg.privacy_mu,
+            minibatch_size=cfg.batch_size,
+            whole_batch_size=num_rows,
+            num_queries=cfg.privacy_queries or bk.channel_count_for(num_rows, cfg.batch_size),
+            scale_constant=cfg.privacy_scale_constant,
+        )
+    )
+
+
 def batch_loss_mean(losses: list[tuple[int, float]]) -> float:
     """Mean of per-batch losses, accumulated in batch-id order.
 
@@ -781,15 +798,7 @@ def run_training(
         cfg.shape, d_active, d_passive, train.task, cfg.seed
     )
 
-    sigma = calibrate_sigma(
-        GdpConfig(
-            privacy_mu=cfg.privacy_mu,
-            minibatch_size=cfg.batch_size,
-            whole_batch_size=n,
-            num_queries=cfg.privacy_queries or num_batches,
-            scale_constant=cfg.privacy_scale_constant,
-        )
-    )
+    sigma = noise_sigma(cfg, n)
 
     policy = MODE_POLICIES[cfg.mode]
     capacities = (1, 1) if policy.depth_one_channels else (cfg.embed_capacity, cfg.grad_capacity)

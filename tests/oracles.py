@@ -204,8 +204,12 @@ def mp_stage_time(coef: float, exp: float, batch: int, workers: int, cores: int)
         return float(mpf(coef) * mpf(batch) ** mpf(exp) * mpf(workers) / mpf(cores))
 
 
-def mp_iteration_objective(c, w_a: int, w_p: int, batch: int, scale_ref=None) -> float:
-    """High-precision re-evaluation of the planner's objective."""
+def mp_iteration_objective(c, w_a: int, w_p: int, batch: int) -> float:
+    """High-precision re-evaluation of the planner's objective.
+
+    Each of the two messages is a (batch, cut_width) float64 array behind a
+    16-byte header, written out here rather than taken from the broker.
+    """
     from mpmath import mp, mpf
 
     with mp.workdps(50):
@@ -220,11 +224,7 @@ def mp_iteration_objective(c, w_a: int, w_p: int, batch: int, scale_ref=None) ->
             mpf(c.forward_coef_passive) * b ** mpf(c.forward_exp_passive)
             + mpf(c.backward_coef_passive) * b ** mpf(c.backward_exp_passive)
         ) * mpf(w_p) / mpf(c.cores_passive)
-        comm = (mpf(c.embed_message_bytes) + mpf(c.grad_message_bytes)) / mpf(
-            c.bandwidth_bytes_per_sec
-        )
-        if scale_ref is not None:
-            comm *= b / mpf(scale_ref)
+        comm = 2 * (16 + 8 * b * mpf(c.cut_width)) / mpf(c.bandwidth_bytes_per_sec)
         return float(max(active, passive) + comm)
 
 
@@ -238,7 +238,7 @@ def brute_force_search(c, space):
         for w_p in space.workers_passive:
             for b in space.batch_candidates:
                 try:
-                    cost = iteration_objective(c, w_a, w_p, b, space.message_scale_reference)
+                    cost = iteration_objective(c, w_a, w_p, b)
                 except InfeasiblePlanError:
                     continue
                 key = (cost, b, w_a, w_p)
@@ -260,14 +260,13 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
     def expo() -> float:
         return float(rng.uniform(-2.0, 2.0))
 
-    chi = float(rng.uniform(0.5, 2.0))
     base_a = float(rng.uniform(0.0, 1e6))
     base_p = float(rng.uniform(0.0, 1e6))
     slope_a = float(rng.uniform(1.0, 1e3))
     slope_p = float(rng.uniform(1.0, 1e3))
     smallest = min(batch_candidates)
-    need_a = slope_a * smallest**chi
-    need_p = slope_p * smallest**chi
+    need_a = slope_a * smallest
+    need_p = slope_p * smallest
     return DelayConstants(
         forward_coef_active=coef(), forward_exp_active=expo(),
         forward_coef_passive=coef(), forward_exp_passive=expo(),
@@ -275,16 +274,14 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
         backward_coef_passive=coef(), backward_exp_passive=expo(),
         top_forward_coef=coef(), top_forward_exp=expo(),
         top_backward_coef=coef(), top_backward_exp=expo(),
+        cut_width=int(rng.integers(1, 1025)),
         cores_active=int(rng.integers(1, 64)),
         cores_passive=int(rng.integers(1, 64)),
-        embed_message_bytes=float(rng.uniform(0.0, 1e8)),
-        grad_message_bytes=float(rng.uniform(0.0, 1e8)),
         bandwidth_bytes_per_sec=float(rng.uniform(1e6, 1e10)),
         mem_base_active=base_a,
         mem_base_passive=base_p,
         mem_slope_active=slope_a,
         mem_slope_passive=slope_p,
-        mem_exponent=chi,
         mem_budget_active=base_a + need_a * float(rng.uniform(1.001, 50.0)),
         mem_budget_passive=base_p + need_p * float(rng.uniform(1.001, 50.0)),
     )
@@ -306,12 +303,11 @@ def realistic_constants(**overrides):
         backward_coef_passive=0.038, backward_exp_passive=-1.0546,
         top_forward_coef=0.011, top_forward_exp=-0.7514,
         top_backward_coef=0.072, top_backward_exp=-0.7834,
+        cut_width=16,
         cores_active=32, cores_passive=32,
-        embed_message_bytes=2.0e6, grad_message_bytes=2.0e6,
         bandwidth_bytes_per_sec=1.25e9,
         mem_base_active=1e8, mem_base_passive=1e8,
         mem_slope_active=1e6, mem_slope_passive=1e6,
-        mem_exponent=1.0,
         mem_budget_active=4e9, mem_budget_passive=4e9,
     )
     values.update(overrides)

@@ -158,17 +158,15 @@ def test_memory_ceiling_exact_closed_form_cases():
     linear = realistic_constants(
         mem_base_active=100.0, mem_base_passive=100.0,
         mem_slope_active=1.0, mem_slope_passive=1.0,
-        mem_exponent=1.0,
         mem_budget_active=1000.0, mem_budget_passive=1000.0,
     )
     assert memory_bound(linear) == 900.0
-    quadratic = realistic_constants(
-        mem_base_active=0.0, mem_base_passive=0.0,
-        mem_slope_active=1.0, mem_slope_passive=1.0,
-        mem_exponent=2.0,
+    passive_binds = realistic_constants(
+        mem_base_active=0.0, mem_base_passive=24.0,
+        mem_slope_active=4.0, mem_slope_passive=8.0,
         mem_budget_active=1600.0, mem_budget_passive=1600.0,
     )
-    assert memory_bound(quadratic) == 40.0
+    assert memory_bound(passive_binds) == 197.0  # min(1600 / 4, 1576 / 8)
 
 
 # -- delay-model fitting -------------------------------------------------------

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import splitbus
-from splitbus.cli import _parse_range, main
+from splitbus.broker import serialize_payload
+from splitbus.cli import _load_experiment, _parse_range, build_parser, main
 from splitbus.config import ModelShape
 from splitbus.data import Task, generate_synthetic, write_csv
 from splitbus.metrics import read_jsonl
-from splitbus.planner import PlanState, SearchSpace, read_plan
+from splitbus.planner import PlanState, SearchSpace, comm_seconds, read_plan
 from splitbus.profiler import read_profile, write_profile
 from splitbus.runtime import build_models
 
@@ -64,7 +65,23 @@ class TestProfileCommand:
             constants.top_forward_coef, constants.top_backward_coef,
         ]
         assert all(c > 0 for c in coefs)
-        assert constants.embed_message_bytes > 0  # measured, not defaulted
+
+    @pytest.mark.filterwarnings("ignore:power-law fit")
+    def test_message_size_follows_from_the_cut_width(self, tmp_path):
+        conf = tmp_path / "wide.conf"
+        conf.write_text(TINY_CONF + "model.passive_embed = 24\n")
+        out = tmp_path / "prof.txt"
+        # a power-of-two bandwidth makes seconds * bandwidth exact
+        code = main([
+            "profile", "--config", str(conf), "--out", str(out),
+            "--batches", "8,32,128", "--repetitions", "1", "--bandwidth", str(2**30),
+        ])
+        assert code == 0
+        constants = read_profile(str(out))
+        assert constants.cut_width == 24
+        for b in (1, 50, 256, 4096):
+            wire = 2 * len(serialize_payload(np.zeros((b, constants.cut_width))))
+            assert comm_seconds(constants, b) * constants.bandwidth_bytes_per_sec == wire
 
     @pytest.mark.filterwarnings("ignore:power-law fit")
     def test_party_widths_come_from_the_split(self, tmp_path):
@@ -106,6 +123,18 @@ class TestPlanCommand:
         ])
         assert code == 4
         assert "no feasible plan" in capsys.readouterr().err
+
+    def test_old_format_profile_exits_2_naming_the_key(self, tmp_path, capsys):
+        prof = tmp_path / "prof.txt"
+        write_profile(str(prof), realistic_constants())
+        prof.write_text(prof.read_text() + "mem_exponent = 1.0\n")
+        assert main(["plan", "--profile", str(prof), "--out", str(tmp_path / "p.txt")]) == 2
+        assert "mem_exponent" in capsys.readouterr().err
+
+    def test_missing_profile_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.txt"
+        assert main(["plan", "--profile", str(missing), "--out", str(tmp_path / "p.txt")]) == 2
+        assert "cannot read profile" in capsys.readouterr().err
 
 
 class TestTrainCommand:
@@ -172,6 +201,15 @@ class TestTrainCommand:
         code = main(["train", "--config", str(conf), "--out", str(tmp_path / "r")])
         assert code == 3
         assert "aborted" in capsys.readouterr().err
+
+    def test_junk_plan_exits_2(self, tiny_config, tmp_path, capsys):
+        plan = tmp_path / "plan.txt"
+        plan.write_text("this is not a plan\n")
+        code = main([
+            "train", "--config", tiny_config, "--out", str(tmp_path / "r"), "--plan", str(plan),
+        ])
+        assert code == 2
+        assert str(plan) in capsys.readouterr().err
 
     def test_bad_config_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "bad.conf"
@@ -241,6 +279,18 @@ class TestCompareCommand:
             "compare", "--config", tiny_config, "--out", str(tmp_path / "c"),
             "--modes", "warp",
         ]) == 2
+
+
+def test_train_and_compare_share_the_override_flags():
+    flags = [
+        "--wa", "3", "--wp", "4", "--mu", "2.5", "--tddl-ms", "250", "--p", "6", "--q", "7",
+        "--delta-t0", "2", "--skew-passive-ms", "1.5", "--skew-active-ms", "0.5",
+    ]
+    parser = build_parser()
+    train = parser.parse_args(["train", *flags])
+    compare = parser.parse_args(["compare", *flags])
+    assert set(vars(train)) - {"mode", "plan"} == set(vars(compare)) - {"modes"}
+    assert _load_experiment(train).train == _load_experiment(compare).train
 
 
 class TestEntryPoint:

@@ -1,13 +1,15 @@
 """Configuration search vs its enumeration oracle, plus objective arithmetic."""
 
+import math
+
 import numpy as np
 import pytest
+
 
 from splitbus.planner import (
     InfeasiblePlanError,
     PlanState,
     SearchSpace,
-    comm_seconds,
     dp_search,
     iteration_objective,
     party_polynomials,
@@ -51,7 +53,7 @@ class TestObjective:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_zero_comm_equals_pure_compute_max(self):
-        c = realistic_constants(embed_message_bytes=0.0, grad_message_bytes=0.0)
+        c = realistic_constants(bandwidth_bytes_per_sec=math.inf)
         poly_active, poly_passive = party_polynomials(c, 64)
         assert iteration_objective(c, 3, 5, 64) == max(
             poly_active * 3 / c.cores_active, poly_passive * 5 / c.cores_passive
@@ -69,25 +71,17 @@ class TestObjective:
         )
 
     def test_infeasible_batch_rejected(self):
-        c = realistic_constants(
-            mem_budget_active=1e8 + 1e6 * 100, mem_exponent=1.0
-        )  # bound = 100
+        c = realistic_constants(mem_budget_active=1e8 + 1e6 * 100)  # bound = 100
         with pytest.raises(InfeasiblePlanError):
             iteration_objective(c, 1, 1, 512)
 
-    def test_comm_scaling_mode(self):
-        c = realistic_constants()
-        fixed = comm_seconds(c, 512)
-        scaled = comm_seconds(c, 512, message_scale_reference=256)
-        assert scaled == pytest.approx(fixed * 2.0)
-        assert comm_seconds(c, 256, message_scale_reference=256) == pytest.approx(fixed)
 
 
 class TestStateCost:
     """The cost of one grid state with zero message bytes is pure compute."""
 
     def test_matches_high_precision_reference(self):
-        c = realistic_constants(embed_message_bytes=0.0, grad_message_bytes=0.0)
+        c = realistic_constants(bandwidth_bytes_per_sec=math.inf)
         got = iteration_objective(c, 8, 8, 32)
         assert got == pytest.approx(mp_iteration_objective(c, 8, 8, 32), rel=1e-12)
 
@@ -97,7 +91,7 @@ class TestStateCost:
             forward_coef_active=0.010, forward_exp_active=-1.0071,
             backward_coef_active=0.038, backward_exp_active=-1.0546,
             cores_active=8, cores_passive=8,
-            embed_message_bytes=0.0, grad_message_bytes=0.0,
+            bandwidth_bytes_per_sec=math.inf,
         )
         poly_active, poly_passive = party_polynomials(c, 64)
         assert poly_active == pytest.approx(poly_passive, rel=1e-12)
@@ -115,20 +109,18 @@ class TestSearch:
         assert plan.cost_seconds == iteration_objective(c, 8, 10, 256)
 
     def test_agrees_with_enumeration_on_random_instances(self):
-        # candidates come with duplicates and in any order, and some spaces
-        # rescale messages, so every branch of the tie-break gets exercised
+        # candidates come with duplicates and in any order, so every branch
+        # of the tie-break gets exercised
         rng = np.random.default_rng(42)
         candidates_pool = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
         for trial in range(40):
             k = int(rng.integers(1, 6))
             batches = rng.choice(candidates_pool, size=k, replace=True).tolist()
             c = random_delay_constants(rng, batches)
-            scale = int(rng.choice(batches)) if rng.random() < 0.3 else None
             space = SearchSpace(
                 int(rng.integers(1, 5)), int(rng.integers(5, 11)),
                 int(rng.integers(1, 5)), int(rng.integers(5, 11)),
                 batches,
-                message_scale_reference=scale,
             )
             fast = dp_search(c, space)
             assert fast == brute_force_search(c, space), trial  # cost bitwise too
@@ -156,7 +148,7 @@ class TestSearch:
             backward_exp_active=0.0, backward_exp_passive=0.0,
             top_forward_exp=0.0, top_backward_exp=0.0,
             forward_coef_passive=1e-12, backward_coef_passive=1e-12,
-            embed_message_bytes=0.0, grad_message_bytes=0.0,
+            bandwidth_bytes_per_sec=math.inf,
         )
         space = SearchSpace(3, 3, 2, 6, [512, 128, 256, 128])
         plan = dp_search(c, space)
@@ -166,38 +158,18 @@ class TestSearch:
 
     def test_subgrid_never_beats_full_grid(self):
         rng = np.random.default_rng(3)
-        c = random_delay_constants(rng, [16, 64, 256])
+        c = random_delay_constants(rng, [64, 256])  # both grids' batches fit
         full = dp_search(c, SearchSpace(1, 6, 1, 6, [16, 64, 256]))
         sub = dp_search(c, SearchSpace(2, 5, 2, 5, [64, 256]))
         assert sub.cost_seconds >= full.cost_seconds
 
     def test_all_batches_infeasible(self):
-        c = realistic_constants(
-            mem_budget_active=1e8 + 1e6 * 4, mem_exponent=1.0
-        )  # bound = 4
+        c = realistic_constants(mem_budget_active=1e8 + 1e6 * 4)  # bound = 4
         space = SearchSpace(1, 2, 1, 2, [64, 128])
         with pytest.raises(InfeasiblePlanError):
             dp_search(c, space)
         with pytest.raises(InfeasiblePlanError):
             brute_force_search(c, space)
-
-    def test_comm_scaling_changes_the_argmin_when_it_should(self):
-        # under fixed messages, bigger batches amortise comm away; under
-        # proportional messages the comm term cancels the amortisation
-        c = realistic_constants(
-            embed_message_bytes=5e8, grad_message_bytes=5e8,
-        )
-        space = SearchSpace(1, 1, 1, 1, [32, 1024])
-        fixed = dp_search(c, space)
-        scaled = dp_search(
-            c,
-            SearchSpace(1, 1, 1, 1, [32, 1024], message_scale_reference=32),
-        )
-        assert fixed.batch_size == 1024
-        assert scaled.batch_size == 32
-        assert scaled == brute_force_search(
-            c, SearchSpace(1, 1, 1, 1, [32, 1024], message_scale_reference=32)
-        )
 
 
 class TestPlanIO:
@@ -226,5 +198,3 @@ class TestPlanIO:
             SearchSpace(2, 1, 1, 1, [32])
         with pytest.raises(ValueError):
             SearchSpace(1, 1, 1, 1, [])
-        with pytest.raises(ValueError):
-            SearchSpace(1, 1, 1, 1, [32], message_scale_reference=0)

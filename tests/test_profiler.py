@@ -109,13 +109,11 @@ class TestPrediction:
         assert times.top_active == pytest.approx(want_top, rel=1e-12)
 
     def test_transfer_times(self):
-        c = realistic_constants(
-            embed_message_bytes=1e6, grad_message_bytes=5e5,
-            bandwidth_bytes_per_sec=1e6,
-        )
+        # both messages: a 16-byte header and 64 x 2 float64 entries = 1040 bytes
+        c = realistic_constants(cut_width=2, bandwidth_bytes_per_sec=1040.0)
         times = predict_times(c, 64, 1, 1)
         assert times.embed_transfer == 1.0
-        assert times.grad_transfer == 0.5
+        assert times.grad_transfer == 1.0
 
     def test_unit_cancellation(self):
         c = realistic_constants(
@@ -141,25 +139,14 @@ class TestPrediction:
 class TestMemoryBound:
     def test_linear_case_exact(self):
         c = realistic_constants(
-            mem_exponent=1.0,
             mem_slope_active=1.0, mem_slope_passive=1.0,
             mem_base_active=100.0, mem_base_passive=100.0,
             mem_budget_active=1000.0, mem_budget_passive=1000.0,
         )
         assert memory_bound(c) == 900.0
 
-    def test_quadratic_case_exact(self):
-        c = realistic_constants(
-            mem_exponent=2.0,
-            mem_slope_active=0.5, mem_slope_passive=0.5,
-            mem_base_active=0.0, mem_base_passive=0.0,
-            mem_budget_active=800.0, mem_budget_passive=800.0,
-        )
-        assert memory_bound(c) == 40.0
-
     def test_tighter_party_binds(self):
         c = realistic_constants(
-            mem_exponent=1.0,
             mem_slope_active=1.0, mem_slope_passive=2.0,
             mem_base_active=0.0, mem_base_passive=0.0,
             mem_budget_active=1000.0, mem_budget_passive=1000.0,
@@ -172,7 +159,7 @@ class TestMemoryBound:
 
     def test_monotonicity_sweep(self):
         base = dict(
-            mem_exponent=1.3, mem_base_active=50.0, mem_base_passive=50.0,
+            mem_base_active=50.0, mem_base_passive=50.0,
             mem_slope_active=2.0, mem_slope_passive=2.0,
             mem_budget_active=5000.0, mem_budget_passive=5000.0,
         )
@@ -207,9 +194,9 @@ class TestMemoryModel:
         c = build_constants(samples, passive, active, top)
         for b in (1, 7, 256, 4096):
             active_total = model_memory_bytes(active, b) + model_memory_bytes(top, b)
-            assert c.mem_base_active + c.mem_slope_active * b**c.mem_exponent == active_total
+            assert c.mem_base_active + c.mem_slope_active * b == active_total
             passive_total = model_memory_bytes(passive, b)
-            assert c.mem_base_passive + c.mem_slope_passive * b**c.mem_exponent == passive_total
+            assert c.mem_base_passive + c.mem_slope_passive * b == passive_total
 
 
 class TestCalibrationSweep:
@@ -310,7 +297,6 @@ class TestProfileBuild:
             constants = build_constants(
                 samples, passive, active, top,
                 cores_active=4, cores_passive=2,
-                embed_message_bytes=4096.0, grad_message_bytes=4096.0,
                 bandwidth_bytes_per_sec=1e9,
                 mem_budget_active=1e9, mem_budget_passive=1e9,
             )
@@ -318,7 +304,7 @@ class TestProfileBuild:
         assert constants.mem_base_active == 2 * (
             active.parameter_bytes + top.parameter_bytes
         )
-        assert abs(constants.mem_exponent - 1.0) < 1e-9
+        assert constants.cut_width == passive.out_dim
         assert memory_bound(constants) > 256
 
         path = tmp_path / "profile.txt"
