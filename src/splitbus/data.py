@@ -61,6 +61,13 @@ class VerticalDataset:
     active_columns: np.ndarray
     passive_columns: np.ndarray
 
+    def __post_init__(self) -> None:
+        # Finiteness is checked here, where data enters, not per batch: the
+        # model code checks shapes only, and a non-finite loss aborts training.
+        for name in ("active_features", "passive_features", "labels"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} contain non-finite entries")
+
     @property
     def num_rows(self) -> int:
         return self.active_features.shape[0]
@@ -153,9 +160,10 @@ def load_csv(
 ) -> LabeledTable:
     """Load a numeric CSV into a LabeledTable.
 
-    Parse failures raise :class:`DataFormatError` naming the 1-based file row
-    and column.  Feature columns are standardised at load unless disabled;
-    labels are never rescaled, and classification labels must be 0/1.
+    Parse failures and non-finite values (``nan``, ``inf``) raise
+    :class:`DataFormatError` naming the 1-based file row and column.
+    Feature columns are standardised at load unless disabled; labels are
+    never rescaled, and classification labels must be 0/1.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -196,6 +204,12 @@ def load_csv(
                     f"{path}: cannot parse {cell!r} at row {first_data_row + r}, "
                     f"column {c + 1}"
                 ) from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataFormatError(
+            f"{path}: non-finite value {rows[r][c]!r} at row {first_data_row + r}, column {c + 1}"
+        )
     labels = values[:, label_idx : label_idx + 1].copy()
     features = np.delete(values, label_idx, axis=1)
     if task is Task.CLASSIFICATION and not np.all(np.isin(labels, (0.0, 1.0))):

@@ -1,11 +1,23 @@
 """Dense MLP layers with hand-rolled backprop.
 
 Everything in the trainer that touches model parameters goes through this
-module: forward passes record a tape, ``backward`` replays it to produce
+module: ``forward`` records a tape, ``backward`` replays it to produce
 parameter gradients plus, unless switched off, the gradient w.r.t. the
 layer-0 input (that input gradient is what crosses the party boundary at the
 cut layer; a bottom model's raw-feature gradient goes nowhere), and
-``sgd_step`` / ``average_models`` are the only mutation points.
+``sgd_step`` / ``average_models`` are the only mutation points.  ``predict``
+is inference: no tape, rows taken ``PREDICT_BLOCK_ROWS`` at a time, so a
+large evaluation set holds one block's activations at once.  Both run each
+layer through ``_layer_forward``, so the layer arithmetic lives in one place.
+
+The tape holds only what ``backward`` reads: each layer's input and its
+output.  The activation is applied in place over the affine output, and the
+ReLU mask is read off the output (``post > 0`` is ``pre > 0`` for every
+input, NaN and signed zeros included).
+
+Inputs are checked for shape, dtype and width on every call, but not for
+finiteness: data is checked once where it enters (``data.VerticalDataset``),
+and a loss that goes non-finite aborts training.
 
 All numerics are float64 numpy arrays, shaped (rows, cols) with rows =
 samples.  No autodiff framework is involved, which keeps the arithmetic
@@ -23,6 +35,10 @@ import numpy as np
 # cross-entropy; the gradient is the exact derivative of the clamped loss.
 EPS_PROB = 1e-12
 
+# Rows per block in ``predict``: large enough that BLAS runs at full speed,
+# small enough that a block's activations stay cache-sized.
+PREDICT_BLOCK_ROWS = 1024
+
 
 class Activation(enum.Enum):
     RELU = "relu"
@@ -30,12 +46,16 @@ class Activation(enum.Enum):
     IDENTITY = "identity"
 
 
-def as_matrix(x: np.ndarray, name: str = "array") -> np.ndarray:
-    """Validate that *x* is a finite 2-D float64 matrix and return it."""
+def _check_matrix(x: np.ndarray, name: str) -> None:
     if not isinstance(x, np.ndarray) or x.ndim != 2:
         raise ValueError(f"{name} must be a 2-D numpy array, got {x!r}")
     if x.dtype != np.float64:
         raise ValueError(f"{name} must be float64, got {x.dtype}")
+
+
+def as_matrix(x: np.ndarray, name: str = "array") -> np.ndarray:
+    """Validate that *x* is a finite 2-D float64 matrix and return it."""
+    _check_matrix(x, name)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
     return x
@@ -47,21 +67,22 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _apply_activation(kind: Activation, z: np.ndarray) -> np.ndarray:
+def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
+    """The activation of ``z``; ReLU overwrites ``z``, which is then returned."""
     if kind is Activation.RELU:
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind is Activation.SIGMOID:
         return _sigmoid(z)
     return z
 
 
 def _activation_backward(
-    kind: Activation, upstream: np.ndarray, preact: np.ndarray, postact: np.ndarray
+    kind: Activation, upstream: np.ndarray, postact: np.ndarray
 ) -> np.ndarray:
     """``upstream`` times the activation's derivative, elementwise."""
     if kind is Activation.RELU:
         # Subgradient 0 at the kink; numpy multiplies by the mask as 1.0/0.0.
-        return upstream * (preact > 0.0)
+        return upstream * (postact > 0.0)
     if kind is Activation.SIGMOID:
         return upstream * (postact * (1.0 - postact))
     return upstream
@@ -134,12 +155,11 @@ class ForwardTape:
     """Per-layer intermediates recorded by ``forward`` for one batch.
 
     ``inputs[l]`` is what layer *l* consumed (so ``inputs[0]`` is the batch
-    input), ``preacts[l]`` the affine output before the nonlinearity, and
-    ``postacts[l]`` after it (``postacts[-1]`` is the model output).
+    input) and ``postacts[l]`` its activated output (``postacts[-1]`` is the
+    model output, and ``inputs[l + 1]`` is ``postacts[l]``).
     """
 
     inputs: list[np.ndarray] = field(default_factory=list)
-    preacts: list[np.ndarray] = field(default_factory=list)
     postacts: list[np.ndarray] = field(default_factory=list)
 
 
@@ -168,22 +188,47 @@ def init_mlp(layer_dims: list[int], activations: list[Activation], seed: int) ->
     return MlpModel(layers)
 
 
-def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Run the batch through the model, returning (output, tape)."""
-    as_matrix(x, "input")
+def _check_input(model: MlpModel, x: np.ndarray) -> None:
+    _check_matrix(x, "input")
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input has {x.shape[1]} columns, model expects {model.in_dim}")
+
+
+def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
+    """One layer: the affine map, then the activation over it in place."""
+    z = x @ layer.weight
+    z += layer.bias
+    return _activate(layer.activation, z)
+
+
+def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
+    """Run the batch through the model, returning (output, tape)."""
+    _check_input(model, x)
     tape = ForwardTape()
     current = x
     for layer in model.layers:
         tape.inputs.append(current)
-        pre = current @ layer.weight
-        pre += layer.bias
-        post = _apply_activation(layer.activation, pre)
-        tape.preacts.append(pre)
-        tape.postacts.append(post)
-        current = post
+        current = _layer_forward(layer, current)
+        tape.postacts.append(current)
     return current, tape
+
+
+def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """The model's output for every row of ``x``, without a tape.
+
+    Rows go through in blocks of ``PREDICT_BLOCK_ROWS``.  Up to that many
+    rows the result is bit-identical to ``forward(model, x)[0]``; past it,
+    BLAS may sum a block's products in another order, so entries can differ
+    from one full-batch ``forward`` in the last bits.
+    """
+    _check_input(model, x)
+    out = np.empty((x.shape[0], model.out_dim))
+    for start in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
+        block = x[start : start + PREDICT_BLOCK_ROWS]
+        for layer in model.layers:
+            block = _layer_forward(layer, block)
+        out[start : start + PREDICT_BLOCK_ROWS] = block
+    return out
 
 
 def backward(
@@ -202,9 +247,7 @@ def backward(
     upstream = d_output
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        delta = _activation_backward(
-            layer.activation, upstream, tape.preacts[idx], tape.postacts[idx]
-        )
+        delta = _activation_backward(layer.activation, upstream, tape.postacts[idx])
         grads[idx] = LayerGrads(
             d_weight=tape.inputs[idx].T @ delta,
             d_bias=delta.sum(axis=0, keepdims=True),

@@ -162,6 +162,11 @@ def fit_power_law(
     return float(math.exp(intercept)), float(exponent), r_squared
 
 
+_MAY_BE_UNBOUNDED = frozenset(
+    {"bandwidth_bytes_per_sec", "mem_budget_active", "mem_budget_passive"}
+)
+
+
 @dataclass
 class DelayConstants:
     """Everything the planner needs about one deployment."""
@@ -194,19 +199,25 @@ class DelayConstants:
     mem_budget_passive: float = math.inf
 
     def __post_init__(self) -> None:
+        # NaN passes every comparison below, so finiteness is checked first.
+        # Only an unbounded resource (bandwidth, a memory budget) may be +inf.
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if math.isnan(value) or (math.isinf(value) and f.name not in _MAY_BE_UNBOUNDED):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.cores_active < 1 or self.cores_passive < 1:
             raise ValueError("core counts must be >= 1")
         if self.bandwidth_bytes_per_sec <= 0.0:
             raise ValueError("bandwidth must be positive")
         if self.cut_width < 1:
             raise ValueError("cut_width must be >= 1")
-        for coef in (
-            self.forward_coef_active, self.forward_coef_passive,
-            self.backward_coef_active, self.backward_coef_passive,
-            self.top_forward_coef, self.top_backward_coef,
+        for name in (
+            "forward_coef_active", "forward_coef_passive",
+            "backward_coef_active", "backward_coef_passive",
+            "top_forward_coef", "top_backward_coef",
         ):
-            if coef <= 0.0:
-                raise ValueError("delay coefficients must be positive")
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive (delay coefficients are)")
         if self.mem_slope_active <= 0.0 or self.mem_slope_passive <= 0.0:
             raise ValueError("memory slopes must be positive")
         if self.mem_budget_active <= self.mem_base_active:
@@ -224,8 +235,7 @@ class PredictedTimes:
     top_active: float  # top model forward + backward, runs on the active party
     forward_passive: float
     backward_passive: float
-    embed_transfer: float
-    grad_transfer: float
+    transfer: float  # one cut-layer message; the embedding and its gradient are the same size
 
 
 def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: int) -> PredictedTimes:
@@ -235,7 +245,6 @@ def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: 
     b = float(batch_size)
     share_a = w_active / c.cores_active
     share_p = w_passive / c.cores_passive
-    transfer = message_seconds(c, batch_size)
     return PredictedTimes(
         forward_active=c.forward_coef_active * b**c.forward_exp_active * share_a,
         backward_active=c.backward_coef_active * b**c.backward_exp_active * share_a,
@@ -246,8 +255,7 @@ def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: 
         * share_a,
         forward_passive=c.forward_coef_passive * b**c.forward_exp_passive * share_p,
         backward_passive=c.backward_coef_passive * b**c.backward_exp_passive * share_p,
-        embed_transfer=transfer,
-        grad_transfer=transfer,
+        transfer=message_seconds(c, batch_size),
     )
 
 
@@ -268,17 +276,18 @@ def memory_bound(c: DelayConstants) -> float:
 
 
 def _bytes_per_row(model: nn.MlpModel) -> int:
-    """Activation bytes per batch row: the input plus each layer's pre- and
-    post-activations, which the backward pass consumes."""
-    return 8 * (model.in_dim + 2 * sum(layer.weight.shape[1] for layer in model.layers))
+    """Tape bytes per batch row: the input plus each layer's activated
+    output, which is all ``nn.backward`` reads."""
+    return 8 * (model.in_dim + sum(layer.weight.shape[1] for layer in model.layers))
 
 
 def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
     """Deterministic allocation model: parameters + gradients + activations.
 
     Counts what training one batch materialises: two copies of the parameter
-    tensors (weights and their gradients), the input minibatch, and the tape
-    of pre- and post-activations the backward pass consumes.
+    tensors (weights and their gradients), the input minibatch, and one
+    activation per layer, which is what the ``nn.forward`` tape keeps for
+    the backward pass.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

@@ -38,6 +38,9 @@ A passive worker with several batches in flight absorbs their gradients
 oldest first and stops polling at the first one not back yet: the active
 pool takes batches in queue order, so gradients return nearly in order and
 each batch costs O(1) broker calls however far the worker has run ahead.
+After each epoch, :func:`evaluate_models` scores the test set by inference
+alone (:func:`splitbus.nn.predict`, no tape), the two bottom models side by
+side on two threads.
 
 Every mode runs the same worker loop per party.  The modes differ only in
 the settings of :data:`MODE_POLICIES`, the one table that says how far a
@@ -55,6 +58,7 @@ import threading
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -620,10 +624,18 @@ def evaluate_models(
     top: nn.MlpModel,
     dataset: VerticalDataset,
 ) -> float:
-    """Test metric on clean (noise-free) embeddings: AUC up / RMSE down."""
-    z_passive, _ = nn.forward(passive_bottom, dataset.passive_features)
-    z_active, _ = nn.forward(active_bottom, dataset.active_features)
-    scores, _ = nn.forward(top, np.concatenate([z_active, z_passive], axis=1))
+    """Test metric on clean (noise-free) embeddings: AUC up / RMSE down.
+
+    Inference only (:func:`splitbus.nn.predict`, no tape).  The passive
+    bottom runs on a short-lived helper thread while this thread runs the
+    active bottom; BLAS releases the interpreter lock, so on two CPUs the
+    bottoms overlap.  The helper is joined before the top model runs.
+    """
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="evaluate-passive") as helper:
+        passive = helper.submit(nn.predict, passive_bottom, dataset.passive_features)
+        z_active = nn.predict(active_bottom, dataset.active_features)
+        z_passive = passive.result()
+    scores = nn.predict(top, np.concatenate([z_active, z_passive], axis=1))
     if dataset.task is Task.CLASSIFICATION:
         return mt.auc_score(dataset.labels, scores)
     return mt.rmse(dataset.labels, scores)

@@ -193,6 +193,32 @@ def out_of_place_forward(
     return current, preacts, postacts
 
 
+def preact_mask_backward(
+    model: nn.MlpModel,
+    x: np.ndarray,
+    preacts: list[np.ndarray],
+    postacts: list[np.ndarray],
+    d_output: np.ndarray,
+) -> tuple[list[nn.LayerGrads], np.ndarray]:
+    """The first ``nn.backward``, replaying a tape that kept the preactivations
+    (``out_of_place_forward``'s) and reading the ReLU mask off ``pre > 0``:
+    (per-layer gradients, gradient w.r.t. ``x``)."""
+    inputs = [x] + postacts[:-1]
+    grads: list[nn.LayerGrads] = [None] * len(model.layers)  # type: ignore[list-item]
+    upstream = d_output
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[idx]
+        if layer.activation is nn.Activation.RELU:
+            delta = upstream * (preacts[idx] > 0.0)
+        elif layer.activation is nn.Activation.SIGMOID:
+            delta = upstream * (postacts[idx] * (1.0 - postacts[idx]))
+        else:
+            delta = upstream
+        grads[idx] = nn.LayerGrads(inputs[idx].T @ delta, delta.sum(axis=0, keepdims=True))
+        upstream = delta @ layer.weight.T
+    return grads, upstream
+
+
 # -- delay model oracles -------------------------------------------------------
 
 

@@ -131,6 +131,23 @@ class TestPlanCommand:
         assert main(["plan", "--profile", str(prof), "--out", str(tmp_path / "p.txt")]) == 2
         assert "mem_exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line", ["forward_coef_active = nan", "top_backward_exp = inf"]
+    )
+    def test_non_finite_profile_value_exits_2_naming_the_field(self, tmp_path, capsys, line):
+        prof = tmp_path / "prof.txt"
+        write_profile(str(prof), realistic_constants())
+        name = line.split(" = ")[0]
+        lines = [
+            line if row.startswith(name + " ") else row
+            for row in prof.read_text().splitlines()
+        ]
+        prof.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "p.txt"
+        assert main(["plan", "--profile", str(prof), "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_profile_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.txt"
         assert main(["plan", "--profile", str(missing), "--out", str(tmp_path / "p.txt")]) == 2

@@ -86,6 +86,34 @@ def test_csv_rejects_non_binary_classification_labels(tmp_path):
         data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
 
 
+def test_csv_rejects_non_finite_values(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("a,b,label\n1.0,2.0,0\n1.5,nan,1\n")
+    with pytest.raises(data.DataFormatError, match=r"'nan' at row 3, column 2"):
+        data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_vertical_dataset_rejects_non_finite_entries(bad):
+    # Data is checked for finiteness here, where it enters; nn.forward checks shapes only.
+    table = data.generate_synthetic(20, 4, 2, data.Task.REGRESSION, seed=0)
+    view = data.vertical_split(table, num_active=2, seed=0)
+    for name in ("active_features", "passive_features", "labels"):
+        values = {
+            field: getattr(view, field).copy()
+            for field in ("active_features", "passive_features", "labels")
+        }
+        values[name][3, 0] = bad
+        with pytest.raises(ValueError, match=name):
+            data.VerticalDataset(
+                task=view.task, active_columns=view.active_columns,
+                passive_columns=view.passive_columns, **values,
+            )
+    table.features[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        data.vertical_split(table, num_active=2, seed=0)
+
+
 def test_standardize_columns_centres_and_scales():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 5.0, size=(400, 4))

@@ -69,10 +69,11 @@ def test_activation_backward_equals_float_mask_oracle(kind):
         preact = rng.normal(size=(9, 7))
         preact[rng.random(preact.shape) < 0.2] = 0.0  # exact kinks
         preact[0, 0] = 0.0
-        postact = nn._apply_activation(kind, preact)
+        preact[0, 1:5] = (-0.0, np.nan, np.inf, -np.inf)
+        postact = nn._activate(kind, preact.copy())
         upstream = rng.normal(size=preact.shape)  # both signs: signed zeros after the mask
         upstream[rng.random(upstream.shape) < 0.1] = -0.0
-        fast = nn._activation_backward(kind, upstream, preact, postact)
+        fast = nn._activation_backward(kind, upstream, postact)
         slow = oracles.float_mask_activation_backward(kind, upstream, preact, postact)
         assert fast.dtype == np.float64
         assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))  # bits, sign of 0 too
@@ -91,26 +92,82 @@ def test_sigmoid_is_bit_identical_to_indexed_oracle():
         assert np.array_equal(bits(nn._sigmoid(z)), bits(oracles.indexed_sigmoid(z)))
 
 
-def test_forward_is_bit_identical_to_out_of_place_oracle():
-    # Random depths and widths, hidden sigmoids included, inputs scaled so
-    # that some preactivations pass |z| = 700 and exact zeros occur.
-    rng = np.random.default_rng(29)
+def _random_forward_case(rng: np.random.Generator, seed: int):
+    """Random depth and widths, hidden sigmoids included, inputs scaled so
+    that some preactivations pass |z| = 700 and exact (signed) zeros occur."""
     kinds = list(nn.Activation)
+    depth = int(rng.integers(1, 5))
+    dims = [int(rng.integers(1, 33)) for _ in range(depth + 1)]
+    acts = [kinds[int(rng.integers(0, len(kinds)))] for _ in range(depth)]
+    model = nn.init_mlp(dims, acts, seed=seed)
+    for layer in model.layers:
+        layer.bias[:] = rng.normal(0.0, 1.0, size=layer.bias.shape)
+    x = rng.normal(0.0, 10.0 ** float(rng.integers(0, 4)), size=(int(rng.integers(1, 65)), dims[0]))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.05] = -0.0
+    return model, x
+
+
+def test_forward_is_bit_identical_to_out_of_place_oracle():
+    rng = np.random.default_rng(29)
     for seed in range(40):
-        depth = int(rng.integers(1, 5))
-        dims = [int(rng.integers(1, 33)) for _ in range(depth + 1)]
-        acts = [kinds[int(rng.integers(0, len(kinds)))] for _ in range(depth)]
-        model = nn.init_mlp(dims, acts, seed=seed)
-        for layer in model.layers:
-            layer.bias[:] = rng.normal(0.0, 1.0, size=layer.bias.shape)
-        x = rng.normal(0.0, 10.0 ** float(rng.integers(0, 4)), size=(int(rng.integers(1, 65)), dims[0]))
-        x[rng.random(x.shape) < 0.1] = 0.0
-        x[rng.random(x.shape) < 0.05] = -0.0
+        model, x = _random_forward_case(rng, seed)
+        out, tape = nn.forward(model, x)
+        ref_out, _, ref_post = oracles.out_of_place_forward(model, x)
+        assert np.array_equal(bits(out), bits(ref_out)), seed
+        for mine, theirs in zip(tape.postacts, ref_post):
+            assert np.array_equal(bits(mine), bits(theirs)), seed
+
+
+def test_postact_tape_is_bit_identical_to_preact_tape_oracle():
+    # The tape no longer keeps preactivations and backward reads the ReLU
+    # mask off the output; outputs and every gradient must keep their bits.
+    rng = np.random.default_rng(31)
+    largest_pre, hidden_sigmoids = 0.0, 0
+    for seed in range(48):
+        model, x = _random_forward_case(rng, seed)
+        hidden_sigmoids += sum(
+            layer.activation is nn.Activation.SIGMOID for layer in model.layers[:-1]
+        )
         out, tape = nn.forward(model, x)
         ref_out, ref_pre, ref_post = oracles.out_of_place_forward(model, x)
+        largest_pre = max([largest_pre] + [float(np.max(np.abs(p))) for p in ref_pre])
         assert np.array_equal(bits(out), bits(ref_out)), seed
-        for mine, theirs in zip(tape.preacts + tape.postacts, ref_pre + ref_post):
+        for mine, theirs in zip(tape.postacts, ref_post):
             assert np.array_equal(bits(mine), bits(theirs)), seed
+        d_out = rng.normal(size=out.shape)
+        d_out[rng.random(d_out.shape) < 0.1] = -0.0
+        grads, d_input = nn.backward(model, tape, d_out)
+        ref_grads, ref_input = oracles.preact_mask_backward(model, x, ref_pre, ref_post, d_out)
+        assert np.array_equal(bits(d_input), bits(ref_input)), seed
+        for mine, theirs in zip(grads, ref_grads):
+            assert np.array_equal(bits(mine.d_weight), bits(theirs.d_weight)), seed
+            assert np.array_equal(bits(mine.d_bias), bits(theirs.d_bias)), seed
+    assert largest_pre > 700.0 and hidden_sigmoids > 0
+
+
+def test_predict_is_bit_identical_to_forward_up_to_one_block():
+    rng = np.random.default_rng(37)
+    for seed, rows in enumerate((1, 2, 63, 500, nn.PREDICT_BLOCK_ROWS)):
+        model, _ = _random_forward_case(rng, seed)
+        x = rng.normal(0.0, 3.0, size=(rows, model.in_dim))
+        x[rng.random(x.shape) < 0.05] = -0.0
+        assert np.array_equal(bits(nn.predict(model, x)), bits(nn.forward(model, x)[0]))
+
+
+def test_predict_matches_forward_over_several_blocks():
+    # Past one block, BLAS may block the products differently, so only ulps may move.
+    rng = np.random.default_rng(41)
+    for seed, rows in enumerate((nn.PREDICT_BLOCK_ROWS + 1, 2 * nn.PREDICT_BLOCK_ROWS + 17, 3000)):
+        model = nn.init_mlp(
+            [40, 64, 32, 1], [nn.Activation.RELU, nn.Activation.SIGMOID, nn.Activation.IDENTITY],
+            seed=seed,
+        )
+        x = rng.normal(size=(rows, 40))
+        got = nn.predict(model, x)
+        want = nn.forward(model, x)[0]
+        assert got.shape == want.shape
+        assert oracles.max_relative_error(got, want) <= 1e-12
 
 
 def test_cross_entropy_at_half_is_log_two():
@@ -206,7 +263,7 @@ def test_forward_rejects_bad_input():
     with pytest.raises(ValueError):
         nn.forward(model, np.zeros((4, 3), dtype=np.float32))
     with pytest.raises(ValueError):
-        nn.forward(model, np.full((2, 3), np.nan))
+        nn.predict(model, np.zeros((4, 5)))
 
 
 def test_load_from_copies_values_not_references():

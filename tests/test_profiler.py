@@ -6,6 +6,7 @@ check on synthetic power-law data and the predictions get checked against
 tests, which assert structure and repeat stability, not exact values.
 """
 
+import dataclasses
 import math
 import statistics
 import warnings
@@ -18,6 +19,7 @@ from splitbus.profiler import (
     CalibRole,
     CalibrationSample,
     DelayConstants,
+    _bytes_per_row,
     build_constants,
     fit_power_law,
     memory_bound,
@@ -112,8 +114,7 @@ class TestPrediction:
         # both messages: a 16-byte header and 64 x 2 float64 entries = 1040 bytes
         c = realistic_constants(cut_width=2, bandwidth_bytes_per_sec=1040.0)
         times = predict_times(c, 64, 1, 1)
-        assert times.embed_transfer == 1.0
-        assert times.grad_transfer == 1.0
+        assert times.transfer == 1.0
 
     def test_unit_cancellation(self):
         c = realistic_constants(
@@ -180,9 +181,18 @@ class TestMemoryModel:
     def test_allocation_formula_hand_computed(self):
         model = nn.init_mlp([3, 5, 2], [nn.Activation.RELU, nn.Activation.IDENTITY], 0)
         # params: (3*5 + 5) + (5*2 + 2) = 32 doubles; activations per row:
-        # input 3 + (pre+post) per layer 2*(5+2) = 17 doubles
+        # input 3 + one output per layer (5 + 2) = 10 doubles
         assert model.parameter_bytes == 32 * 8
-        assert model_memory_bytes(model, 4) == 2 * 32 * 8 + 8 * 4 * 17
+        assert model_memory_bytes(model, 4) == 2 * 32 * 8 + 8 * 4 * 10
+
+    @pytest.mark.parametrize("batch", [1, 32, 257])
+    def test_rows_term_is_what_the_tape_holds(self, batch):
+        acts = [nn.Activation.RELU, nn.Activation.SIGMOID, nn.Activation.IDENTITY]
+        model = nn.init_mlp([7, 16, 9, 3], acts, seed=2)
+        x = np.random.default_rng(batch).normal(size=(batch, 7))
+        _, tape = nn.forward(model, x)
+        held = tape.inputs[0].nbytes + sum(post.nbytes for post in tape.postacts)
+        assert held == batch * _bytes_per_row(model)
 
     def test_build_constants_equals_allocation_formula(self):
         samples = [
@@ -327,6 +337,21 @@ class TestProfileBuild:
         measured = 0.004 * 32**0.9
         assert predicted.forward_active == pytest.approx(measured, rel=1e-9)
         assert predicted.forward_passive == pytest.approx(measured, rel=1e-9)
+
+    def test_non_finite_constants_are_rejected_by_name(self):
+        unbounded = {"bandwidth_bytes_per_sec", "mem_budget_active", "mem_budget_passive"}
+        for f in dataclasses.fields(DelayConstants):
+            bad = [math.nan] if f.name in unbounded else [math.nan, math.inf, -math.inf]
+            for value in bad:
+                with pytest.raises(ValueError, match=f"{f.name} must be finite"):
+                    realistic_constants(**{f.name: value})
+        # bandwidth and budgets may be unbounded: no wire time, no memory ceiling
+        c = realistic_constants(
+            bandwidth_bytes_per_sec=math.inf, mem_budget_active=math.inf,
+            mem_budget_passive=math.inf,
+        )
+        assert predict_times(c, 64, 1, 1).transfer == 0.0
+        assert memory_bound(c) == math.inf
 
     def test_read_profile_rejects_junk(self, tmp_path):
         good = tmp_path / "p.txt"

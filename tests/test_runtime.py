@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from splitbus import broker as bk
+from splitbus import metrics as mt
 from splitbus import nn
 from splitbus import runtime
 from splitbus import transport as tp
@@ -580,6 +581,43 @@ class TestDeadlines:
         engine.run_epoch(plan, queue, shared, deadline=None, lookahead=1)
         assert time.perf_counter() - started < 5.0  # would hang forever otherwise
         closer.join()
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("task", list(Task))
+    def test_evaluation_runs_without_a_tape(self, task, monkeypatch):
+        # Under one block of rows, predict has forward's bits, so the metric is exact.
+        _, test = vertical_pair(n=400, d=12, seed=3, task=task)
+        passive, active, top = build_models(SMALL_SHAPE, 6, 6, task, seed=7)
+        z = np.concatenate(
+            [nn.forward(active, test.active_features)[0],
+             nn.forward(passive, test.passive_features)[0]], axis=1,
+        )
+        scores = nn.forward(top, z)[0]
+        want = (
+            mt.auc_score(test.labels, scores) if task is Task.CLASSIFICATION
+            else mt.rmse(test.labels, scores)
+        )
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("evaluation must not record a tape")
+
+        monkeypatch.setattr(nn, "forward", no_forward)
+        assert runtime.evaluate_models(passive, active, top, test) == want
+
+    def test_passive_helper_failure_reaches_the_caller(self, monkeypatch):
+        _, test = vertical_pair()
+        passive, active, top = build_models(SMALL_SHAPE, 6, 6, Task.CLASSIFICATION, seed=7)
+        real_predict = nn.predict
+
+        def failing_predict(model, x):
+            if model is passive:
+                raise RuntimeError("passive bottom failed")
+            return real_predict(model, x)
+
+        monkeypatch.setattr(nn, "predict", failing_predict)
+        with pytest.raises(RuntimeError, match="passive bottom failed"):
+            runtime.evaluate_models(passive, active, top, test)
 
 
 class TestFailurePlumbing:
