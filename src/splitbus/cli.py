@@ -108,10 +108,15 @@ def _build_tables(exp: ExperimentConfig) -> LabeledTable:
 
 
 def _load_datasets(exp: ExperimentConfig) -> tuple[VerticalDataset, VerticalDataset]:
+    # Drop each copy once the next one exists: at most two copies of the data
+    # are alive at once (the table and its row splits, then the splits and
+    # the party views).
     table = _build_tables(exp)
+    num_active = exp.split.active_features or table.num_features // 2
     train_tab, test_tab = split_rows(table, exp.split.test_fraction, exp.split.seed)
-    num_active = exp.split.active_features or table.features.shape[1] // 2
+    del table
     train = vertical_split(train_tab, num_active, exp.split.seed)
+    del train_tab
     test = vertical_split(test_tab, num_active, exp.split.seed)
     return train, test
 

@@ -4,7 +4,9 @@ The loaders produce a :class:`LabeledTable`; :func:`split_rows` carves
 train/test row sets *first*, and :func:`vertical_split` then deals disjoint
 feature columns to the two parties.  Column assignment is a pure function of
 (feature count, seed), so calling it with the same seed on the train and
-test tables keeps the parties' views consistent.
+test tables keeps the parties' views consistent.  Both splits write each
+output byte once, by a single gather from their input, and return fresh
+arrays: nothing they return shares memory with the table they were given.
 
 Batch plans are shared state between the parties: both sides derive the same
 plan from the same seed, and every cross-party message is tagged with the
@@ -18,6 +20,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+
+# Rows per block when generate_synthetic adds the class offsets in place, so
+# the only temporary is one block of the informative columns.
+_OFFSET_BLOCK_ROWS = 1024
 
 
 class Task(enum.Enum):
@@ -134,7 +140,9 @@ def generate_synthetic(
         labels = labels[rng.permutation(num_rows)]
         offsets = separation * rng.uniform(0.7, 1.3, size=num_informative)
         signs = 2.0 * labels - 1.0  # +/- 1 per row
-        features[:, :num_informative] += signs * offsets
+        for start in range(0, num_rows, _OFFSET_BLOCK_ROWS):
+            block = slice(start, start + _OFFSET_BLOCK_ROWS)
+            features[block, :num_informative] += signs[block] * offsets
     else:
         weights = rng.uniform(-1.0, 1.0, size=(num_informative, 1))
         signal = features[:, :num_informative] @ weights
@@ -160,24 +168,24 @@ def load_csv(
 ) -> LabeledTable:
     """Load a numeric CSV into a LabeledTable.
 
-    Parse failures and non-finite values (``nan``, ``inf``) raise
-    :class:`DataFormatError` naming the 1-based file row and column.
-    Feature columns are standardised at load unless disabled; labels are
-    never rescaled, and classification labels must be 0/1.
+    Rows with no cells (blank lines) are skipped.  Parse failures, ragged
+    rows and non-finite values (``nan``, ``inf``) raise
+    :class:`DataFormatError` naming the 1-based file row and column, blank
+    lines included in the count.  Cells convert exactly as ``float(cell)``
+    does.  Feature columns are standardised at load unless disabled; labels
+    are never rescaled, and classification labels must be 0/1.
     """
     with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        rows = list(reader)
-    if not rows:
+        numbered = [(number, row) for number, row in enumerate(csv.reader(handle), 1) if row]
+    if not numbered:
         raise DataFormatError(f"{path}: file is empty")
     header: list[str] | None = None
-    first_data_row = 1
     if has_header:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        first_data_row = 2
-    if not rows:
+        header = [cell.strip() for cell in numbered[0][1]]
+        numbered = numbered[1:]
+    if not numbered:
         raise DataFormatError(f"{path}: no data rows")
+    row_numbers, rows = zip(*numbered)
     width = len(rows[0])
     if isinstance(label_column, str):
         if header is None:
@@ -190,25 +198,16 @@ def load_csv(
     if not 0 <= label_idx < width:
         raise DataFormatError(f"label column index {label_column} out of range")
 
-    values = np.empty((len(rows), width))
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(
-                f"{path}: row {first_data_row + r} has {len(row)} cells, expected {width}"
-            )
-        for c, cell in enumerate(row):
-            try:
-                values[r, c] = float(cell)
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: cannot parse {cell!r} at row {first_data_row + r}, "
-                    f"column {c + 1}"
-                ) from None
+    try:
+        # numpy converts each str cell with float(), so the bits are float(cell)'s.
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        values = _parse_cells(path, rows, row_numbers, width)
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]
         raise DataFormatError(
-            f"{path}: non-finite value {rows[r][c]!r} at row {first_data_row + r}, column {c + 1}"
+            f"{path}: non-finite value {rows[r][c]!r} at row {row_numbers[r]}, column {c + 1}"
         )
     labels = values[:, label_idx : label_idx + 1].copy()
     features = np.delete(values, label_idx, axis=1)
@@ -217,6 +216,26 @@ def load_csv(
     if standardize:
         features = standardize_columns(features)
     return LabeledTable(features, labels, task)
+
+
+def _parse_cells(
+    path: str, rows: tuple[list[str], ...], row_numbers: tuple[int, ...], width: int
+) -> np.ndarray:
+    """Cell-by-cell conversion that names the first ragged row or bad cell."""
+    values = np.empty((len(rows), width))
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: row {row_numbers[r]} has {len(row)} cells, expected {width}"
+            )
+        for c, cell in enumerate(row):
+            try:
+                values[r, c] = float(cell)
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: cannot parse {cell!r} at row {row_numbers[r]}, column {c + 1}"
+                ) from None
+    return values
 
 
 def write_csv(path: str, table: LabeledTable) -> None:
@@ -236,7 +255,12 @@ def write_csv(path: str, table: LabeledTable) -> None:
 def split_rows(
     table: LabeledTable, test_fraction: float = 0.3, seed: int = 0
 ) -> tuple[LabeledTable, LabeledTable]:
-    """Seeded row shuffle, then train/test split (train first)."""
+    """Seeded row shuffle, then train/test split (train first).
+
+    Each side's features and labels are fresh C-order arrays gathered from
+    ``table`` in one pass; the two sides together hold one more copy of the
+    table's rows, and none of them shares memory with ``table``.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
@@ -247,7 +271,7 @@ def split_rows(
         raise ValueError("split leaves an empty side")
     train_idx, test_idx = order[:n_train], order[n_train:]
     make = lambda idx: LabeledTable(
-        table.features[idx].copy(), table.labels[idx].copy(), table.task
+        np.take(table.features, idx, axis=0), np.take(table.labels, idx, axis=0), table.task
     )
     return make(train_idx), make(test_idx)
 
@@ -257,7 +281,9 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
 
     The active party receives ``num_active`` columns plus the labels; the
     passive party receives the rest and never sees a label.  The column
-    permutation depends only on (num_features, seed).
+    permutation depends only on (num_features, seed).  Each party's matrix
+    is one column gather (a fresh C-order array) and the labels are copied,
+    so the view holds one more copy of the table and shares no memory with it.
     """
     d = table.num_features
     if not 1 <= num_active < d:
@@ -267,8 +293,8 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
     active_cols = np.sort(order[:num_active])
     passive_cols = np.sort(order[num_active:])
     return VerticalDataset(
-        active_features=table.features[:, active_cols].copy(),
-        passive_features=table.features[:, passive_cols].copy(),
+        active_features=np.take(table.features, active_cols, axis=1),
+        passive_features=np.take(table.features, passive_cols, axis=1),
         labels=table.labels.copy(),
         task=table.task,
         active_columns=active_cols,

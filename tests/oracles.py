@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from splitbus import nn
+from splitbus import data, nn
 
 
 def loop_forward(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
@@ -217,6 +217,70 @@ def preact_mask_backward(
         grads[idx] = nn.LayerGrads(inputs[idx].T @ delta, delta.sum(axis=0, keepdims=True))
         upstream = delta @ layer.weight.T
     return grads, upstream
+
+
+# -- data oracles --------------------------------------------------------------
+
+
+def copying_generate_synthetic(
+    num_rows: int,
+    num_features: int,
+    num_informative: int | None = None,
+    task: data.Task = data.Task.CLASSIFICATION,
+    seed: int = 0,
+    separation: float = 0.35,
+) -> data.LabeledTable:
+    """The first ``data.generate_synthetic``: the class offsets of all rows
+    are built as one (rows, informative) temporary and then added."""
+    if num_informative is None:
+        num_informative = max(1, num_features // 5)
+    rng = np.random.default_rng(seed)
+    features = rng.normal(0.0, 1.0, size=(num_rows, num_features))
+    if task is data.Task.CLASSIFICATION:
+        ones = num_rows // 2
+        labels = np.zeros((num_rows, 1))
+        labels[:ones] = 1.0
+        labels = labels[rng.permutation(num_rows)]
+        offsets = separation * rng.uniform(0.7, 1.3, size=num_informative)
+        signs = 2.0 * labels - 1.0
+        features[:, :num_informative] += signs * offsets
+    else:
+        weights = rng.uniform(-1.0, 1.0, size=(num_informative, 1))
+        signal = features[:, :num_informative] @ weights
+        noise_scale = 0.1 * float(np.std(signal)) or 0.1
+        labels = signal + rng.normal(0.0, noise_scale, size=(num_rows, 1))
+    return data.LabeledTable(features, labels, task)
+
+
+def copying_split_rows(
+    table: data.LabeledTable, test_fraction: float = 0.3, seed: int = 0
+) -> tuple[data.LabeledTable, data.LabeledTable]:
+    """The first ``data.split_rows``: fancy-indexed rows, then copied again."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(table.num_rows)
+    n_train = table.num_rows - int(round(table.num_rows * test_fraction))
+    make = lambda idx: data.LabeledTable(
+        table.features[idx].copy(), table.labels[idx].copy(), table.task
+    )
+    return make(order[:n_train]), make(order[n_train:])
+
+
+def copying_vertical_split(
+    table: data.LabeledTable, num_active: int, seed: int = 0
+) -> data.VerticalDataset:
+    """The first ``data.vertical_split``: fancy-indexed columns, then copied again."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(table.num_features)
+    active_cols = np.sort(order[:num_active])
+    passive_cols = np.sort(order[num_active:])
+    return data.VerticalDataset(
+        active_features=table.features[:, active_cols].copy(),
+        passive_features=table.features[:, passive_cols].copy(),
+        labels=table.labels.copy(),
+        task=table.task,
+        active_columns=active_cols,
+        passive_columns=passive_cols,
+    )
 
 
 # -- delay model oracles -------------------------------------------------------

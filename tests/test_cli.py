@@ -5,11 +5,13 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 import splitbus
+from splitbus import cli
 from splitbus.broker import serialize_payload
 from splitbus.cli import _load_experiment, _parse_range, build_parser, main
 from splitbus.config import ModelShape
@@ -256,6 +258,32 @@ class TestTrainCommand:
         assert main(["train", "--config", str(conf), "--out", str(out)]) == 0
         rows, _ = read_jsonl(str(out / "metrics.jsonl"))
         assert rows[0]["batches_completed"] == 4  # 140 train rows / 35
+
+
+class TestDatasetLoading:
+    def test_each_copy_is_dropped_once_the_next_one_exists(self, tiny_config, monkeypatch):
+        """The table is gone before any party view is built, and the train rows
+        before the test view is: train and compare never hold every copy at once."""
+        tables, dead_before_deal = [], []
+        real_split, real_deal = cli.split_rows, cli.vertical_split
+
+        def split_rows(table, *args):
+            tables.append(weakref.ref(table.features))
+            return real_split(table, *args)
+
+        def vertical_split(table, *args):
+            dead_before_deal.append([ref() is None for ref in tables])
+            tables.append(weakref.ref(table.features))
+            return real_deal(table, *args)
+
+        monkeypatch.setattr(cli, "split_rows", split_rows)
+        monkeypatch.setattr(cli, "vertical_split", vertical_split)
+        train, test = cli._load_datasets(_load_experiment(
+            build_parser().parse_args(["train", "--config", tiny_config, "--out", "unused"])
+        ))
+        # [table] at the train view; [table, train rows] at the test view
+        assert dead_before_deal == [[True], [True, True]]
+        assert train.num_rows + test.num_rows == 300
 
 
 class TestCompareCommand:

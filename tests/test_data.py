@@ -1,9 +1,13 @@
 """Dataset tests: generators, CSV round trips, vertical splits, batch plans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from splitbus import broker, data, nn
+
+from oracles import copying_generate_synthetic, copying_split_rows, copying_vertical_split
 
 
 def test_synthetic_classification_is_deterministic_and_balanced():
@@ -114,6 +118,63 @@ def test_vertical_dataset_rejects_non_finite_entries(bad):
         data.vertical_split(table, num_active=2, seed=0)
 
 
+def test_csv_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("a,b,label\n1.0,2.0,0\n\n1.5,2.5,1\n\n")
+    table = data.load_csv(str(path), "label", data.Task.CLASSIFICATION, standardize=False)
+    assert table.features.tolist() == [[1.0, 2.0], [1.5, 2.5]]
+    assert table.labels.tolist() == [[0.0], [1.0]]
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("1.5,oops,1\n", r"'oops' at row 5, column 2"),
+        ("1.5,nan,1\n", r"'nan' at row 5, column 2"),
+        ("1.5,1\n", r"row 5 has 2 cells, expected 3"),
+        ("1.5,2.5,1,7\n", r"row 5 has 4 cells, expected 3"),
+    ],
+)
+def test_csv_errors_count_blank_lines_as_file_rows(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\na,b,label\n1.0,2.0,0\n\n" + body)
+    with pytest.raises(data.DataFormatError, match=message):
+        data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+
+
+# Cells whose float() value has a quirk: digit separators, padding, a signed
+# zero, the smallest subnormal, underflow to zero and non-ASCII digits.
+ODD_CELLS = ["1_0", " 1.5 ", "-0", "4.9e-324", "1e-400", "\u0661\u0662\u0663", "\uff11\uff12.\uff15"]
+
+
+def test_csv_cells_convert_exactly_as_float_does(tmp_path, monkeypatch):
+    path = tmp_path / "odd.csv"
+    lines = ["a,b,label"] + [f"{cell},{i}.25,{i % 2}" for i, cell in enumerate(ODD_CELLS)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = np.array([float(cell) for cell in ODD_CELLS])
+
+    def no_fallback(*args):
+        raise AssertionError("a well-formed file took the per-cell path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(data, "_parse_cells", no_fallback)
+        table = data.load_csv(str(path), "label", data.Task.CLASSIFICATION, standardize=False)
+    assert table.features.dtype == np.float64 and table.features.flags.c_contiguous
+    assert np.array_equal(table.features[:, 0].view(np.uint64), expected.view(np.uint64))
+    # the per-cell fallback gives the same bits as the bulk conversion
+    rows = tuple(line.split(",") for line in lines[1:])
+    looped = data._parse_cells(str(path), rows, tuple(range(2, len(lines) + 1)), 3)
+    assert np.array_equal(looped[:, 0].view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("cell", ["1e400", "-inf"])
+def test_csv_rejects_infinite_values(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,0\n1.5,{cell},1\n")
+    with pytest.raises(data.DataFormatError, match=rf"non-finite value '{cell}' at row 3, column 2"):
+        data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+
+
 def test_standardize_columns_centres_and_scales():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 5.0, size=(400, 4))
@@ -180,3 +241,110 @@ def test_single_batch_plan_when_batch_covers_everything():
     plan = data.make_batch_plan(77, 77, seed=0)
     assert plan.num_batches == 1
     assert plan.batches[0].sample_range == (0, 77)
+
+
+# -- copy-free splits ------------------------------------------------------------
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.float64
+    assert got.flags.c_contiguous and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _assert_same_views(got: data.VerticalDataset, want: data.VerticalDataset) -> None:
+    for name in ("active_features", "passive_features", "labels"):
+        _assert_same_bits(getattr(got, name), getattr(want, name))
+    assert np.array_equal(got.active_columns, want.active_columns)
+    assert np.array_equal(got.passive_columns, want.passive_columns)
+
+
+BLOCK = data._OFFSET_BLOCK_ROWS
+
+
+@pytest.mark.parametrize(
+    "rows, features, informative",
+    [(BLOCK * 2 + 37, 30, 12), (BLOCK * 2, 10, None), (BLOCK - 1, 7, 7), (5, 3, None)],
+)
+@pytest.mark.parametrize("task", [data.Task.CLASSIFICATION, data.Task.REGRESSION])
+def test_generate_synthetic_is_bit_identical_to_copying_oracle(rows, features, informative, task):
+    got = data.generate_synthetic(rows, features, informative, task, seed=rows, separation=0.3)
+    want = copying_generate_synthetic(rows, features, informative, task, seed=rows, separation=0.3)
+    _assert_same_bits(got.features, want.features)
+    _assert_same_bits(got.labels, want.labels)
+
+
+def _csv_table(tmp_path) -> data.LabeledTable:
+    path = tmp_path / "t.csv"
+    data.write_csv(str(path), data.generate_synthetic(150, 9, 3, data.Task.CLASSIFICATION, seed=6))
+    return data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+
+
+@pytest.mark.parametrize("source", ["classification", "regression", "csv"])
+def test_splits_are_bit_identical_to_copying_oracles(source, tmp_path):
+    if source == "csv":
+        table = _csv_table(tmp_path)
+    else:
+        table = data.generate_synthetic(BLOCK + 11, 13, None, data.Task(source), seed=2)
+    halves = data.split_rows(table, test_fraction=0.3, seed=5)
+    oracle_halves = copying_split_rows(table, test_fraction=0.3, seed=5)
+    for got, want in zip(halves, oracle_halves):
+        _assert_same_bits(got.features, want.features)
+        _assert_same_bits(got.labels, want.labels)
+        assert got.task is want.task
+        _assert_same_views(data.vertical_split(got, 4, seed=8), copying_vertical_split(want, 4, seed=8))
+
+
+def test_split_outputs_are_independent_of_their_input():
+    table = data.generate_synthetic(300, 8, 3, data.Task.CLASSIFICATION, seed=1)
+    train, test = data.split_rows(table, test_fraction=0.3, seed=2)
+    view = data.vertical_split(table, num_active=3, seed=3)
+    kept = [a.copy() for a in (train.features, train.labels, test.features, test.labels)]
+    kept_view = [a.copy() for a in (view.active_features, view.passive_features, view.labels)]
+    table.features[...] = 7.0
+    table.labels[...] = 0.5
+    for got, want in zip((train.features, train.labels, test.features, test.labels), kept):
+        _assert_same_bits(got, want)
+    for got, want in zip((view.active_features, view.passive_features, view.labels), kept_view):
+        _assert_same_bits(got, want)
+
+
+def _peak_over_outputs(build, outputs) -> float:
+    """Peak memory traced while ``build()`` runs, over the bytes of what it returns."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = build()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / sum(a.nbytes for a in outputs(result))
+
+
+def test_data_path_writes_each_output_byte_once():
+    """A whole-table temporary or a second copy of an output shows up as extra
+    peak memory: the splits stay near 1x, the copying oracles reach 1.4-1.5x."""
+    # warm up: numpy and the RNG allocate once on first use
+    small = data.generate_synthetic(50, 6, 3, seed=0)
+    data.vertical_split(data.split_rows(small)[0], num_active=3)
+
+    generated = _peak_over_outputs(
+        lambda: data.generate_synthetic(8000, 100, 50, data.Task.CLASSIFICATION, seed=1),
+        lambda t: (t.features, t.labels),
+    )
+    table = data.generate_synthetic(8000, 100, 50, data.Task.CLASSIFICATION, seed=1)
+    split = _peak_over_outputs(
+        lambda: data.split_rows(table, test_fraction=0.3, seed=2),
+        lambda halves: [a for t in halves for a in (t.features, t.labels)],
+    )
+    dealt = _peak_over_outputs(
+        lambda: data.vertical_split(table, num_active=50, seed=3),
+        lambda v: (v.active_features, v.passive_features, v.labels),
+    )
+    assert generated <= 1.35, f"generate_synthetic peak {generated:.2f}x its table"
+    assert split <= 1.05, f"split_rows peak {split:.2f}x its outputs"
+    assert dealt <= 1.15, f"vertical_split peak {dealt:.2f}x its outputs"
