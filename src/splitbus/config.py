@@ -40,6 +40,8 @@ class Mode(enum.Enum):
 
 
 SINGLE_PAIR_MODES = (Mode.LOCKSTEP, Mode.ASYNC)
+# Modes whose passive workers hold one batch at a time: ``lookahead`` does not apply.
+ONE_IN_FLIGHT_MODES = (Mode.LOCKSTEP, Mode.SYNC_PS)
 
 
 @dataclass
@@ -105,10 +107,13 @@ class TrainConfig:
             raise ConfigError("lookahead must be >= 1 when set")
 
     def for_mode(self, mode: Mode) -> "TrainConfig":
-        """A copy adjusted for ``mode`` (single-pair modes force one worker each)."""
+        """A copy adjusted for ``mode``: single-pair modes force one worker
+        each, and one-in-flight modes clear ``lookahead``."""
         cfg = replace(self, mode=mode)
         if mode in SINGLE_PAIR_MODES:
             cfg = replace(cfg, workers_active=1, workers_passive=1)
+        if mode in ONE_IN_FLIGHT_MODES:
+            cfg = replace(cfg, lookahead=None)
         return cfg
 
 

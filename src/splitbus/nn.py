@@ -19,9 +19,21 @@ Inputs are checked for shape, dtype and width on every call, but not for
 finiteness: data is checked once where it enters (``data.VerticalDataset``),
 and a loss that goes non-finite aborts training.
 
-All numerics are float64 numpy arrays, shaped (rows, cols) with rows =
-samples.  No autodiff framework is involved, which keeps the arithmetic
-order deterministic — several tests rely on bit-identical replays.
+Compute follows the parameters' dtype.  A model is float32 or float64
+throughout: every layer has one dtype, and inputs, ``d_output`` and
+gradients must be in it too, so no call casts silently or runs a GEMM at
+another precision.  Data in another dtype enters through
+:func:`cast_input`, which refuses to turn a finite value into ``inf``.
+The runtime builds the two bottom models in float32, since nearly all of a
+run's multiply-adds are theirs and float32 GEMMs run about twice as fast.
+The top model, the loss with its ``EPS_PROB`` clamp, the DP noise and the
+wire format stay float64: that is where the small quantities live (a
+probability near the clamp, a noise draw, a loss sum), as in mixed-precision
+training (Micikevicius et al. 2018), and the cut layer's bytes do not change.
+
+Arrays are shaped (rows, cols) with rows = samples.  No autodiff framework
+is involved, which keeps the arithmetic order deterministic — several tests
+rely on bit-identical replays.
 """
 
 from __future__ import annotations
@@ -46,15 +58,24 @@ class Activation(enum.Enum):
     IDENTITY = "identity"
 
 
+# The dtypes a model may compute in.
+_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
 def _check_matrix(x: np.ndarray, name: str) -> None:
     if not isinstance(x, np.ndarray) or x.ndim != 2:
         raise ValueError(f"{name} must be a 2-D numpy array, got {x!r}")
-    if x.dtype != np.float64:
-        raise ValueError(f"{name} must be float64, got {x.dtype}")
+    if x.dtype not in _DTYPES:
+        raise ValueError(f"{name} must be float32 or float64, got {x.dtype}")
+
+
+def _check_dtype(x: np.ndarray, dtype: np.dtype, name: str) -> None:
+    if x.dtype != dtype:
+        raise ValueError(f"{name} is {x.dtype} but the model computes in {dtype}")
 
 
 def as_matrix(x: np.ndarray, name: str = "array") -> np.ndarray:
-    """Validate that *x* is a finite 2-D float64 matrix and return it."""
+    """Validate that *x* is a finite 2-D float32 or float64 matrix and return it."""
     _check_matrix(x, name)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} contains non-finite entries")
@@ -103,6 +124,7 @@ class Layer:
             raise ValueError(
                 f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
             )
+        _check_dtype(self.bias, self.weight.dtype, "bias")
 
 
 @dataclass
@@ -118,6 +140,13 @@ class MlpModel:
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.weight.shape[1] != nxt.weight.shape[0]:
                 raise ValueError("consecutive layers disagree on width")
+            if prev.weight.dtype != nxt.weight.dtype:
+                raise ValueError("consecutive layers disagree on dtype")
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of every parameter, and of what the model consumes and produces."""
+        return self.layers[0].weight.dtype
 
     @property
     def in_dim(self) -> int:
@@ -169,12 +198,15 @@ class LayerGrads:
     d_bias: np.ndarray
 
 
-def init_mlp(layer_dims: list[int], activations: list[Activation], seed: int) -> MlpModel:
+def init_mlp(
+    layer_dims: list[int], activations: list[Activation], seed: int, dtype=np.float64
+) -> MlpModel:
     """Build a model with seeded uniform(+/- sqrt(6/(fan_in+fan_out))) weights.
 
     Biases start at zero.  The draw order (layer by layer, weights only) is
     part of the reproducibility contract: the same (dims, seed) pair always
-    yields bit-identical parameters.
+    yields bit-identical parameters.  The weights are drawn in float64 and
+    then cast to ``dtype``, so a float32 model is the float64 one rounded.
     """
     if len(activations) != len(layer_dims) - 1:
         raise ValueError("need one activation per layer")
@@ -182,16 +214,34 @@ def init_mlp(layer_dims: list[int], activations: list[Activation], seed: int) ->
     layers = []
     for fan_in, fan_out, act in zip(layer_dims, layer_dims[1:], activations):
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        weight = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        bias = np.zeros((1, fan_out))
+        weight = rng.uniform(-limit, limit, size=(fan_in, fan_out)).astype(dtype, copy=False)
+        bias = np.zeros((1, fan_out), dtype=dtype)
         layers.append(Layer(weight, bias, act))
     return MlpModel(layers)
 
 
 def _check_input(model: MlpModel, x: np.ndarray) -> None:
     _check_matrix(x, "input")
+    _check_dtype(x, model.dtype, "input")
     if x.shape[1] != model.in_dim:
         raise ValueError(f"input has {x.shape[1]} columns, model expects {model.in_dim}")
+
+
+def cast_input(model: MlpModel, x: np.ndarray, name: str = "input") -> np.ndarray:
+    """``x`` in ``model``'s dtype: ``x`` itself if it already is, else a cast copy.
+
+    A narrowing cast first checks that every value fits the narrower type,
+    so finite data never becomes ``inf``; a value past it raises
+    ``ValueError`` naming ``name``.
+    """
+    _check_matrix(x, name)
+    dtype = model.dtype
+    if x.dtype == dtype:
+        return x
+    limit = np.finfo(dtype).max
+    if x.size and (x.max() > limit or x.min() < -limit):
+        raise ValueError(f"{name} holds a value beyond the {dtype} range (|x| > {limit:.4g})")
+    return x.astype(dtype)
 
 
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
@@ -222,7 +272,7 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
     from one full-batch ``forward`` in the last bits.
     """
     _check_input(model, x)
-    out = np.empty((x.shape[0], model.out_dim))
+    out = np.empty((x.shape[0], model.out_dim), dtype=model.dtype)
     for start in range(0, x.shape[0], PREDICT_BLOCK_ROWS):
         block = x[start : start + PREDICT_BLOCK_ROWS]
         for layer in model.layers:
@@ -243,6 +293,7 @@ def backward(
     """
     if d_output.shape != tape.postacts[-1].shape:
         raise ValueError("d_output shape does not match the taped output")
+    _check_dtype(d_output, model.dtype, "d_output")
     grads: list[LayerGrads] = [None] * len(model.layers)  # type: ignore[list-item]
     upstream = d_output
     for idx in range(len(model.layers) - 1, -1, -1):
@@ -290,6 +341,9 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> None:
     """In-place vanilla SGD update; bumps the parameter version."""
     if len(grads) != len(model.layers):
         raise ValueError("gradient list does not match layer count")
+    for grad in grads:  # an in-place update would cast a float64 gradient silently
+        _check_dtype(grad.d_weight, model.dtype, "d_weight")
+        _check_dtype(grad.d_bias, model.dtype, "d_bias")
     for layer, grad in zip(model.layers, grads):
         layer.weight -= eta * grad.d_weight
         layer.bias -= eta * grad.d_bias
@@ -299,6 +353,8 @@ def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> None:
 def _check_same_structure(a: MlpModel, b: MlpModel) -> None:
     if len(a.layers) != len(b.layers):
         raise ValueError("models differ in depth")
+    if a.dtype != b.dtype:
+        raise ValueError(f"models differ in dtype: {a.dtype} and {b.dtype}")
     for la, lb in zip(a.layers, b.layers):
         if la.weight.shape != lb.weight.shape or la.activation is not lb.activation:
             raise ValueError("models differ in layer structure")

@@ -118,9 +118,12 @@ def run_calibration(
 
 
 def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Generator):
-    """One stage at batch size ``b`` as a no-argument call, with its own input and tape."""
-    x = rng.normal(size=(b, model.in_dim))
-    d_out = np.ones((b, model.out_dim))
+    """One stage at batch size ``b`` as a no-argument call, with its own input and tape.
+
+    Input and output gradient are in the model's dtype, as in the runtime.
+    """
+    x = nn.cast_input(model, rng.normal(size=(b, model.in_dim)))
+    d_out = np.ones((b, model.out_dim), dtype=model.dtype)
     _, tape = nn.forward(model, x)
     if not role.value.endswith("backward"):
         return lambda: nn.forward(model, x)
@@ -277,8 +280,9 @@ def memory_bound(c: DelayConstants) -> float:
 
 def _bytes_per_row(model: nn.MlpModel) -> int:
     """Tape bytes per batch row: the input plus each layer's activated
-    output, which is all ``nn.backward`` reads."""
-    return 8 * (model.in_dim + sum(layer.weight.shape[1] for layer in model.layers))
+    output, which is all ``nn.backward`` reads, at the model's itemsize."""
+    widths = model.in_dim + sum(layer.weight.shape[1] for layer in model.layers)
+    return model.dtype.itemsize * widths
 
 
 def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
@@ -287,7 +291,7 @@ def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
     Counts what training one batch materialises: two copies of the parameter
     tensors (weights and their gradients), the input minibatch, and one
     activation per layer, which is what the ``nn.forward`` tape keeps for
-    the backward pass.
+    the backward pass, all in the model's dtype.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")

@@ -20,11 +20,14 @@ from .privacy import add_noise, worker_noise_rng
 from .runtime import (
     _SEED_NOISE,
     batch_loss_mean,
+    bottom_gradient,
+    bottom_inputs,
     build_models,
     derive_seed,
     evaluate_models,
     noise_sigma,
     plan_for_epoch,
+    top_input,
 )
 
 
@@ -39,6 +42,9 @@ def run_reference(
         cfg.shape, train.active_features.shape[1], train.passive_features.shape[1],
         train.task, cfg.seed,
     )
+    train = bottom_inputs(train, passive, active)
+    if test is not None:
+        test = bottom_inputs(test, passive, active)
     sigma = noise_sigma(cfg, n)
     noise_rng = worker_noise_rng(derive_seed(cfg.seed, _SEED_NOISE), 0)
     embed_cols = active.out_dim
@@ -56,8 +62,7 @@ def run_reference(
             z_passive, tape_passive = nn.forward(passive, x_passive)
             z_passive = add_noise(z_passive, sigma, noise_rng)
             z_active, tape_active = nn.forward(active, x_active)
-            top_input = np.concatenate([z_active, z_passive], axis=1)
-            predictions, tape_top = nn.forward(top, top_input)
+            predictions, tape_top = nn.forward(top, top_input(top, z_active, z_passive))
             if train.task is Task.CLASSIFICATION:
                 loss, d_pred = nn.cross_entropy_loss(predictions, y)
             else:
@@ -65,10 +70,12 @@ def run_reference(
             top_grads, d_top_input = nn.backward(top, tape_top, d_pred)
             d_z_active = d_top_input[:, :embed_cols]
             d_z_passive = np.ascontiguousarray(d_top_input[:, embed_cols:])
-            active_grads, _ = nn.backward(active, tape_active, d_z_active)
+            active_grads, _ = nn.backward(active, tape_active, bottom_gradient(active, d_z_active))
             nn.sgd_step(top, top_grads, cfg.learning_rate)
             nn.sgd_step(active, active_grads, cfg.learning_rate)
-            passive_grads, _ = nn.backward(passive, tape_passive, d_z_passive)
+            passive_grads, _ = nn.backward(
+                passive, tape_passive, bottom_gradient(passive, d_z_passive)
+            )
             nn.sgd_step(passive, passive_grads, cfg.learning_rate)
             losses.append((batch.batch_id, loss))
         epoch_losses.append(batch_loss_mean(losses))

@@ -42,6 +42,14 @@ After each epoch, :func:`evaluate_models` scores the test set by inference
 alone (:func:`splitbus.nn.predict`, no tape), the two bottom models side by
 side on two threads.
 
+The two bottom models compute in :data:`BOTTOM_DTYPE` (float32) and the top
+model in float64 (see :mod:`splitbus.nn`).  Each party's features are cast
+once per run, train and test alike, by :func:`bottom_inputs`; the top
+input is built in float64 by :func:`top_input`; and a cut-layer gradient,
+float64 on the wire, is cast only where a bottom consumes it
+(:func:`bottom_gradient`).  The serial reference uses the same three
+helpers, so the deterministic modes stay bit-identical to it.
+
 Every mode runs the same worker loop per party.  The modes differ only in
 the settings of :data:`MODE_POLICIES`, the one table that says how far a
 passive worker may run ahead, whether waits expire, whether channels hold one
@@ -59,7 +67,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -67,7 +75,7 @@ from . import broker as bk
 from . import metrics as mt
 from . import nn
 from . import transport as tp
-from .config import Mode, TrainConfig, ConfigError, SINGLE_PAIR_MODES
+from .config import Mode, TrainConfig, ConfigError, ONE_IN_FLIGHT_MODES, SINGLE_PAIR_MODES
 from .data import BatchPlan, Task, VerticalDataset, make_batch_plan
 from .privacy import GdpConfig, NoiseReport, add_noise, calibrate_sigma, worker_noise_rng
 from .schedule import AggregationSchedule
@@ -89,6 +97,11 @@ _SEED_PLAN = 4
 _SEED_NOISE = 5
 
 
+# The dtype of both bottom models.  Nearly all of a run's multiply-adds are
+# theirs, and float32 GEMMs take about half the time of float64 ones.
+BOTTOM_DTYPE = np.float32
+
+
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer parts (order matters)."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
@@ -101,7 +114,9 @@ def build_models(
 
     Hidden layers are ReLU throughout, including each bottom model's output
     layer (it is a hidden layer of the composed network); the top model ends
-    in a sigmoid for classification, identity for regression.
+    in a sigmoid for classification, identity for regression.  The bottoms
+    are in :data:`BOTTOM_DTYPE` and the top in float64; the weights are the
+    same draws either way, cast after drawing.
     """
     passive_dims = [d_passive, *shape.passive_hidden, shape.passive_embed]
     active_dims = [d_active, *shape.active_hidden, shape.active_embed]
@@ -109,17 +124,47 @@ def build_models(
     head = nn.Activation.SIGMOID if task is Task.CLASSIFICATION else nn.Activation.IDENTITY
     passive = nn.init_mlp(
         passive_dims, [nn.Activation.RELU] * (len(passive_dims) - 1),
-        derive_seed(seed, _SEED_PASSIVE_BOTTOM),
+        derive_seed(seed, _SEED_PASSIVE_BOTTOM), BOTTOM_DTYPE,
     )
     active = nn.init_mlp(
         active_dims, [nn.Activation.RELU] * (len(active_dims) - 1),
-        derive_seed(seed, _SEED_ACTIVE_BOTTOM),
+        derive_seed(seed, _SEED_ACTIVE_BOTTOM), BOTTOM_DTYPE,
     )
     top = nn.init_mlp(
         top_dims, [nn.Activation.RELU] * (len(top_dims) - 2) + [head],
         derive_seed(seed, _SEED_TOP),
     )
     return passive, active, top
+
+
+def bottom_inputs(
+    dataset: VerticalDataset, passive_bottom: nn.MlpModel, active_bottom: nn.MlpModel
+) -> VerticalDataset:
+    """``dataset`` with each party's features in its bottom model's dtype.
+
+    Returns ``dataset`` itself when both already are, so a run casts its
+    data once and later calls cost nothing.  A value too large for the
+    bottom's dtype raises ``ValueError`` naming the matrix.
+    """
+    active = nn.cast_input(active_bottom, dataset.active_features, "active_features")
+    passive = nn.cast_input(passive_bottom, dataset.passive_features, "passive_features")
+    if active is dataset.active_features and passive is dataset.passive_features:
+        return dataset
+    return replace(dataset, active_features=active, passive_features=passive)
+
+
+def top_input(top: nn.MlpModel, z_active: np.ndarray, z_passive: np.ndarray) -> np.ndarray:
+    """The top model's input: both embeddings side by side, in the top's dtype."""
+    return np.concatenate([z_active, z_passive], axis=1, dtype=top.dtype)
+
+
+def bottom_gradient(bottom: nn.MlpModel, d_z: np.ndarray) -> np.ndarray:
+    """A cut-layer gradient in the dtype of the bottom that consumes it.
+
+    A diverging run's gradient may round to ``inf`` here; the loss it then
+    produces is non-finite and aborts the run.
+    """
+    return d_z.astype(bottom.dtype, copy=False)
 
 
 def plan_for_epoch(num_rows: int, batch_size: int, run_seed: int, epoch: int) -> BatchPlan:
@@ -378,7 +423,7 @@ class PassiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = features
+        self.features = nn.cast_input(initial_model, features, "passive_features")
         self.replicas = [initial_model.clone() for _ in range(num_workers)]
         self.eta = eta
         self.sigma = sigma
@@ -475,7 +520,8 @@ class PassiveEngine:
                 f"expected {batch.sample_range}"
             )
         t0 = time.perf_counter()
-        grads, _ = nn.backward(model, entry.tape, message.payload, input_grad=False)
+        d_z = bottom_gradient(model, message.payload)
+        grads, _ = nn.backward(model, entry.tape, d_z, input_grad=False)
         nn.sgd_step(model, grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t0
         stats.completed += 1
@@ -497,7 +543,7 @@ class ActiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = features
+        self.features = nn.cast_input(initial_bottom, features, "active_features")
         self.labels = labels
         self.task = task
         self.bottoms = [initial_bottom.clone() for _ in range(num_workers)]
@@ -568,8 +614,7 @@ class ActiveEngine:
         if self.skew_seconds > 0.0:
             time.sleep(self.skew_seconds)  # simulated extra compute that needs the embedding
         y = self.labels[batch.indices]
-        top_input = np.concatenate([z_active, message.payload], axis=1)
-        predictions, tape_top = nn.forward(top, top_input)
+        predictions, tape_top = nn.forward(top, top_input(top, z_active, message.payload))
         if self.task is Task.CLASSIFICATION:
             loss, d_pred = nn.cross_entropy_loss(predictions, y)
         else:
@@ -595,7 +640,9 @@ class ActiveEngine:
             )
         )
         t1 = time.perf_counter()
-        bottom_grads, _ = nn.backward(bottom, tape_bottom, d_z_active, input_grad=False)
+        bottom_grads, _ = nn.backward(
+            bottom, tape_bottom, bottom_gradient(bottom, d_z_active), input_grad=False
+        )
         nn.sgd_step(top, top_grads, self.eta)
         nn.sgd_step(bottom, bottom_grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t1
@@ -630,12 +677,14 @@ def evaluate_models(
     bottom runs on a short-lived helper thread while this thread runs the
     active bottom; BLAS releases the interpreter lock, so on two CPUs the
     bottoms overlap.  The helper is joined before the top model runs.
+    Features not yet in the bottoms' dtype are cast by :func:`bottom_inputs`.
     """
+    dataset = bottom_inputs(dataset, passive_bottom, active_bottom)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="evaluate-passive") as helper:
         passive = helper.submit(nn.predict, passive_bottom, dataset.passive_features)
         z_active = nn.predict(active_bottom, dataset.active_features)
         z_passive = passive.result()
-    scores = nn.predict(top, np.concatenate([z_active, z_passive], axis=1))
+    scores = nn.predict(top, top_input(top, z_active, z_passive))
     if dataset.task is Task.CLASSIFICATION:
         return mt.auc_score(dataset.labels, scores)
     return mt.rmse(dataset.labels, scores)
@@ -801,6 +850,10 @@ def run_training(
     """
     if cfg.mode in SINGLE_PAIR_MODES and (cfg.workers_active != 1 or cfg.workers_passive != 1):
         raise ConfigError(f"mode {cfg.mode.value} runs exactly one worker per party")
+    if cfg.mode in ONE_IN_FLIGHT_MODES and cfg.lookahead is not None:
+        raise ConfigError(
+            f"mode {cfg.mode.value} holds one batch in flight; lookahead does not apply"
+        )
 
     n = train.num_rows
     num_batches = bk.channel_count_for(n, cfg.batch_size)
@@ -809,6 +862,8 @@ def run_training(
     passive_init, active_init, top_init = build_models(
         cfg.shape, d_active, d_passive, train.task, cfg.seed
     )
+    if test is not None:  # the engines cast the training features themselves
+        test = bottom_inputs(test, passive_init, active_init)
 
     sigma = noise_sigma(cfg, n)
 

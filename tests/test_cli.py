@@ -319,6 +319,17 @@ class TestCompareCommand:
         assert len(rows) == 2
         assert all(row["status"].startswith("failed:") for row in rows)
 
+    def test_a_lookahead_does_not_stop_one_in_flight_modes(self, tmp_path):
+        conf = tmp_path / "ahead.conf"
+        conf.write_text(TINY_CONF + "train.lookahead = 2\n")
+        out = tmp_path / "cmp"
+        assert main([
+            "compare", "--config", str(conf), "--out", str(out),
+            "--modes", "lockstep,sync_ps,pubsub",
+        ]) == 0
+        rows = json.loads((out / "compare.json").read_text())
+        assert [row["status"] for row in rows] == ["ok"] * 3
+
     def test_unknown_mode_exits_2(self, tiny_config, tmp_path):
         assert main([
             "compare", "--config", tiny_config, "--out", str(tmp_path / "c"),

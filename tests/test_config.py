@@ -10,6 +10,7 @@ from splitbus.config import (
     ExperimentConfig,
     Mode,
     ModelShape,
+    ONE_IN_FLIGHT_MODES,
     SplitConfig,
     TrainConfig,
     experiment_from_mapping,
@@ -54,6 +55,13 @@ class TestTrainConfig:
         pooled = cfg.for_mode(Mode.SYNC_PS)
         assert pooled.workers_active == 8 and pooled.workers_passive == 10
         assert cfg.mode is Mode.PUBSUB  # original untouched
+
+    def test_for_mode_clears_lookahead_where_one_batch_is_in_flight(self):
+        cfg = TrainConfig(lookahead=3)
+        kept = {mode: cfg.for_mode(mode).lookahead for mode in Mode}
+        assert kept == {mode: None if mode in ONE_IN_FLIGHT_MODES else 3 for mode in Mode}
+        assert set(ONE_IN_FLIGHT_MODES) == {Mode.LOCKSTEP, Mode.SYNC_PS}
+        assert cfg.lookahead == 3
 
     def test_shape_validation(self):
         with pytest.raises(ConfigError):

@@ -273,3 +273,74 @@ def test_load_from_copies_values_not_references():
     assert np.array_equal(dst.layers[0].weight, src.layers[0].weight)
     src.layers[0].weight[0, 0] += 1.0
     assert not np.array_equal(dst.layers[0].weight, src.layers[0].weight)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_every_array_stays_in_the_model_dtype(dtype):
+    # A silent upcast anywhere would run the float32 bottoms' GEMMs in float64.
+    acts = [nn.Activation.RELU, nn.Activation.SIGMOID, nn.Activation.IDENTITY]
+    model = nn.init_mlp([6, 9, 5, 3], acts, seed=3, dtype=dtype)
+    x = np.random.default_rng(3).normal(size=(7, 6)).astype(dtype)
+    out, tape = nn.forward(model, x)
+    grads, d_input = nn.backward(model, tape, np.ones(out.shape, dtype=dtype))
+    arrays = [out, d_input, nn.predict(model, x), *tape.inputs, *tape.postacts]
+    arrays += [a for grad in grads for a in (grad.d_weight, grad.d_bias)]
+    nn.sgd_step(model, grads, eta=0.1)
+    averaged = nn.average_models([model, model.clone()])
+    arrays += [a for m in (model, averaged) for layer in m.layers
+               for a in (layer.weight, layer.bias)]
+    assert model.dtype == averaged.dtype == dtype
+    assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+
+
+def test_float32_init_is_the_float64_draw_rounded():
+    dims, acts = [7, 16, 3], [nn.Activation.RELU, nn.Activation.SIGMOID]
+    wide = nn.init_mlp(dims, acts, seed=123)
+    narrow = nn.init_mlp(dims, acts, seed=123, dtype=np.float32)
+    for lw, ln in zip(wide.layers, narrow.layers):
+        assert np.array_equal(ln.weight, lw.weight.astype(np.float32))
+        assert ln.bias.dtype == np.float32 and np.all(ln.bias == 0.0)
+
+
+def test_dtype_mismatches_raise():
+    acts = [nn.Activation.RELU, nn.Activation.IDENTITY]
+    narrow = nn.init_mlp([3, 4, 2], acts, seed=0, dtype=np.float32)
+    wide = nn.init_mlp([3, 4, 2], acts, seed=0)
+    x = np.ones((5, 3))
+    with pytest.raises(ValueError, match="input is float64"):
+        nn.forward(narrow, x)
+    with pytest.raises(ValueError, match="input is float64"):
+        nn.predict(narrow, x)
+    out, tape = nn.forward(narrow, x.astype(np.float32))
+    with pytest.raises(ValueError, match="d_output is float64"):
+        nn.backward(narrow, tape, np.ones(out.shape))
+    wide_grads, _ = nn.backward(wide, nn.forward(wide, x)[1], np.ones(out.shape))
+    with pytest.raises(ValueError, match="d_weight is float64"):
+        nn.sgd_step(narrow, wide_grads, eta=0.1)
+    with pytest.raises(ValueError, match="dtype"):
+        nn.MlpModel([narrow.layers[0], wide.layers[1]])
+    with pytest.raises(ValueError, match="bias is float64"):
+        nn.Layer(narrow.layers[0].weight, np.zeros((1, 4)), nn.Activation.RELU)
+    with pytest.raises(ValueError, match="dtype"):
+        nn.average_models([narrow, wide])
+    with pytest.raises(ValueError, match="dtype"):
+        narrow.load_from(wide)
+    with pytest.raises(ValueError, match="float32 or float64"):
+        nn.forward(wide, x.astype(np.float16))
+
+
+def test_cast_input_narrows_only_what_fits():
+    acts = [nn.Activation.IDENTITY]
+    narrow = nn.init_mlp([3, 2], acts, seed=0, dtype=np.float32)
+    wide = nn.init_mlp([3, 2], acts, seed=0)
+    biggest = float(np.finfo(np.float32).max)
+    x = np.array([[1.0, -2.5, biggest], [-biggest, 0.1, -0.0]])
+    assert nn.cast_input(wide, x) is x
+    cast = nn.cast_input(narrow, x, "features")
+    assert cast.dtype == np.float32 and np.array_equal(cast, x.astype(np.float32))
+    assert np.all(np.isfinite(cast))
+    assert nn.cast_input(narrow, cast) is cast
+    assert np.array_equal(nn.cast_input(wide, cast), cast.astype(np.float64))
+    x[1, 1] = -1e39
+    with pytest.raises(ValueError, match="features holds a value beyond the float32 range"):
+        nn.cast_input(narrow, x, "features")

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from splitbus import nn
+from splitbus.broker import payload_byte_size
 from splitbus.profiler import (
     CalibRole,
     CalibrationSample,
@@ -23,6 +24,7 @@ from splitbus.profiler import (
     build_constants,
     fit_power_law,
     memory_bound,
+    message_seconds,
     model_memory_bytes,
     predict_times,
     read_profile,
@@ -193,6 +195,40 @@ class TestMemoryModel:
         _, tape = nn.forward(model, x)
         held = tape.inputs[0].nbytes + sum(post.nbytes for post in tape.postacts)
         assert held == batch * _bytes_per_row(model)
+
+    def test_activations_are_counted_at_the_model_itemsize(self):
+        acts = [nn.Activation.RELU, nn.Activation.SIGMOID, nn.Activation.IDENTITY]
+        wide = nn.init_mlp([7, 16, 9, 3], acts, seed=2)
+        narrow = nn.init_mlp([7, 16, 9, 3], acts, seed=2, dtype=np.float32)
+        assert _bytes_per_row(wide) == 8 * (7 + 16 + 9 + 3)
+        assert _bytes_per_row(narrow) == 4 * (7 + 16 + 9 + 3)
+        for b in (1, 32, 257):
+            x = np.random.default_rng(b).normal(size=(b, 7)).astype(np.float32)
+            _, tape = nn.forward(narrow, x)
+            held = tape.inputs[0].nbytes + sum(post.nbytes for post in tape.postacts)
+            assert held == b * _bytes_per_row(narrow)
+            assert model_memory_bytes(wide, b) == 2 * model_memory_bytes(narrow, b)
+
+    def test_narrow_bottoms_leave_the_wire_as_it_was(self):
+        # The cut-layer messages stay float64, whatever the bottoms compute in.
+        samples = [
+            CalibrationSample(role, b, 0.004 * b**0.9, 3)
+            for role in CalibRole
+            for b in (8, 32, 128)
+        ]
+        relu = nn.Activation.RELU
+        passive, active, top = small_models()
+        narrow = [nn.init_mlp(m.layer_dims(), [relu, relu], seed=1, dtype=np.float32)
+                  for m in (passive, active)]
+        wide_c = build_constants(samples, passive, active, top)
+        narrow_c = build_constants(samples, *narrow, top)
+        assert narrow_c.cut_width == wide_c.cut_width == passive.out_dim
+        for b in (1, 64, 1024):
+            assert message_seconds(narrow_c, b) == message_seconds(wide_c, b)
+            assert message_seconds(narrow_c, b) * narrow_c.bandwidth_bytes_per_sec == (
+                payload_byte_size(b, passive.out_dim)
+            )
+        assert narrow_c.mem_slope_passive == wide_c.mem_slope_passive / 2
 
     def test_build_constants_equals_allocation_formula(self):
         samples = [

@@ -22,7 +22,7 @@ from splitbus import metrics as mt
 from splitbus import nn
 from splitbus import runtime
 from splitbus import transport as tp
-from splitbus.config import ConfigError, Mode, ModelShape, TrainConfig
+from splitbus.config import ConfigError, Mode, ModelShape, ONE_IN_FLIGHT_MODES, TrainConfig
 from splitbus.data import Task, generate_synthetic, split_rows, vertical_split
 from splitbus.reference import run_reference
 from splitbus.runtime import (
@@ -587,11 +587,14 @@ class TestEvaluation:
     @pytest.mark.parametrize("task", list(Task))
     def test_evaluation_runs_without_a_tape(self, task, monkeypatch):
         # Under one block of rows, predict has forward's bits, so the metric is exact.
+        # The oracle casts the features as the runtime does; evaluation gets them
+        # uncast and must cast them the same way.
         _, test = vertical_pair(n=400, d=12, seed=3, task=task)
         passive, active, top = build_models(SMALL_SHAPE, 6, 6, task, seed=7)
+        cast = runtime.bottom_inputs(test, passive, active)
         z = np.concatenate(
-            [nn.forward(active, test.active_features)[0],
-             nn.forward(passive, test.passive_features)[0]], axis=1,
+            [nn.forward(active, cast.active_features)[0],
+             nn.forward(passive, cast.passive_features)[0]], axis=1, dtype=np.float64,
         )
         scores = nn.forward(top, z)[0]
         want = (
@@ -618,6 +621,39 @@ class TestEvaluation:
         monkeypatch.setattr(nn, "predict", failing_predict)
         with pytest.raises(RuntimeError, match="passive bottom failed"):
             runtime.evaluate_models(passive, active, top, test)
+
+
+class TestBottomPrecision:
+    CFG = dict(
+        mode=Mode.LOCKSTEP, batch_size=32, workers_active=1, workers_passive=1,
+        learning_rate=0.1, epochs=4, seed=3, shape=SMALL_SHAPE, target_metric=None,
+    )
+
+    def test_float32_bottoms_track_float64_bottoms(self, monkeypatch):
+        train, test = vertical_pair(n=800, d=12, seed=5)
+        cfg = TrainConfig(**self.CFG)
+        single = run_training(train, test, cfg)
+        monkeypatch.setattr(runtime, "BOTTOM_DTYPE", np.float64)
+        double = run_training(train, test, cfg)
+        models = ("passive_bottom", "active_bottom", "top")
+        dtypes = lambda r: [r.final_models[name].dtype for name in models]
+        assert dtypes(single) == [np.float32, np.float32, np.float64]
+        assert dtypes(double) == [np.float64] * 3
+        assert single.epoch_train_losses != double.epoch_train_losses  # two precisions ran
+        assert single.epoch_train_losses == pytest.approx(double.epoch_train_losses, rel=1e-4)
+        assert single.summary.final_test_metric == pytest.approx(
+            double.summary.final_test_metric, abs=1e-3
+        )
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    @pytest.mark.parametrize("name", ["active_features", "passive_features"])
+    def test_features_beyond_float32_are_rejected_by_name(self, name, split):
+        data = dict(zip(("train", "test"), vertical_pair(n=160, d=8, seed=4)))
+        getattr(data[split], name)[5, 1] = 1e39  # finite in float64, inf in float32
+        with pytest.raises(ValueError, match=f"{name} holds a value beyond the float32 range"):
+            run_training(data["train"], data["test"], TrainConfig(**self.CFG))
+        with pytest.raises(ValueError, match=name):
+            run_reference(data["train"], data["test"], TrainConfig(**self.CFG))
 
 
 class TestFailurePlumbing:
@@ -777,6 +813,18 @@ class TestFailurePlumbing:
         cfg = TrainConfig(mode=Mode.LOCKSTEP, workers_active=2, workers_passive=2)
         with pytest.raises(ConfigError):
             run_training(train, None, cfg)
+
+    @pytest.mark.parametrize("mode", ONE_IN_FLIGHT_MODES)
+    def test_one_in_flight_modes_reject_a_lookahead(self, mode):
+        train, _ = vertical_pair(n=80, d=6, seed=1)
+        cfg = TrainConfig(mode=mode, workers_active=1, workers_passive=1, lookahead=2)
+        with pytest.raises(ConfigError, match="lookahead"):
+            run_training(train, None, cfg)
+
+    def test_one_in_flight_modes_are_the_policies_that_ignore_lookahead(self):
+        ignore = {mode for mode, policy in runtime.MODE_POLICIES.items()
+                  if policy.lookahead is runtime._one_in_flight}
+        assert ignore == set(ONE_IN_FLIGHT_MODES)
 
 
 class TestRunAccounting:
