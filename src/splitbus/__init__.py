@@ -10,8 +10,10 @@ The package is organised as a plain numpy library:
   pipes its messages cross
 - :mod:`splitbus.privacy` — Gaussian embedding-noise calibration
 - :mod:`splitbus.schedule` — the tapering parameter-server sync interval
-- :mod:`splitbus.runtime` — worker pools, parameter servers, the five
-  execution modes, and the monolithic reference trainer
+- :mod:`splitbus.runtime` — worker pools, parameter servers and the five
+  execution modes
+- :mod:`splitbus.reference` — the serial reference trainer that ``lockstep``
+  and 1-worker ``pubsub`` match bit for bit
 - :mod:`splitbus.profiler` — per-batch-size delay calibration and power-law
   fits, plus the memory ceiling
 - :mod:`splitbus.planner` — worker/batch configuration search

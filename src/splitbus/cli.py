@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +22,8 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     Mode,
-    load_experiment_config,
+    experiment_from_mapping,
+    read_key_value_file,
 )
 from .data import (
     DataFormatError,
@@ -36,6 +36,7 @@ from .data import (
 )
 from .metrics import write_jsonl
 from .planner import (
+    PLAN_SETTINGS,
     InfeasiblePlanError,
     SearchSpace,
     dp_search,
@@ -59,40 +60,43 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+# Each override flag is shorthand for one config key: its text goes to that
+# key's parser, after the config file and the plan file.
+# flag -> (config key, the commands that take it, help)
+OVERRIDE_FLAGS: dict[str, tuple[str, str, str]] = {
+    "--seed": ("train.seed", "profile train compare", "seed of the models, batch order and noise"),
+    "--mode": ("train.mode", "train", "execution mode: " + ", ".join(m.value for m in Mode)),
+    "--wa": ("train.workers_active", "train compare", "active workers"),
+    "--wp": ("train.workers_passive", "train compare", "passive workers"),
+    "--mu": ("train.privacy_mu", "train compare", "privacy budget (inf disables noise)"),
+    "--tddl-ms": ("train.deadline_ms", "train compare", "waiting deadline, milliseconds"),
+    "--p": ("train.embed_capacity", "train compare", "embedding channel capacity"),
+    "--q": ("train.grad_capacity", "train compare", "gradient channel capacity"),
+    "--delta-t0": ("train.sync_base_interval", "train compare", "aggregation base interval"),
+    "--skew-passive-ms": ("train.skew_passive_ms", "train compare",
+                          "simulated extra compute per passive batch, milliseconds"),
+    "--skew-active-ms": ("train.skew_active_ms", "train compare",
+                         "simulated extra compute per active batch, milliseconds"),
+}
+
+
+def _flag_text(args, flag: str) -> str | None:
+    """The text given for ``flag``, read under argparse's default ``dest``."""
+    return getattr(args, flag.lstrip("-").replace("-", "_"), None)
+
+
 def _load_experiment(args) -> ExperimentConfig:
-    exp = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    train = exp.train
-    updates: dict = {}
-    if getattr(args, "mode", None):
-        updates["mode"] = Mode(args.mode)
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "mu", None) is not None:
-        updates["privacy_mu"] = args.mu
-    if getattr(args, "tddl_ms", None) is not None:
-        updates["deadline_seconds"] = args.tddl_ms / 1000.0
-    if getattr(args, "p", None) is not None:
-        updates["embed_capacity"] = args.p
-    if getattr(args, "q", None) is not None:
-        updates["grad_capacity"] = args.q
-    if getattr(args, "delta_t0", None) is not None:
-        updates["sync_base_interval"] = args.delta_t0
-    if getattr(args, "skew_passive_ms", None) is not None:
-        updates["skew_passive_seconds"] = args.skew_passive_ms / 1000.0
-    if getattr(args, "skew_active_ms", None) is not None:
-        updates["skew_active_seconds"] = args.skew_active_ms / 1000.0
-    if getattr(args, "wa", None) is not None:
-        updates["workers_active"] = args.wa
-    if getattr(args, "wp", None) is not None:
-        updates["workers_passive"] = args.wp
-    if getattr(args, "plan", None):
-        chosen = read_plan(args.plan)
-        updates.setdefault("workers_active", chosen["workers_active"])
-        updates.setdefault("workers_passive", chosen["workers_passive"])
-        updates["batch_size"] = chosen["batch_size"]
-    if updates:
-        train = replace(train, **updates)
-    return ExperimentConfig(dataset=exp.dataset, split=exp.split, train=train)
+    """Settings in rising precedence: config file, plan file, override flags."""
+    values = read_key_value_file(args.config, "config") if args.config else {}
+    plan = getattr(args, "plan", None)
+    if plan:
+        chosen = read_plan(plan)
+        values.update({f"train.{name}": str(chosen[name]) for name in PLAN_SETTINGS})
+    flags = {key: _flag_text(args, flag) for flag, (key, _, _) in OVERRIDE_FLAGS.items()}
+    flags = {key: text for key, text in flags.items() if text is not None}
+    values.update(flags)
+    source = " + ".join(filter(None, [args.config, plan, "flags" if flags else None]))
+    return experiment_from_mapping(values, source)
 
 
 def _build_tables(exp: ExperimentConfig) -> LabeledTable:
@@ -112,12 +116,17 @@ def _load_datasets(exp: ExperimentConfig) -> tuple[VerticalDataset, VerticalData
     # are alive at once (the table and its row splits, then the splits and
     # the party views).
     table = _build_tables(exp)
-    num_active = exp.split.active_features or table.num_features // 2
-    train_tab, test_tab = split_rows(table, exp.split.test_fraction, exp.split.seed)
-    del table
-    train = vertical_split(train_tab, num_active, exp.split.seed)
-    del train_tab
-    test = vertical_split(test_tab, num_active, exp.split.seed)
+    num_active = exp.split.active_features
+    if num_active is None:
+        num_active = table.num_features // 2
+    try:  # the bounds that depend on the data, such as a CSV's width
+        train_tab, test_tab = split_rows(table, exp.split.test_fraction, exp.split.seed)
+        del table
+        train = vertical_split(train_tab, num_active, exp.split.seed)
+        del train_tab
+        test = vertical_split(test_tab, num_active, exp.split.seed)
+    except ValueError as exc:
+        raise ConfigError(f"cannot split the dataset: {exc}") from None
     return train, test
 
 
@@ -264,26 +273,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def overrides(p: argparse.ArgumentParser, command: str) -> None:
+        """``--config`` and the override flags ``command`` takes; see ``_load_experiment``."""
         p.add_argument("--config", help="experiment file (key = value lines)")
-        p.add_argument("--seed", type=int, help="override train.seed")
-
-    def overrides(p: argparse.ArgumentParser) -> None:
-        """The train.* overrides ``train`` and ``compare`` share; see ``_load_experiment``."""
-        p.add_argument("--wa", type=int, help="override workers_active")
-        p.add_argument("--wp", type=int, help="override workers_passive")
-        p.add_argument("--mu", type=float, help="privacy budget (inf disables noise)")
-        p.add_argument("--tddl-ms", type=float, help="waiting deadline, milliseconds")
-        p.add_argument("--p", type=int, help="embedding channel capacity")
-        p.add_argument("--q", type=int, help="gradient channel capacity")
-        p.add_argument("--delta-t0", type=int, help="aggregation base interval")
-        p.add_argument("--skew-passive-ms", type=float,
-                       help="simulated extra compute per passive batch, milliseconds")
-        p.add_argument("--skew-active-ms", type=float,
-                       help="simulated extra compute per active batch, milliseconds")
+        for flag, (key, commands, text) in OVERRIDE_FLAGS.items():
+            if command in commands.split():
+                p.add_argument(flag, help=f"{text}; sets {key}")
 
     profile = sub.add_parser("profile", help="time this machine and fit the delay model")
-    common(profile)
+    overrides(profile, "profile")
     profile.add_argument("--out", default="profile.txt")
     profile.add_argument("--batches", help="comma-separated calibration batch sizes")
     profile.add_argument("--repetitions", type=int, default=5)
@@ -304,21 +302,18 @@ def build_parser() -> argparse.ArgumentParser:
     plan.set_defaults(func=cmd_plan)
 
     train = sub.add_parser("train", help="run one training job")
-    common(train)
+    overrides(train, "train")
     train.add_argument("--out", default="run_out")
-    train.add_argument("--mode", choices=[m.value for m in Mode])
     train.add_argument("--plan", help="plan file from the plan command")
-    overrides(train)
     train.set_defaults(func=cmd_train)
 
     compare = sub.add_parser("compare", help="run several modes on the same data")
-    common(compare)
+    overrides(compare, "compare")
     compare.add_argument("--out", default="compare_out")
     compare.add_argument(
         "--modes", default=",".join(m.value for m in Mode),
         help="comma-separated mode list",
     )
-    overrides(compare)
     compare.set_defaults(func=cmd_compare)
     return parser
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 from .data import Task
 
@@ -73,7 +75,6 @@ class TrainConfig:
     embed_capacity: int = 5
     grad_capacity: int = 5
     privacy_mu: float = math.inf
-    privacy_scale_constant: float = 1.0
     privacy_queries: int | None = None  # default: one epoch's batch count
     loss_target: float | None = None  # stop once mean train loss dips below
     seed: int = 0
@@ -89,18 +90,21 @@ class TrainConfig:
             raise ConfigError("batch_size must be positive")
         if self.workers_active < 1 or self.workers_passive < 1:
             raise ConfigError("worker counts must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
         if self.sync_base_interval < 1:
             raise ConfigError("sync_base_interval must be >= 1")
-        if self.deadline_seconds <= 0:
-            raise ConfigError("deadline_seconds must be positive")
+        if not 0 < self.deadline_seconds <= threading.TIMEOUT_MAX:  # a wait's longest timeout
+            raise ConfigError(f"deadline_seconds must be in (0, {threading.TIMEOUT_MAX:g}]")
         if self.embed_capacity < 1 or self.grad_capacity < 1:
             raise ConfigError("channel capacities must be >= 1")
         if not (self.privacy_mu > 0):
             raise ConfigError("privacy_mu must be positive (inf disables noise)")
+        skews = (self.skew_active_seconds, self.skew_passive_seconds)
+        if not all(0 <= skew < math.inf for skew in skews):
+            raise ConfigError("skews must be finite and non-negative")
         if self.max_retries < 0:
             raise ConfigError("max_retries cannot be negative")
         if self.lookahead is not None and self.lookahead < 1:
@@ -134,6 +138,12 @@ class DatasetConfig:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv datasets need dataset.csv_path")
+        if self.rows < 2 or self.features < 2:
+            raise ConfigError("rows and features must be at least 2")
+        if self.informative is not None and not 1 <= self.informative <= self.features:
+            raise ConfigError(f"informative must be in [1, {self.features}] when set")
+        if not math.isfinite(self.separation):
+            raise ConfigError("separation must be finite")
 
 
 @dataclass
@@ -145,6 +155,8 @@ class SplitConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError("test_fraction must be in (0, 1)")
+        if self.active_features is not None and self.active_features < 1:
+            raise ConfigError("active_features must be positive when set")
 
 
 @dataclass
@@ -161,62 +173,71 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
-def _parse_scalar(key: str, text: str, kind: str):
-    try:
-        if kind == "int":
-            return int(text)
-        if kind == "float":
-            return float(text)  # accepts "inf"
-        if kind == "int_list":
-            return _parse_int_list(text)
-        if kind == "opt_int":
-            return None if text.lower() in ("", "none") else int(text)
-        if kind == "opt_float":
-            return None if text.lower() in ("", "none") else float(text)
-    except ValueError:
-        raise ConfigError(f"cannot parse value {text!r} for key {key!r}") from None
-    return text
+def _optional(parse):
+    """``parse``, except that an empty value or ``none`` means unset."""
+    return lambda text: None if text.lower() in ("", "none") else parse(text)
 
 
-# key -> (target section, attribute, parse kind)
-_KEYMAP: dict[str, tuple[str, str, str]] = {
-    "dataset.kind": ("dataset", "kind", "str"),
-    "dataset.rows": ("dataset", "rows", "int"),
-    "dataset.features": ("dataset", "features", "int"),
-    "dataset.informative": ("dataset", "informative", "opt_int"),
-    "dataset.task": ("dataset", "task", "task"),
-    "dataset.separation": ("dataset", "separation", "float"),
-    "dataset.seed": ("dataset", "seed", "int"),
-    "dataset.csv_path": ("dataset", "csv_path", "str"),
-    "dataset.label_column": ("dataset", "label_column", "label"),
-    "split.test_fraction": ("split", "test_fraction", "float"),
-    "split.active_features": ("split", "active_features", "opt_int"),
-    "split.seed": ("split", "seed", "int"),
-    "model.active_hidden": ("shape", "active_hidden", "int_list"),
-    "model.passive_hidden": ("shape", "passive_hidden", "int_list"),
-    "model.active_embed": ("shape", "active_embed", "int"),
-    "model.passive_embed": ("shape", "passive_embed", "int"),
-    "model.top_hidden": ("shape", "top_hidden", "int_list"),
-    "train.mode": ("train", "mode", "mode"),
-    "train.batch_size": ("train", "batch_size", "int"),
-    "train.workers_active": ("train", "workers_active", "int"),
-    "train.workers_passive": ("train", "workers_passive", "int"),
-    "train.learning_rate": ("train", "learning_rate", "float"),
-    "train.epochs": ("train", "epochs", "int"),
-    "train.sync_base_interval": ("train", "sync_base_interval", "int"),
-    "train.deadline_ms": ("train", "deadline_seconds", "ms"),
-    "train.embed_capacity": ("train", "embed_capacity", "int"),
-    "train.grad_capacity": ("train", "grad_capacity", "int"),
-    "train.privacy_mu": ("train", "privacy_mu", "float"),
-    "train.privacy_scale_constant": ("train", "privacy_scale_constant", "float"),
-    "train.privacy_queries": ("train", "privacy_queries", "opt_int"),
-    "train.loss_target": ("train", "loss_target", "opt_float"),
-    "train.seed": ("train", "seed", "int"),
-    "train.skew_active_ms": ("train", "skew_active_seconds", "ms"),
-    "train.skew_passive_ms": ("train", "skew_passive_seconds", "ms"),
-    "train.lookahead": ("train", "lookahead", "opt_int"),
-    "train.max_retries": ("train", "max_retries", "int"),
-    "train.target_metric": ("train", "target_metric", "opt_float"),
+def _member(kind: type[enum.Enum]):
+    """A member of ``kind`` named by its value, in any case."""
+    def parse(text: str):
+        try:
+            return kind(text.lower())
+        except ValueError:
+            choices = ", ".join(member.value for member in kind)
+            name = kind.__name__.lower()
+            raise ValueError(f"unknown {name} {text!r}; one of {choices}") from None
+
+    return parse
+
+
+def _milliseconds(text: str) -> float:
+    return float(text) / 1000.0
+
+
+def _label_column(text: str) -> str | int:
+    return int(text) if text.lstrip("-").isdigit() else text
+
+
+# key -> (target section, attribute, parser of the value's text); a parser's
+# ValueError becomes a ConfigError naming the key.
+_KEYMAP: dict[str, tuple[str, str, Callable[[str], object]]] = {
+    "dataset.kind": ("dataset", "kind", str),
+    "dataset.rows": ("dataset", "rows", int),
+    "dataset.features": ("dataset", "features", int),
+    "dataset.informative": ("dataset", "informative", _optional(int)),
+    "dataset.task": ("dataset", "task", _member(Task)),
+    "dataset.separation": ("dataset", "separation", float),
+    "dataset.seed": ("dataset", "seed", int),
+    "dataset.csv_path": ("dataset", "csv_path", str),
+    "dataset.label_column": ("dataset", "label_column", _label_column),
+    "split.test_fraction": ("split", "test_fraction", float),
+    "split.active_features": ("split", "active_features", _optional(int)),
+    "split.seed": ("split", "seed", int),
+    "model.active_hidden": ("shape", "active_hidden", _parse_int_list),
+    "model.passive_hidden": ("shape", "passive_hidden", _parse_int_list),
+    "model.active_embed": ("shape", "active_embed", int),
+    "model.passive_embed": ("shape", "passive_embed", int),
+    "model.top_hidden": ("shape", "top_hidden", _parse_int_list),
+    "train.mode": ("train", "mode", _member(Mode)),
+    "train.batch_size": ("train", "batch_size", int),
+    "train.workers_active": ("train", "workers_active", int),
+    "train.workers_passive": ("train", "workers_passive", int),
+    "train.learning_rate": ("train", "learning_rate", float),
+    "train.epochs": ("train", "epochs", int),
+    "train.sync_base_interval": ("train", "sync_base_interval", int),
+    "train.deadline_ms": ("train", "deadline_seconds", _milliseconds),
+    "train.embed_capacity": ("train", "embed_capacity", int),
+    "train.grad_capacity": ("train", "grad_capacity", int),
+    "train.privacy_mu": ("train", "privacy_mu", float),  # accepts "inf"
+    "train.privacy_queries": ("train", "privacy_queries", _optional(int)),
+    "train.loss_target": ("train", "loss_target", _optional(float)),
+    "train.seed": ("train", "seed", int),
+    "train.skew_active_ms": ("train", "skew_active_seconds", _milliseconds),
+    "train.skew_passive_ms": ("train", "skew_passive_seconds", _milliseconds),
+    "train.lookahead": ("train", "lookahead", _optional(int)),
+    "train.max_retries": ("train", "max_retries", int),
+    "train.target_metric": ("train", "target_metric", _optional(float)),
 }
 
 
@@ -242,35 +263,16 @@ def experiment_from_mapping(values: dict[str, str], source: str = "<config>") ->
     for key, text in values.items():
         if key not in _KEYMAP:
             raise ConfigError(f"{source}: unknown config key {key!r}")
-        section, attr, kind = _KEYMAP[key]
-        if kind == "task":
-            try:
-                value = Task(text.lower())
-            except ValueError:
-                raise ConfigError(f"{source}: unknown task {text!r}") from None
-        elif kind == "mode":
-            try:
-                value = Mode(text.lower())
-            except ValueError:
-                raise ConfigError(f"{source}: unknown mode {text!r}") from None
-        elif kind == "ms":
-            value = _parse_scalar(key, text, "float") / 1000.0
-        elif kind == "label":
-            value = int(text) if text.lstrip("-").isdigit() else text
-        elif kind == "str":
-            value = text
-        else:
-            value = _parse_scalar(key, text, kind)
-        sections[section][attr] = value
-    try:
-        shape = ModelShape(**sections["shape"])
-        return ExperimentConfig(
-            dataset=DatasetConfig(**sections["dataset"]),
-            split=SplitConfig(**sections["split"]),
-            train=TrainConfig(shape=shape, **sections["train"]),
-        )
-    except TypeError as exc:
-        raise ConfigError(f"{source}: {exc}") from None
+        section, attr, parse = _KEYMAP[key]
+        try:
+            sections[section][attr] = parse(text)
+        except ValueError as exc:
+            raise ConfigError(f"{source}: bad value for {key}: {exc}") from None
+    return ExperimentConfig(
+        dataset=DatasetConfig(**sections["dataset"]),
+        split=SplitConfig(**sections["split"]),
+        train=TrainConfig(shape=ModelShape(**sections["shape"]), **sections["train"]),
+    )
 
 
 def read_key_value_file(path: str, what: str) -> dict[str, str]:

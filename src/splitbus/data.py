@@ -175,7 +175,6 @@ def load_csv(
     label_column: str | int,
     task: Task,
     standardize: bool = True,
-    has_header: bool = True,
 ) -> LabeledTable:
     """Load a numeric CSV into a LabeledTable.
 
@@ -189,15 +188,13 @@ def load_csv(
     capacity = _line_count(path)  # at least the number of data rows
     with open(path, newline="") as handle:
         numbered = ((number, row) for number, row in enumerate(csv.reader(handle), 1) if row)
-        header: list[str] | None = None
-        if has_header:
-            first = next(numbered, None)
-            if first is None:
-                raise DataFormatError(f"{path}: file is empty")
-            header = [cell.strip() for cell in first[1]]
+        first = next(numbered, None)
+        if first is None:
+            raise DataFormatError(f"{path}: file is empty")
+        header = [cell.strip() for cell in first[1]]
         block = list(itertools.islice(numbered, _CSV_BLOCK_ROWS))
         if not block:
-            raise DataFormatError(f"{path}: {'no data rows' if has_header else 'file is empty'}")
+            raise DataFormatError(f"{path}: no data rows")
         width = len(block[0][1])
         label_idx = _label_index(label_column, header, width)
         features = np.empty((capacity, width - 1))
@@ -232,10 +229,8 @@ def _line_count(path: str) -> int:
     return int(count)
 
 
-def _label_index(label_column: str | int, header: list[str] | None, width: int) -> int:
+def _label_index(label_column: str | int, header: list[str], width: int) -> int:
     if isinstance(label_column, str):
-        if header is None:
-            raise DataFormatError("label column named but file has no header")
         if label_column not in header:
             raise DataFormatError(f"label column {label_column!r} not in header")
         label_idx = header.index(label_column)

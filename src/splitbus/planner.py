@@ -151,6 +151,8 @@ def write_plan(path: str, plan: PlanState) -> None:
 _PLAN_FIELDS = {
     "workers_active": int, "workers_passive": int, "batch_size": int, "cost_seconds": float,
 }
+# The plan's fields that are also ``train.*`` settings, all required in a plan file.
+PLAN_SETTINGS = ("workers_active", "workers_passive", "batch_size")
 
 
 def read_plan(path: str) -> dict:
@@ -163,7 +165,7 @@ def read_plan(path: str) -> dict:
             values[name] = _PLAN_FIELDS[name](text)
         except ValueError:
             raise ConfigError(f"{path}: cannot parse {name} = {text!r}") from None
-    for required in ("workers_active", "workers_passive", "batch_size"):
+    for required in PLAN_SETTINGS:
         if required not in values:
             raise ConfigError(f"{path}: missing plan field {required!r}")
     return values

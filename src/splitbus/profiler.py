@@ -132,14 +132,16 @@ def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Gene
     return lambda: nn.backward(model, tape, d_out, input_grad=input_grad)
 
 
+# A power-law fit with r^2 below this warns that the delay model may not fit.
+R2_WARN_THRESHOLD = 0.9
+
+
 def fit_power_law(
-    batch_sizes: list[int] | np.ndarray,
-    elapsed: list[float] | np.ndarray,
-    r2_warn_threshold: float = 0.9,
+    batch_sizes: list[int] | np.ndarray, elapsed: list[float] | np.ndarray
 ) -> tuple[float, float, float]:
     """Least squares on (log B, log T): returns (coef, exponent, r_squared).
 
-    A poor fit (r^2 below the threshold) warns rather than fails — noisy
+    A poor fit (r^2 below ``R2_WARN_THRESHOLD``) warns rather than fails — noisy
     timings are a fact of life and the caller sees the number either way.
     """
     b = np.asarray(batch_sizes, dtype=float)
@@ -156,9 +158,9 @@ def fit_power_law(
     ss_res = float(np.sum((log_t - fitted) ** 2))
     ss_tot = float(np.sum((log_t - log_t.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    if r_squared < r2_warn_threshold:
+    if r_squared < R2_WARN_THRESHOLD:
         warnings.warn(
-            f"power-law fit r^2 = {r_squared:.3f} below {r2_warn_threshold}; "
+            f"power-law fit r^2 = {r_squared:.3f} below {R2_WARN_THRESHOLD}; "
             "the delay model may not describe these timings",
             stacklevel=2,
         )

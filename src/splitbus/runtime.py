@@ -176,15 +176,15 @@ def noise_sigma(cfg: TrainConfig, num_rows: int) -> float:
     """Embedding noise std for a run over ``num_rows`` training rows.
 
     The privacy accounting counts one query per batch of an epoch unless
-    ``privacy_queries`` says otherwise.
+    ``privacy_queries`` says otherwise.  A batch size past ``num_rows`` means
+    one batch of every row, as in the batch plan.
     """
     return calibrate_sigma(
         GdpConfig(
             privacy_mu=cfg.privacy_mu,
-            minibatch_size=cfg.batch_size,
+            minibatch_size=min(cfg.batch_size, num_rows),
             whole_batch_size=num_rows,
             num_queries=cfg.privacy_queries or bk.channel_count_for(num_rows, cfg.batch_size),
-            scale_constant=cfg.privacy_scale_constant,
         )
     )
 
@@ -252,6 +252,8 @@ class WorkQueue:
 
 @dataclass
 class WorkerStats:
+    """One worker's tally for an epoch, or the sum of several (``absorb``)."""
+
     busy_seconds: float = 0.0
     wait_seconds: float = 0.0
     wall_seconds: float = 0.0
@@ -266,38 +268,16 @@ class WorkerStats:
         if seconds > self.max_single_wait:
             self.max_single_wait = seconds
 
-
-@dataclass
-class PartyEpochStats:
-    workers: list[WorkerStats]
-
-    @property
-    def completed(self) -> int:
-        return sum(w.completed for w in self.workers)
-
-    @property
-    def skipped(self) -> int:
-        return sum(w.skipped for w in self.workers)
-
-    @property
-    def retries(self) -> int:
-        return sum(w.retries for w in self.workers)
-
-    @property
-    def busy_seconds(self) -> float:
-        return sum(w.busy_seconds for w in self.workers)
-
-    @property
-    def wait_seconds(self) -> float:
-        return sum(w.wait_seconds for w in self.workers)
-
-    @property
-    def wall_seconds(self) -> float:
-        return sum(w.wall_seconds for w in self.workers)
-
-    @property
-    def max_single_wait(self) -> float:
-        return max((w.max_single_wait for w in self.workers), default=0.0)
+    def absorb(self, other: WorkerStats) -> WorkerStats:
+        """Add ``other``'s counts and times to this tally and keep the longest wait."""
+        self.busy_seconds += other.busy_seconds
+        self.wait_seconds += other.wait_seconds
+        self.wall_seconds += other.wall_seconds
+        self.max_single_wait = max(self.max_single_wait, other.max_single_wait)
+        self.completed += other.completed
+        self.skipped += other.skipped
+        self.retries += other.retries
+        return self
 
 
 class PartyServer:
@@ -357,8 +337,9 @@ class EpochShared:
         return self.failure is not None
 
 
-def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> PartyEpochStats:
-    """Run ``body(w, *args, stats)`` on one thread per worker and join them all.
+def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> WorkerStats:
+    """Run ``body(w, *args, stats)`` on one thread per worker, join them all and
+    return the sum of their tallies.
 
     A worker's exception gets the party, worker, epoch and batch appended to
     its message and goes to :meth:`EpochShared.fail`, which stops the rest; a
@@ -388,7 +369,10 @@ def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> 
         t.start()
     for t in threads:
         t.join()
-    return PartyEpochStats(stats)
+    total = WorkerStats()
+    for worker in stats:
+        total.absorb(worker)
+    return total
 
 
 def _name_failure_site(exc: BaseException, site: str) -> None:
@@ -450,7 +434,7 @@ class PassiveEngine:
         shared: EpochShared,
         deadline: float | None,
         lookahead: int,
-    ) -> PartyEpochStats:
+    ) -> WorkerStats:
         return _run_pool("passive", self.num_workers, shared, self._worker_body,
                          plan, queue, shared, deadline, lookahead)
 
@@ -570,7 +554,7 @@ class ActiveEngine:
         queue: WorkQueue,
         shared: EpochShared,
         deadline: float | None,
-    ) -> PartyEpochStats:
+    ) -> WorkerStats:
         return _run_pool("active", self.num_workers, shared, self._worker_loop,
                          plan, queue, shared, deadline)
 
@@ -652,7 +636,6 @@ class ActiveEngine:
 
 @dataclass
 class RunResult:
-    mode: Mode
     epochs: list[mt.EpochMetrics]
     summary: mt.RunSummary
     party_stats: list[dict]
@@ -748,7 +731,7 @@ def _rendezvous_queue(
 class PassiveEpochResult:
     """What the passive side hands back after one epoch, from either transport."""
 
-    stats: PartyEpochStats | None
+    stats: WorkerStats | None
     failure: BaseException | None
     snapshot: nn.MlpModel | None = None
     noise_reports: list[NoiseReport] = field(default_factory=list)  # cumulative
@@ -943,24 +926,23 @@ def run_training(
                 if test is not None
                 else None
             )
-            total_wall_threads = passive_stats.wall_seconds + active_stats.wall_seconds
-            busy = passive_stats.busy_seconds + active_stats.busy_seconds
-            max_wait = max(passive_stats.max_single_wait, active_stats.max_single_wait)
+            both = WorkerStats().absorb(passive_stats).absorb(active_stats)
             epoch_rows.append(
                 mt.EpochMetrics(
                     epoch=epoch,
                     wall_seconds=epoch_wall,
                     mean_train_loss=batch_loss_mean(shared.losses),
                     test_metric=test_metric,
-                    total_wait_seconds=passive_stats.wait_seconds + active_stats.wait_seconds,
+                    total_wait_seconds=both.wait_seconds,
                     active_wait_seconds=active_stats.wait_seconds,
                     passive_wait_seconds=passive_stats.wait_seconds,
-                    max_single_wait=max_wait,
-                    busy_fraction=busy / total_wall_threads if total_wall_threads > 0 else 0.0,
+                    max_single_wait=both.max_single_wait,
+                    busy_fraction=(both.busy_seconds / both.wall_seconds
+                                   if both.wall_seconds > 0 else 0.0),
                     bytes_published=broker_now.bytes_published,
                     batches_completed=active_stats.completed,
-                    batches_skipped=active_stats.skipped + passive_stats.skipped,
-                    batch_retries=active_stats.retries + passive_stats.retries,
+                    batches_skipped=both.skipped,
+                    batch_retries=both.retries,
                     evictions=broker_now.evicted - prev_stats.evicted,
                     sync_performed=end_sync or policy.rendezvous,
                 )
@@ -972,7 +954,7 @@ def run_training(
                     "passive_skipped": passive_stats.skipped,
                     "active_completed": active_stats.completed,
                     "active_skipped": active_stats.skipped,
-                    "max_single_wait": max_wait,
+                    "max_single_wait": both.max_single_wait,
                 }
             )
             prev_stats = broker_now
@@ -1021,7 +1003,6 @@ def run_training(
     )
     broker.close()
     return RunResult(
-        mode=cfg.mode,
         epochs=epoch_rows,
         summary=summary,
         party_stats=party_rows,

@@ -14,7 +14,7 @@ import splitbus
 from splitbus import cli
 from splitbus.broker import serialize_payload
 from splitbus.cli import _load_experiment, _parse_range, build_parser, main
-from splitbus.config import ModelShape
+from splitbus.config import ExperimentConfig, ModelShape, experiment_from_mapping
 from splitbus.data import Task, generate_synthetic, write_csv
 from splitbus.metrics import read_jsonl
 from splitbus.planner import PlanState, SearchSpace, comm_seconds, read_plan
@@ -335,6 +335,67 @@ class TestCompareCommand:
             "compare", "--config", tiny_config, "--out", str(tmp_path / "c"),
             "--modes", "warp",
         ]) == 2
+
+
+BAD_SETTINGS = [  # each on top of lockstep 1+1 over 400 synthetic rows
+    "dataset.rows = 1",
+    "dataset.informative = 999",
+    "split.active_features = 99",  # the bound is the table's width
+    "split.active_features = 0",
+    "dataset.separation = nan",
+    "dataset.label_column = ²",  # str.isdigit() holds, int() fails
+    "train.learning_rate = nan",
+    "train.deadline_ms = nan",
+    "train.deadline_ms = inf",
+    "train.skew_active_ms = nan",
+    "train.privacy_scale_constant = 1",  # not a key
+]
+
+
+@pytest.mark.parametrize("line", BAD_SETTINGS)
+def test_a_bad_setting_exits_2_with_one_error_line(tmp_path, capsys, line):
+    key = line.split(" = ")[0]
+    base = {
+        "dataset.rows": "400", "dataset.features": "12", "train.mode": "lockstep",
+        "train.workers_active": "1", "train.workers_passive": "1", "train.epochs": "1",
+    }
+    base.pop(key, None)
+    conf = tmp_path / "bad.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in base.items()) + line + "\n")
+    assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("text, message", [("", "file is empty"), ("a,b,label\n", "no data rows")])
+def test_a_csv_without_data_exits_2_naming_the_file(tmp_path, capsys, text, message):
+    data = tmp_path / "data.csv"
+    data.write_text(text)
+    conf = tmp_path / "csv.conf"
+    conf.write_text(f"dataset.kind = csv\ndataset.csv_path = {data}\n")
+    assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+
+@pytest.mark.parametrize("flag", list(cli.OVERRIDE_FLAGS))
+def test_each_flag_is_shorthand_for_its_config_key(flag):
+    key, commands, _ = cli.OVERRIDE_FLAGS[flag]
+    text = "async" if key == "train.mode" else "3"
+    args = build_parser().parse_args([commands.split()[0], flag, text])
+    via_flag = _load_experiment(args).train
+    assert via_flag == experiment_from_mapping({key: text}).train
+    assert via_flag != ExperimentConfig().train
+
+
+def test_flags_beat_the_plan_file_and_the_plan_file_beats_the_config(tiny_config, tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("workers_active = 2\nworkers_passive = 4\nbatch_size = 25\n")
+    args = build_parser().parse_args(
+        ["train", "--config", tiny_config, "--plan", str(plan), "--wa", "3"]
+    )
+    train = _load_experiment(args).train
+    assert (train.workers_active, train.workers_passive, train.batch_size) == (3, 4, 25)
+    assert train.epochs == 2  # the config's values that neither overlay sets stay
 
 
 def test_train_and_compare_share_the_override_flags():

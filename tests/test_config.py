@@ -39,6 +39,11 @@ class TestTrainConfig:
             {"embed_capacity": 0},
             {"privacy_mu": 0.0},
             {"privacy_mu": float("nan")},
+            {"learning_rate": float("nan")},
+            {"deadline_seconds": float("nan")},
+            {"deadline_seconds": math.inf},
+            {"skew_active_seconds": float("nan")},
+            {"skew_passive_seconds": -1.0},
             {"max_retries": -1},
             {"lookahead": 0},
         ],
@@ -79,11 +84,22 @@ class TestSectionConfigs:
             DatasetConfig(kind="csv")  # needs csv_path
         DatasetConfig(kind="csv", csv_path="/tmp/x.csv")
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"rows": 1}, {"features": 1}, {"informative": 0}, {"informative": 51},
+         {"separation": float("nan")}],
+    )
+    def test_dataset_rejects_bad_values(self, overrides):
+        with pytest.raises(ConfigError):
+            DatasetConfig(**overrides)
+
     def test_split_fraction_bounds(self):
         with pytest.raises(ConfigError):
             SplitConfig(test_fraction=0.0)
         with pytest.raises(ConfigError):
             SplitConfig(test_fraction=1.0)
+        with pytest.raises(ConfigError):
+            SplitConfig(active_features=0)
 
 
 class TestKeyValueParsing:

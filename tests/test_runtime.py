@@ -884,6 +884,21 @@ class TestRunAccounting:
                 row.active_wait_seconds, row.passive_wait_seconds
             )
 
+    @pytest.mark.parametrize("mu", [math.inf, 1.0])
+    def test_a_batch_past_the_row_count_is_one_batch_of_every_row(self, mu):
+        train, test = vertical_pair(n=200, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=train.num_rows, workers_active=1,
+            workers_passive=1, learning_rate=0.05, epochs=2, privacy_mu=mu, seed=3,
+            shape=SMALL_SHAPE,
+        )
+        whole = run_training(train, test, cfg)
+        past = run_training(train, test, replace(cfg, batch_size=100 * train.num_rows))
+        assert past.epoch_train_losses == whole.epoch_train_losses
+        assert past.noise_sigma == whole.noise_sigma
+        ref = run_reference(train, test, replace(cfg, batch_size=100 * train.num_rows))
+        assert ref["epoch_train_losses"] == whole.epoch_train_losses
+
     def test_batch_loss_mean_order_invariant(self):
         scrambled = [(2, 0.5), (0, 0.25), (1, 0.125)]
         assert batch_loss_mean(scrambled) == batch_loss_mean(sorted(scrambled))
