@@ -12,9 +12,11 @@ aborted, 4 no feasible plan.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -70,8 +72,6 @@ OVERRIDE_FLAGS: dict[str, tuple[str, str, str]] = {
     "--wp": ("train.workers_passive", "train compare", "passive workers"),
     "--mu": ("train.privacy_mu", "train compare", "privacy budget (inf disables noise)"),
     "--tddl-ms": ("train.deadline_ms", "train compare", "waiting deadline, milliseconds"),
-    "--p": ("train.embed_capacity", "train compare", "embedding channel capacity"),
-    "--q": ("train.grad_capacity", "train compare", "gradient channel capacity"),
     "--delta-t0": ("train.sync_base_interval", "train compare", "aggregation base interval"),
     "--skew-passive-ms": ("train.skew_passive_ms", "train compare",
                           "simulated extra compute per passive batch, milliseconds"),
@@ -126,7 +126,8 @@ def _load_datasets(exp: ExperimentConfig) -> tuple[VerticalDataset, VerticalData
         del train_tab
         test = vertical_split(test_tab, num_active, exp.split.seed)
     except ValueError as exc:
-        raise ConfigError(f"cannot split the dataset: {exc}") from None
+        raise ConfigError(f"{exp.source}: cannot split the dataset by split.test_fraction and "
+                          f"split.active_features = {num_active}: {exc}") from None
     return train, test
 
 
@@ -213,11 +214,8 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     rows: list[dict] = []
     for mode in modes:
-        mode_exp = ExperimentConfig(
-            dataset=exp.dataset, split=exp.split, train=exp.train.for_mode(mode)
-        )
         try:
-            result = _run_one(mode_exp)
+            result = _run_one(replace(exp, train=exp.train.for_mode(mode)))
         except Exception as exc:  # a failed mode must not sink the others
             rows.append({"mode": mode.value, "status": f"failed: {exc}"})
             continue
@@ -270,8 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitbus",
         description="two-party split training: profile, plan, train, compare",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, allow_abbrev=False)
 
     def overrides(p: argparse.ArgumentParser, command: str) -> None:
         """``--config`` and the override flags ``command`` takes; see ``_load_experiment``."""
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
             if command in commands.split():
                 p.add_argument(flag, help=f"{text}; sets {key}")
 
-    profile = sub.add_parser("profile", help="time this machine and fit the delay model")
+    profile = add_parser("profile", help="time this machine and fit the delay model")
     overrides(profile, "profile")
     profile.add_argument("--out", default="profile.txt")
     profile.add_argument("--batches", help="comma-separated calibration batch sizes")
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.set_defaults(func=cmd_profile)
 
-    plan = sub.add_parser("plan", help="search worker counts and batch size")
+    plan = add_parser("plan", help="search worker counts and batch size")
     plan.add_argument("--profile", default="profile.txt")
     plan.add_argument("--out", default="plan.txt")
     plan.add_argument("--wa", default="1..10", help="active worker range, e.g. 2..50")
@@ -301,13 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     plan.set_defaults(func=cmd_plan)
 
-    train = sub.add_parser("train", help="run one training job")
+    train = add_parser("train", help="run one training job")
     overrides(train, "train")
     train.add_argument("--out", default="run_out")
     train.add_argument("--plan", help="plan file from the plan command")
     train.set_defaults(func=cmd_train)
 
-    compare = sub.add_parser("compare", help="run several modes on the same data")
+    compare = add_parser("compare", help="run several modes on the same data")
     overrides(compare, "compare")
     compare.add_argument("--out", default="compare_out")
     compare.add_argument(

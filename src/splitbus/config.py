@@ -2,7 +2,8 @@
 
 A config file is a sequence of ``section.key = value`` lines ('#' starts a
 comment).  Unknown keys are rejected loudly — silent typos in experiment
-configs are how wrong numbers end up in tables.
+configs are how wrong numbers end up in tables.  A bad value's message names
+its key, in the key's unit, and :func:`experiment_from_mapping` adds the file.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class Mode(enum.Enum):
       classic serial baseline.
     - ``sync_ps``: worker pools in strict batch-aligned rendezvous with a
       parameter-server average after every iteration.
-    - ``async``: one worker pair, free-running through depth-1 channels.
+    - ``async``: one worker pair, free-running.
     - ``async_ps``: free-running worker pools with a parameter-server
       average at the end of every epoch.
     """
@@ -55,11 +56,12 @@ class ModelShape:
     top_hidden: list[int] = field(default_factory=lambda: [16])
 
     def __post_init__(self) -> None:
-        for width in self.active_hidden + self.passive_hidden + self.top_hidden:
-            if width < 1:
-                raise ConfigError("hidden widths must be positive")
-        if self.active_embed < 1 or self.passive_embed < 1:
-            raise ConfigError("embedding widths must be positive")
+        for name in ("active_hidden", "passive_hidden", "top_hidden"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ConfigError(f"model.{name} widths must be positive")
+        for name in ("active_embed", "passive_embed"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"model.{name} must be positive")
 
 
 @dataclass
@@ -72,8 +74,6 @@ class TrainConfig:
     epochs: int = 20
     sync_base_interval: int = 5
     deadline_seconds: float = 10.0
-    embed_capacity: int = 5
-    grad_capacity: int = 5
     privacy_mu: float = math.inf
     privacy_queries: int | None = None  # default: one epoch's batch count
     loss_target: float | None = None  # stop once mean train loss dips below
@@ -86,29 +86,23 @@ class TrainConfig:
     shape: ModelShape = field(default_factory=ModelShape)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.workers_active < 1 or self.workers_passive < 1:
-            raise ConfigError("worker counts must be positive")
+        for name in ("batch_size", "workers_active", "workers_passive", "epochs",
+                     "sync_base_interval"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"train.{name} must be positive")
         if not 0 < self.learning_rate < math.inf:
-            raise ConfigError("learning_rate must be positive and finite")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be positive")
-        if self.sync_base_interval < 1:
-            raise ConfigError("sync_base_interval must be >= 1")
+            raise ConfigError("train.learning_rate must be positive and finite")
         if not 0 < self.deadline_seconds <= threading.TIMEOUT_MAX:  # a wait's longest timeout
-            raise ConfigError(f"deadline_seconds must be in (0, {threading.TIMEOUT_MAX:g}]")
-        if self.embed_capacity < 1 or self.grad_capacity < 1:
-            raise ConfigError("channel capacities must be >= 1")
+            raise ConfigError(f"train.deadline_ms must be in (0, {threading.TIMEOUT_MAX * 1e3:g}]")
         if not (self.privacy_mu > 0):
-            raise ConfigError("privacy_mu must be positive (inf disables noise)")
-        skews = (self.skew_active_seconds, self.skew_passive_seconds)
-        if not all(0 <= skew < math.inf for skew in skews):
-            raise ConfigError("skews must be finite and non-negative")
+            raise ConfigError("train.privacy_mu must be positive (inf disables noise)")
+        for name in ("skew_active", "skew_passive"):
+            if not 0 <= getattr(self, f"{name}_seconds") < math.inf:
+                raise ConfigError(f"train.{name}_ms must be finite and non-negative")
         if self.max_retries < 0:
-            raise ConfigError("max_retries cannot be negative")
+            raise ConfigError("train.max_retries cannot be negative")
         if self.lookahead is not None and self.lookahead < 1:
-            raise ConfigError("lookahead must be >= 1 when set")
+            raise ConfigError("train.lookahead must be >= 1 when set")
 
     def for_mode(self, mode: Mode) -> "TrainConfig":
         """A copy adjusted for ``mode``: single-pair modes force one worker
@@ -135,15 +129,16 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "csv"):
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+            raise ConfigError(f"unknown dataset.kind {self.kind!r}; one of synthetic, csv")
         if self.kind == "csv" and not self.csv_path:
             raise ConfigError("csv datasets need dataset.csv_path")
-        if self.rows < 2 or self.features < 2:
-            raise ConfigError("rows and features must be at least 2")
+        for name in ("rows", "features"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"dataset.{name} must be at least 2")
         if self.informative is not None and not 1 <= self.informative <= self.features:
-            raise ConfigError(f"informative must be in [1, {self.features}] when set")
+            raise ConfigError(f"dataset.informative must be in [1, {self.features}] when set")
         if not math.isfinite(self.separation):
-            raise ConfigError("separation must be finite")
+            raise ConfigError("dataset.separation must be finite")
 
 
 @dataclass
@@ -154,9 +149,9 @@ class SplitConfig:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.test_fraction < 1.0:
-            raise ConfigError("test_fraction must be in (0, 1)")
+            raise ConfigError("split.test_fraction must be in (0, 1)")
         if self.active_features is not None and self.active_features < 1:
-            raise ConfigError("active_features must be positive when set")
+            raise ConfigError("split.active_features must be positive when set")
 
 
 @dataclass
@@ -164,6 +159,7 @@ class ExperimentConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     split: SplitConfig = field(default_factory=SplitConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
+    source: str = "<config>"  # where the settings came from, named in errors
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -227,8 +223,6 @@ _KEYMAP: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "train.epochs": ("train", "epochs", int),
     "train.sync_base_interval": ("train", "sync_base_interval", int),
     "train.deadline_ms": ("train", "deadline_seconds", _milliseconds),
-    "train.embed_capacity": ("train", "embed_capacity", int),
-    "train.grad_capacity": ("train", "grad_capacity", int),
     "train.privacy_mu": ("train", "privacy_mu", float),  # accepts "inf"
     "train.privacy_queries": ("train", "privacy_queries", _optional(int)),
     "train.loss_target": ("train", "loss_target", _optional(float)),
@@ -268,11 +262,15 @@ def experiment_from_mapping(values: dict[str, str], source: str = "<config>") ->
             sections[section][attr] = parse(text)
         except ValueError as exc:
             raise ConfigError(f"{source}: bad value for {key}: {exc}") from None
-    return ExperimentConfig(
-        dataset=DatasetConfig(**sections["dataset"]),
-        split=SplitConfig(**sections["split"]),
-        train=TrainConfig(shape=ModelShape(**sections["shape"]), **sections["train"]),
-    )
+    try:
+        return ExperimentConfig(
+            dataset=DatasetConfig(**sections["dataset"]),
+            split=SplitConfig(**sections["split"]),
+            train=TrainConfig(shape=ModelShape(**sections["shape"]), **sections["train"]),
+            source=source,
+        )
+    except ConfigError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
 
 
 def read_key_value_file(path: str, what: str) -> dict[str, str]:

@@ -62,7 +62,7 @@ class EpochMetrics:
     batches_completed: int
     batches_skipped: int
     batch_retries: int
-    evictions: int  # capacity evictions during this epoch
+    evictions: int  # messages pushed out of a full channel by a newer attempt, this epoch
     sync_performed: bool
     active_wait_seconds: float  # total_wait_seconds split by party
     passive_wait_seconds: float

@@ -50,12 +50,14 @@ float64 on the wire, is cast only where a bottom consumes it
 (:func:`bottom_gradient`).  The serial reference uses the same three
 helpers, so the deterministic modes stay bit-identical to it.
 
-Every mode runs the same worker loop per party.  The modes differ only in
-the settings of :data:`MODE_POLICIES`, the one table that says how far a
-passive worker may run ahead, whether waits expire, whether channels hold one
-message, whether the pools rendezvous after every iteration (``sync_ps``),
-and when the parameter servers average replicas at the end of an epoch; see
-:class:`splitbus.config.Mode` for the modes themselves.
+Every mode runs the same worker loop per party, and every batch's channel
+keeps only its newest message: a retry's message supersedes an older one not
+yet consumed, which the broker counts as evicted, so the buffer is the
+passive worker's in-flight window alone.  The modes differ only in the
+settings of :data:`MODE_POLICIES`, the one table that says how far a passive
+worker may run ahead, whether waits expire, whether the pools rendezvous
+after every iteration (``sync_ps``), and when the parameter servers average
+replicas at the end of an epoch; see :class:`splitbus.config.Mode`.
 """
 
 from __future__ import annotations
@@ -679,7 +681,6 @@ class ModePolicy:
 
     lookahead: Callable[[TrainConfig, int], int]  # (cfg, batches per epoch) -> in flight
     waits_expire: bool  # subscribes give up after cfg.deadline_seconds
-    depth_one_channels: bool  # capacity-1 channels instead of the configured ones
     rendezvous: bool  # static assignment, replicas averaged after every iteration
     end_sync: Callable[[AggregationSchedule, int], bool]  # average after this epoch?
 
@@ -707,12 +708,12 @@ def _always(schedule: AggregationSchedule, epoch: int) -> bool:
 
 
 MODE_POLICIES: dict[Mode, ModePolicy] = {
-    #                      lookahead  expire  depth-1  rendezvous  end_sync
-    Mode.LOCKSTEP: ModePolicy(_one_in_flight, False, False, False, _never),
-    Mode.SYNC_PS: ModePolicy(_one_in_flight, False, False, True, _never),
-    Mode.PUBSUB: ModePolicy(_pipelined, True, False, False, AggregationSchedule.should_sync),
-    Mode.ASYNC: ModePolicy(_free_running, True, True, False, _never),
-    Mode.ASYNC_PS: ModePolicy(_free_running, True, False, False, _always),
+    #                      lookahead  expire  rendezvous  end_sync
+    Mode.LOCKSTEP: ModePolicy(_one_in_flight, False, False, _never),
+    Mode.SYNC_PS: ModePolicy(_one_in_flight, False, True, _never),
+    Mode.PUBSUB: ModePolicy(_pipelined, True, False, AggregationSchedule.should_sync),
+    Mode.ASYNC: ModePolicy(_free_running, True, False, _never),
+    Mode.ASYNC_PS: ModePolicy(_free_running, True, False, _always),
 }
 
 
@@ -851,8 +852,7 @@ def run_training(
     sigma = noise_sigma(cfg, n)
 
     policy = MODE_POLICIES[cfg.mode]
-    capacities = (1, 1) if policy.depth_one_channels else (cfg.embed_capacity, cfg.grad_capacity)
-    broker = bk.Broker(num_batches, *capacities)
+    broker = bk.Broker(num_batches, 1, 1)  # each channel keeps its newest message
     workers_active, workers_passive = cfg.workers_active, cfg.workers_passive
     if policy.rendezvous:  # only matched pairs train, so only they hold replicas
         workers_active = workers_passive = min(workers_active, workers_passive)

@@ -349,6 +349,8 @@ BAD_SETTINGS = [  # each on top of lockstep 1+1 over 400 synthetic rows
     "train.deadline_ms = inf",
     "train.skew_active_ms = nan",
     "train.privacy_scale_constant = 1",  # not a key
+    "train.embed_capacity = 5",  # not keys: every channel has capacity 1
+    "train.grad_capacity = 5",
 ]
 
 
@@ -365,6 +367,7 @@ def test_a_bad_setting_exits_2_with_one_error_line(tmp_path, capsys, line):
     assert main(["train", "--config", str(conf), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+    assert key in err[0] and "bad.conf" in err[0], err
 
 
 @pytest.mark.parametrize("text, message", [("", "file is empty"), ("a,b,label\n", "no data rows")])
@@ -400,7 +403,7 @@ def test_flags_beat_the_plan_file_and_the_plan_file_beats_the_config(tiny_config
 
 def test_train_and_compare_share_the_override_flags():
     flags = [
-        "--wa", "3", "--wp", "4", "--mu", "2.5", "--tddl-ms", "250", "--p", "6", "--q", "7",
+        "--wa", "3", "--wp", "4", "--mu", "2.5", "--tddl-ms", "250", "--seed", "6",
         "--delta-t0", "2", "--skew-passive-ms", "1.5", "--skew-active-ms", "0.5",
     ]
     parser = build_parser()
@@ -408,6 +411,18 @@ def test_train_and_compare_share_the_override_flags():
     compare = parser.parse_args(["compare", *flags])
     assert set(vars(train)) - {"mode", "plan"} == set(vars(compare)) - {"modes"}
     assert _load_experiment(train).train == _load_experiment(compare).train
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--p", "6"],  # a prefix of --plan
+    ["train", "--q", "7"],
+    ["compare", "--mode", "lockstep"],  # a prefix of --modes
+])
+def test_abbreviated_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEntryPoint:

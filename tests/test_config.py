@@ -1,9 +1,11 @@
 """Config dataclass validation and the key=value experiment file format."""
 
 import math
+from dataclasses import fields
 
 import pytest
 
+from splitbus import config
 from splitbus.config import (
     ConfigError,
     DatasetConfig,
@@ -36,7 +38,7 @@ class TestTrainConfig:
             {"epochs": 0},
             {"sync_base_interval": 0},
             {"deadline_seconds": 0.0},
-            {"embed_capacity": 0},
+            {"workers_passive": 0},
             {"privacy_mu": 0.0},
             {"privacy_mu": float("nan")},
             {"learning_rate": float("nan")},
@@ -191,6 +193,15 @@ class TestExperimentAssembly:
     def test_invalid_section_value_wrapped_as_config_error(self):
         with pytest.raises(ConfigError):
             experiment_from_mapping({"train.batch_size": "-5"})
+
+    def test_keys_and_fields_are_one_to_one(self):
+        sections = {"dataset": DatasetConfig, "split": SplitConfig, "train": TrainConfig,
+                    "shape": ModelShape}
+        wanted = {(section, f.name) for section, cls in sections.items()
+                  for f in fields(cls) if (section, f.name) != ("train", "shape")}
+        targets = [(section, attr) for section, attr, _ in config._KEYMAP.values()]
+        assert len(targets) == len(set(targets))  # no field has two keys
+        assert set(targets) == wanted
 
 
 class TestFileLoading:

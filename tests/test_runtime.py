@@ -81,6 +81,18 @@ def use_transport(monkeypatch, name: str) -> None:
     monkeypatch.setattr(runtime, "_transport", lambda passive_in_flight: name)
 
 
+def capture_brokers(monkeypatch) -> list[bk.Broker]:
+    """Every broker built in this process from now on, in order."""
+    brokers, real_init = [], bk.Broker.__init__
+
+    def capturing_init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        brokers.append(self)
+
+    monkeypatch.setattr(bk.Broker, "__init__", capturing_init)
+    return brokers
+
+
 class TestSerialEquivalence:
     def test_lockstep_and_single_worker_pubsub_match_reference(self, monkeypatch):
         train, test = vertical_pair()
@@ -295,18 +307,13 @@ class TestTransports:
             learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
         )
         use_transport(monkeypatch, "process")
-        brokers, sent = [], []
-        real_init, real_send = bk.Broker.__init__, tp.Link.send
-
-        def capturing_init(self, *args):
-            real_init(self, *args)
-            brokers.append(self)
+        brokers, sent = capture_brokers(monkeypatch), []
+        real_send = tp.Link.send
 
         def counting_send(self, message):
             sent.append(bk.payload_byte_size(*message.payload.shape))
             return real_send(self, message)
 
-        monkeypatch.setattr(bk.Broker, "__init__", capturing_init)
         monkeypatch.setattr(tp.Link, "send", counting_send)  # the parent sends gradients
         result = run_training(train, None, cfg)
 
@@ -498,6 +505,41 @@ class TestBrokerTraffic:
         assert len(calls) / completed <= 5.0
         if mode in (Mode.LOCKSTEP, Mode.SYNC_PS):
             assert len(calls) == 2 * completed
+
+
+class TestChannels:
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_every_channel_keeps_only_its_newest_message(self, mode, monkeypatch):
+        brokers = capture_brokers(monkeypatch)
+        train, _ = vertical_pair(n=200, d=8, seed=2)
+        workers = 1 if mode in (Mode.LOCKSTEP, Mode.ASYNC) else 2
+        cfg = TrainConfig(
+            mode=mode, batch_size=50, workers_active=workers, workers_passive=workers,
+            learning_rate=0.02, epochs=1, seed=1, shape=SMALL_SHAPE,
+        )
+        run_training(train, None, cfg)
+        (broker,) = brokers  # a forked child works on a copy of this one
+        assert {channel.capacity for channel in broker._channels.values()} == {1}
+
+    @pytest.mark.parametrize("mode", [Mode.PUBSUB, Mode.ASYNC_PS])
+    def test_skewed_pools_retry_and_account_for_every_message(self, mode, monkeypatch):
+        # Each passive batch sleeps twice the deadline, so active waits expire
+        # and batches retry whatever the scheduling.  A retry's embedding
+        # supersedes an older one still in its channel, and only a retry can.
+        brokers = capture_brokers(monkeypatch)
+        train, _ = vertical_pair(n=800, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=mode, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=2, seed=3, shape=SMALL_SHAPE, lookahead=4,
+            deadline_seconds=0.003, skew_passive_seconds=0.006, max_retries=6,
+        )
+        summary = run_training(train, None, cfg).summary
+        (broker,) = brokers
+        stats = broker.stats()
+        assert stats.conserved(), stats
+        assert summary.total_evictions == stats.evicted
+        assert summary.total_batch_retries > 0
+        assert summary.total_evictions <= summary.total_batch_retries
 
 
 class TestCriticalPath:
