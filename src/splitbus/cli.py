@@ -62,6 +62,22 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
+def _parse_sweep(text: str) -> list[int]:
+    """A calibration sweep the delay-model fit can use: 3 or more distinct sizes >= 1."""
+    sizes = _parse_int_list(text)
+    if min(sizes, default=0) < 1 or len(set(sizes)) < 3:
+        raise ValueError("the power-law fit needs at least 3 distinct batch sizes, each >= 1")
+    return sizes
+
+
+def _flag_value(flag: str, parse, text: str):
+    """``parse(text)``; a ``ValueError`` becomes a :class:`ConfigError` naming ``flag``."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"{flag} {text!r}: {exc}") from None
+
+
 # Each override flag is shorthand for one config key: its text goes to that
 # key's parser, after the config file and the plan file.
 # flag -> (config key, the commands that take it, help)
@@ -141,13 +157,15 @@ def _save_models(path: str, result: RunResult) -> None:
 
 
 def cmd_profile(args) -> int:
+    sweep = _flag_value("--batches", _parse_sweep, args.batches) if args.batches else None
+    if args.repetitions < 1:
+        raise ConfigError(f"--repetitions {args.repetitions}: must be >= 1")
     exp = _load_experiment(args)
     train, _ = _load_datasets(exp)
     passive, active, top = build_models(
         exp.train.shape, train.active_features.shape[1],
         train.passive_features.shape[1], exp.dataset.task, exp.train.seed,
     )
-    sweep = _parse_int_list(args.batches) if args.batches else None
     samples = run_calibration(passive, active, top, sweep, repetitions=args.repetitions)
     cores = os.cpu_count() or 1
     constants = build_constants(
@@ -160,10 +178,15 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    wa = _flag_value("--wa", _parse_range, args.wa)
+    wp = _flag_value("--wp", _parse_range, args.wp)
+    batches = _flag_value("--batches", _parse_int_list, args.batches)
+    try:
+        space = SearchSpace(*wa, *wp, batches)
+    except ValueError as exc:
+        flags = f"--wa {args.wa} --wp {args.wp} --batches {args.batches}"
+        raise ConfigError(f"{flags}: {exc}") from None
     constants = read_profile(args.profile)
-    wa_lo, wa_hi = _parse_range(args.wa)
-    wp_lo, wp_hi = _parse_range(args.wp)
-    space = SearchSpace(wa_lo, wa_hi, wp_lo, wp_hi, _parse_int_list(args.batches))
     plan = dp_search(constants, space)
     write_plan(args.out, plan)
     print(
@@ -176,7 +199,10 @@ def cmd_plan(args) -> int:
 
 def _run_one(exp: ExperimentConfig) -> RunResult:
     train, test = _load_datasets(exp)
-    return run_training(train, test, exp.train)
+    try:
+        return run_training(train, test, exp.train)
+    except ConfigError as exc:  # a combination of settings the run refuses
+        raise ConfigError(f"{exp.source}: {exc}") from None
 
 
 def cmd_train(args) -> int:

@@ -5,8 +5,12 @@ train/test row sets *first*, and :func:`vertical_split` then deals disjoint
 feature columns to the two parties.  Column assignment is a pure function of
 (feature count, seed), so calling it with the same seed on the train and
 test tables keeps the parties' views consistent.  Both splits write each
-output byte once, by a single gather from their input, and return fresh
-arrays: nothing they return shares memory with the table they were given.
+output byte once, by a gather from their input, and return fresh arrays:
+nothing they return shares memory with the table they were given.
+
+A party's features are stored in :data:`FEATURE_DTYPE` (float32), the dtype
+its bottom model computes in, and :func:`vertical_split` is the one place
+they are cast; the labels and a :class:`LabeledTable` stay float64.
 
 Batch plans are shared state between the parties: both sides derive the same
 plan from the same seed, and every cross-party message is tagged with the
@@ -22,6 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# The dtype of a party's features, and so of the two bottom models that
+# consume them: nearly all of a run's multiply-adds are the bottoms', and
+# float32 GEMMs take about half the time of float64 ones.
+FEATURE_DTYPE = np.float32
+
 # Rows per block when generate_synthetic adds the class offsets in place, so
 # the only temporary is one block of the informative columns.
 _OFFSET_BLOCK_ROWS = 1024
@@ -31,6 +40,10 @@ _OFFSET_BLOCK_ROWS = 1024
 # holds besides the output arrays.  On a 20000x51 file the traced peak is
 # 1.25x the output at 256 rows a block and 2.0x at 1024.
 _CSV_BLOCK_ROWS = 256
+
+# Rows per block when vertical_split gathers a party's columns: one block, in
+# float64, is the only temporary besides the outputs.
+_SPLIT_BLOCK_ROWS = 1024
 
 
 class Task(enum.Enum):
@@ -65,7 +78,11 @@ class LabeledTable:
 
 @dataclass
 class VerticalDataset:
-    """One party-split view: active holds labels, passive holds only features."""
+    """One party-split view: active holds labels, passive holds only features.
+
+    The features must already be in :data:`FEATURE_DTYPE`; nothing here
+    casts them.  :func:`vertical_split` builds views that are.
+    """
 
     active_features: np.ndarray
     passive_features: np.ndarray
@@ -75,6 +92,10 @@ class VerticalDataset:
     passive_columns: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("active_features", "passive_features"):
+            dtype = getattr(self, name).dtype
+            if dtype != FEATURE_DTYPE:
+                raise ValueError(f"{name} must be {np.dtype(FEATURE_DTYPE)}, got {dtype}")
         # Finiteness is checked here, where data enters, not per batch: the
         # model code checks shapes only, and a non-finite loss aborts training.
         for name in ("active_features", "passive_features", "labels"):
@@ -329,8 +350,9 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
     The active party receives ``num_active`` columns plus the labels; the
     passive party receives the rest and never sees a label.  The column
     permutation depends only on (num_features, seed).  Each party's matrix
-    is one column gather (a fresh C-order array) and the labels are copied,
-    so the view holds one more copy of the table and shares no memory with it.
+    is a fresh C-order array in :data:`FEATURE_DTYPE` and the labels are
+    copied, so the view shares no memory with the table.  A finite value
+    beyond the float32 range raises ``ValueError`` naming the party's matrix.
     """
     d = table.num_features
     if not 1 <= num_active < d:
@@ -340,13 +362,36 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
     active_cols = np.sort(order[:num_active])
     passive_cols = np.sort(order[num_active:])
     return VerticalDataset(
-        active_features=np.take(table.features, active_cols, axis=1),
-        passive_features=np.take(table.features, passive_cols, axis=1),
+        active_features=_gather_columns(table.features, active_cols, "active_features"),
+        passive_features=_gather_columns(table.features, passive_cols, "passive_features"),
         labels=table.labels.copy(),
         task=table.task,
         active_columns=active_cols,
         passive_columns=passive_cols,
     )
+
+
+def _gather_columns(features: np.ndarray, columns: np.ndarray, name: str) -> np.ndarray:
+    """``features[:, columns]`` cast to :data:`FEATURE_DTYPE`, one row block at a time.
+
+    The cast rounds as ``astype`` does.  A finite value past the dtype's
+    largest raises ``ValueError`` naming ``name`` instead of becoming
+    ``inf``; NaN and ``inf`` pass through, for :class:`VerticalDataset` to
+    reject as non-finite.
+    """
+    out = np.empty((features.shape[0], columns.size), dtype=FEATURE_DTYPE)
+    limit = np.finfo(FEATURE_DTYPE).max
+    for start in range(0, features.shape[0], _SPLIT_BLOCK_ROWS):
+        block = np.take(features[start : start + _SPLIT_BLOCK_ROWS], columns, axis=1)
+        # min/max are cheap; only a block that fails them (NaN does) is searched.
+        if not (-limit <= block.min() and block.max() <= limit):
+            if np.any(np.isfinite(block) & (np.abs(block) > limit)):
+                raise ValueError(
+                    f"{name} holds a value beyond the {out.dtype} range (|x| > {limit:.4g})"
+                )
+        out[start : start + _SPLIT_BLOCK_ROWS] = block
+        del block  # else it lives on while the next block is gathered
+    return out
 
 
 def make_batch_plan(num_rows: int, batch_size: int, seed: int = 0) -> BatchPlan:

@@ -22,10 +22,11 @@ and a loss that goes non-finite aborts training.
 Compute follows the parameters' dtype.  A model is float32 or float64
 throughout: every layer has one dtype, and inputs, ``d_output`` and
 gradients must be in it too, so no call casts silently or runs a GEMM at
-another precision.  Data in another dtype enters through
-:func:`cast_input`, which refuses to turn a finite value into ``inf``.
-The runtime builds the two bottom models in float32, since nearly all of a
-run's multiply-adds are theirs and float32 GEMMs run about twice as fast.
+another precision.  The runtime builds the two bottom models in float32,
+since nearly all of a run's multiply-adds are theirs and float32 GEMMs run
+about twice as fast; the features they consume are stored in float32 from
+the vertical split on (``data.vertical_split``, which refuses a finite value
+that would become ``inf``), so nothing here casts input data.
 The top model, the loss with its ``EPS_PROB`` clamp, the DP noise and the
 wire format stay float64: that is where the small quantities live (a
 probability near the clamp, a noise draw, a loss sum), as in mixed-precision
@@ -85,7 +86,8 @@ def as_matrix(x: np.ndarray, name: str = "array") -> np.ndarray:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp(-|z|) never overflows; for z >= 0 it is exp(-z), otherwise exp(z).
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    denominator = 1.0 + e
+    return np.where(z >= 0, 1.0 / denominator, e / denominator)
 
 
 def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
@@ -227,23 +229,6 @@ def _check_input(model: MlpModel, x: np.ndarray) -> None:
         raise ValueError(f"input has {x.shape[1]} columns, model expects {model.in_dim}")
 
 
-def cast_input(model: MlpModel, x: np.ndarray, name: str = "input") -> np.ndarray:
-    """``x`` in ``model``'s dtype: ``x`` itself if it already is, else a cast copy.
-
-    A narrowing cast first checks that every value fits the narrower type,
-    so finite data never becomes ``inf``; a value past it raises
-    ``ValueError`` naming ``name``.
-    """
-    _check_matrix(x, name)
-    dtype = model.dtype
-    if x.dtype == dtype:
-        return x
-    limit = np.finfo(dtype).max
-    if x.size and (x.max() > limit or x.min() < -limit):
-        raise ValueError(f"{name} holds a value beyond the {dtype} range (|x| > {limit:.4g})")
-    return x.astype(dtype)
-
-
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     """One layer: the affine map, then the activation over it in place."""
     z = x @ layer.weight
@@ -301,7 +286,7 @@ def backward(
         delta = _activation_backward(layer.activation, upstream, tape.postacts[idx])
         grads[idx] = LayerGrads(
             d_weight=tape.inputs[idx].T @ delta,
-            d_bias=delta.sum(axis=0, keepdims=True),
+            d_bias=np.add.reduce(delta, axis=0, keepdims=True),
         )
         upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
     return grads, upstream
@@ -319,10 +304,14 @@ def cross_entropy_loss(
     if predictions.shape != targets.shape:
         raise ValueError("prediction/target shape mismatch")
     n = predictions.shape[0]
-    clamped = np.clip(predictions, EPS_PROB, 1.0 - EPS_PROB)
-    loss = float(-np.sum(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped)) / n)
+    # ufuncs called directly: np.clip and np.sum dispatch through Python
+    # wrappers first, which costs more than the arithmetic at small batches.
+    clamped = np.minimum(np.maximum(predictions, EPS_PROB), 1.0 - EPS_PROB)
+    negatives = 1.0 - targets
+    log_likelihood = targets * np.log(clamped) + negatives * np.log1p(-clamped)
+    loss = float(-np.add.reduce(log_likelihood, axis=None) / n)
     inside = (predictions > EPS_PROB) & (predictions < 1.0 - EPS_PROB)
-    d_pred = -(targets / clamped - (1.0 - targets) / (1.0 - clamped)) / n
+    d_pred = -(targets / clamped - negatives / (1.0 - clamped)) / n
     d_pred = np.where(inside, d_pred, 0.0)
     return loss, d_pred
 
@@ -333,7 +322,7 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
         raise ValueError("prediction/target shape mismatch")
     n = predictions.shape[0]
     diff = predictions - targets
-    loss = float(np.sum(diff * diff) / n)
+    loss = float(np.add.reduce(diff * diff, axis=None) / n)
     return loss, 2.0 * diff / n
 
 

@@ -122,7 +122,7 @@ def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Gene
 
     Input and output gradient are in the model's dtype, as in the runtime.
     """
-    x = nn.cast_input(model, rng.normal(size=(b, model.in_dim)))
+    x = rng.normal(size=(b, model.in_dim)).astype(model.dtype, copy=False)
     d_out = np.ones((b, model.out_dim), dtype=model.dtype)
     _, tape = nn.forward(model, x)
     if not role.value.endswith("backward"):
@@ -148,7 +148,7 @@ def fit_power_law(
     t = np.asarray(elapsed, dtype=float)
     if b.shape != t.shape or b.ndim != 1:
         raise ValueError("batch_sizes and elapsed must be equal-length 1-D")
-    if np.unique(b).size < 3:
+    if len(set(b.tolist())) < 3:  # np.unique would import numpy.ma, ~10 ms
         raise ValueError("power-law fit needs at least 3 distinct batch sizes")
     if np.any(t <= 0.0) or np.any(b <= 0.0):
         raise ValueError("timings and batch sizes must be positive")

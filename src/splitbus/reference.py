@@ -5,7 +5,9 @@ two-party runtime, but as a plain serial loop with no threads, broker or
 parameter servers.  It shares the model construction, batch planning and
 noise-stream derivation with the runtime, so a cooperative single-worker
 run of the runtime must reproduce its per-epoch losses bit for bit — any
-divergence points at a runtime bug, not at floating-point noise.
+divergence points at a runtime bug, not at floating-point noise.  Like the
+runtime, it reads each party's features as the vertical split stored them,
+already in the bottoms' dtype, and casts nothing per run.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .runtime import (
     _SEED_NOISE,
     batch_loss_mean,
     bottom_gradient,
-    bottom_inputs,
     build_models,
     derive_seed,
     evaluate_models,
@@ -42,9 +43,6 @@ def run_reference(
         cfg.shape, train.active_features.shape[1], train.passive_features.shape[1],
         train.task, cfg.seed,
     )
-    train = bottom_inputs(train, passive, active)
-    if test is not None:
-        test = bottom_inputs(test, passive, active)
     sigma = noise_sigma(cfg, n)
     noise_rng = worker_noise_rng(derive_seed(cfg.seed, _SEED_NOISE), 0)
     embed_cols = active.out_dim

@@ -42,13 +42,15 @@ After each epoch, :func:`evaluate_models` scores the test set by inference
 alone (:func:`splitbus.nn.predict`, no tape), the two bottom models side by
 side on two threads.
 
-The two bottom models compute in :data:`BOTTOM_DTYPE` (float32) and the top
-model in float64 (see :mod:`splitbus.nn`).  Each party's features are cast
-once per run, train and test alike, by :func:`bottom_inputs`; the top
-input is built in float64 by :func:`top_input`; and a cut-layer gradient,
-float64 on the wire, is cast only where a bottom consumes it
-(:func:`bottom_gradient`).  The serial reference uses the same three
-helpers, so the deterministic modes stay bit-identical to it.
+The two bottom models compute in :data:`splitbus.data.FEATURE_DTYPE`
+(float32), the dtype each party's features are stored in from the vertical
+split on, and the top model in float64 (see :mod:`splitbus.nn`).  A run
+trains on the caller's feature arrays as they are, train and test alike,
+without copying or casting them; the top input is built in float64 by
+:func:`top_input`; and a cut-layer gradient, float64 on the wire, is cast
+only where a bottom consumes it (:func:`bottom_gradient`).  The serial
+reference uses the same two helpers, so the deterministic modes stay
+bit-identical to it.
 
 Every mode runs the same worker loop per party, and every batch's channel
 keeps only its newest message: a retry's message supersedes an older one not
@@ -69,11 +71,12 @@ import time
 from collections import OrderedDict
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import broker as bk
+from . import data as dt
 from . import metrics as mt
 from . import nn
 from . import transport as tp
@@ -99,11 +102,6 @@ _SEED_PLAN = 4
 _SEED_NOISE = 5
 
 
-# The dtype of both bottom models.  Nearly all of a run's multiply-adds are
-# theirs, and float32 GEMMs take about half the time of float64 ones.
-BOTTOM_DTYPE = np.float32
-
-
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer parts (order matters)."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
@@ -117,8 +115,9 @@ def build_models(
     Hidden layers are ReLU throughout, including each bottom model's output
     layer (it is a hidden layer of the composed network); the top model ends
     in a sigmoid for classification, identity for regression.  The bottoms
-    are in :data:`BOTTOM_DTYPE` and the top in float64; the weights are the
-    same draws either way, cast after drawing.
+    are in :data:`splitbus.data.FEATURE_DTYPE`, the dtype of the features
+    they consume, and the top in float64; the weights are the same draws
+    either way, cast after drawing.
     """
     passive_dims = [d_passive, *shape.passive_hidden, shape.passive_embed]
     active_dims = [d_active, *shape.active_hidden, shape.active_embed]
@@ -126,33 +125,17 @@ def build_models(
     head = nn.Activation.SIGMOID if task is Task.CLASSIFICATION else nn.Activation.IDENTITY
     passive = nn.init_mlp(
         passive_dims, [nn.Activation.RELU] * (len(passive_dims) - 1),
-        derive_seed(seed, _SEED_PASSIVE_BOTTOM), BOTTOM_DTYPE,
+        derive_seed(seed, _SEED_PASSIVE_BOTTOM), dt.FEATURE_DTYPE,
     )
     active = nn.init_mlp(
         active_dims, [nn.Activation.RELU] * (len(active_dims) - 1),
-        derive_seed(seed, _SEED_ACTIVE_BOTTOM), BOTTOM_DTYPE,
+        derive_seed(seed, _SEED_ACTIVE_BOTTOM), dt.FEATURE_DTYPE,
     )
     top = nn.init_mlp(
         top_dims, [nn.Activation.RELU] * (len(top_dims) - 2) + [head],
         derive_seed(seed, _SEED_TOP),
     )
     return passive, active, top
-
-
-def bottom_inputs(
-    dataset: VerticalDataset, passive_bottom: nn.MlpModel, active_bottom: nn.MlpModel
-) -> VerticalDataset:
-    """``dataset`` with each party's features in its bottom model's dtype.
-
-    Returns ``dataset`` itself when both already are, so a run casts its
-    data once and later calls cost nothing.  A value too large for the
-    bottom's dtype raises ``ValueError`` naming the matrix.
-    """
-    active = nn.cast_input(active_bottom, dataset.active_features, "active_features")
-    passive = nn.cast_input(passive_bottom, dataset.passive_features, "passive_features")
-    if active is dataset.active_features and passive is dataset.passive_features:
-        return dataset
-    return replace(dataset, active_features=active, passive_features=passive)
 
 
 def top_input(top: nn.MlpModel, z_active: np.ndarray, z_passive: np.ndarray) -> np.ndarray:
@@ -409,7 +392,7 @@ class PassiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = nn.cast_input(initial_model, features, "passive_features")
+        self.features = features
         self.replicas = [initial_model.clone() for _ in range(num_workers)]
         self.eta = eta
         self.sigma = sigma
@@ -529,7 +512,7 @@ class ActiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = nn.cast_input(initial_bottom, features, "active_features")
+        self.features = features
         self.labels = labels
         self.task = task
         self.bottoms = [initial_bottom.clone() for _ in range(num_workers)]
@@ -662,9 +645,7 @@ def evaluate_models(
     bottom runs on a short-lived helper thread while this thread runs the
     active bottom; BLAS releases the interpreter lock, so on two CPUs the
     bottoms overlap.  The helper is joined before the top model runs.
-    Features not yet in the bottoms' dtype are cast by :func:`bottom_inputs`.
     """
-    dataset = bottom_inputs(dataset, passive_bottom, active_bottom)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="evaluate-passive") as helper:
         passive = helper.submit(nn.predict, passive_bottom, dataset.passive_features)
         z_active = nn.predict(active_bottom, dataset.active_features)
@@ -833,10 +814,15 @@ def run_training(
     wrong batch (that one indicates a bug, not a condition to tolerate).
     """
     if cfg.mode in SINGLE_PAIR_MODES and (cfg.workers_active != 1 or cfg.workers_passive != 1):
-        raise ConfigError(f"mode {cfg.mode.value} runs exactly one worker per party")
+        raise ConfigError(
+            f"train.mode = {cfg.mode.value} runs exactly one worker per party, but "
+            f"train.workers_active = {cfg.workers_active} and "
+            f"train.workers_passive = {cfg.workers_passive}"
+        )
     if cfg.mode in ONE_IN_FLIGHT_MODES and cfg.lookahead is not None:
         raise ConfigError(
-            f"mode {cfg.mode.value} holds one batch in flight; lookahead does not apply"
+            f"train.mode = {cfg.mode.value} holds one batch in flight, so "
+            f"train.lookahead = {cfg.lookahead} does not apply"
         )
 
     n = train.num_rows
@@ -846,9 +832,6 @@ def run_training(
     passive_init, active_init, top_init = build_models(
         cfg.shape, d_active, d_passive, train.task, cfg.seed
     )
-    if test is not None:  # the engines cast the training features themselves
-        test = bottom_inputs(test, passive_init, active_init)
-
     sigma = noise_sigma(cfg, n)
 
     policy = MODE_POLICIES[cfg.mode]

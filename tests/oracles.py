@@ -219,6 +219,19 @@ def preact_mask_backward(
     return grads, upstream
 
 
+def clip_sum_cross_entropy_loss(
+    predictions: np.ndarray, targets: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The first ``nn.cross_entropy_loss``: ``np.clip``, ``np.sum`` and
+    ``1.0 - targets`` formed twice."""
+    n = predictions.shape[0]
+    clamped = np.clip(predictions, nn.EPS_PROB, 1.0 - nn.EPS_PROB)
+    loss = float(-np.sum(targets * np.log(clamped) + (1.0 - targets) * np.log1p(-clamped)) / n)
+    inside = (predictions > nn.EPS_PROB) & (predictions < 1.0 - nn.EPS_PROB)
+    d_pred = -(targets / clamped - (1.0 - targets) / (1.0 - clamped)) / n
+    return loss, np.where(inside, d_pred, 0.0)
+
+
 # -- data oracles --------------------------------------------------------------
 
 
@@ -268,14 +281,15 @@ def copying_split_rows(
 def copying_vertical_split(
     table: data.LabeledTable, num_active: int, seed: int = 0
 ) -> data.VerticalDataset:
-    """The first ``data.vertical_split``: fancy-indexed columns, then copied again."""
+    """The first ``data.vertical_split``: fancy-indexed columns, then copied
+    again by a whole-matrix cast to ``data.FEATURE_DTYPE``."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(table.num_features)
     active_cols = np.sort(order[:num_active])
     passive_cols = np.sort(order[num_active:])
     return data.VerticalDataset(
-        active_features=table.features[:, active_cols].copy(),
-        passive_features=table.features[:, passive_cols].copy(),
+        active_features=table.features[:, active_cols].astype(data.FEATURE_DTYPE),
+        passive_features=table.features[:, passive_cols].astype(data.FEATURE_DTYPE),
         labels=table.labels.copy(),
         task=table.task,
         active_columns=active_cols,

@@ -99,6 +99,22 @@ class TestProfileCommand:
         passive, _, _ = build_models(ModelShape(), 3, 9, Task.CLASSIFICATION, 0)
         assert constants.mem_base_passive == 2 * passive.parameter_bytes
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--batches", "8,16"], "--batches"),  # the fit needs 3 distinct sizes
+        (["--batches", "8,8,16"], "--batches"),
+        (["--batches", "0,8,16"], "--batches"),
+        (["--batches", "8,x,16"], "--batches"),
+        (["--repetitions", "0"], "--repetitions"),
+    ])
+    def test_a_bad_sweep_exits_2_naming_the_flag(self, tiny_config, tmp_path, capsys,
+                                                 argv, flag):
+        out = tmp_path / "prof.txt"
+        code = main(["profile", "--config", tiny_config, "--out", str(out), *argv])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
+        assert not out.exists()
+
 
 class TestPlanCommand:
     def test_plan_matches_enumeration_oracle(self, tmp_path):
@@ -148,6 +164,18 @@ class TestPlanCommand:
         out = tmp_path / "p.txt"
         assert main(["plan", "--profile", str(prof), "--out", str(out)]) == 2
         assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--wa", "x"), ("--wp", "1..y"), ("--wa", "5..2"), ("--batches", "16,x"), ("--batches", ""),
+    ])
+    def test_a_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, text):
+        prof = tmp_path / "prof.txt"
+        write_profile(str(prof), realistic_constants())
+        out = tmp_path / "p.txt"
+        assert main(["plan", "--profile", str(prof), "--out", str(out), flag, text]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
         assert not out.exists()
 
     def test_missing_profile_exits_2(self, tmp_path, capsys):
@@ -351,6 +379,9 @@ BAD_SETTINGS = [  # each on top of lockstep 1+1 over 400 synthetic rows
     "train.privacy_scale_constant = 1",  # not a key
     "train.embed_capacity = 5",  # not keys: every channel has capacity 1
     "train.grad_capacity = 5",
+    "train.workers_active = 2",  # refused by the run: lockstep is one pair
+    "train.workers_passive = 3",
+    "train.lookahead = 2",  # refused by the run: lockstep holds one batch in flight
 ]
 
 

@@ -1,5 +1,6 @@
 """Dataset tests: generators, CSV round trips, vertical splits, batch plans."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -213,7 +214,8 @@ def test_vertical_split_partitions_columns_and_keeps_labels_active():
     different = data.vertical_split(table, num_active=4, seed=10)
     assert not np.array_equal(view.active_columns, different.active_columns)
     for col_pos, col in enumerate(view.active_columns):
-        assert np.array_equal(view.active_features[:, col_pos], table.features[:, col])
+        want = table.features[:, col].astype(np.float32)
+        assert np.array_equal(view.active_features[:, col_pos], want)
 
 
 def test_batch_plan_partitions_all_rows_exactly_once():
@@ -246,15 +248,20 @@ def test_single_batch_plan_when_batch_covers_everything():
 # -- copy-free splits ------------------------------------------------------------
 
 
-def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    assert got.dtype == want.dtype == np.float64
+def _assert_same_bits(got: np.ndarray, want: np.ndarray, dtype=np.float64) -> None:
+    assert got.dtype == want.dtype == dtype
     assert got.flags.c_contiguous and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    as_bits = f"u{got.itemsize}"  # an unsigned integer as wide as the float
+    assert np.array_equal(got.view(as_bits), want.view(as_bits))
+
+
+VIEW_DTYPES = {"active_features": np.float32, "passive_features": np.float32,
+               "labels": np.float64}
 
 
 def _assert_same_views(got: data.VerticalDataset, want: data.VerticalDataset) -> None:
-    for name in ("active_features", "passive_features", "labels"):
-        _assert_same_bits(getattr(got, name), getattr(want, name))
+    for name, dtype in VIEW_DTYPES.items():
+        _assert_same_bits(getattr(got, name), getattr(want, name), dtype)
     assert np.array_equal(got.active_columns, want.active_columns)
     assert np.array_equal(got.passive_columns, want.passive_columns)
 
@@ -300,17 +307,17 @@ def test_split_outputs_are_independent_of_their_input():
     train, test = data.split_rows(table, test_fraction=0.3, seed=2)
     view = data.vertical_split(table, num_active=3, seed=3)
     kept = [a.copy() for a in (train.features, train.labels, test.features, test.labels)]
-    kept_view = [a.copy() for a in (view.active_features, view.passive_features, view.labels)]
+    kept_view = {name: getattr(view, name).copy() for name in VIEW_DTYPES}
     table.features[...] = 7.0
     table.labels[...] = 0.5
     for got, want in zip((train.features, train.labels, test.features, test.labels), kept):
         _assert_same_bits(got, want)
-    for got, want in zip((view.active_features, view.passive_features, view.labels), kept_view):
-        _assert_same_bits(got, want)
+    for name, dtype in VIEW_DTYPES.items():
+        _assert_same_bits(getattr(view, name), kept_view[name], dtype)
 
 
-def _peak_over_outputs(build, outputs) -> float:
-    """Peak memory traced while ``build()`` runs, over the bytes of what it returns."""
+def _traced_peak(build):
+    """(peak bytes traced while ``build()`` runs, what it returned)."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -322,6 +329,12 @@ def _peak_over_outputs(build, outputs) -> float:
     finally:
         if not tracing:
             tracemalloc.stop()
+    return peak, result
+
+
+def _peak_over_outputs(build, outputs) -> float:
+    """Peak memory traced while ``build()`` runs, over the bytes of what it returns."""
+    peak, result = _traced_peak(build)
     return peak / sum(a.nbytes for a in outputs(result))
 
 
@@ -348,6 +361,53 @@ def test_data_path_writes_each_output_byte_once():
     assert generated <= 1.35, f"generate_synthetic peak {generated:.2f}x its table"
     assert split <= 1.05, f"split_rows peak {split:.2f}x its outputs"
     assert dealt <= 1.15, f"vertical_split peak {dealt:.2f}x its outputs"
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, data._SPLIT_BLOCK_ROWS])
+def test_vertical_split_features_are_the_table_columns_cast_to_float32(block_rows, monkeypatch):
+    # 1054 rows leave a partial last block at 7 and at 1024 rows a block.
+    table = data.generate_synthetic(1054, 9, 4, seed=12)
+    table.features[5, :] *= 1e30  # large magnitudes too, inside the float32 range
+    monkeypatch.setattr(data, "_SPLIT_BLOCK_ROWS", block_rows)
+    view = data.vertical_split(table, num_active=4, seed=2)
+    for name, cols in (("active_features", view.active_columns),
+                       ("passive_features", view.passive_columns)):
+        want = table.features[:, cols].astype(np.float32)
+        _assert_same_bits(getattr(view, name), want, np.float32)
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.nextafter(FLOAT32_MAX, np.inf)])
+@pytest.mark.parametrize("name", ["active_features", "passive_features"])
+def test_a_finite_value_beyond_float32_fails_at_the_split_naming_the_matrix(name, value):
+    table = data.generate_synthetic(3000, 8, 4, seed=4)
+    view = data.vertical_split(table, num_active=4, seed=5)
+    column = (view.active_columns if name == "active_features" else view.passive_columns)[1]
+    table.features[2500, column] = value  # finite in float64, inf in float32
+    with pytest.raises(ValueError, match=f"{name} holds a value beyond the float32 range"):
+        data.vertical_split(table, num_active=4, seed=5)
+    table.features[2500, column] = FLOAT32_MAX  # the largest that fits
+    edge = data.vertical_split(table, num_active=4, seed=5)
+    assert np.all(np.isfinite(getattr(edge, name)))
+
+
+def test_vertical_dataset_takes_only_float32_features():
+    view = data.vertical_split(data.generate_synthetic(20, 4, 2, seed=0), num_active=2)
+    for name in ("active_features", "passive_features"):
+        wide = getattr(view, name).astype(np.float64)
+        with pytest.raises(ValueError, match=f"{name} must be float32, got float64"):
+            dataclasses.replace(view, **{name: wide})  # runs __post_init__ again
+
+
+def test_vertical_split_peak_is_its_outputs_plus_one_row_block():
+    table = data.generate_synthetic(5000, 60, 20, seed=3)
+    data.vertical_split(table, num_active=20, seed=1)  # warm-up
+    peak, view = _traced_peak(lambda: data.vertical_split(table, num_active=20, seed=1))
+    outputs = sum(getattr(view, name).nbytes for name in VIEW_DTYPES)
+    block = data._SPLIT_BLOCK_ROWS * 40 * 8  # the widest party's columns, in float64
+    assert peak <= outputs + block + 4096, (peak, outputs, block)
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])

@@ -92,6 +92,26 @@ def test_sigmoid_is_bit_identical_to_indexed_oracle():
         assert np.array_equal(bits(nn._sigmoid(z)), bits(oracles.indexed_sigmoid(z)))
 
 
+def test_cross_entropy_is_bit_identical_to_clip_sum_oracle():
+    rng = np.random.default_rng(31)
+    eps = nn.EPS_PROB
+    edges = [0.0, eps, np.nextafter(eps, 0.0), np.nextafter(eps, 1.0), 0.5,
+             1.0 - eps, np.nextafter(1.0 - eps, 0.0), np.nextafter(1.0 - eps, 2.0), 1.0]
+    for rows in (1, 32, 257):
+        pred = rng.uniform(0.0, 1.0, size=(rows, 1))
+        pred.ravel()[: len(edges)] = edges[:rows]
+        y = rng.integers(0, 2, size=(rows, 1)).astype(np.float64)
+        loss, grad = nn.cross_entropy_loss(pred, y)
+        want_loss, want_grad = oracles.clip_sum_cross_entropy_loss(pred, y)
+        assert loss.hex() == want_loss.hex()
+        assert np.array_equal(bits(grad), bits(want_grad))
+    pred[3, 0] = np.nan  # propagates to the loss; the gradient there is zero
+    loss, grad = nn.cross_entropy_loss(pred, y)
+    want_loss, want_grad = oracles.clip_sum_cross_entropy_loss(pred, y)
+    assert math.isnan(loss) and math.isnan(want_loss)
+    assert grad[3, 0] == 0.0 and np.array_equal(bits(grad), bits(want_grad))
+
+
 def _random_forward_case(rng: np.random.Generator, seed: int):
     """Random depth and widths, hidden sigmoids included, inputs scaled so
     that some preactivations pass |z| = 700 and exact (signed) zeros occur."""
@@ -327,20 +347,3 @@ def test_dtype_mismatches_raise():
         narrow.load_from(wide)
     with pytest.raises(ValueError, match="float32 or float64"):
         nn.forward(wide, x.astype(np.float16))
-
-
-def test_cast_input_narrows_only_what_fits():
-    acts = [nn.Activation.IDENTITY]
-    narrow = nn.init_mlp([3, 2], acts, seed=0, dtype=np.float32)
-    wide = nn.init_mlp([3, 2], acts, seed=0)
-    biggest = float(np.finfo(np.float32).max)
-    x = np.array([[1.0, -2.5, biggest], [-biggest, 0.1, -0.0]])
-    assert nn.cast_input(wide, x) is x
-    cast = nn.cast_input(narrow, x, "features")
-    assert cast.dtype == np.float32 and np.array_equal(cast, x.astype(np.float32))
-    assert np.all(np.isfinite(cast))
-    assert nn.cast_input(narrow, cast) is cast
-    assert np.array_equal(nn.cast_input(wide, cast), cast.astype(np.float64))
-    x[1, 1] = -1e39
-    with pytest.raises(ValueError, match="features holds a value beyond the float32 range"):
-        nn.cast_input(narrow, x, "features")

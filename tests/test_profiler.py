@@ -8,12 +8,16 @@ tests, which assert structure and repeat stability, not exact values.
 
 import dataclasses
 import math
+import os
 import statistics
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import splitbus
 from splitbus import nn
 from splitbus.broker import payload_byte_size
 from splitbus.profiler import (
@@ -83,6 +87,9 @@ class TestPowerLawFit:
             fit_power_law([2, 4], [1.0, 2.0])
         with pytest.raises(ValueError):
             fit_power_law([2, 2, 2, 2], [1.0, 1.0, 1.0, 1.0])  # not distinct
+        for sizes in ([8, 8, 16], [8, 8.0, 16]):
+            with pytest.raises(ValueError, match="at least 3 distinct batch sizes"):
+                fit_power_law(sizes, [1.0, 1.0, 2.0])
         with pytest.raises(ValueError):
             fit_power_law([2, 4, 8], [1.0, 0.0, 2.0])
 
@@ -243,6 +250,30 @@ class TestMemoryModel:
             assert c.mem_base_active + c.mem_slope_active * b == active_total
             passive_total = model_memory_bytes(passive, b)
             assert c.mem_base_passive + c.mem_slope_passive * b == passive_total
+
+
+PROFILE_WITHOUT_NUMPY_MA = """
+import sys
+from splitbus import nn
+from splitbus.profiler import build_constants, run_calibration
+relu = nn.Activation.RELU
+models = [nn.init_mlp([6, 8, 4], [relu, relu], seed=s) for s in (1, 2)]
+models.append(nn.init_mlp([8, 4, 1], [relu, nn.Activation.SIGMOID], seed=3))
+build_constants(run_calibration(*models, [2, 4, 8], repetitions=1), *models)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_profiling_does_not_import_numpy_ma():
+    # Importing numpy.ma (np.unique does) would add about 10 ms to every profile.
+    package_root = os.path.dirname(os.path.dirname(splitbus.__file__))
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", PROFILE_WITHOUT_NUMPY_MA],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCalibrationSweep:

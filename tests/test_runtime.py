@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from splitbus import broker as bk
+from splitbus import data
 from splitbus import metrics as mt
 from splitbus import nn
 from splitbus import runtime
@@ -629,14 +630,11 @@ class TestEvaluation:
     @pytest.mark.parametrize("task", list(Task))
     def test_evaluation_runs_without_a_tape(self, task, monkeypatch):
         # Under one block of rows, predict has forward's bits, so the metric is exact.
-        # The oracle casts the features as the runtime does; evaluation gets them
-        # uncast and must cast them the same way.
         _, test = vertical_pair(n=400, d=12, seed=3, task=task)
         passive, active, top = build_models(SMALL_SHAPE, 6, 6, task, seed=7)
-        cast = runtime.bottom_inputs(test, passive, active)
         z = np.concatenate(
-            [nn.forward(active, cast.active_features)[0],
-             nn.forward(passive, cast.passive_features)[0]], axis=1, dtype=np.float64,
+            [nn.forward(active, test.active_features)[0],
+             nn.forward(passive, test.passive_features)[0]], axis=1, dtype=np.float64,
         )
         scores = nn.forward(top, z)[0]
         want = (
@@ -672,11 +670,10 @@ class TestBottomPrecision:
     )
 
     def test_float32_bottoms_track_float64_bottoms(self, monkeypatch):
-        train, test = vertical_pair(n=800, d=12, seed=5)
         cfg = TrainConfig(**self.CFG)
-        single = run_training(train, test, cfg)
-        monkeypatch.setattr(runtime, "BOTTOM_DTYPE", np.float64)
-        double = run_training(train, test, cfg)
+        single = run_training(*vertical_pair(n=800, d=12, seed=5), cfg)
+        monkeypatch.setattr(data, "FEATURE_DTYPE", np.float64)  # the split and the bottoms
+        double = run_training(*vertical_pair(n=800, d=12, seed=5), cfg)
         models = ("passive_bottom", "active_bottom", "top")
         dtypes = lambda r: [r.final_models[name].dtype for name in models]
         assert dtypes(single) == [np.float32, np.float32, np.float64]
@@ -687,15 +684,20 @@ class TestBottomPrecision:
             double.summary.final_test_metric, abs=1e-3
         )
 
-    @pytest.mark.parametrize("split", ["train", "test"])
-    @pytest.mark.parametrize("name", ["active_features", "passive_features"])
-    def test_features_beyond_float32_are_rejected_by_name(self, name, split):
-        data = dict(zip(("train", "test"), vertical_pair(n=160, d=8, seed=4)))
-        getattr(data[split], name)[5, 1] = 1e39  # finite in float64, inf in float32
-        with pytest.raises(ValueError, match=f"{name} holds a value beyond the float32 range"):
-            run_training(data["train"], data["test"], TrainConfig(**self.CFG))
-        with pytest.raises(ValueError, match=name):
-            run_reference(data["train"], data["test"], TrainConfig(**self.CFG))
+    def test_a_run_trains_on_the_callers_feature_arrays(self, monkeypatch):
+        # The split stores features in the bottoms' dtype, so a run copies none.
+        held = []
+        for cls in (runtime.PassiveEngine, runtime.ActiveEngine):
+            def recording_init(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                held.append(self)
+
+            monkeypatch.setattr(cls, "__init__", recording_init)
+        train, test = vertical_pair(n=160, d=8, seed=4)
+        run_training(train, test, TrainConfig(**self.CFG))
+        passive, active = held
+        assert np.shares_memory(passive.features, train.passive_features)
+        assert np.shares_memory(active.features, train.active_features)
 
 
 class TestFailurePlumbing:
