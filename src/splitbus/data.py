@@ -8,9 +8,10 @@ test tables keeps the parties' views consistent.  Both splits write each
 output byte once, by a gather from their input, and return fresh arrays:
 nothing they return shares memory with the table they were given.
 
-A party's features are stored in :data:`FEATURE_DTYPE` (float32), the dtype
-its bottom model computes in, and :func:`vertical_split` is the one place
-they are cast; the labels and a :class:`LabeledTable` stay float64.
+Features are stored in :data:`FEATURE_DTYPE` (float32), the dtype the bottom
+models compute in, from the moment a :class:`LabeledTable` exists: the
+generator writes them so, and the table casts any other input once, so no
+stage after it holds a float64 copy.  The labels stay float64.
 
 Batch plans are shared state between the parties: both sides derive the same
 plan from the same seed, and every cross-party message is tagged with the
@@ -31,19 +32,15 @@ import numpy as np
 # float32 GEMMs take about half the time of float64 ones.
 FEATURE_DTYPE = np.float32
 
-# Rows per block when generate_synthetic adds the class offsets in place, so
-# the only temporary is one block of the informative columns.
-_OFFSET_BLOCK_ROWS = 1024
+# Rows per block when generate_synthetic draws its normals and a LabeledTable
+# casts its features: one float64 block is the only temporary besides them.
+_BLOCK_ROWS = 1024
 
 # Rows per block when load_csv converts a file: one block's cells, as str
 # objects and as numpy's own copy of them during the conversion, are all it
 # holds besides the output arrays.  On a 20000x51 file the traced peak is
 # 1.25x the output at 256 rows a block and 2.0x at 1024.
 _CSV_BLOCK_ROWS = 256
-
-# Rows per block when vertical_split gathers a party's columns: one block, in
-# float64, is the only temporary besides the outputs.
-_SPLIT_BLOCK_ROWS = 1024
 
 
 class Task(enum.Enum):
@@ -57,7 +54,12 @@ class DataFormatError(ValueError):
 
 @dataclass
 class LabeledTable:
-    """Features (n, d) with a label column (n, 1); not yet split by party."""
+    """Features (n, d) with a label column (n, 1); not yet split by party.
+
+    Features in another dtype are cast to :data:`FEATURE_DTYPE` once, here, as
+    ``astype`` rounds, but a finite value past its range raises ``ValueError``
+    instead of becoming ``inf``.  NaN and ``inf`` are left to VerticalDataset.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -66,6 +68,16 @@ class LabeledTable:
     def __post_init__(self) -> None:
         if self.features.ndim != 2 or self.labels.shape != (self.features.shape[0], 1):
             raise ValueError("features must be (n, d) and labels (n, 1)")
+        if self.features.dtype != FEATURE_DTYPE:
+            wide, self.features = self.features, np.empty(self.features.shape, FEATURE_DTYPE)
+            limit = np.finfo(FEATURE_DTYPE).max
+            for start in range(0, wide.shape[0], _BLOCK_ROWS):
+                block = wide[start : start + _BLOCK_ROWS]
+                # min/max are cheap; only a block that fails them (NaN does) is searched.
+                if block.size and not (-limit <= block.min() and block.max() <= limit):
+                    if np.any(np.isfinite(block) & (np.abs(block) > limit)):
+                        raise ValueError(f"features hold a value beyond the {limit.dtype} range")
+                self.features[start : start + _BLOCK_ROWS] = block
 
     @property
     def num_rows(self) -> int:
@@ -80,8 +92,7 @@ class LabeledTable:
 class VerticalDataset:
     """One party-split view: active holds labels, passive holds only features.
 
-    The features must already be in :data:`FEATURE_DTYPE`; nothing here
-    casts them.  :func:`vertical_split` builds views that are.
+    The features must be in :data:`FEATURE_DTYPE`, as a table stores them.
     """
 
     active_features: np.ndarray
@@ -160,7 +171,14 @@ def generate_synthetic(
     if not 1 <= num_informative <= num_features:
         raise ValueError("num_informative out of range")
     rng = np.random.default_rng(seed)
-    features = rng.normal(0.0, 1.0, size=(num_rows, num_features))
+    # Normals are drawn a row block at a time, in the stream's order; only the
+    # informative columns wait in float64 for the offsets or weights drawn next.
+    features = np.empty((num_rows, num_features), FEATURE_DTYPE)
+    informative = np.empty((num_rows, num_informative))
+    for start in range(0, num_rows, _BLOCK_ROWS):
+        block = rng.normal(0.0, 1.0, size=(min(_BLOCK_ROWS, num_rows - start), num_features))
+        informative[start : start + _BLOCK_ROWS] = block[:, :num_informative]
+        features[start : start + _BLOCK_ROWS, num_informative:] = block[:, num_informative:]
     if task is Task.CLASSIFICATION:
         ones = num_rows // 2
         labels = np.zeros((num_rows, 1))
@@ -168,14 +186,15 @@ def generate_synthetic(
         labels = labels[rng.permutation(num_rows)]
         offsets = separation * rng.uniform(0.7, 1.3, size=num_informative)
         signs = 2.0 * labels - 1.0  # +/- 1 per row
-        for start in range(0, num_rows, _OFFSET_BLOCK_ROWS):
-            block = slice(start, start + _OFFSET_BLOCK_ROWS)
-            features[block, :num_informative] += signs[block] * offsets
+        for start in range(0, num_rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            informative[block] += signs[block] * offsets
     else:
         weights = rng.uniform(-1.0, 1.0, size=(num_informative, 1))
-        signal = features[:, :num_informative] @ weights
+        signal = informative @ weights
         noise_scale = 0.1 * float(np.std(signal)) or 0.1
         labels = signal + rng.normal(0.0, noise_scale, size=(num_rows, 1))
+    features[:, :num_informative] = informative
     return LabeledTable(features, labels, task)
 
 
@@ -183,8 +202,12 @@ def standardize_columns(features: np.ndarray) -> np.ndarray:
     """Zero-mean, unit-variance per column, in place; constant columns are only centred.
 
     Returns ``features``.  Nothing the size of ``features`` is allocated: the
-    sum of squares is taken by ``einsum`` over the centred columns.
+    sum of squares is taken by ``einsum`` over the centred columns.  A column
+    whose magnitude reaches 2**400 is first divided by a power of two, which
+    is exact, so that its sums cannot overflow; other columns are scaled by 1.
     """
+    _, exponent = np.frexp(np.fmax(features.max(axis=0), -features.min(axis=0)))
+    features *= np.ldexp(1.0, np.where(exponent > 400, -exponent, 0))
     features -= features.mean(axis=0, keepdims=True)
     std = np.sqrt(np.einsum("ij,ij->j", features, features) / features.shape[0])
     features /= np.where(std < 1e-12, 1.0, std)
@@ -204,7 +227,8 @@ def load_csv(
     :class:`DataFormatError` naming the 1-based file row and column, blank
     lines included in the count.  Cells convert exactly as ``float(cell)``
     does.  Feature columns are standardised at load unless disabled; labels
-    are never rescaled, and classification labels must be 0/1.
+    are never rescaled, and classification labels must be 0/1.  Unscaled
+    features are parsed into :data:`FEATURE_DTYPE`, and must fit its range.
     """
     capacity = _line_count(path)  # at least the number of data rows
     with open(path, newline="") as handle:
@@ -218,7 +242,7 @@ def load_csv(
             raise DataFormatError(f"{path}: no data rows")
         width = len(block[0][1])
         label_idx = _label_index(label_column, header, width)
-        features = np.empty((capacity, width - 1))
+        features = np.empty((capacity, width - 1), np.float64 if standardize else FEATURE_DTYPE)
         labels = np.empty((capacity, 1))
         num_rows = 0
         while block:
@@ -275,11 +299,14 @@ def _store_block(
         values = None
     if values is None or values.shape[1] != width:  # also a block narrower than the first
         values = _parse_cells(path, rows, row_numbers, width)
-    bad = np.argwhere(~np.isfinite(values))
+    limit = np.full(width, float(np.finfo(features.dtype).max))
+    limit[label_idx] = np.finfo(labels.dtype).max
+    bad = np.argwhere(~(np.abs(values) <= limit))  # NaN, inf, or past a float32 feature's range
     if bad.size:
         r, c = bad[0]
+        kind = "non-finite" if not np.isfinite(values[r, c]) else f"beyond-{features.dtype}-range"
         raise DataFormatError(
-            f"{path}: non-finite value {rows[r][c]!r} at row {row_numbers[r]}, column {c + 1}"
+            f"{path}: {kind} value {rows[r][c]!r} at row {row_numbers[r]}, column {c + 1}"
         )
     features[:, :label_idx] = values[:, :label_idx]
     features[:, label_idx:] = values[:, label_idx + 1 :]
@@ -315,9 +342,7 @@ def write_csv(path: str, table: LabeledTable) -> None:
         writer = csv.writer(handle)
         writer.writerow([f"f{i}" for i in range(table.num_features)] + ["label"])
         for r in range(table.num_rows):
-            row = [repr(float(v)) for v in table.features[r]]
-            row.append(repr(float(table.labels[r, 0])))
-            writer.writerow(row)
+            writer.writerow([repr(float(v)) for v in (*table.features[r], table.labels[r, 0])])
 
 
 def split_rows(
@@ -350,9 +375,9 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
     The active party receives ``num_active`` columns plus the labels; the
     passive party receives the rest and never sees a label.  The column
     permutation depends only on (num_features, seed).  Each party's matrix
-    is a fresh C-order array in :data:`FEATURE_DTYPE` and the labels are
-    copied, so the view shares no memory with the table.  A finite value
-    beyond the float32 range raises ``ValueError`` naming the party's matrix.
+    is a fresh C-order array gathered from the table's columns, in the
+    table's :data:`FEATURE_DTYPE`, and the labels are copied, so the view
+    shares no memory with the table.
     """
     d = table.num_features
     if not 1 <= num_active < d:
@@ -362,36 +387,13 @@ def vertical_split(table: LabeledTable, num_active: int, seed: int = 0) -> Verti
     active_cols = np.sort(order[:num_active])
     passive_cols = np.sort(order[num_active:])
     return VerticalDataset(
-        active_features=_gather_columns(table.features, active_cols, "active_features"),
-        passive_features=_gather_columns(table.features, passive_cols, "passive_features"),
+        active_features=np.take(table.features, active_cols, axis=1),
+        passive_features=np.take(table.features, passive_cols, axis=1),
         labels=table.labels.copy(),
         task=table.task,
         active_columns=active_cols,
         passive_columns=passive_cols,
     )
-
-
-def _gather_columns(features: np.ndarray, columns: np.ndarray, name: str) -> np.ndarray:
-    """``features[:, columns]`` cast to :data:`FEATURE_DTYPE`, one row block at a time.
-
-    The cast rounds as ``astype`` does.  A finite value past the dtype's
-    largest raises ``ValueError`` naming ``name`` instead of becoming
-    ``inf``; NaN and ``inf`` pass through, for :class:`VerticalDataset` to
-    reject as non-finite.
-    """
-    out = np.empty((features.shape[0], columns.size), dtype=FEATURE_DTYPE)
-    limit = np.finfo(FEATURE_DTYPE).max
-    for start in range(0, features.shape[0], _SPLIT_BLOCK_ROWS):
-        block = np.take(features[start : start + _SPLIT_BLOCK_ROWS], columns, axis=1)
-        # min/max are cheap; only a block that fails them (NaN does) is searched.
-        if not (-limit <= block.min() and block.max() <= limit):
-            if np.any(np.isfinite(block) & (np.abs(block) > limit)):
-                raise ValueError(
-                    f"{name} holds a value beyond the {out.dtype} range (|x| > {limit:.4g})"
-                )
-        out[start : start + _SPLIT_BLOCK_ROWS] = block
-        del block  # else it lives on while the next block is gathered
-    return out
 
 
 def make_batch_plan(num_rows: int, batch_size: int, seed: int = 0) -> BatchPlan:

@@ -25,7 +25,7 @@ gradients must be in it too, so no call casts silently or runs a GEMM at
 another precision.  The runtime builds the two bottom models in float32,
 since nearly all of a run's multiply-adds are theirs and float32 GEMMs run
 about twice as fast; the features they consume are stored in float32 from
-the vertical split on (``data.vertical_split``, which refuses a finite value
+the table on (``data.LabeledTable``, whose one cast refuses a finite value
 that would become ``inf``), so nothing here casts input data.
 The top model, the loss with its ``EPS_PROB`` clamp, the DP noise and the
 wire format stay float64: that is where the small quantities live (a

@@ -6,8 +6,9 @@ parameter servers.  It shares the model construction, batch planning and
 noise-stream derivation with the runtime, so a cooperative single-worker
 run of the runtime must reproduce its per-epoch losses bit for bit — any
 divergence points at a runtime bug, not at floating-point noise.  Like the
-runtime, it reads each party's features as the vertical split stored them,
-already in the bottoms' dtype, and casts nothing per run.
+runtime, it reads each party's features as the table stored them, already
+in the bottoms' dtype, casts nothing per run, and skips the bottoms'
+raw-feature gradients (:func:`splitbus.runtime.bottom_backward`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .privacy import add_noise, worker_noise_rng
 from .runtime import (
     _SEED_NOISE,
     batch_loss_mean,
-    bottom_gradient,
+    bottom_backward,
     build_models,
     derive_seed,
     evaluate_models,
@@ -68,12 +69,10 @@ def run_reference(
             top_grads, d_top_input = nn.backward(top, tape_top, d_pred)
             d_z_active = d_top_input[:, :embed_cols]
             d_z_passive = np.ascontiguousarray(d_top_input[:, embed_cols:])
-            active_grads, _ = nn.backward(active, tape_active, bottom_gradient(active, d_z_active))
+            active_grads = bottom_backward(active, tape_active, d_z_active)
             nn.sgd_step(top, top_grads, cfg.learning_rate)
             nn.sgd_step(active, active_grads, cfg.learning_rate)
-            passive_grads, _ = nn.backward(
-                passive, tape_passive, bottom_gradient(passive, d_z_passive)
-            )
+            passive_grads = bottom_backward(passive, tape_passive, d_z_passive)
             nn.sgd_step(passive, passive_grads, cfg.learning_rate)
             losses.append((batch.batch_id, loss))
         epoch_losses.append(batch_loss_mean(losses))

@@ -43,12 +43,12 @@ alone (:func:`splitbus.nn.predict`, no tape), the two bottom models side by
 side on two threads.
 
 The two bottom models compute in :data:`splitbus.data.FEATURE_DTYPE`
-(float32), the dtype each party's features are stored in from the vertical
-split on, and the top model in float64 (see :mod:`splitbus.nn`).  A run
+(float32), the dtype each party's features are stored in from the table
+on, and the top model in float64 (see :mod:`splitbus.nn`).  A run
 trains on the caller's feature arrays as they are, train and test alike,
 without copying or casting them; the top input is built in float64 by
 :func:`top_input`; and a cut-layer gradient, float64 on the wire, is cast
-only where a bottom consumes it (:func:`bottom_gradient`).  The serial
+only where a bottom consumes it (:func:`bottom_backward`).  The serial
 reference uses the same two helpers, so the deterministic modes stay
 bit-identical to it.
 
@@ -143,13 +143,16 @@ def top_input(top: nn.MlpModel, z_active: np.ndarray, z_passive: np.ndarray) -> 
     return np.concatenate([z_active, z_passive], axis=1, dtype=top.dtype)
 
 
-def bottom_gradient(bottom: nn.MlpModel, d_z: np.ndarray) -> np.ndarray:
-    """A cut-layer gradient in the dtype of the bottom that consumes it.
+def bottom_backward(
+    bottom: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray
+) -> list[nn.LayerGrads]:
+    """A bottom's parameter gradients from its cut-layer gradient ``d_z``.
 
-    A diverging run's gradient may round to ``inf`` here; the loss it then
-    produces is non-finite and aborts the run.
+    ``d_z`` is cast to the bottom's dtype first: a diverging run's gradient
+    may round to ``inf`` there, and the non-finite loss it then produces
+    aborts the run.  The raw-feature gradient goes nowhere, so it is skipped.
     """
-    return d_z.astype(bottom.dtype, copy=False)
+    return nn.backward(bottom, tape, d_z.astype(bottom.dtype, copy=False), input_grad=False)[0]
 
 
 def plan_for_epoch(num_rows: int, batch_size: int, run_seed: int, epoch: int) -> BatchPlan:
@@ -489,9 +492,7 @@ class PassiveEngine:
                 f"expected {batch.sample_range}"
             )
         t0 = time.perf_counter()
-        d_z = bottom_gradient(model, message.payload)
-        grads, _ = nn.backward(model, entry.tape, d_z, input_grad=False)
-        nn.sgd_step(model, grads, self.eta)
+        nn.sgd_step(model, bottom_backward(model, entry.tape, message.payload), self.eta)
         stats.busy_seconds += time.perf_counter() - t0
         stats.completed += 1
         queue.arrive(stats)
@@ -609,9 +610,7 @@ class ActiveEngine:
             )
         )
         t1 = time.perf_counter()
-        bottom_grads, _ = nn.backward(
-            bottom, tape_bottom, bottom_gradient(bottom, d_z_active), input_grad=False
-        )
+        bottom_grads = bottom_backward(bottom, tape_bottom, d_z_active)
         nn.sgd_step(top, top_grads, self.eta)
         nn.sgd_step(bottom, bottom_grads, self.eta)
         stats.busy_seconds += time.perf_counter() - t1

@@ -10,6 +10,7 @@ package against these, not the other way around.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -235,6 +236,25 @@ def clip_sum_cross_entropy_loss(
 # -- data oracles --------------------------------------------------------------
 
 
+@dataclass
+class WideTable:
+    """A table as the first data path held it: features in float64.  The
+    copying oracles build these, so they stay the float64 reference that
+    the float32 tables are compared against."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    task: data.Task
+
+    @property
+    def num_rows(self) -> int:
+        return self.features.shape[0]
+
+    @property
+    def num_features(self) -> int:
+        return self.features.shape[1]
+
+
 def copying_generate_synthetic(
     num_rows: int,
     num_features: int,
@@ -242,9 +262,10 @@ def copying_generate_synthetic(
     task: data.Task = data.Task.CLASSIFICATION,
     seed: int = 0,
     separation: float = 0.35,
-) -> data.LabeledTable:
-    """The first ``data.generate_synthetic``: the class offsets of all rows
-    are built as one (rows, informative) temporary and then added."""
+) -> WideTable:
+    """The first ``data.generate_synthetic``: the whole table drawn at once in
+    float64, and the class offsets of all rows built as one (rows,
+    informative) temporary and then added."""
     if num_informative is None:
         num_informative = max(1, num_features // 5)
     rng = np.random.default_rng(seed)
@@ -262,24 +283,23 @@ def copying_generate_synthetic(
         signal = features[:, :num_informative] @ weights
         noise_scale = 0.1 * float(np.std(signal)) or 0.1
         labels = signal + rng.normal(0.0, noise_scale, size=(num_rows, 1))
-    return data.LabeledTable(features, labels, task)
+    return WideTable(features, labels, task)
 
 
 def copying_split_rows(
-    table: data.LabeledTable, test_fraction: float = 0.3, seed: int = 0
-) -> tuple[data.LabeledTable, data.LabeledTable]:
-    """The first ``data.split_rows``: fancy-indexed rows, then copied again."""
+    table: WideTable | data.LabeledTable, test_fraction: float = 0.3, seed: int = 0
+) -> tuple[WideTable, WideTable]:
+    """The first ``data.split_rows``: fancy-indexed rows, then copied again,
+    in the dtype ``table`` holds."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(table.num_rows)
     n_train = table.num_rows - int(round(table.num_rows * test_fraction))
-    make = lambda idx: data.LabeledTable(
-        table.features[idx].copy(), table.labels[idx].copy(), table.task
-    )
+    make = lambda idx: WideTable(table.features[idx].copy(), table.labels[idx].copy(), table.task)
     return make(order[:n_train]), make(order[n_train:])
 
 
 def copying_vertical_split(
-    table: data.LabeledTable, num_active: int, seed: int = 0
+    table: WideTable | data.LabeledTable, num_active: int, seed: int = 0
 ) -> data.VerticalDataset:
     """The first ``data.vertical_split``: fancy-indexed columns, then copied
     again by a whole-matrix cast to ``data.FEATURE_DTYPE``."""

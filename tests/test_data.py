@@ -27,12 +27,13 @@ def test_synthetic_classification_learnable_by_single_layer_oracle():
     table = data.generate_synthetic(2000, 20, 5, data.Task.CLASSIFICATION, seed=3)
     train, test = data.split_rows(table, test_fraction=0.3, seed=0)
     model = nn.init_mlp([20, 1], [nn.Activation.SIGMOID], seed=0)
+    x_train, x_test = (t.features.astype(np.float64) for t in (train, test))
     for _ in range(300):
-        out, tape = nn.forward(model, train.features)
+        out, tape = nn.forward(model, x_train)
         _, d_out = nn.cross_entropy_loss(out, train.labels)
         grads, _ = nn.backward(model, tape, d_out)
         nn.sgd_step(model, grads, eta=0.5)
-    scores, _ = nn.forward(model, test.features)
+    scores, _ = nn.forward(model, x_test)
     auc = _rank_auc(test.labels.ravel(), scores.ravel())
     assert auc > 0.8, f"oracle AUC {auc:.3f}"
 
@@ -68,13 +69,16 @@ def test_csv_round_trip_preserves_values(tmp_path):
     path = tmp_path / "t.csv"
     data.write_csv(str(path), table)
     reloaded = data.load_csv(str(path), "label", data.Task.REGRESSION, standardize=False)
-    assert np.allclose(reloaded.features, table.features, rtol=0, atol=1e-9)
-    assert np.allclose(reloaded.labels, table.labels, rtol=0, atol=1e-9)
-    # and with standardisation on, re-standardising a standardised table is a no-op
+    _assert_same_bits(reloaded.features, table.features, np.float32)
+    _assert_same_bits(reloaded.labels, table.labels)
+    # with standardisation on, a standardised table is standardised again in
+    # float64 and stored in float32, which moves it by float32 rounding only
     std_once = data.load_csv(str(path), "label", data.Task.REGRESSION)
     data.write_csv(str(path), std_once)
     std_twice = data.load_csv(str(path), "label", data.Task.REGRESSION)
-    assert np.allclose(std_twice.features, std_once.features, rtol=0, atol=1e-9)
+    again = data.standardize_columns(std_once.features.astype(np.float64))
+    _assert_same_bits(std_twice.features, again.astype(np.float32), np.float32)
+    assert np.allclose(std_twice.features, std_once.features, rtol=0, atol=2e-6)
 
 
 def test_csv_parse_error_names_row_and_column(tmp_path):
@@ -160,8 +164,10 @@ def test_csv_cells_convert_exactly_as_float_does(tmp_path, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(data, "_parse_cells", no_fallback)
         table = data.load_csv(str(path), "label", data.Task.CLASSIFICATION, standardize=False)
-    assert table.features.dtype == np.float64 and table.features.flags.c_contiguous
-    assert np.array_equal(table.features[:, 0].view(np.uint64), expected.view(np.uint64))
+    # unscaled features are stored in float32, rounded as astype rounds float(cell)
+    assert table.features.dtype == np.float32 and table.features.flags.c_contiguous
+    assert np.array_equal(table.features[:, 0].view(np.uint32),
+                          expected.astype(np.float32).view(np.uint32))
     # the per-cell fallback gives the same bits as the bulk conversion
     rows = tuple(line.split(",") for line in lines[1:])
     looped = data._parse_cells(str(path), rows, tuple(range(2, len(lines) + 1)), 3)
@@ -184,6 +190,35 @@ def test_standardize_columns_centres_and_scales():
     assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z[:, [0, 1, 3]].std(axis=0), 1.0, atol=1e-12)
     assert np.allclose(z[:, 2], 0.0, atol=1e-12)
+
+
+def test_standardize_columns_keeps_the_bits_of_ordinary_columns():
+    rng = np.random.default_rng(1)
+    x = rng.normal(3.0, 5.0, size=(300, 5)) * np.array([1.0, 1e-30, 1e30, 1e100, 2.0**399])
+    centred = x - x.mean(axis=0, keepdims=True)  # the formula, without any rescaling
+    std = np.sqrt(np.einsum("ij,ij->j", centred, centred) / x.shape[0])
+    want = centred / np.where(std < 1e-12, 1.0, std)
+    _assert_same_bits(data.standardize_columns(x), want)
+
+
+def test_standardize_columns_rescales_columns_near_the_float64_maximum():
+    rng = np.random.default_rng(2)
+    base = rng.normal(0.0, 1.0, size=(200, 3))
+    huge = base * np.array([1e200, 1e307, 1.0])  # squares and sums would overflow
+    huge[:, 2] = 1.7e308  # a constant column at the top of the range
+    z = data.standardize_columns(huge)
+    assert np.all(np.isfinite(z))
+    assert np.allclose(z[:, :2], data.standardize_columns(base[:, :2].copy()), rtol=0, atol=1e-12)
+    assert np.allclose(z[:, 2], 0.0, atol=1e-12)
+
+
+def test_csv_near_the_float64_maximum_loads_finite(tmp_path):
+    path = tmp_path / "big.csv"
+    rows = [f"{1e308 + k * 1.4e307!r},{k % 3}.5,{k % 2}" for k in range(6)]
+    path.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+    table = data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+    assert np.all(np.isfinite(table.features))
+    assert np.allclose(table.features[:, 0].std(), 1.0, atol=1e-6)
 
 
 def test_split_rows_is_disjoint_and_seeded():
@@ -266,7 +301,7 @@ def _assert_same_views(got: data.VerticalDataset, want: data.VerticalDataset) ->
     assert np.array_equal(got.passive_columns, want.passive_columns)
 
 
-BLOCK = data._OFFSET_BLOCK_ROWS
+BLOCK = data._BLOCK_ROWS
 
 
 @pytest.mark.parametrize(
@@ -277,7 +312,7 @@ BLOCK = data._OFFSET_BLOCK_ROWS
 def test_generate_synthetic_is_bit_identical_to_copying_oracle(rows, features, informative, task):
     got = data.generate_synthetic(rows, features, informative, task, seed=rows, separation=0.3)
     want = copying_generate_synthetic(rows, features, informative, task, seed=rows, separation=0.3)
-    _assert_same_bits(got.features, want.features)
+    _assert_same_bits(got.features, want.features.astype(np.float32), np.float32)
     _assert_same_bits(got.labels, want.labels)
 
 
@@ -289,14 +324,17 @@ def _csv_table(tmp_path) -> data.LabeledTable:
 
 @pytest.mark.parametrize("source", ["classification", "regression", "csv"])
 def test_splits_are_bit_identical_to_copying_oracles(source, tmp_path):
+    # Generated tables are checked against the float64 oracle path, whose
+    # views are cast at the vertical split; a CSV table against its own rows.
     if source == "csv":
-        table = _csv_table(tmp_path)
+        table = wide = _csv_table(tmp_path)
     else:
         table = data.generate_synthetic(BLOCK + 11, 13, None, data.Task(source), seed=2)
+        wide = copying_generate_synthetic(BLOCK + 11, 13, None, data.Task(source), seed=2)
     halves = data.split_rows(table, test_fraction=0.3, seed=5)
-    oracle_halves = copying_split_rows(table, test_fraction=0.3, seed=5)
+    oracle_halves = copying_split_rows(wide, test_fraction=0.3, seed=5)
     for got, want in zip(halves, oracle_halves):
-        _assert_same_bits(got.features, want.features)
+        _assert_same_bits(got.features, want.features.astype(np.float32), np.float32)
         _assert_same_bits(got.labels, want.labels)
         assert got.task is want.task
         _assert_same_views(data.vertical_split(got, 4, seed=8), copying_vertical_split(want, 4, seed=8))
@@ -306,12 +344,13 @@ def test_split_outputs_are_independent_of_their_input():
     table = data.generate_synthetic(300, 8, 3, data.Task.CLASSIFICATION, seed=1)
     train, test = data.split_rows(table, test_fraction=0.3, seed=2)
     view = data.vertical_split(table, num_active=3, seed=3)
-    kept = [a.copy() for a in (train.features, train.labels, test.features, test.labels)]
+    outputs = (train.features, train.labels, test.features, test.labels)
+    kept = [a.copy() for a in outputs]
     kept_view = {name: getattr(view, name).copy() for name in VIEW_DTYPES}
     table.features[...] = 7.0
     table.labels[...] = 0.5
-    for got, want in zip((train.features, train.labels, test.features, test.labels), kept):
-        _assert_same_bits(got, want)
+    for got, want in zip(outputs, kept):
+        _assert_same_bits(got, want, got.dtype)
     for name, dtype in VIEW_DTYPES.items():
         _assert_same_bits(getattr(view, name), kept_view[name], dtype)
 
@@ -338,6 +377,12 @@ def _peak_over_outputs(build, outputs) -> float:
     return peak / sum(a.nbytes for a in outputs(result))
 
 
+# The bytes of a GEN_SHAPE table (features and labels) when its features were
+# float64: the memory bounds below keep the absolute budgets they had then.
+GEN_SHAPE = (8000, 100, 50)
+FLOAT64_TABLE = GEN_SHAPE[0] * (GEN_SHAPE[1] + 1) * 8
+
+
 def test_data_path_writes_each_output_byte_once():
     """A whole-table temporary or a second copy of an output shows up as extra
     peak memory: the splits stay near 1x, the copying oracles reach 1.4-1.5x."""
@@ -345,11 +390,12 @@ def test_data_path_writes_each_output_byte_once():
     small = data.generate_synthetic(50, 6, 3, seed=0)
     data.vertical_split(data.split_rows(small)[0], num_active=3)
 
-    generated = _peak_over_outputs(
-        lambda: data.generate_synthetic(8000, 100, 50, data.Task.CLASSIFICATION, seed=1),
-        lambda t: (t.features, t.labels),
+    # generation holds the float32 table, the informative columns in float64
+    # and one drawn block; drawing the table in float64 first reads 1.53x
+    generated, _ = _traced_peak(
+        lambda: data.generate_synthetic(*GEN_SHAPE, data.Task.CLASSIFICATION, seed=1)
     )
-    table = data.generate_synthetic(8000, 100, 50, data.Task.CLASSIFICATION, seed=1)
+    table = data.generate_synthetic(*GEN_SHAPE, data.Task.CLASSIFICATION, seed=1)
     split = _peak_over_outputs(
         lambda: data.split_rows(table, test_fraction=0.3, seed=2),
         lambda halves: [a for t in halves for a in (t.features, t.labels)],
@@ -358,39 +404,70 @@ def test_data_path_writes_each_output_byte_once():
         lambda: data.vertical_split(table, num_active=50, seed=3),
         lambda v: (v.active_features, v.passive_features, v.labels),
     )
-    assert generated <= 1.35, f"generate_synthetic peak {generated:.2f}x its table"
+    assert generated <= 1.35 * FLOAT64_TABLE, f"generate_synthetic peak {generated / FLOAT64_TABLE:.2f}x"
     assert split <= 1.05, f"split_rows peak {split:.2f}x its outputs"
     assert dealt <= 1.15, f"vertical_split peak {dealt:.2f}x its outputs"
 
 
-@pytest.mark.parametrize("block_rows", [1, 7, data._SPLIT_BLOCK_ROWS])
-def test_vertical_split_features_are_the_table_columns_cast_to_float32(block_rows, monkeypatch):
+def test_bench_shaped_path_holds_no_float64_copy():
+    """Generate, split the rows and deal both halves, keeping every stage alive
+    as a benchmark's input builder does: 1.5x the float64 table in float32
+    (table, row splits and views) plus generation's own temporaries.  One
+    float64 stage (2.59x when the table was float64) fails it."""
+    small = data.generate_synthetic(50, 6, 3, seed=0)  # warm up
+    data.vertical_split(data.split_rows(small)[0], num_active=3)
+
+    def build():
+        table = data.generate_synthetic(*GEN_SHAPE, data.Task.CLASSIFICATION, seed=1)
+        halves = data.split_rows(table, test_fraction=0.3, seed=2)
+        return table, halves, [data.vertical_split(t, num_active=50, seed=3) for t in halves]
+
+    peak, _ = _traced_peak(build)
+    assert peak <= 1.7 * FLOAT64_TABLE, f"peak {peak / FLOAT64_TABLE:.2f}x the float64 table"
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, data._BLOCK_ROWS])
+def test_table_features_are_the_input_cast_to_float32(block_rows, monkeypatch):
     # 1054 rows leave a partial last block at 7 and at 1024 rows a block.
-    table = data.generate_synthetic(1054, 9, 4, seed=12)
-    table.features[5, :] *= 1e30  # large magnitudes too, inside the float32 range
-    monkeypatch.setattr(data, "_SPLIT_BLOCK_ROWS", block_rows)
-    view = data.vertical_split(table, num_active=4, seed=2)
-    for name, cols in (("active_features", view.active_columns),
-                       ("passive_features", view.passive_columns)):
-        want = table.features[:, cols].astype(np.float32)
-        _assert_same_bits(getattr(view, name), want, np.float32)
+    wide = copying_generate_synthetic(1054, 9, 4, seed=12)
+    wide.features[5, :] *= 1e30  # large magnitudes too, inside the float32 range
+    monkeypatch.setattr(data, "_BLOCK_ROWS", block_rows)
+    table = data.LabeledTable(wide.features, wide.labels, wide.task)
+    _assert_same_bits(table.features, wide.features.astype(np.float32), np.float32)
+    assert table.labels is wide.labels  # labels stay as given, float64
+    # generation draws and casts in the same blocks and keeps the stream's bits
+    got = data.generate_synthetic(1054, 9, 4, seed=12)
+    _assert_same_bits(got.features, copying_generate_synthetic(1054, 9, 4, seed=12)
+                      .features.astype(np.float32), np.float32)
 
 
 FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @pytest.mark.parametrize("value", [1e39, -1e39, np.nextafter(FLOAT32_MAX, np.inf)])
-@pytest.mark.parametrize("name", ["active_features", "passive_features"])
-def test_a_finite_value_beyond_float32_fails_at_the_split_naming_the_matrix(name, value):
-    table = data.generate_synthetic(3000, 8, 4, seed=4)
-    view = data.vertical_split(table, num_active=4, seed=5)
-    column = (view.active_columns if name == "active_features" else view.passive_columns)[1]
-    table.features[2500, column] = value  # finite in float64, inf in float32
-    with pytest.raises(ValueError, match=f"{name} holds a value beyond the float32 range"):
-        data.vertical_split(table, num_active=4, seed=5)
-    table.features[2500, column] = FLOAT32_MAX  # the largest that fits
-    edge = data.vertical_split(table, num_active=4, seed=5)
-    assert np.all(np.isfinite(getattr(edge, name)))
+def test_a_finite_value_beyond_float32_fails_at_the_table_naming_features(value):
+    wide = copying_generate_synthetic(3000, 8, 4, seed=4)
+    wide.features[2500, 5] = value  # finite in float64, inf in float32
+    with pytest.raises(ValueError, match="features hold a value beyond the float32 range"):
+        data.LabeledTable(wide.features, wide.labels, wide.task)
+    wide.features[2500, 5] = FLOAT32_MAX  # the largest that fits
+    edge = data.LabeledTable(wide.features, wide.labels, wide.task)
+    assert edge.features[2500, 5] == FLOAT32_MAX and np.all(np.isfinite(edge.features))
+
+
+@pytest.mark.parametrize("cell", ["1e39", "-1e39"])
+def test_csv_value_beyond_float32_names_row_and_column(tmp_path, cell):
+    path = tmp_path / "wide.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,0\n1.5,{cell},1\n")
+    with pytest.raises(data.DataFormatError,
+                       match=rf"beyond-float32-range value '{cell}' at row 3, column 2"):
+        data.load_csv(str(path), "label", data.Task.CLASSIFICATION, standardize=False)
+    # standardised, the column fits; a label stays float64 and may exceed float32
+    scaled = data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
+    assert np.all(np.isfinite(scaled.features))
+    path.write_text(f"a,b,label\n1.0,{FLOAT32_MAX!r},{cell}\n")
+    raw = data.load_csv(str(path), "label", data.Task.REGRESSION, standardize=False)
+    assert raw.features[0, 1] == FLOAT32_MAX and raw.labels[0, 0] == float(cell)
 
 
 def test_vertical_dataset_takes_only_float32_features():
@@ -401,29 +478,33 @@ def test_vertical_dataset_takes_only_float32_features():
             dataclasses.replace(view, **{name: wide})  # runs __post_init__ again
 
 
-def test_vertical_split_peak_is_its_outputs_plus_one_row_block():
+def test_vertical_split_peak_is_its_outputs_plus_the_finiteness_mask():
+    # The table is already float32, so the split is a gather; besides its
+    # outputs only VerticalDataset's finiteness check allocates, one bool per
+    # entry of the widest matrix (a float64 row block took 8 bytes per entry).
     table = data.generate_synthetic(5000, 60, 20, seed=3)
     data.vertical_split(table, num_active=20, seed=1)  # warm-up
     peak, view = _traced_peak(lambda: data.vertical_split(table, num_active=20, seed=1))
     outputs = sum(getattr(view, name).nbytes for name in VIEW_DTYPES)
-    block = data._SPLIT_BLOCK_ROWS * 40 * 8  # the widest party's columns, in float64
-    assert peak <= outputs + block + 4096, (peak, outputs, block)
+    mask = 5000 * 40
+    assert peak <= outputs + mask + 8192, (peak, outputs, mask)  # + column indices
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
 def test_csv_blocks_keep_every_row_and_its_bits(tmp_path, monkeypatch, ending):
     monkeypatch.setattr(data, "_CSV_BLOCK_ROWS", 2)
-    table = data.generate_synthetic(9, 4, 2, data.Task.CLASSIFICATION, seed=3)
+    table = copying_generate_synthetic(9, 4, 2, data.Task.CLASSIFICATION, seed=3)
     lines = ["a,b,c,d,label"]
     for r in range(table.num_rows):
         lines += ["", ",".join(repr(float(v)) for v in [*table.features[r], table.labels[r, 0]])]
     path = tmp_path / "blocks.csv"
     path.write_bytes((ending.join(lines) + ending).encode())
     raw = data.load_csv(str(path), "label", data.Task.CLASSIFICATION, standardize=False)
-    _assert_same_bits(raw.features, table.features)
+    _assert_same_bits(raw.features, table.features.astype(np.float32), np.float32)
     _assert_same_bits(raw.labels, table.labels)
     scaled = data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
-    _assert_same_bits(scaled.features, data.standardize_columns(table.features.copy()))
+    want = data.standardize_columns(table.features.copy()).astype(np.float32)
+    _assert_same_bits(scaled.features, want, np.float32)
 
 
 @pytest.mark.parametrize(
@@ -445,9 +526,9 @@ def test_csv_errors_in_a_later_block_name_the_file_row(tmp_path, monkeypatch, ro
 
 
 def test_load_csv_peak_stays_within_twice_its_output(tmp_path):
-    """Cells are converted a block of rows at a time, so the peak is the output
-    plus the one temporary of the column standardisation; holding the whole
-    file as str cells first peaked at 13.8x."""
+    """Cells are converted a block of rows at a time, so the peak is the float64
+    parse, the float32 table cast from it and the standardisation's
+    temporaries; holding the whole file as str cells first peaked at 13.8x."""
     _csv_table(tmp_path)  # warm up
     table = data.generate_synthetic(20000, 50, 10, data.Task.CLASSIFICATION, seed=1)
     path = tmp_path / "big.csv"
@@ -455,8 +536,6 @@ def test_load_csv_peak_stays_within_twice_its_output(tmp_path):
     np.savetxt(path, np.hstack([table.features, table.labels]), fmt="%.17g", delimiter=",",
                header=header, comments="")
     del table
-    ratio = _peak_over_outputs(
-        lambda: data.load_csv(str(path), "label", data.Task.CLASSIFICATION),
-        lambda t: (t.features, t.labels),
-    )
-    assert ratio <= 2.0, f"load_csv peak {ratio:.2f}x its output"
+    float64_output = 20000 * (50 + 1) * 8  # the output's bytes when its features were float64
+    peak, _ = _traced_peak(lambda: data.load_csv(str(path), "label", data.Task.CLASSIFICATION))
+    assert peak <= 2.0 * float64_output, f"load_csv peak {peak / float64_output:.2f}x"

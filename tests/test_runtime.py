@@ -116,6 +116,23 @@ class TestSerialEquivalence:
             metrics = [m for m in ref["epoch_test_metrics"]]
             assert [row.test_metric for row in lockstep.epochs] == metrics, transport
 
+    def test_reference_bottoms_skip_the_raw_feature_gradient(self, monkeypatch):
+        # As in the runtime, only the top model's input gradient is read.
+        real_backward, switches = nn.backward, {}
+
+        def recording_backward(model, tape, d_out, **kwargs):
+            switches.setdefault(id(model), set()).add(kwargs.get("input_grad", True))
+            return real_backward(model, tape, d_out, **kwargs)
+
+        monkeypatch.setattr(nn, "backward", recording_backward)
+        train, test = vertical_pair(n=160, d=8, seed=4)
+        cfg = TrainConfig(mode=Mode.LOCKSTEP, batch_size=32, epochs=2, seed=5, shape=SMALL_SHAPE)
+        models = run_reference(train, test, cfg)["models"]
+        assert switches == {
+            id(models["passive_bottom"]): {False}, id(models["active_bottom"]): {False},
+            id(models["top"]): {True},
+        }
+
     def test_same_seed_same_run(self):
         train, test = vertical_pair(seed=9)
         cfg = TrainConfig(
