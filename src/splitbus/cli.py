@@ -12,6 +12,7 @@ aborted, 4 no feasible plan.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -70,12 +71,29 @@ def _parse_sweep(text: str) -> list[int]:
     return sizes
 
 
+def _parse_bandwidth(text: str) -> float:
+    """A link bandwidth in bytes/second; ``inf`` means an unbounded link."""
+    value = float(text)
+    if not value > 0.0:  # NaN fails this too
+        raise ValueError("must be positive")
+    return value
+
+
 def _flag_value(flag: str, parse, text: str):
     """``parse(text)``; a ``ValueError`` becomes a :class:`ConfigError` naming ``flag``."""
     try:
         return parse(text)
     except ValueError as exc:
         raise ConfigError(f"{flag} {text!r}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn a failure to write ``path`` into a :class:`ConfigError` naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 # Each override flag is shorthand for one config key: its text goes to that
@@ -158,6 +176,7 @@ def _save_models(path: str, result: RunResult) -> None:
 
 def cmd_profile(args) -> int:
     sweep = _flag_value("--batches", _parse_sweep, args.batches) if args.batches else None
+    bandwidth = _flag_value("--bandwidth", _parse_bandwidth, args.bandwidth)
     if args.repetitions < 1:
         raise ConfigError(f"--repetitions {args.repetitions}: must be >= 1")
     exp = _load_experiment(args)
@@ -170,9 +189,10 @@ def cmd_profile(args) -> int:
     cores = os.cpu_count() or 1
     constants = build_constants(
         samples, passive, active, top,
-        cores_active=cores, cores_passive=cores, bandwidth_bytes_per_sec=args.bandwidth,
+        cores_active=cores, cores_passive=cores, bandwidth_bytes_per_sec=bandwidth,
     )
-    write_profile(args.out, constants)
+    with _writing(args.out):
+        write_profile(args.out, constants)
     print(f"wrote delay profile ({len(samples)} samples, {cores} cores) to {args.out}")
     return 0
 
@@ -188,7 +208,8 @@ def cmd_plan(args) -> int:
         raise ConfigError(f"{flags}: {exc}") from None
     constants = read_profile(args.profile)
     plan = dp_search(constants, space)
-    write_plan(args.out, plan)
+    with _writing(args.out):
+        write_plan(args.out, plan)
     print(
         f"plan: workers_active={plan.workers_active} "
         f"workers_passive={plan.workers_passive} batch_size={plan.batch_size} "
@@ -207,7 +228,8 @@ def _run_one(exp: ExperimentConfig) -> RunResult:
 
 def cmd_train(args) -> int:
     exp = _load_experiment(args)
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     result = _run_one(exp)
     metrics_path = os.path.join(args.out, "metrics.jsonl")
     write_jsonl(metrics_path, result.epochs, result.summary)
@@ -237,7 +259,8 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"unknown mode in --modes: {exc}") from None
     if not modes:
         raise ConfigError("--modes must name at least one mode")
-    os.makedirs(args.out, exist_ok=True)
+    with _writing(args.out):
+        os.makedirs(args.out, exist_ok=True)
     rows: list[dict] = []
     for mode in modes:
         try:
@@ -312,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batches", help="comma-separated calibration batch sizes")
     profile.add_argument("--repetitions", type=int, default=5)
     profile.add_argument(
-        "--bandwidth", type=float, default=1e9, help="link bandwidth, bytes/second"
+        "--bandwidth", default="1e9", help="link bandwidth, bytes/second (inf: unbounded)"
     )
     profile.set_defaults(func=cmd_profile)
 

@@ -1,5 +1,9 @@
 """Experiment and training configuration, plus the flat key=value file format.
 
+:data:`MODE_POLICIES` holds every rule that tells one training mode from
+another, one row per :class:`Mode`; the runtime and :meth:`TrainConfig.for_mode`
+read them there and nowhere else.
+
 A config file is a sequence of ``section.key = value`` lines ('#' starts a
 comment).  Unknown keys are rejected loudly — silent typos in experiment
 configs are how wrong numbers end up in tables.  A bad value's message names
@@ -15,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from .data import Task
+from .schedule import should_sync
 
 
 class ConfigError(ValueError):
@@ -42,9 +47,50 @@ class Mode(enum.Enum):
     ASYNC_PS = "async_ps"
 
 
-SINGLE_PAIR_MODES = (Mode.LOCKSTEP, Mode.ASYNC)
+@dataclass(frozen=True)
+class ModePolicy:
+    """How one mode coordinates its workers; the only place the modes differ."""
+
+    single_pair: bool  # exactly one worker per party
+    lookahead: Callable[[TrainConfig, int], int]  # (cfg, batches per epoch) -> in flight
+    waits_expire: bool  # subscribes give up after cfg.deadline_seconds
+    rendezvous: bool  # static assignment, replicas averaged after every iteration
+    end_sync: Callable[[int, int], bool]  # (base interval, epoch) -> average after it?
+
+
+def _one_in_flight(cfg: TrainConfig, num_batches: int) -> int:
+    return 1  # ``train.lookahead`` does not apply
+
+
+def _pipelined(cfg: TrainConfig, num_batches: int) -> int:
+    # One batch of lookahead hides the other party's latency; a single worker
+    # keeps lookahead 1 so the degenerate config stays deterministic.
+    return cfg.lookahead or (1 if cfg.workers_passive == 1 else 2)
+
+
+def _free_running(cfg: TrainConfig, num_batches: int) -> int:
+    return cfg.lookahead or num_batches  # never wait before the queue is empty
+
+
+def _never(base_interval: int, epoch: int) -> bool:
+    return False
+
+
+def _always(base_interval: int, epoch: int) -> bool:
+    return True
+
+
+MODE_POLICIES: dict[Mode, ModePolicy] = {
+    #                         single lookahead     expire rendezvous end_sync
+    Mode.LOCKSTEP: ModePolicy(True, _one_in_flight, False, False, _never),
+    Mode.SYNC_PS: ModePolicy(False, _one_in_flight, False, True, _never),
+    Mode.PUBSUB: ModePolicy(False, _pipelined, True, False, should_sync),
+    Mode.ASYNC: ModePolicy(True, _free_running, True, False, _never),
+    Mode.ASYNC_PS: ModePolicy(False, _free_running, True, False, _always),
+}
+SINGLE_PAIR_MODES = tuple(m for m, p in MODE_POLICIES.items() if p.single_pair)
 # Modes whose passive workers hold one batch at a time: ``lookahead`` does not apply.
-ONE_IN_FLIGHT_MODES = (Mode.LOCKSTEP, Mode.SYNC_PS)
+ONE_IN_FLIGHT_MODES = tuple(m for m, p in MODE_POLICIES.items() if p.lookahead is _one_in_flight)
 
 
 @dataclass

@@ -4,14 +4,17 @@ The passive party owns the feature-only bottom model; the active party owns
 its bottom model, the top model and the labels.  When the passive party can
 have more than one batch in flight, its worker pool runs in one forked child
 process (the ``process`` transport, :mod:`splitbus.transport`) and the active
-pool, evaluation and the aggregation schedule stay in the parent, so the two
-parties do not share one interpreter lock; with one batch in flight, or
-without ``fork``, both pools run in this process (the ``thread`` transport).
-:func:`_transport` makes that choice and :class:`~splitbus.metrics.RunSummary`
-records it.  Workers are threads either way; the only things the parties
-share are the batch plan (derived from the run seed on both sides) and the
-broker's channels.  Both transports run the passive side of an epoch
-through the same :meth:`PassiveSide.run_epoch`.
+pool and evaluation stay in the parent, so the two parties do not share one
+interpreter lock; with one batch in flight, or without ``fork``, both pools
+run in this process (the ``thread`` transport).  :func:`_transport` makes
+that choice and :class:`~splitbus.metrics.RunSummary` records it.  Workers
+are threads either way; the only things the parties share are the batch
+plan (derived from the run seed on both sides) and the broker's channels.
+Both parties run every epoch through the same :meth:`PartySide.run_epoch`,
+which plans the epoch, runs the party's pool and does the party's own
+end-of-epoch average; the active side runs on the thread that called
+:func:`run_training`, and the passive side on a thread of its own or in the
+child.
 
 A forked run also splits the caller's CPUs between the two processes
 (:func:`splitbus.transport.split_cpus`): the parent's runtime threads (the
@@ -55,11 +58,11 @@ bit-identical to it.
 Every mode runs the same worker loop per party, and every batch's channel
 keeps only its newest message: a retry's message supersedes an older one not
 yet consumed, which the broker counts as evicted, so the buffer is the
-passive worker's in-flight window alone.  The modes differ only in the
-settings of :data:`MODE_POLICIES`, the one table that says how far a passive
+passive worker's in-flight window alone.  The modes differ only in their
+row of :data:`splitbus.config.MODE_POLICIES`, which says how far a passive
 worker may run ahead, whether waits expire, whether the pools rendezvous
 after every iteration (``sync_ps``), and when the parameter servers average
-replicas at the end of an epoch; see :class:`splitbus.config.Mode`.
+replicas at the end of an epoch.
 """
 
 from __future__ import annotations
@@ -69,9 +72,9 @@ import multiprocessing
 import threading
 import time
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,10 +83,9 @@ from . import data as dt
 from . import metrics as mt
 from . import nn
 from . import transport as tp
-from .config import Mode, TrainConfig, ConfigError, ONE_IN_FLIGHT_MODES, SINGLE_PAIR_MODES
+from .config import MODE_POLICIES, ONE_IN_FLIGHT_MODES, SINGLE_PAIR_MODES, ConfigError, TrainConfig
 from .data import BatchPlan, Task, VerticalDataset, make_batch_plan
 from .privacy import GdpConfig, NoiseReport, add_noise, calibrate_sigma, worker_noise_rng
-from .schedule import AggregationSchedule
 
 
 class TrainingAbort(RuntimeError):
@@ -375,13 +377,44 @@ def _name_failure_site(exc: BaseException, site: str) -> None:
         exc.args = (*exc.args, site)
 
 
+def _check_alignment(message: bk.ChannelMessage, batch) -> None:
+    """Raise :class:`AlignmentError` unless ``message`` covers ``batch``'s rows."""
+    if message.sample_range != batch.sample_range:
+        raise AlignmentError(
+            f"{message.kind.value} for batch {batch.batch_id} covers rows "
+            f"{message.sample_range}, expected {batch.sample_range}"
+        )
+
+
 @dataclass
 class _PendingBatch:
     tape: nn.ForwardTape
     attempt: int
 
 
-class PassiveEngine:
+class _Engine:
+    """One party's replicas: a group per model, one replica per worker in each,
+    which the party's server averages group by group."""
+
+    noise_reports: Sequence[NoiseReport] = ()  # a party that adds noise has one per worker
+
+    def __init__(self, features, initial_models, num_workers, eta, skew_seconds, max_retries):
+        self.features = features
+        self.replica_groups = [[m.clone() for _ in range(num_workers)] for m in initial_models]
+        self.eta = eta
+        self.skew_seconds = skew_seconds
+        self.max_retries = max_retries
+        self.server = PartyServer()
+
+    @property
+    def num_workers(self) -> int:
+        return len(self.replica_groups[0])
+
+    def snapshot(self) -> list[nn.MlpModel]:
+        return [nn.average_models(group) for group in self.replica_groups]
+
+
+class PassiveEngine(_Engine):
     """The feature-only party: bottom-model replicas plus noise streams."""
 
     def __init__(
@@ -395,25 +428,11 @@ class PassiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = features
-        self.replicas = [initial_model.clone() for _ in range(num_workers)]
-        self.eta = eta
+        super().__init__(features, [initial_model], num_workers, eta, skew_seconds, max_retries)
+        (self.replicas,) = self.replica_groups
         self.sigma = sigma
-        self.skew_seconds = skew_seconds
-        self.max_retries = max_retries
         self.noise_rngs = [worker_noise_rng(noise_seed, w) for w in range(num_workers)]
         self.noise_reports = [NoiseReport() for _ in range(num_workers)]
-        self.server = PartyServer()
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.replicas)
-
-    def replica_groups(self) -> list[list[nn.MlpModel]]:
-        return [self.replicas]
-
-    def snapshot(self) -> nn.MlpModel:
-        return nn.average_models(self.replicas)
 
     def run_epoch(
         self,
@@ -485,12 +504,7 @@ class PassiveEngine:
 
     def _apply_gradient(self, model, plan, queue, batch_id, entry, message, stats):
         stats.batch_id = batch_id
-        batch = plan.batches[batch_id]
-        if message.sample_range != batch.sample_range:
-            raise AlignmentError(
-                f"gradient for batch {batch_id} covers rows {message.sample_range}, "
-                f"expected {batch.sample_range}"
-            )
+        _check_alignment(message, plan.batches[batch_id])
         t0 = time.perf_counter()
         nn.sgd_step(model, bottom_backward(model, entry.tape, message.payload), self.eta)
         stats.busy_seconds += time.perf_counter() - t0
@@ -498,7 +512,7 @@ class PassiveEngine:
         queue.arrive(stats)
 
 
-class ActiveEngine:
+class ActiveEngine(_Engine):
     """The label-holding party: bottom + top replicas per worker."""
 
     def __init__(
@@ -513,26 +527,12 @@ class ActiveEngine:
         skew_seconds: float = 0.0,
         max_retries: int = 1,
     ):
-        self.features = features
+        super().__init__(features, [initial_bottom, initial_top], num_workers, eta,
+                         skew_seconds, max_retries)
+        self.bottoms, self.tops = self.replica_groups
         self.labels = labels
         self.task = task
-        self.bottoms = [initial_bottom.clone() for _ in range(num_workers)]
-        self.tops = [initial_top.clone() for _ in range(num_workers)]
         self.embed_cols = initial_bottom.out_dim
-        self.eta = eta
-        self.skew_seconds = skew_seconds
-        self.max_retries = max_retries
-        self.server = PartyServer()
-
-    @property
-    def num_workers(self) -> int:
-        return len(self.bottoms)
-
-    def replica_groups(self) -> list[list[nn.MlpModel]]:
-        return [self.bottoms, self.tops]
-
-    def snapshot(self) -> tuple[nn.MlpModel, nn.MlpModel]:
-        return nn.average_models(self.bottoms), nn.average_models(self.tops)
 
     def run_epoch(
         self,
@@ -573,11 +573,7 @@ class ActiveEngine:
 
     def _process_batch(self, w, plan, batch_id, message, bottom_out, shared, stats):
         batch = plan.batches[batch_id]
-        if message.sample_range != batch.sample_range:
-            raise AlignmentError(
-                f"embedding for batch {batch_id} covers rows {message.sample_range}, "
-                f"expected {batch.sample_range}"
-            )
+        _check_alignment(message, batch)
         bottom, top = self.bottoms[w], self.tops[w]
         z_active, tape_bottom = bottom_out
         t0 = time.perf_counter()
@@ -655,111 +651,62 @@ def evaluate_models(
     return mt.rmse(dataset.labels, scores)
 
 
-@dataclass(frozen=True)
-class ModePolicy:
-    """How one mode coordinates its workers; the only place the modes differ."""
-
-    lookahead: Callable[[TrainConfig, int], int]  # (cfg, batches per epoch) -> in flight
-    waits_expire: bool  # subscribes give up after cfg.deadline_seconds
-    rendezvous: bool  # static assignment, replicas averaged after every iteration
-    end_sync: Callable[[AggregationSchedule, int], bool]  # average after this epoch?
-
-
-def _one_in_flight(cfg: TrainConfig, num_batches: int) -> int:
-    return 1
-
-
-def _pipelined(cfg: TrainConfig, num_batches: int) -> int:
-    # One batch of lookahead hides the other party's latency; a single worker
-    # keeps lookahead 1 so the degenerate config stays deterministic.
-    return cfg.lookahead or (1 if cfg.workers_passive == 1 else 2)
-
-
-def _free_running(cfg: TrainConfig, num_batches: int) -> int:
-    return cfg.lookahead or num_batches  # never wait before the queue is empty
-
-
-def _never(schedule: AggregationSchedule, epoch: int) -> bool:
-    return False
-
-
-def _always(schedule: AggregationSchedule, epoch: int) -> bool:
-    return True
-
-
-MODE_POLICIES: dict[Mode, ModePolicy] = {
-    #                      lookahead  expire  rendezvous  end_sync
-    Mode.LOCKSTEP: ModePolicy(_one_in_flight, False, False, _never),
-    Mode.SYNC_PS: ModePolicy(_one_in_flight, False, True, _never),
-    Mode.PUBSUB: ModePolicy(_pipelined, True, False, AggregationSchedule.should_sync),
-    Mode.ASYNC: ModePolicy(_free_running, True, False, _never),
-    Mode.ASYNC_PS: ModePolicy(_free_running, True, False, _always),
-}
-
-
-def _rendezvous_queue(
-    engine: PassiveEngine | ActiveEngine, batch_ids: list[int], shared: EpochShared
-) -> WorkQueue:
-    """Static lanes plus a barrier whose action averages the party's replicas."""
-    barrier = threading.Barrier(
-        engine.num_workers, action=lambda: engine.server.sync(engine.replica_groups())
-    )
-    shared.add_barrier(barrier)
-    return WorkQueue(batch_ids, barrier)
-
-
 @dataclass
-class PassiveEpochResult:
-    """What the passive side hands back after one epoch, from either transport."""
+class EpochResult:
+    """What one party's side hands back after an epoch, from either transport."""
 
     stats: WorkerStats | None
     failure: BaseException | None
-    snapshot: nn.MlpModel | None = None
-    noise_reports: list[NoiseReport] = field(default_factory=list)  # cumulative
+    snapshot: list[nn.MlpModel] | None = None  # one averaged model per replica group
+    noise_reports: Sequence[NoiseReport] = ()  # cumulative
     syncs: int = 0  # the party server's syncs so far
     channel_stats: bk.BrokerStats | None = None  # filled in by the process transport
 
 
 @dataclass
-class PassiveSide:
-    """Everything the passive party needs to run its side of an epoch."""
+class PartySide:
+    """Everything one party needs to run its side of an epoch."""
 
-    engine: PassiveEngine
+    name: str  # "active" or "passive", as a failure names the party
+    engine: PassiveEngine | ActiveEngine
+    pool_args: tuple  # the engine's own ``run_epoch`` arguments after the shared ones
     num_rows: int
     batch_size: int
     seed: int
     rendezvous: bool
-    deadline: float | None
-    lookahead: int
 
-    def run_epoch(self, epoch: int, end_sync: bool, shared: EpochShared) -> PassiveEpochResult:
-        """The pool's epoch, then the party's own end-of-epoch average."""
+    def run_epoch(self, epoch: int, end_sync: bool, shared: EpochShared) -> EpochResult:
+        """Plan the epoch, run the pool, then do the party's own end-of-epoch average."""
         engine = self.engine
         try:
             plan = plan_for_epoch(self.num_rows, self.batch_size, self.seed, epoch)
-            batch_ids = [b.batch_id for b in plan.batches]
-            queue = (_rendezvous_queue(engine, batch_ids, shared) if self.rendezvous
-                     else WorkQueue(batch_ids))
-            stats = engine.run_epoch(plan, queue, shared, self.deadline, self.lookahead)
+            barrier = None
+            if self.rendezvous:  # its action averages the replicas after every iteration
+                barrier = threading.Barrier(
+                    engine.num_workers, action=lambda: engine.server.sync(engine.replica_groups)
+                )
+                shared.add_barrier(barrier)
+            queue = WorkQueue([b.batch_id for b in plan.batches], barrier)
+            stats = engine.run_epoch(plan, queue, shared, *self.pool_args)
             if end_sync:
-                engine.server.sync(engine.replica_groups())
+                engine.server.sync(engine.replica_groups)
             snapshot = engine.snapshot()
         except BaseException as exc:  # outside the workers; re-raised by run_training
-            _name_failure_site(exc, f"passive party, epoch {epoch}")
+            _name_failure_site(exc, f"{self.name} party, epoch {epoch}")
             shared.fail(exc)
-            return PassiveEpochResult(None, shared.failure)
-        return PassiveEpochResult(stats, shared.failure, snapshot, engine.noise_reports,
-                                  engine.server.syncs)
+            return EpochResult(None, shared.failure)
+        return EpochResult(stats, shared.failure, snapshot, engine.noise_reports,
+                           engine.server.syncs)
 
 
 class _PassiveThread:
     """The thread transport: the passive side of each epoch on one thread."""
 
-    def __init__(self, side: PassiveSide):
+    def __init__(self, side: PartySide):
         self.cpus: tuple[list[int], list[int]] = ([], [])  # one process: nothing to split
         self._side = side
         self._thread: threading.Thread | None = None
-        self._result: PassiveEpochResult | None = None
+        self._result: EpochResult | None = None
 
     def begin(self, epoch: int, end_sync: bool, shared: EpochShared) -> None:
         def run() -> None:
@@ -768,7 +715,7 @@ class _PassiveThread:
         self._thread = threading.Thread(target=run, name="passive-party")
         self._thread.start()
 
-    def finish(self, failed_result) -> PassiveEpochResult:
+    def finish(self, failed_result) -> EpochResult:
         self._thread.join()
         return self._result
 
@@ -791,9 +738,7 @@ def _transport(passive_in_flight: int) -> str:
     return "thread"
 
 
-def _first_failure(
-    shared: EpochShared, passive: PassiveEpochResult
-) -> BaseException | None:
+def _first_failure(shared: EpochShared, passive: EpochResult) -> BaseException | None:
     """The failure to raise: a party's own error before a peer-gone report."""
     for failure in (shared.failure, passive.failure):
         if failure is not None and not isinstance(failure, tp.PeerGone):
@@ -826,10 +771,9 @@ def run_training(
 
     n = train.num_rows
     num_batches = bk.channel_count_for(n, cfg.batch_size)
-    d_active = train.active_features.shape[1]
-    d_passive = train.passive_features.shape[1]
     passive_init, active_init, top_init = build_models(
-        cfg.shape, d_active, d_passive, train.task, cfg.seed
+        cfg.shape, train.active_features.shape[1], train.passive_features.shape[1],
+        train.task, cfg.seed,
     )
     sigma = noise_sigma(cfg, n)
 
@@ -840,36 +784,24 @@ def run_training(
         workers_active = workers_passive = min(workers_active, workers_passive)
 
     passive = PassiveEngine(
-        train.passive_features,
-        passive_init,
-        workers_passive,
-        cfg.learning_rate,
-        sigma,
-        derive_seed(cfg.seed, _SEED_NOISE),
-        skew_seconds=cfg.skew_passive_seconds,
-        max_retries=cfg.max_retries,
+        train.passive_features, passive_init, workers_passive, cfg.learning_rate, sigma,
+        derive_seed(cfg.seed, _SEED_NOISE), cfg.skew_passive_seconds, cfg.max_retries,
     )
     active = ActiveEngine(
-        train.active_features,
-        train.labels,
-        train.task,
-        active_init,
-        top_init,
-        workers_active,
-        cfg.learning_rate,
-        skew_seconds=cfg.skew_active_seconds,
-        max_retries=cfg.max_retries,
+        train.active_features, train.labels, train.task, active_init, top_init,
+        workers_active, cfg.learning_rate, cfg.skew_active_seconds, cfg.max_retries,
     )
 
-    schedule = AggregationSchedule(cfg.sync_base_interval)
     deadline = cfg.deadline_seconds if policy.waits_expire else None
-    side = PassiveSide(passive, n, cfg.batch_size, cfg.seed, policy.rendezvous, deadline,
-                       policy.lookahead(cfg, num_batches))
-    transport = _transport(workers_passive * side.lookahead)
+    lookahead = policy.lookahead(cfg, num_batches)
+    plan_args = (n, cfg.batch_size, cfg.seed, policy.rendezvous)
+    passive_side = PartySide("passive", passive, (deadline, lookahead), *plan_args)
+    active_side = PartySide("active", active, (deadline,), *plan_args)
+    transport = _transport(workers_passive * lookahead)
     if transport == "process":  # fork before any runtime thread starts
-        passive_party = tp.PassiveProcess(broker, side.run_epoch)
+        passive_party = tp.PassiveProcess(broker, passive_side.run_epoch)
     else:
-        passive_party = _PassiveThread(side)
+        passive_party = _PassiveThread(passive_side)
     cpus_active, cpus_passive = passive_party.cpus
 
     epoch_rows: list[mt.EpochMetrics] = []
@@ -879,30 +811,24 @@ def run_training(
 
     try:
         for epoch in range(1, cfg.epochs + 1):
-            plan = plan_for_epoch(n, cfg.batch_size, cfg.seed, epoch)
             broker.flush_all()  # deadline-skipped leftovers never leak across epochs
             shared = EpochShared(broker, epoch, cpus_active)
             epoch_start = time.perf_counter()
 
-            end_sync = policy.end_sync(schedule, epoch)
-            batch_ids = [b.batch_id for b in plan.batches]
-            queue_a = (_rendezvous_queue(active, batch_ids, shared) if policy.rendezvous
-                       else WorkQueue(batch_ids))
+            end_sync = policy.end_sync(cfg.sync_base_interval, epoch)
             passive_party.begin(epoch, end_sync, shared)
-            active_stats = active.run_epoch(plan, queue_a, shared, deadline)
-            passive_result = passive_party.finish(lambda exc: PassiveEpochResult(None, exc))
-            if end_sync:
-                active.server.sync(active.replica_groups())
+            active_result = active_side.run_epoch(epoch, end_sync, shared)
+            passive_result = passive_party.finish(lambda exc: EpochResult(None, exc))
 
             epoch_wall = time.perf_counter() - epoch_start
             failure = _first_failure(shared, passive_result)
             if failure is not None:
                 raise failure
 
-            passive_stats = passive_result.stats
+            passive_stats, active_stats = passive_result.stats, active_result.stats
             broker_now = broker.stats()
-            passive_snapshot = passive_result.snapshot
-            active_bottom_snap, top_snap = active.snapshot()
+            (passive_snapshot,) = passive_result.snapshot
+            active_bottom_snap, top_snap = active_result.snapshot
             test_metric = (
                 evaluate_models(passive_snapshot, active_bottom_snap, top_snap, test)
                 if test is not None

@@ -15,7 +15,6 @@ epoch ``t`` iff ``t % interval(t) == 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 
 def sync_interval(base_interval: int, epoch: int) -> int:
@@ -28,14 +27,6 @@ def sync_interval(base_interval: int, epoch: int) -> int:
     return math.ceil(half * math.tanh(2.0 * epoch / base_interval - 2.0) + half)
 
 
-@dataclass(frozen=True)
-class AggregationSchedule:
-    """Decides at which epochs the parameter servers average their replicas."""
-
-    base_interval: int
-
-    def interval(self, epoch: int) -> int:
-        return sync_interval(self.base_interval, epoch)
-
-    def should_sync(self, epoch: int) -> bool:
-        return epoch % self.interval(epoch) == 0
+def should_sync(base_interval: int, epoch: int) -> bool:
+    """Whether the parameter servers average their replicas after ``epoch``."""
+    return epoch % sync_interval(base_interval, epoch) == 0

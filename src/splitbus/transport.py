@@ -3,9 +3,9 @@
 When the passive party can have more than one batch in flight,
 :func:`splitbus.runtime.run_training` forks one child for the passive worker
 pool before any runtime thread starts.  The parent keeps the active pool,
-evaluation, the aggregation schedule and the run's
-:class:`~splitbus.broker.Broker`; the child works on its forked copy of that
-broker.  Each channel lives in the process of its
+evaluation and the run's :class:`~splitbus.broker.Broker`, and its epoch
+command tells the child whether the epoch ends in an average; the child
+works on its forked copy of that broker.  Each channel lives in the process of its
 consumer: embedding channels in the parent, gradient channels in the child.
 The two interpreters no longer share one GIL, so each party's compute can
 use its own core.

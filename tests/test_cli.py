@@ -69,6 +69,15 @@ class TestProfileCommand:
         assert all(c > 0 for c in coefs)
 
     @pytest.mark.filterwarnings("ignore:power-law fit")
+    def test_an_unbounded_bandwidth_is_allowed(self, tiny_config, tmp_path):
+        out = tmp_path / "prof.txt"
+        assert main([
+            "profile", "--config", tiny_config, "--out", str(out),
+            "--batches", "8,32,128", "--repetitions", "1", "--bandwidth", "inf",
+        ]) == 0
+        assert read_profile(str(out)).bandwidth_bytes_per_sec == float("inf")
+
+    @pytest.mark.filterwarnings("ignore:power-law fit")
     def test_message_size_follows_from_the_cut_width(self, tmp_path):
         conf = tmp_path / "wide.conf"
         conf.write_text(TINY_CONF + "model.passive_embed = 24\n")
@@ -105,9 +114,16 @@ class TestProfileCommand:
         (["--batches", "0,8,16"], "--batches"),
         (["--batches", "8,x,16"], "--batches"),
         (["--repetitions", "0"], "--repetitions"),
+        (["--bandwidth", "0"], "--bandwidth"),  # inf is allowed: an unbounded link
+        (["--bandwidth", "-5"], "--bandwidth"),
+        (["--bandwidth", "nan"], "--bandwidth"),
     ])
     def test_a_bad_sweep_exits_2_naming_the_flag(self, tiny_config, tmp_path, capsys,
-                                                 argv, flag):
+                                                 monkeypatch, argv, flag):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a bad flag must stop the command before the sweep")
+
+        monkeypatch.setattr(cli, "run_calibration", no_sweep)
         out = tmp_path / "prof.txt"
         code = main(["profile", "--config", tiny_config, "--out", str(out), *argv])
         assert code == 2
@@ -383,6 +399,23 @@ BAD_SETTINGS = [  # each on top of lockstep 1+1 over 400 synthetic rows
     "train.workers_passive = 3",
     "train.lookahead = 2",  # refused by the run: lockstep holds one batch in flight
 ]
+
+
+@pytest.mark.filterwarnings("ignore:power-law fit")
+@pytest.mark.parametrize("command, out, argv", [
+    ("profile", "missing/prof.txt", ["--batches", "8,32,128", "--repetitions", "1"]),
+    ("plan", "missing/p.txt", ["--wa", "1..2", "--wp", "1..2", "--batches", "16"]),
+    ("train", "prof.txt/run", []),  # nothing can be made under a file
+])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_it(tiny_config, tmp_path, capsys,
+                                                              command, out, argv):
+    prof = tmp_path / "prof.txt"
+    write_profile(str(prof), realistic_constants())
+    source = ["--profile", str(prof)] if command == "plan" else ["--config", tiny_config]
+    out = tmp_path / out
+    assert main([command, *source, *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0], err
 
 
 @pytest.mark.parametrize("line", BAD_SETTINGS)

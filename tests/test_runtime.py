@@ -39,7 +39,7 @@ from splitbus.runtime import (
     plan_for_epoch,
     run_training,
 )
-from splitbus.schedule import AggregationSchedule
+from splitbus.schedule import should_sync
 
 
 SMALL_SHAPE = ModelShape(
@@ -213,9 +213,8 @@ class TestPubsubMode:
             shape=SMALL_SHAPE,
         )
         result = run_training(train, test, cfg)
-        schedule = AggregationSchedule(5)
         assert [row.sync_performed for row in result.epochs] == [
-            schedule.should_sync(t) for t in range(1, 8)
+            should_sync(5, t) for t in range(1, 8)
         ]
         for row in result.epochs:
             assert row.batches_completed == 5
@@ -225,7 +224,7 @@ class TestPubsubMode:
         assert published == sorted(published) and published[0] > 0
         assert result.summary.total_evictions == 0
         assert result.summary.ps_syncs == sum(
-            1 for t in range(1, 8) if schedule.should_sync(t)
+            1 for t in range(1, 8) if should_sync(5, t)
         )
 
     def test_losses_generally_decrease(self):
@@ -882,10 +881,35 @@ class TestFailurePlumbing:
         with pytest.raises(ConfigError, match="lookahead"):
             run_training(train, None, cfg)
 
-    def test_one_in_flight_modes_are_the_policies_that_ignore_lookahead(self):
-        ignore = {mode for mode, policy in runtime.MODE_POLICIES.items()
-                  if policy.lookahead is runtime._one_in_flight}
-        assert ignore == set(ONE_IN_FLIGHT_MODES)
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_for_mode_gives_every_mode_a_config_it_runs(self, mode):
+        train, _ = vertical_pair(n=80, d=6, seed=1)
+        cfg = TrainConfig(workers_active=2, workers_passive=2, lookahead=3, epochs=1,
+                          batch_size=20, shape=SMALL_SHAPE).for_mode(mode)
+        assert run_training(train, None, cfg).summary.epochs_run == 1
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_active_side_failure_outside_the_workers_ends_the_run(self, transport,
+                                                                  monkeypatch):
+        # lockstep waits never expire: the passive worker, blocked on the
+        # gradient of a batch the active pool never starts, is freed only by
+        # the failure closing the bus.
+        train, _ = vertical_pair(n=400, d=10, seed=3)
+        cfg = TrainConfig(
+            mode=Mode.LOCKSTEP, batch_size=20, workers_active=1, workers_passive=1,
+            learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, transport)
+
+        def failing_run_epoch(self, *args):
+            raise RuntimeError("injected active pool failure")
+
+        monkeypatch.setattr(runtime.ActiveEngine, "run_epoch", failing_run_epoch)
+        started = time.perf_counter()
+        with pytest.raises(RuntimeError, match="injected active pool failure") as failure:
+            run_training(train, None, cfg)
+        assert time.perf_counter() - started < 5.0
+        assert "[active party, epoch 1]" in str(failure.value)
 
 
 class TestRunAccounting:

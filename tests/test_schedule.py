@@ -2,7 +2,7 @@
 
 import mpmath
 
-from splitbus.schedule import AggregationSchedule, sync_interval
+from splitbus.schedule import should_sync, sync_interval
 
 
 def _oracle_interval(base: int, epoch: int) -> int:
@@ -40,13 +40,12 @@ def test_bounds_and_monotonicity_exhaustive():
 
 
 def test_should_sync_uses_modulo_rule():
-    sched = AggregationSchedule(base_interval=5)
-    fired = [t for t in range(1, 21) if sched.should_sync(t)]
+    fired = [t for t in range(1, 21) if should_sync(5, t)]
     # intervals: 1,1,1,2,3,3,4,4,4,5,5,... => fires at multiples of current interval
     assert fired == [t for t in range(1, 21) if t % sync_interval(5, t) == 0]
-    assert sched.should_sync(1)  # early epochs sync every time
-    assert not sched.should_sync(5)  # 5 % 3 != 0
-    assert sched.should_sync(10)  # 10 % 5 == 0
+    assert should_sync(5, 1)  # early epochs sync every time
+    assert not should_sync(5, 5)  # 5 % 3 != 0
+    assert should_sync(5, 10)  # 10 % 5 == 0
 
 
 def test_rejects_bad_arguments():
