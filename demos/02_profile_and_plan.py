@@ -49,7 +49,7 @@ def main():
             coef, exp, r2 = fit_power_law(
                 [r.batch_size for r in rows], [r.elapsed_seconds for r in rows]
             )
-            print(f"     {role.value:<16} coef={coef:.3e}  exp={exp:+.3f}  r2={r2:.3f}")
+            print(f"     {role.value:<24} coef={coef:.3e}  exp={exp:+.3f}  r2={r2:.3f}")
         constants = build_constants(
             samples, passive, active, top,
             mem_budget_active=64 * 2**20, mem_budget_passive=64 * 2**20,
@@ -81,13 +81,14 @@ def main():
 
     times = predict_times(constants, plan.batch_size, plan.workers_active,
                           plan.workers_passive)
-    slowest = max(
-        ("active bottom", times.forward_active + times.backward_active + times.top_active),
-        ("passive bottom", times.forward_passive + times.backward_passive),
-        key=lambda pair: pair[1],
-    )
-    print(f"\n   at the chosen plan the bottleneck branch is the {slowest[0]} "
-          f"({slowest[1]:.6f} s per iteration)")
+    print("\n5. predicted seconds per iteration of each stage at the chosen plan:")
+    party_seconds = {"active": 0.0, "passive": 0.0}
+    for role, seconds in times.items():
+        print(f"     {role.value:<24} {role.party:<8} {seconds:.6f}")
+        party_seconds[role.party] += seconds
+    slowest = max(party_seconds, key=party_seconds.get)
+    print(f"   the bottleneck is the {slowest} party "
+          f"({party_seconds[slowest]:.6f} s of compute per iteration)")
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from .config import (
     ExperimentConfig,
     Mode,
     experiment_from_mapping,
+    parse_int_list,
     read_key_value_file,
 )
 from .data import (
@@ -59,13 +60,9 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
-
-
 def _parse_sweep(text: str) -> list[int]:
     """A calibration sweep the delay-model fit can use: 3 or more distinct sizes >= 1."""
-    sizes = _parse_int_list(text)
+    sizes = parse_int_list(text)
     if min(sizes, default=0) < 1 or len(set(sizes)) < 3:
         raise ValueError("the power-law fit needs at least 3 distinct batch sizes, each >= 1")
     return sizes
@@ -200,7 +197,7 @@ def cmd_profile(args) -> int:
 def cmd_plan(args) -> int:
     wa = _flag_value("--wa", _parse_range, args.wa)
     wp = _flag_value("--wp", _parse_range, args.wp)
-    batches = _flag_value("--batches", _parse_int_list, args.batches)
+    batches = _flag_value("--batches", parse_int_list, args.batches)
     try:
         space = SearchSpace(*wa, *wp, batches)
     except ValueError as exc:

@@ -142,11 +142,14 @@ class TrainConfig:
             raise ConfigError(f"train.deadline_ms must be in (0, {threading.TIMEOUT_MAX * 1e3:g}]")
         if not (self.privacy_mu > 0):
             raise ConfigError("train.privacy_mu must be positive (inf disables noise)")
+        if self.privacy_queries is not None and self.privacy_queries < 1:
+            raise ConfigError("train.privacy_queries must be >= 1 when set")
         for name in ("skew_active", "skew_passive"):
             if not 0 <= getattr(self, f"{name}_seconds") < math.inf:
                 raise ConfigError(f"train.{name}_ms must be finite and non-negative")
-        if self.max_retries < 0:
-            raise ConfigError("train.max_retries cannot be negative")
+        for name in ("seed", "max_retries"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"train.{name} cannot be negative")
         if self.lookahead is not None and self.lookahead < 1:
             raise ConfigError("train.lookahead must be >= 1 when set")
 
@@ -185,6 +188,8 @@ class DatasetConfig:
             raise ConfigError(f"dataset.informative must be in [1, {self.features}] when set")
         if not math.isfinite(self.separation):
             raise ConfigError("dataset.separation must be finite")
+        if self.seed < 0:
+            raise ConfigError("dataset.seed cannot be negative")
 
 
 @dataclass
@@ -198,6 +203,8 @@ class SplitConfig:
             raise ConfigError("split.test_fraction must be in (0, 1)")
         if self.active_features is not None and self.active_features < 1:
             raise ConfigError("split.active_features must be positive when set")
+        if self.seed < 0:
+            raise ConfigError("split.seed cannot be negative")
 
 
 @dataclass
@@ -208,7 +215,8 @@ class ExperimentConfig:
     source: str = "<config>"  # where the settings came from, named in errors
 
 
-def _parse_int_list(text: str) -> list[int]:
+def parse_int_list(text: str) -> list[int]:
+    """``'8,16, 32'`` -> ``[8, 16, 32]``; an empty text is ``[]``, an empty item an error."""
     text = text.strip()
     if not text:
         return []
@@ -256,11 +264,11 @@ _KEYMAP: dict[str, tuple[str, str, Callable[[str], object]]] = {
     "split.test_fraction": ("split", "test_fraction", float),
     "split.active_features": ("split", "active_features", _optional(int)),
     "split.seed": ("split", "seed", int),
-    "model.active_hidden": ("shape", "active_hidden", _parse_int_list),
-    "model.passive_hidden": ("shape", "passive_hidden", _parse_int_list),
+    "model.active_hidden": ("shape", "active_hidden", parse_int_list),
+    "model.passive_hidden": ("shape", "passive_hidden", parse_int_list),
     "model.active_embed": ("shape", "active_embed", int),
     "model.passive_embed": ("shape", "passive_embed", int),
-    "model.top_hidden": ("shape", "top_hidden", _parse_int_list),
+    "model.top_hidden": ("shape", "top_hidden", parse_int_list),
     "train.mode": ("train", "mode", _member(Mode)),
     "train.batch_size": ("train", "batch_size", int),
     "train.workers_active": ("train", "workers_active", int),

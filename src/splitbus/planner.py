@@ -2,7 +2,9 @@
 
 The per-iteration wall time is modelled as the slower party's compute time
 plus the wire time of the two cut-layer messages, whose size follows from
-the batch size and the cut width (see ``profiler.message_seconds``); the
+the batch size and the cut width (see ``profiler.message_seconds``).  A
+party's compute time is the sum of its stages' ``profiler.stage_seconds``
+(each ``CalibRole`` names its party), scaled by the party's w/C.  The
 search minimises it over a discrete grid, restricted to batch sizes both
 parties can hold in memory.  The memory model is affine in the batch size
 by construction (see ``profiler.model_memory_bytes``), so the ceiling is
@@ -19,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, read_key_value_file
-from .profiler import DelayConstants, memory_bound, message_seconds
+from .profiler import CalibRole, DelayConstants, memory_bound, message_seconds, stage_seconds
+
 
 class InfeasiblePlanError(ValueError):
     """No candidate batch size fits in memory (or the space is empty)."""
@@ -63,24 +66,16 @@ class PlanState:
 
 
 def party_polynomials(c: DelayConstants, batch_size: int) -> tuple[float, float]:
-    """Per-call compute seconds at one core per worker, per party.
+    """(active, passive) per-call compute seconds at one core per worker.
 
-    The active party runs its bottom model and the top model; the passive
-    party only its bottom model.  Shared by ``iteration_objective`` and
-    ``dp_search`` so both perform identical float operations.
+    Each party's stages are added in ``CalibRole`` order.  Shared by
+    ``iteration_objective`` and ``dp_search`` so both perform identical
+    float operations.
     """
-    b = float(batch_size)
-    active = (
-        c.forward_coef_active * b**c.forward_exp_active
-        + c.top_forward_coef * b**c.top_forward_exp
-        + c.backward_coef_active * b**c.backward_exp_active
-        + c.top_backward_coef * b**c.top_backward_exp
-    )
-    passive = (
-        c.forward_coef_passive * b**c.forward_exp_passive
-        + c.backward_coef_passive * b**c.backward_exp_passive
-    )
-    return active, passive
+    totals = {"active": 0.0, "passive": 0.0}
+    for role in CalibRole:
+        totals[role.party] += stage_seconds(c, role, batch_size)
+    return totals["active"], totals["passive"]
 
 
 def comm_seconds(c: DelayConstants, batch_size: int) -> float:

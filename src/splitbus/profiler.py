@@ -1,16 +1,17 @@
 """Delay-model calibration: timing sweeps and power-law fits.
 
-Per-call compute time for each model stage is modelled as ``coef * B**exp``
-seconds at one core per worker; running ``w`` workers on ``C`` cores scales
-it by ``w / C``.  The six (coef, exp) pairs — forward and backward for the
-two bottom models and the top model — come from a log-log least-squares
-fit over a batch-size sweep.  What the models fix is read off them, not
-measured or configured: memory per party is ``base + slope * B`` bytes,
-from the allocation formula of ``model_memory_bytes``, and both cut-layer
-messages (the embedding and its gradient) are ``(B, cut_width)`` float64
-arrays, ``broker.payload_byte_size(B, cut_width)`` bytes on the wire, where
-``cut_width`` is the passive model's output width.  The largest batch both
-parties can afford is the planner's feasibility ceiling.
+``DelayConstants.stages`` maps each :class:`CalibRole` (forward and backward
+of the two bottom models and the top model, each run by one party) to a
+``(coef, exp)`` pair fitted by log-log least squares over a batch-size sweep:
+one call takes ``coef * B**exp`` seconds at one core per worker, and ``w``
+workers on ``C`` cores scale it by ``w / C``.  A profile file has one
+``<stage> = <coef> <exp>`` line per role.  What the models fix is read off
+them, not measured or configured: memory per party is ``base + slope * B``
+bytes, from the allocation formula of ``model_memory_bytes``, and both
+cut-layer messages (the embedding and its gradient) are ``(B, cut_width)``
+float64 arrays, ``broker.payload_byte_size(B, cut_width)`` bytes on the
+wire, where ``cut_width`` is the passive model's output width.  The largest
+batch both parties can afford is the planner's feasibility ceiling.
 
 The fits take the measurements at face value: if per-call time shrinks as
 the batch grows (heavily amortised vectorised code), the fitted exponent is
@@ -36,14 +37,22 @@ from .config import ConfigError, read_key_value_file
 
 class CalibRole(enum.Enum):
     """One timed stage.  Forward and backward are timed separately for all
-    three models so every delay constant is identified by its own sweep."""
+    three models so every delay constant is identified by its own sweep.
+
+    The order is the order in which the planner adds up each party's stages.
+    """
 
     ACTIVE_BOTTOM_FORWARD = "active_bottom_forward"
-    ACTIVE_BOTTOM_BACKWARD = "active_bottom_backward"
     TOP_FORWARD = "top_forward"
+    ACTIVE_BOTTOM_BACKWARD = "active_bottom_backward"
     TOP_BACKWARD = "top_backward"
     PASSIVE_FORWARD = "passive_forward"
     PASSIVE_BACKWARD = "passive_backward"
+
+    @property
+    def party(self) -> str:
+        """``"active"`` or ``"passive"``: the active party also runs the top model."""
+        return "passive" if self.value.startswith("passive") else "active"
 
 
 @dataclass
@@ -176,19 +185,8 @@ _MAY_BE_UNBOUNDED = frozenset(
 class DelayConstants:
     """Everything the planner needs about one deployment."""
 
-    # per-call compute time = coef * B**exp seconds (one core per worker)
-    forward_coef_active: float
-    forward_exp_active: float
-    forward_coef_passive: float
-    forward_exp_passive: float
-    backward_coef_active: float
-    backward_exp_active: float
-    backward_coef_passive: float
-    backward_exp_passive: float
-    top_forward_coef: float
-    top_forward_exp: float
-    top_backward_coef: float
-    top_backward_exp: float
+    # role -> (coef, exp): per-call seconds = coef * B**exp at one core per worker
+    stages: dict[CalibRole, tuple[float, float]]
     # both cut-layer messages are (B, cut_width) float64 arrays
     cut_width: int
     # deployment
@@ -204,9 +202,18 @@ class DelayConstants:
     mem_budget_passive: float = math.inf
 
     def __post_init__(self) -> None:
-        # NaN passes every comparison below, so finiteness is checked first.
+        missing = [role.value for role in CalibRole if role not in self.stages]
+        unknown = [str(key) for key in self.stages if not isinstance(key, CalibRole)]
+        if missing or unknown:
+            raise ValueError(f"stages: missing {missing}, unknown {unknown}")
+        for role, (coef, exp) in self.stages.items():
+            # NaN passes every comparison, so finiteness is checked first.
+            if not (math.isfinite(coef) and math.isfinite(exp)):
+                raise ValueError(f"{role.value} must be finite, got {coef!r} {exp!r}")
+            if coef <= 0.0:
+                raise ValueError(f"{role.value} coef must be positive, got {coef!r}")
         # Only an unbounded resource (bandwidth, a memory budget) may be +inf.
-        for f in dataclasses.fields(self):
+        for f in _SCALAR_FIELDS:
             value = getattr(self, f.name)
             if math.isnan(value) or (math.isinf(value) and f.name not in _MAY_BE_UNBOUNDED):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
@@ -216,13 +223,6 @@ class DelayConstants:
             raise ValueError("bandwidth must be positive")
         if self.cut_width < 1:
             raise ValueError("cut_width must be >= 1")
-        for name in (
-            "forward_coef_active", "forward_coef_passive",
-            "backward_coef_active", "backward_coef_passive",
-            "top_forward_coef", "top_backward_coef",
-        ):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive (delay coefficients are)")
         if self.mem_slope_active <= 0.0 or self.mem_slope_passive <= 0.0:
             raise ValueError("memory slopes must be positive")
         if self.mem_budget_active <= self.mem_base_active:
@@ -231,37 +231,23 @@ class DelayConstants:
             raise ValueError("passive memory budget must exceed its base usage")
 
 
-@dataclass
-class PredictedTimes:
-    """Per-iteration stage times in seconds for one (B, w_a, w_p) point."""
-
-    forward_active: float
-    backward_active: float
-    top_active: float  # top model forward + backward, runs on the active party
-    forward_passive: float
-    backward_passive: float
-    transfer: float  # one cut-layer message; the embedding and its gradient are the same size
+_SCALAR_FIELDS = [f for f in dataclasses.fields(DelayConstants) if f.name != "stages"]
 
 
-def predict_times(c: DelayConstants, batch_size: int, w_active: int, w_passive: int) -> PredictedTimes:
-    """Evaluate the delay model termwise (handy for reports and oracles)."""
+def stage_seconds(c: DelayConstants, role: CalibRole, batch_size: int) -> float:
+    """Per-call seconds of one stage at one core per worker: ``coef * B**exp``."""
+    coef, exp = c.stages[role]
+    return coef * float(batch_size) ** exp
+
+
+def predict_times(c: DelayConstants, batch_size: int, w_active: int,
+                  w_passive: int) -> dict[CalibRole, float]:
+    """Each stage's seconds per iteration at one (B, w_a, w_p) point: its
+    per-call seconds times its party's w/C share."""
     if batch_size < 1 or w_active < 1 or w_passive < 1:
         raise ValueError("batch size and worker counts must be >= 1")
-    b = float(batch_size)
-    share_a = w_active / c.cores_active
-    share_p = w_passive / c.cores_passive
-    return PredictedTimes(
-        forward_active=c.forward_coef_active * b**c.forward_exp_active * share_a,
-        backward_active=c.backward_coef_active * b**c.backward_exp_active * share_a,
-        top_active=(
-            c.top_forward_coef * b**c.top_forward_exp
-            + c.top_backward_coef * b**c.top_backward_exp
-        )
-        * share_a,
-        forward_passive=c.forward_coef_passive * b**c.forward_exp_passive * share_p,
-        backward_passive=c.backward_coef_passive * b**c.backward_exp_passive * share_p,
-        transfer=message_seconds(c, batch_size),
-    )
+    share = {"active": w_active / c.cores_active, "passive": w_passive / c.cores_passive}
+    return {role: stage_seconds(c, role, batch_size) * share[role.party] for role in CalibRole}
 
 
 def message_seconds(c: DelayConstants, batch_size: int) -> float:
@@ -322,44 +308,24 @@ def build_constants(
     are read off ``model_memory_bytes`` and the cut width off the passive
     model, not fitted.
     """
-    by_role: dict[CalibRole, tuple[list[int], list[float]]] = {
-        role: ([], []) for role in CalibRole
-    }
-    for sample in samples:
-        by_role[sample.role][0].append(sample.batch_size)
-        by_role[sample.role][1].append(sample.elapsed_seconds)
-
-    fits = {}
-    for role, (sizes, times) in by_role.items():
-        coef, exponent, _ = fit_power_law(sizes, times)
-        fits[role] = (coef, exponent)
-
-    base_active = 2 * (active_model.parameter_bytes + top_model.parameter_bytes)
-    base_passive = 2 * passive_model.parameter_bytes
-    slope_active = _bytes_per_row(active_model) + _bytes_per_row(top_model)
-    slope_passive = _bytes_per_row(passive_model)
-
+    cores = {"active": cores_active, "passive": cores_passive}
+    stages = {}
+    for role in CalibRole:
+        mine = [s for s in samples if s.role is role]
+        coef, exponent, _ = fit_power_law(
+            [s.batch_size for s in mine], [s.elapsed_seconds for s in mine]
+        )
+        stages[role] = (coef * cores[role.party], exponent)
     return DelayConstants(
-        forward_coef_active=fits[CalibRole.ACTIVE_BOTTOM_FORWARD][0] * cores_active,
-        forward_exp_active=fits[CalibRole.ACTIVE_BOTTOM_FORWARD][1],
-        forward_coef_passive=fits[CalibRole.PASSIVE_FORWARD][0] * cores_passive,
-        forward_exp_passive=fits[CalibRole.PASSIVE_FORWARD][1],
-        backward_coef_active=fits[CalibRole.ACTIVE_BOTTOM_BACKWARD][0] * cores_active,
-        backward_exp_active=fits[CalibRole.ACTIVE_BOTTOM_BACKWARD][1],
-        backward_coef_passive=fits[CalibRole.PASSIVE_BACKWARD][0] * cores_passive,
-        backward_exp_passive=fits[CalibRole.PASSIVE_BACKWARD][1],
-        top_forward_coef=fits[CalibRole.TOP_FORWARD][0] * cores_active,
-        top_forward_exp=fits[CalibRole.TOP_FORWARD][1],
-        top_backward_coef=fits[CalibRole.TOP_BACKWARD][0] * cores_active,
-        top_backward_exp=fits[CalibRole.TOP_BACKWARD][1],
+        stages=stages,
         cut_width=passive_model.out_dim,
         cores_active=cores_active,
         cores_passive=cores_passive,
         bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
-        mem_base_active=float(base_active),
-        mem_base_passive=float(base_passive),
-        mem_slope_active=float(slope_active),
-        mem_slope_passive=float(slope_passive),
+        mem_base_active=float(2 * (active_model.parameter_bytes + top_model.parameter_bytes)),
+        mem_base_passive=float(2 * passive_model.parameter_bytes),
+        mem_slope_active=float(_bytes_per_row(active_model) + _bytes_per_row(top_model)),
+        mem_slope_passive=float(_bytes_per_row(passive_model)),
         mem_budget_active=mem_budget_active,
         mem_budget_passive=mem_budget_passive,
     )
@@ -369,27 +335,40 @@ def build_constants(
 
 
 def write_profile(path: str, constants: DelayConstants) -> None:
-    """One ``name = value`` line per constant; repr keeps floats lossless."""
+    """One ``<stage> = <coef> <exp>`` line per stage, then one ``name = value``
+    line per other constant; repr keeps floats lossless."""
     with open(path, "w") as handle:
-        for f in dataclasses.fields(DelayConstants):
+        for role in CalibRole:
+            coef, exp = constants.stages[role]
+            handle.write(f"{role.value} = {coef!r} {exp!r}\n")
+        for f in _SCALAR_FIELDS:
             handle.write(f"{f.name} = {getattr(constants, f.name)!r}\n")
+
+
+def _stage_pair(text: str) -> tuple[float, float]:
+    parts = text.split()
+    if len(parts) != 2:
+        raise ValueError("expected '<coef> <exp>'")
+    return float(parts[0]), float(parts[1])
 
 
 def read_profile(path: str) -> DelayConstants:
     """Inverse of ``write_profile``; unreadable or malformed files raise ``ConfigError``."""
-    field_types = {f.name: f.type for f in dataclasses.fields(DelayConstants)}
-    values: dict[str, float | int] = {}
+    parsers = {role.value: _stage_pair for role in CalibRole}
+    parsers.update((f.name, int if f.type == "int" else float) for f in _SCALAR_FIELDS)
+    values: dict[str, object] = {}
     for name, text in read_key_value_file(path, "profile").items():
-        if name not in field_types:
+        if name not in parsers:
             raise ConfigError(f"{path}: unknown constant {name!r} (re-run 'splitbus profile')")
         try:
-            values[name] = int(text) if field_types[name] == "int" else float(text)
-        except ValueError:
-            raise ConfigError(f"{path}: cannot parse {name} = {text!r}") from None
-    missing = sorted(set(field_types) - set(values))
+            values[name] = parsers[name](text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: cannot parse {name} = {text!r}: {exc}") from None
+    missing = [name for name in parsers if name not in values]
     if missing:
         raise ConfigError(f"{path}: missing constants: {', '.join(missing)}")
+    stages = {role: values.pop(role.value) for role in CalibRole}
     try:
-        return DelayConstants(**values)
+        return DelayConstants(stages, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -174,7 +174,11 @@ def noise_sigma(cfg: TrainConfig, num_rows: int) -> float:
             privacy_mu=cfg.privacy_mu,
             minibatch_size=min(cfg.batch_size, num_rows),
             whole_batch_size=num_rows,
-            num_queries=cfg.privacy_queries or bk.channel_count_for(num_rows, cfg.batch_size),
+            num_queries=(
+                bk.channel_count_for(num_rows, cfg.batch_size)
+                if cfg.privacy_queries is None
+                else cfg.privacy_queries
+            ),
         )
     )
 

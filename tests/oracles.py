@@ -338,15 +338,15 @@ def mp_iteration_objective(c, w_a: int, w_p: int, batch: int) -> float:
 
     with mp.workdps(50):
         b = mpf(batch)
+        per_call = {
+            role.value: mpf(coef) * b ** mpf(exp) for role, (coef, exp) in c.stages.items()
+        }
         active = (
-            mpf(c.forward_coef_active) * b ** mpf(c.forward_exp_active)
-            + mpf(c.top_forward_coef) * b ** mpf(c.top_forward_exp)
-            + mpf(c.backward_coef_active) * b ** mpf(c.backward_exp_active)
-            + mpf(c.top_backward_coef) * b ** mpf(c.top_backward_exp)
+            per_call["active_bottom_forward"] + per_call["active_bottom_backward"]
+            + per_call["top_forward"] + per_call["top_backward"]
         ) * mpf(w_a) / mpf(c.cores_active)
         passive = (
-            mpf(c.forward_coef_passive) * b ** mpf(c.forward_exp_passive)
-            + mpf(c.backward_coef_passive) * b ** mpf(c.backward_exp_passive)
+            per_call["passive_forward"] + per_call["passive_backward"]
         ) * mpf(w_p) / mpf(c.cores_passive)
         comm = 2 * (16 + 8 * b * mpf(c.cut_width)) / mpf(c.bandwidth_bytes_per_sec)
         return float(max(active, passive) + comm)
@@ -376,7 +376,7 @@ def brute_force_search(c, space):
 
 def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]):
     """Valid random constants; the smallest candidate batch always fits."""
-    from splitbus.profiler import DelayConstants
+    from splitbus.profiler import CalibRole, DelayConstants
 
     def coef() -> float:
         return float(rng.uniform(0.001, 2.5))
@@ -391,13 +391,13 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
     smallest = min(batch_candidates)
     need_a = slope_a * smallest
     need_p = slope_p * smallest
+    draw_order = [  # fixes which drawn value each stage gets for a given seed
+        CalibRole.ACTIVE_BOTTOM_FORWARD, CalibRole.PASSIVE_FORWARD,
+        CalibRole.ACTIVE_BOTTOM_BACKWARD, CalibRole.PASSIVE_BACKWARD,
+        CalibRole.TOP_FORWARD, CalibRole.TOP_BACKWARD,
+    ]
     return DelayConstants(
-        forward_coef_active=coef(), forward_exp_active=expo(),
-        forward_coef_passive=coef(), forward_exp_passive=expo(),
-        backward_coef_active=coef(), backward_exp_active=expo(),
-        backward_coef_passive=coef(), backward_exp_passive=expo(),
-        top_forward_coef=coef(), top_forward_exp=expo(),
-        top_backward_coef=coef(), top_backward_exp=expo(),
+        stages={role: (coef(), expo()) for role in draw_order},
         cut_width=int(rng.integers(1, 1025)),
         cores_active=int(rng.integers(1, 64)),
         cores_passive=int(rng.integers(1, 64)),
@@ -411,22 +411,30 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
     )
 
 
-def realistic_constants(**overrides):
+# (coef, exp) per stage, from a real profiling run
+REALISTIC_STAGES = {
+    "active_bottom_forward": (0.018, -0.8015),
+    "passive_forward": (0.010, -1.0071),
+    "active_bottom_backward": (0.066, -0.6069),
+    "passive_backward": (0.038, -1.0546),
+    "top_forward": (0.011, -0.7514),
+    "top_backward": (0.072, -0.7834),
+}
+
+
+def realistic_constants(stages=None, **overrides):
     """A fitted constant set from a real profiling run, frozen as a fixture.
 
     Negative exponents (per-call time shrinking with batch size) are what
     heavily vectorised stacks actually measure, so the planner tests get
-    exercised on that regime rather than on toy monotone curves.
+    exercised on that regime rather than on toy monotone curves.  ``stages``
+    maps stage names to the (coef, exp) pairs that replace the frozen ones.
     """
-    from splitbus.profiler import DelayConstants
+    from splitbus.profiler import CalibRole, DelayConstants
 
+    table = {**REALISTIC_STAGES, **(stages or {})}
     values = dict(
-        forward_coef_active=0.018, forward_exp_active=-0.8015,
-        forward_coef_passive=0.010, forward_exp_passive=-1.0071,
-        backward_coef_active=0.066, backward_exp_active=-0.6069,
-        backward_coef_passive=0.038, backward_exp_passive=-1.0546,
-        top_forward_coef=0.011, top_forward_exp=-0.7514,
-        top_backward_coef=0.072, top_backward_exp=-0.7834,
+        stages={CalibRole(name): pair for name, pair in table.items()},
         cut_width=16,
         cores_active=32, cores_passive=32,
         bandwidth_bytes_per_sec=1.25e9,

@@ -18,7 +18,7 @@ from splitbus.config import ExperimentConfig, ModelShape, experiment_from_mappin
 from splitbus.data import Task, generate_synthetic, write_csv
 from splitbus.metrics import read_jsonl
 from splitbus.planner import PlanState, SearchSpace, comm_seconds, read_plan
-from splitbus.profiler import read_profile, write_profile
+from splitbus.profiler import CalibRole, read_profile, write_profile
 from splitbus.runtime import build_models
 
 from oracles import brute_force_search, realistic_constants
@@ -61,12 +61,8 @@ class TestProfileCommand:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
             constants = read_profile(str(out))
-        coefs = [
-            constants.forward_coef_active, constants.forward_coef_passive,
-            constants.backward_coef_active, constants.backward_coef_passive,
-            constants.top_forward_coef, constants.top_backward_coef,
-        ]
-        assert all(c > 0 for c in coefs)
+        assert set(constants.stages) == set(CalibRole)
+        assert all(coef > 0 for coef, _ in constants.stages.values())
 
     @pytest.mark.filterwarnings("ignore:power-law fit")
     def test_an_unbounded_bandwidth_is_allowed(self, tiny_config, tmp_path):
@@ -132,6 +128,32 @@ class TestProfileCommand:
         assert not out.exists()
 
 
+OLD_FORMAT_PROFILE = """\
+forward_coef_active = 0.018
+forward_exp_active = -0.8015
+forward_coef_passive = 0.01
+forward_exp_passive = -1.0071
+backward_coef_active = 0.066
+backward_exp_active = -0.6069
+backward_coef_passive = 0.038
+backward_exp_passive = -1.0546
+top_forward_coef = 0.011
+top_forward_exp = -0.7514
+top_backward_coef = 0.072
+top_backward_exp = -0.7834
+cut_width = 16
+cores_active = 32
+cores_passive = 32
+bandwidth_bytes_per_sec = 1250000000.0
+mem_base_active = 100000000.0
+mem_base_passive = 100000000.0
+mem_slope_active = 1000000.0
+mem_slope_passive = 1000000.0
+mem_budget_active = 4000000000.0
+mem_budget_passive = 4000000000.0
+"""
+
+
 class TestPlanCommand:
     def test_plan_matches_enumeration_oracle(self, tmp_path):
         prof = tmp_path / "prof.txt"
@@ -159,14 +181,24 @@ class TestPlanCommand:
         assert "no feasible plan" in capsys.readouterr().err
 
     def test_old_format_profile_exits_2_naming_the_key(self, tmp_path, capsys):
+        # A profile with one line per coef and per exp, as written before
+        # the stage lines: it is refused, not read in part.
         prof = tmp_path / "prof.txt"
+        prof.write_text(OLD_FORMAT_PROFILE)
+        out = tmp_path / "p.txt"
+        assert main(["plan", "--profile", str(prof), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {prof}: unknown constant 'forward_coef_active' (re-run 'splitbus profile')\n"
+        )
+        assert not out.exists()
         write_profile(str(prof), realistic_constants())
         prof.write_text(prof.read_text() + "mem_exponent = 1.0\n")
-        assert main(["plan", "--profile", str(prof), "--out", str(tmp_path / "p.txt")]) == 2
+        assert main(["plan", "--profile", str(prof), "--out", str(out)]) == 2
         assert "mem_exponent" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["forward_coef_active = nan", "top_backward_exp = inf"]
+        "line", ["active_bottom_forward = nan -0.8", "top_backward = 0.072 inf"],
+        ids=["active_bottom_forward-nan-coef", "top_backward-inf-exp"],
     )
     def test_non_finite_profile_value_exits_2_naming_the_field(self, tmp_path, capsys, line):
         prof = tmp_path / "prof.txt"
@@ -184,6 +216,7 @@ class TestPlanCommand:
 
     @pytest.mark.parametrize("flag, text", [
         ("--wa", "x"), ("--wp", "1..y"), ("--wa", "5..2"), ("--batches", "16,x"), ("--batches", ""),
+        ("--batches", "16,,32"),
     ])
     def test_a_bad_flag_exits_2_naming_it(self, tmp_path, capsys, flag, text):
         prof = tmp_path / "prof.txt"
@@ -398,6 +431,11 @@ BAD_SETTINGS = [  # each on top of lockstep 1+1 over 400 synthetic rows
     "train.workers_active = 2",  # refused by the run: lockstep is one pair
     "train.workers_passive = 3",
     "train.lookahead = 2",  # refused by the run: lockstep holds one batch in flight
+    "train.seed = -1",
+    "dataset.seed = -1",
+    "split.seed = -1",
+    "train.privacy_queries = -1",  # with train.privacy_mu = 1: noise is on
+    "train.privacy_queries = 0",
 ]
 
 
@@ -424,6 +462,7 @@ def test_a_bad_setting_exits_2_with_one_error_line(tmp_path, capsys, line):
     base = {
         "dataset.rows": "400", "dataset.features": "12", "train.mode": "lockstep",
         "train.workers_active": "1", "train.workers_passive": "1", "train.epochs": "1",
+        "train.privacy_mu": "1",
     }
     base.pop(key, None)
     conf = tmp_path / "bad.conf"
@@ -432,6 +471,19 @@ def test_a_bad_setting_exits_2_with_one_error_line(tmp_path, capsys, line):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
     assert key in err[0] and "bad.conf" in err[0], err
+
+
+def test_a_negative_seed_flag_exits_2_naming_the_key(tiny_config, tmp_path, capsys,
+                                                     monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("a bad seed must stop the command before any work")
+
+    monkeypatch.setattr(cli, "_load_datasets", no_data)
+    out = tmp_path / "r"
+    assert main(["train", "--config", tiny_config, "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "train.seed" in err[0], err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [("", "file is empty"), ("a,b,label\n", "no data rows")])

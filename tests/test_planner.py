@@ -27,22 +27,23 @@ from oracles import (
 
 
 def swap_roles(c):
+    stage = {role.value: pair for role, pair in c.stages.items()}
     return realistic_constants(
-        forward_coef_active=c.forward_coef_passive,
-        forward_exp_active=c.forward_exp_passive,
-        forward_coef_passive=c.forward_coef_active,
-        forward_exp_passive=c.forward_exp_active,
-        backward_coef_active=c.backward_coef_passive,
-        backward_exp_active=c.backward_exp_passive,
-        backward_coef_passive=c.backward_coef_active,
-        backward_exp_passive=c.backward_exp_active,
-        top_forward_coef=c.top_forward_coef,
-        top_forward_exp=c.top_forward_exp,
-        top_backward_coef=c.top_backward_coef,
-        top_backward_exp=c.top_backward_exp,
+        stages={
+            "active_bottom_forward": stage["passive_forward"],
+            "active_bottom_backward": stage["passive_backward"],
+            "passive_forward": stage["active_bottom_forward"],
+            "passive_backward": stage["active_bottom_backward"],
+            "top_forward": stage["top_forward"],
+            "top_backward": stage["top_backward"],
+        },
         cores_active=c.cores_passive,
         cores_passive=c.cores_active,
     )
+
+
+# the top model's contribution made vanishingly small
+NO_TOP = {"top_forward": (1e-300, -0.7514), "top_backward": (1e-300, -0.7834)}
 
 
 class TestObjective:
@@ -62,10 +63,7 @@ class TestObjective:
     def test_symmetric_parties_swap_invariant(self):
         # make the top model's contribution vanishingly small so the two
         # parties' compute branches are mirror images
-        c = realistic_constants(
-            top_forward_coef=1e-300, top_backward_coef=1e-300,
-            cores_active=16, cores_passive=16,
-        )
+        c = realistic_constants(stages=NO_TOP, cores_active=16, cores_passive=16)
         assert iteration_objective(c, 4, 9, 128) == pytest.approx(
             iteration_objective(swap_roles(c), 9, 4, 128), rel=1e-9
         )
@@ -87,9 +85,11 @@ class TestStateCost:
 
     def test_identical_branches_collapse(self):
         c = realistic_constants(
-            top_forward_coef=1e-300, top_backward_coef=1e-300,
-            forward_coef_active=0.010, forward_exp_active=-1.0071,
-            backward_coef_active=0.038, backward_exp_active=-1.0546,
+            stages={
+                **NO_TOP,
+                "active_bottom_forward": (0.010, -1.0071),
+                "active_bottom_backward": (0.038, -1.0546),
+            },
             cores_active=8, cores_passive=8,
             bandwidth_bytes_per_sec=math.inf,
         )
@@ -132,6 +132,18 @@ class TestSearch:
         fast, slow = dp_search(c, space), brute_force_search(c, space)
         assert fast == slow
 
+    @pytest.mark.parametrize("cores, plan, cost_hex", [
+        ((32, 32), (1, 1, 256), "0x1.59bc85e6474dfp-13"),
+        ((2, 3), (1, 1, 1024), "0x1.e4694f5787817p-11"),
+    ])
+    def test_reference_plan_cost_is_pinned_to_the_bit(self, cores, plan, cost_hex):
+        # Pinned floats: a change to the order in which a party's stages are
+        # added, or to the per-stage formula, moves the last bits and shows here.
+        c = realistic_constants(cores_active=cores[0], cores_passive=cores[1])
+        got = dp_search(c, SearchSpace(1, 10, 1, 10, [16, 32, 64, 128, 256, 512, 1024]))
+        assert (got.workers_active, got.workers_passive, got.batch_size) == plan
+        assert got.cost_seconds.hex() == cost_hex
+
     def test_monotone_objective_picks_fewest_workers(self):
         # every term positive and growing with w; B fixed
         c = realistic_constants()
@@ -144,10 +156,14 @@ class TestSearch:
         # flat exponents make every batch size equally fast; the active
         # branch dwarfs the passive one so w_p never affects the max
         c = realistic_constants(
-            forward_exp_active=0.0, forward_exp_passive=0.0,
-            backward_exp_active=0.0, backward_exp_passive=0.0,
-            top_forward_exp=0.0, top_backward_exp=0.0,
-            forward_coef_passive=1e-12, backward_coef_passive=1e-12,
+            stages={
+                "active_bottom_forward": (0.018, 0.0),
+                "active_bottom_backward": (0.066, 0.0),
+                "top_forward": (0.011, 0.0),
+                "top_backward": (0.072, 0.0),
+                "passive_forward": (1e-12, 0.0),
+                "passive_backward": (1e-12, 0.0),
+            },
             bandwidth_bytes_per_sec=math.inf,
         )
         space = SearchSpace(3, 3, 2, 6, [512, 128, 256, 128])

@@ -20,6 +20,7 @@ import pytest
 import splitbus
 from splitbus import nn
 from splitbus.broker import payload_byte_size
+from splitbus.config import ConfigError
 from splitbus.profiler import (
     CalibRole,
     CalibrationSample,
@@ -101,35 +102,27 @@ class TestPowerLawFit:
         assert coef > 0.0 and r2 < 0.9
 
 
+PASSIVE_STAGES = {"passive_forward", "passive_backward"}
+
+
 class TestPrediction:
     def test_stage_times_match_high_precision(self):
-        c = realistic_constants()
-        times = predict_times(c, 32, 8, 8)
-        cases = [
-            (times.forward_active, c.forward_coef_active, c.forward_exp_active, 8, 32),
-            (times.backward_active, c.backward_coef_active, c.backward_exp_active, 8, 32),
-            (times.forward_passive, c.forward_coef_passive, c.forward_exp_passive, 8, 32),
-            (times.backward_passive, c.backward_coef_passive, c.backward_exp_passive, 8, 32),
-        ]
-        for got, coef, exponent, w, cores in cases:
+        c = realistic_constants(cores_active=32, cores_passive=8)
+        times = predict_times(c, 32, 8, 3)
+        assert set(times) == set(CalibRole)
+        for role, (coef, exponent) in c.stages.items():
+            w, cores = (3, 8) if role.value in PASSIVE_STAGES else (8, 32)
             want = mp_stage_time(coef, exponent, 32, w, cores)
-            assert got == pytest.approx(want, rel=1e-12)
-        want_top = mp_stage_time(
-            c.top_forward_coef, c.top_forward_exp, 32, 8, 32
-        ) + mp_stage_time(c.top_backward_coef, c.top_backward_exp, 32, 8, 32)
-        assert times.top_active == pytest.approx(want_top, rel=1e-12)
+            assert times[role] == pytest.approx(want, rel=1e-12), role
 
     def test_transfer_times(self):
         # both messages: a 16-byte header and 64 x 2 float64 entries = 1040 bytes
         c = realistic_constants(cut_width=2, bandwidth_bytes_per_sec=1040.0)
-        times = predict_times(c, 64, 1, 1)
-        assert times.transfer == 1.0
+        assert message_seconds(c, 64) == 1.0
 
     def test_unit_cancellation(self):
-        c = realistic_constants(
-            forward_coef_active=1.0, forward_exp_active=0.0, cores_active=8
-        )
-        assert predict_times(c, 17, 8, 1).forward_active == 1.0
+        c = realistic_constants(stages={"top_forward": (1.0, 0.0)}, cores_active=8)
+        assert predict_times(c, 17, 8, 1)[CalibRole.TOP_FORWARD] == 1.0
 
     def test_core_scaling_homogeneous(self):
         c1 = realistic_constants(cores_active=8, cores_passive=4)
@@ -402,23 +395,45 @@ class TestProfileBuild:
         )
         predicted = predict_times(constants, 32, 1, 1)
         measured = 0.004 * 32**0.9
-        assert predicted.forward_active == pytest.approx(measured, rel=1e-9)
-        assert predicted.forward_passive == pytest.approx(measured, rel=1e-9)
+        for role in CalibRole:
+            assert predicted[role] == pytest.approx(measured, rel=1e-9), role
 
     def test_non_finite_constants_are_rejected_by_name(self):
         unbounded = {"bandwidth_bytes_per_sec", "mem_budget_active", "mem_budget_passive"}
         for f in dataclasses.fields(DelayConstants):
+            if f.name == "stages":
+                continue
             bad = [math.nan] if f.name in unbounded else [math.nan, math.inf, -math.inf]
             for value in bad:
                 with pytest.raises(ValueError, match=f"{f.name} must be finite"):
                     realistic_constants(**{f.name: value})
+        for role in CalibRole:
+            for value in (math.nan, math.inf, -math.inf):
+                for pair in ((value, -0.5), (0.01, value)):
+                    with pytest.raises(ValueError, match=f"{role.value} must be finite"):
+                        realistic_constants(stages={role.value: pair})
         # bandwidth and budgets may be unbounded: no wire time, no memory ceiling
         c = realistic_constants(
             bandwidth_bytes_per_sec=math.inf, mem_budget_active=math.inf,
             mem_budget_passive=math.inf,
         )
-        assert predict_times(c, 64, 1, 1).transfer == 0.0
+        assert message_seconds(c, 64) == 0.0
         assert memory_bound(c) == math.inf
+
+    @pytest.mark.parametrize("coef", [0.0, -0.01])
+    def test_a_non_positive_stage_coef_is_rejected_by_name(self, coef):
+        for role in CalibRole:
+            with pytest.raises(ValueError, match=f"{role.value} coef must be positive"):
+                realistic_constants(stages={role.value: (coef, -0.5)})
+
+    def test_stages_must_be_exactly_the_six_roles(self):
+        stages = realistic_constants().stages
+        for role in CalibRole:
+            short = {r: pair for r, pair in stages.items() if r is not role}
+            with pytest.raises(ValueError, match=f"missing \\['{role.value}'\\]"):
+                DelayConstants(stages=short, cut_width=16)
+        with pytest.raises(ValueError, match="unknown \\['top_sideways'\\]"):
+            DelayConstants(stages={**stages, "top_sideways": (1.0, 0.0)}, cut_width=16)
 
     def test_read_profile_rejects_junk(self, tmp_path):
         good = tmp_path / "p.txt"
@@ -436,6 +451,32 @@ class TestProfileBuild:
             read_profile(str(truncated))
 
         malformed = tmp_path / "mal.txt"
-        malformed.write_text("forward_coef_active 0.01\n")
+        malformed.write_text("top_forward 0.01 -0.5\n")
         with pytest.raises(ValueError, match="expected"):
             read_profile(str(malformed))
+
+    def test_the_profile_has_one_coef_exp_line_per_stage(self, tmp_path):
+        path = tmp_path / "p.txt"
+        write_profile(str(path), realistic_constants())
+        lines = dict(line.split(" = ") for line in path.read_text().splitlines())
+        for role in CalibRole:
+            assert lines[role.value] == "{!r} {!r}".format(*realistic_constants().stages[role])
+        assert len(lines) == len(CalibRole) + len(dataclasses.fields(DelayConstants)) - 1
+
+    @pytest.mark.parametrize("role", list(CalibRole), ids=lambda r: r.value)
+    def test_read_profile_names_a_missing_or_malformed_stage_line(self, tmp_path, role):
+        good = tmp_path / "p.txt"
+        write_profile(str(good), realistic_constants())
+        rows = good.read_text().splitlines()
+        mine = next(row for row in rows if row.startswith(role.value + " = "))
+        missing = tmp_path / "missing.txt"
+        missing.write_text("\n".join(row for row in rows if row != mine) + "\n")
+        with pytest.raises(ConfigError, match=f"missing constants: {role.value}$"):
+            read_profile(str(missing))
+        for text in ("0.01", "0.01 -0.5 2", "0.01 x", "x -0.5"):
+            bad = tmp_path / "bad.txt"
+            bad.write_text("\n".join(
+                f"{role.value} = {text}" if row == mine else row for row in rows
+            ) + "\n")
+            with pytest.raises(ConfigError, match=f"cannot parse {role.value} = "):
+                read_profile(str(bad))
