@@ -6,8 +6,8 @@ The package is organised as a plain numpy library:
 - :mod:`splitbus.data` — synthetic/CSV tables, vertical splits, batch plans
 - :mod:`splitbus.broker` — per-batch embedding/gradient channels with
   bounded FIFO buffers, deadlines and byte accounting
-- :mod:`splitbus.transport` — the passive party's forked process and the
-  pipes its messages cross
+- :mod:`splitbus.transport` — the passive party's forked process, the
+  shared-memory slots its messages cross and the pipes its commands cross
 - :mod:`splitbus.privacy` — Gaussian embedding-noise calibration
 - :mod:`splitbus.schedule` — the tapering parameter-server sync interval
 - :mod:`splitbus.runtime` — worker pools, parameter servers and the five

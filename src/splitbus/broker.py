@@ -11,29 +11,34 @@ conservation invariant
 
 are kept per channel and aggregated on demand.
 
-Payload bytes are accounted with the wire format used by
-:func:`serialize_payload`: a (rows, cols) header of little-endian uint64
-followed by the row-major float64 payload.
+Payload bytes are accounted as :func:`payload_byte_size`: a (rows, cols)
+header of two uint64 plus the row-major float64 payload, the size of the
+message whichever way it travels.
 
 When the two parties run in two processes, each process holds the run's
 broker and each channel lives in the process of its consumer.  A broker
 connected to a peer (:meth:`Broker.connect`) hands publishes of the peer's
-kind to the link, whose receiver publishes them into the peer's channel;
-:meth:`Broker.stats` adds the counters the peer last reported.
+kind to the link, which writes them into a shared-memory slot of the peer
+(:class:`splitbus.transport.Mailbox`).  A channel of the other kind is fed
+from this process's slots: a subscribe first pulls the slot's newest
+message into the channel, counted there as published (and any message it
+overwrote unread as published and evicted), and then consumes as usual;
+:meth:`Broker.stats` and :meth:`Broker.flush_all` pull every slot first,
+and :meth:`Broker.stats` adds the counters the peer last reported.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import struct
 import threading
 import time
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
-_HEADER = struct.Struct("<QQ")
+# Bytes of a message's (rows, cols) header, two uint64.
+_HEADER_BYTES = 16
 
 
 class MessageKind(enum.Enum):
@@ -55,7 +60,9 @@ class ChannelMessage:
     sample_range: tuple[int, int]
     sender_worker: int
     param_version: int
-    publish_time: float = 0.0  # stamped by the broker (monotonic clock)
+    # Monotonic clock, stamped by the first publish; a message from the peer
+    # process keeps the peer's stamp (the clock is system-wide).
+    publish_time: float = 0.0
 
 
 @dataclass
@@ -65,27 +72,9 @@ class SubscribeResult:
     waited_seconds: float
 
 
-def serialize_payload(payload: np.ndarray) -> bytes:
-    """Wire encoding: uint64-LE (rows, cols) header + float64-LE row-major data."""
-    if payload.ndim != 2:
-        raise ValueError("payload must be 2-D")
-    rows, cols = payload.shape
-    body = np.ascontiguousarray(payload, dtype="<f8").tobytes()
-    return _HEADER.pack(rows, cols) + body
-
-
-def deserialize_payload(blob: bytes) -> np.ndarray:
-    rows, cols = _HEADER.unpack_from(blob, 0)
-    expected = _HEADER.size + 8 * rows * cols
-    if len(blob) != expected:
-        raise ValueError(f"payload blob is {len(blob)} bytes, expected {expected}")
-    data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return data.reshape(rows, cols).astype(np.float64)
-
-
 def payload_byte_size(rows: int, cols: int) -> int:
-    """Size of the serialised payload; equals len(serialize_payload(...))."""
-    return _HEADER.size + 8 * rows * cols
+    """Bytes of a (rows, cols) message: its header plus the float64 payload."""
+    return _HEADER_BYTES + 8 * rows * cols
 
 
 def channel_count_for(num_rows: int, batch_size: int) -> int:
@@ -117,19 +106,24 @@ class ChannelBuffer:
         self.counters = _ChannelCounters()
         self._closed = False
 
-    def publish(self, message: ChannelMessage) -> None:
-        rows, cols = message.payload.shape
+    def publish(self, message: ChannelMessage, superseded: int = 0) -> None:
+        """Buffer ``message``; ``superseded`` more of its size were overwritten
+        before they reached the channel, and count as published and evicted."""
+        size = payload_byte_size(*message.payload.shape)
         with self._cond:
-            self.counters.published += 1
+            self.counters.published += 1 + superseded
+            self.counters.evicted += superseded
+            self.counters.bytes_published += superseded * size
             if self._closed:
                 self.counters.dropped_closed += 1
                 return
-            message.publish_time = time.monotonic()
+            if not message.publish_time:
+                message.publish_time = time.monotonic()
             if len(self._messages) == self.capacity:
                 self._messages.pop(0)
                 self.counters.evicted += 1
             self._messages.append(message)
-            self.counters.bytes_published += payload_byte_size(rows, cols)
+            self.counters.bytes_published += size
             self._cond.notify_all()
 
     def consume(self, timeout: float | None) -> SubscribeResult:
@@ -170,6 +164,10 @@ class ChannelBuffer:
             self._closed = True
             self._cond.notify_all()
 
+    @property
+    def closed(self) -> bool:
+        return self._closed
+
     def size(self) -> int:
         with self._cond:
             return len(self._messages)
@@ -204,17 +202,26 @@ class Broker:
             self._channels[(MessageKind.GRADIENT, batch_id)] = ChannelBuffer(grad_capacity)
         self._link = None  # a peer process's link; see connect()
         self._remote_kind: MessageKind | None = None
+        self._peer_fed: MessageKind | None = None
         self._peer_stats: BrokerStats | None = None
 
     def connect(self, link, remote_kind: MessageKind) -> None:
-        """Send publishes of ``remote_kind`` to the peer process through ``link``.
+        """Send publishes of ``remote_kind`` to the peer process through ``link``,
+        and feed this process's channels of the other kind from it.
 
-        ``link.send(message)`` ships a message and ``link.send_close()``
-        closes the peer's side; the peer consumes ``remote_kind``, so those
-        channels stay unused in this process.
+        The hooks: ``link.send(message)`` writes a message into the peer's
+        slot; ``link.pull(kind, batch_id, channel)`` moves the newest unread
+        message of this process's slot into ``channel``;
+        ``link.pull_all(kind, channels)`` does so for every batch id;
+        ``link.wait(kind, batch_id, channel, deadline)`` blocks until that
+        slot has news, ``channel`` closes or the monotonic ``deadline``
+        (None: never) passes; ``link.send_close()`` wakes this process's
+        waiters and closes the peer's side.  The peer consumes
+        ``remote_kind``, so those channels stay unused in this process.
         """
         self._link = link
         self._remote_kind = remote_kind
+        self._peer_fed = next(kind for kind in MessageKind if kind is not remote_kind)
 
     def set_peer_stats(self, stats: BrokerStats) -> None:
         """The peer's cumulative channel counters, added into :meth:`stats`."""
@@ -235,9 +242,26 @@ class Broker:
     def subscribe(
         self, kind: MessageKind, batch_id: int, timeout: float | None
     ) -> SubscribeResult:
-        return self._channel(kind, batch_id).consume(timeout)
+        channel = self._channel(kind, batch_id)
+        if kind is not self._peer_fed:
+            return channel.consume(timeout)
+        start = time.monotonic()
+        self._link.pull(kind, batch_id, channel)
+        result = channel.consume(0.0)
+        if result.outcome is SubscribeOutcome.EXPIRED and timeout != 0.0:
+            deadline = None if timeout is None else start + timeout
+            self._link.wait(kind, batch_id, channel, deadline)
+            result = channel.consume(0.0)
+        result.waited_seconds = time.monotonic() - start
+        return result
+
+    def _pull_all(self) -> None:
+        if self._link is not None:
+            kind = self._peer_fed
+            self._link.pull_all(kind, [self._channels[(kind, b)] for b in range(self.num_channels)])
 
     def flush_all(self) -> int:
+        self._pull_all()
         return sum(channel.flush() for channel in self._channels.values())
 
     def close(self) -> None:
@@ -247,6 +271,7 @@ class Broker:
             self._link.send_close()
 
     def stats(self) -> BrokerStats:
+        self._pull_all()
         published = delivered = evicted = flushed = dropped = residual = nbytes = 0
         for channel in self._channels.values():
             with channel._cond:

@@ -335,18 +335,6 @@ def _parse_cells(
     return values
 
 
-def write_csv(path: str, table: LabeledTable) -> None:
-    """Write a LabeledTable as CSV (features then a final `label` column).
-
-    Floats are rendered with repr so a write/load round trip is lossless.
-    """
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"f{i}" for i in range(table.num_features)] + ["label"])
-        for r in range(table.num_rows):
-            writer.writerow([repr(float(v)) for v in (*table.features[r], table.labels[r, 0])])
-
-
 def split_rows(
     table: LabeledTable, test_fraction: float = 0.3, seed: int = 0
 ) -> tuple[LabeledTable, LabeledTable]:

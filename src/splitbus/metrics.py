@@ -105,23 +105,6 @@ def write_jsonl(path: str, epochs: list[EpochMetrics], summary: RunSummary) -> N
         handle.write(summary.to_json() + "\n")
 
 
-def read_jsonl(path: str) -> tuple[list[dict], dict | None]:
-    """Parse a metrics file back into (epoch rows, summary or None)."""
-    rows: list[dict] = []
-    summary: dict | None = None
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            if obj.get("record") == "summary":
-                summary = obj
-            else:
-                rows.append(obj)
-    return rows, summary
-
-
 def time_to_target(
     epochs: list[EpochMetrics], target: float, higher_is_better: bool
 ) -> float | None:

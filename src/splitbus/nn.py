@@ -10,10 +10,22 @@ is inference: no tape, rows taken ``PREDICT_BLOCK_ROWS`` at a time, so a
 large evaluation set holds one block's activations at once.  Both run each
 layer through ``_layer_forward``, so the layer arithmetic lives in one place.
 
+Each model keeps its parameters in one flat array, ``MlpModel.params``: a
+layer's weight and bias are views into it, so ``clone``, ``load_from`` and
+``average_models`` are one array operation each.  Beside it sits a gradient
+workspace of the same shape, ``MlpModel.grad``, with per-layer views in
+``MlpModel.grads``.  ``backward(..., workspace=True)`` writes the parameter
+gradients there (``matmul``/``add.reduce`` with ``out=``, the same bits as
+the allocating calls), and ``sgd_step`` given that workspace updates the
+model in one step, ``grad *= eta; params -= grad``, which per element is
+bit-identical to the per-layer ``w -= eta * g``.
+
 The tape holds only what ``backward`` reads: each layer's input and its
 output.  The activation is applied in place over the affine output, and the
 ReLU mask is read off the output (``post > 0`` is ``pre > 0`` for every
-input, NaN and signed zeros included).
+input, NaN and signed zeros included).  Backward multiplies by an
+activation's derivative in place wherever the upstream array is one it made
+itself, never in the caller's ``d_output``.
 
 Inputs are checked for shape, dtype and width on every call, but not for
 finiteness: data is checked once where it enters (``data.VerticalDataset``),
@@ -27,10 +39,17 @@ since nearly all of a run's multiply-adds are theirs and float32 GEMMs run
 about twice as fast; the features they consume are stored in float32 from
 the table on (``data.LabeledTable``, whose one cast refuses a finite value
 that would become ``inf``), so nothing here casts input data.
-The top model, the loss with its ``EPS_PROB`` clamp, the DP noise and the
-wire format stay float64: that is where the small quantities live (a
-probability near the clamp, a noise draw, a loss sum), as in mixed-precision
-training (Micikevicius et al. 2018), and the cut layer's bytes do not change.
+The top model, the loss, the DP noise and the cut-layer messages stay
+float64: that is where the small quantities live (a logit far from zero, a
+noise draw, a loss sum), as in mixed-precision training (Micikevicius et al.
+2018), and the cut layer's bytes do not change.
+
+A classifier trains on logits: its last layer is the identity and
+``logistic_loss`` takes the logits directly, ``mean(log(1 + e^z) - y*z)``,
+with gradient ``(sigmoid(z) - y) / n``.  That is a handful of ufunc calls
+where a sigmoid head, the clamped ``cross_entropy_loss`` on probabilities
+and the sigmoid's backward took about three times as long at small batches.
+The sigmoid head and ``cross_entropy_loss`` remain for models built that way.
 
 Arrays are shaped (rows, cols) with rows = samples.  No autodiff framework
 is involved, which keeps the arithmetic order deterministic — several tests
@@ -100,14 +119,16 @@ def _activate(kind: Activation, z: np.ndarray) -> np.ndarray:
 
 
 def _activation_backward(
-    kind: Activation, upstream: np.ndarray, postact: np.ndarray
+    kind: Activation, upstream: np.ndarray, postact: np.ndarray, in_place: bool = False
 ) -> np.ndarray:
-    """``upstream`` times the activation's derivative, elementwise."""
+    """``upstream`` times the activation's derivative, elementwise; with
+    ``in_place`` the product overwrites ``upstream``, with the same bits."""
+    out = upstream if in_place else None
     if kind is Activation.RELU:
         # Subgradient 0 at the kink; numpy multiplies by the mask as 1.0/0.0.
-        return upstream * (postact > 0.0)
+        return np.multiply(upstream, postact > 0.0, out=out)
     if kind is Activation.SIGMOID:
-        return upstream * (postact * (1.0 - postact))
+        return np.multiply(upstream, postact * (1.0 - postact), out=out)
     return upstream
 
 
@@ -130,25 +151,66 @@ class Layer:
 
 
 @dataclass
+class LayerGrads:
+    d_weight: np.ndarray
+    d_bias: np.ndarray
+
+
 class MlpModel:
-    """A stack of dense layers plus a monotone parameter version counter."""
+    """A stack of dense layers plus a monotone parameter version counter.
 
-    layers: list[Layer]
-    param_version: int = 0
+    The layers' weights and biases are views into one flat array,
+    ``params``; ``grad`` is a workspace of the same shape whose per-layer
+    views are ``grads``.  The model copies the layers it is built from.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.layers:
+    def __init__(self, layers: list[Layer], param_version: int = 0):
+        if not layers:
             raise ValueError("model needs at least one layer")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
+        for prev, nxt in zip(layers, layers[1:]):
             if prev.weight.shape[1] != nxt.weight.shape[0]:
                 raise ValueError("consecutive layers disagree on width")
             if prev.weight.dtype != nxt.weight.dtype:
                 raise ValueError("consecutive layers disagree on dtype")
+        params = np.concatenate([a.ravel() for layer in layers for a in (layer.weight, layer.bias)])
+        self._bind(params, [(layer.weight.shape, layer.activation) for layer in layers],
+                   param_version)
+
+    def _bind(self, params: np.ndarray, structure, param_version: int) -> None:
+        """Adopt ``params`` as this model's parameters, laid out as ``structure``."""
+        self.params = params
+        self.grad = np.zeros_like(params)
+        self.param_version = param_version
+        self.layers: list[Layer] = []
+        self.grads: list[LayerGrads] = []
+        start = 0
+        for (fan_in, fan_out), activation in structure:
+            mid = start + fan_in * fan_out
+            end = mid + fan_out
+            self.layers.append(Layer(params[start:mid].reshape(fan_in, fan_out),
+                                     params[mid:end].reshape(1, fan_out), activation))
+            self.grads.append(LayerGrads(self.grad[start:mid].reshape(fan_in, fan_out),
+                                         self.grad[mid:end].reshape(1, fan_out)))
+            start = end
+
+    def _with_params(self, params: np.ndarray, param_version: int) -> "MlpModel":
+        """A model of this one's structure that adopts ``params``."""
+        model = MlpModel.__new__(MlpModel)
+        model._bind(params, self.structure, param_version)
+        return model
+
+    def __reduce__(self):
+        # Pickled views would come back as separate arrays; rebuild the flat layout.
+        return MlpModel, (self.layers, self.param_version)
+
+    @property
+    def structure(self) -> list[tuple[tuple[int, int], Activation]]:
+        return [(layer.weight.shape, layer.activation) for layer in self.layers]
 
     @property
     def dtype(self) -> np.dtype:
         """The dtype of every parameter, and of what the model consumes and produces."""
-        return self.layers[0].weight.dtype
+        return self.params.dtype
 
     @property
     def in_dim(self) -> int:
@@ -162,23 +224,17 @@ class MlpModel:
         return [self.in_dim] + [layer.weight.shape[1] for layer in self.layers]
 
     def clone(self) -> "MlpModel":
-        layers = [
-            Layer(layer.weight.copy(), layer.bias.copy(), layer.activation)
-            for layer in self.layers
-        ]
-        return MlpModel(layers, param_version=self.param_version)
+        return self._with_params(self.params.copy(), self.param_version)
 
     def load_from(self, other: "MlpModel") -> None:
         """Copy parameter values from a structurally identical model."""
         _check_same_structure(self, other)
-        for mine, theirs in zip(self.layers, other.layers):
-            np.copyto(mine.weight, theirs.weight)
-            np.copyto(mine.bias, theirs.bias)
+        np.copyto(self.params, other.params)
         self.param_version += 1
 
     @property
     def parameter_bytes(self) -> int:
-        return sum(layer.weight.nbytes + layer.bias.nbytes for layer in self.layers)
+        return self.params.nbytes
 
 
 @dataclass
@@ -192,12 +248,6 @@ class ForwardTape:
 
     inputs: list[np.ndarray] = field(default_factory=list)
     postacts: list[np.ndarray] = field(default_factory=list)
-
-
-@dataclass
-class LayerGrads:
-    d_weight: np.ndarray
-    d_bias: np.ndarray
 
 
 def init_mlp(
@@ -267,7 +317,12 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    model: MlpModel, tape: ForwardTape, d_output: np.ndarray, *, input_grad: bool = True
+    model: MlpModel,
+    tape: ForwardTape,
+    d_output: np.ndarray,
+    *,
+    input_grad: bool = True,
+    workspace: bool = False,
 ) -> tuple[list[LayerGrads], np.ndarray | None]:
     """Backprop ``d_output`` (dLoss/dOutput) through the taped forward pass.
 
@@ -275,20 +330,28 @@ def backward(
     input.  The input gradient is the payload that travels back across the
     cut layer during split training; with ``input_grad=False`` the layer-0
     product that computes it is skipped and ``None`` comes back instead.
+    With ``workspace=True`` the parameter gradients are written into the
+    model's workspace and ``model.grads`` comes back: the next such call
+    overwrites them, and ``sgd_step`` consumes them in one update.
     """
     if d_output.shape != tape.postacts[-1].shape:
         raise ValueError("d_output shape does not match the taped output")
     _check_dtype(d_output, model.dtype, "d_output")
-    grads: list[LayerGrads] = [None] * len(model.layers)  # type: ignore[list-item]
-    upstream = d_output
+    grads: list[LayerGrads] = model.grads if workspace else [None] * len(model.layers)  # type: ignore[list-item]
+    upstream, owned = d_output, False
     for idx in range(len(model.layers) - 1, -1, -1):
         layer = model.layers[idx]
-        delta = _activation_backward(layer.activation, upstream, tape.postacts[idx])
-        grads[idx] = LayerGrads(
-            d_weight=tape.inputs[idx].T @ delta,
-            d_bias=np.add.reduce(delta, axis=0, keepdims=True),
-        )
+        delta = _activation_backward(layer.activation, upstream, tape.postacts[idx], owned)
+        if workspace:
+            np.matmul(tape.inputs[idx].T, delta, out=grads[idx].d_weight)
+            np.add.reduce(delta, axis=0, keepdims=True, out=grads[idx].d_bias)
+        else:
+            grads[idx] = LayerGrads(
+                d_weight=tape.inputs[idx].T @ delta,
+                d_bias=np.add.reduce(delta, axis=0, keepdims=True),
+            )
         upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
+        owned = True
     return grads, upstream
 
 
@@ -316,6 +379,27 @@ def cross_entropy_loss(
     return loss, d_pred
 
 
+def logistic_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy on logits and its gradient w.r.t. the logits.
+
+    The loss is ``mean(log(1 + e^z) - y*z)`` and the gradient
+    ``(sigmoid(z) - y) / n``, with ``sigmoid(z) = exp(z - log(1 + e^z))``
+    reusing the softplus the loss needs.  Neither overflows for any finite
+    logit; each entry's error is a few ulps of ``max(1, |z|)``.  A NaN or
+    infinite logit makes the loss NaN or infinite.
+    """
+    if logits.shape != targets.shape:
+        raise ValueError("logit/target shape mismatch")
+    n = logits.shape[0]
+    softplus = np.logaddexp(0.0, logits)
+    loss = float(np.add.reduce(softplus - targets * logits, axis=None) / n)
+    d_logits = np.subtract(logits, softplus, out=softplus)
+    np.exp(d_logits, out=d_logits)
+    d_logits -= targets
+    d_logits /= n
+    return loss, d_logits
+
+
 def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean squared error: (1/n) * sum((pred - y)^2), gradient 2*(pred - y)/n."""
     if predictions.shape != targets.shape:
@@ -327,15 +411,23 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
 
 
 def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> None:
-    """In-place vanilla SGD update; bumps the parameter version."""
+    """In-place vanilla SGD update; bumps the parameter version.
+
+    Given ``model.grads`` (filled by ``backward(..., workspace=True)``), it
+    scales the workspace by ``eta`` and subtracts it from ``model.params``.
+    """
     if len(grads) != len(model.layers):
         raise ValueError("gradient list does not match layer count")
-    for grad in grads:  # an in-place update would cast a float64 gradient silently
-        _check_dtype(grad.d_weight, model.dtype, "d_weight")
-        _check_dtype(grad.d_bias, model.dtype, "d_bias")
-    for layer, grad in zip(model.layers, grads):
-        layer.weight -= eta * grad.d_weight
-        layer.bias -= eta * grad.d_bias
+    if grads is model.grads:  # the workspace: one update for the whole model
+        model.grad *= eta
+        model.params -= model.grad
+    else:
+        for grad in grads:  # an in-place update would cast a float64 gradient silently
+            _check_dtype(grad.d_weight, model.dtype, "d_weight")
+            _check_dtype(grad.d_bias, model.dtype, "d_bias")
+        for layer, grad in zip(model.layers, grads):
+            layer.weight -= eta * grad.d_weight
+            layer.bias -= eta * grad.d_bias
     model.param_version += 1
 
 
@@ -361,13 +453,9 @@ def average_models(models: list[MlpModel]) -> MlpModel:
     for other in models[1:]:
         _check_same_structure(head, other)
     count = float(len(models))
-    layers = []
-    for idx, layer in enumerate(head.layers):
-        w_sum = layer.weight.copy()
-        b_sum = layer.bias.copy()
-        for other in models[1:]:
-            w_sum += other.layers[idx].weight
-            b_sum += other.layers[idx].bias
-        layers.append(Layer(w_sum / count, b_sum / count, layer.activation))
+    total = head.params.copy()
+    for other in models[1:]:
+        total += other.params
+    total /= count
     version = max(m.param_version for m in models) + 1
-    return MlpModel(layers, param_version=version)
+    return head._with_params(total, version)

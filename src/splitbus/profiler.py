@@ -136,9 +136,10 @@ def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Gene
     _, tape = nn.forward(model, x)
     if not role.value.endswith("backward"):
         return lambda: nn.forward(model, x)
-    # As in the runtime: only the top model's input gradient is consumed.
+    # As in the runtime's steps: only the top model's input gradient is
+    # consumed, and the parameter gradients go into the model's workspace.
     input_grad = role is CalibRole.TOP_BACKWARD
-    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad)
+    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad, workspace=True)
 
 
 # A power-law fit with r^2 below this warns that the delay model may not fit.

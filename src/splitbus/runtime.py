@@ -26,11 +26,15 @@ without ``sched_setaffinity``, pins nothing; the split goes into the run
 summary's ``cpus_active`` and ``cpus_passive``.
 
 Per batch, the choreography is: a passive worker runs its bottom model
-forward, adds calibrated Gaussian noise, and publishes the embedding on the
-batch's embedding channel; an active worker consumes it, finishes the
-forward pass, publishes the cut-layer gradient on the batch's gradient
-channel, and applies its local updates; the passive worker consumes the
-gradient, backprops through the saved tape and updates its replica.
+forward, adds calibrated Gaussian noise (:func:`passive_forward`), and
+publishes the embedding on the batch's embedding channel; an active worker
+consumes it and runs :func:`active_step`: the top model forward to a logit
+(classification) or a value (regression), the loss, the top backward, the
+cut-layer gradient published on the batch's gradient channel, and then its
+local updates; the passive worker consumes the gradient, backprops through
+the saved tape and updates its replica (:func:`passive_update`).  These
+three steps are each party's whole arithmetic, and the serial reference
+calls the same three, so a kernel change lands in one place.
 The active bottom model needs only the active party's rows, so its forward
 pass runs before the wait for the embedding, alongside the passive party's
 backward and forward; in ``lockstep`` a batch then costs
@@ -50,9 +54,9 @@ The two bottom models compute in :data:`splitbus.data.FEATURE_DTYPE`
 on, and the top model in float64 (see :mod:`splitbus.nn`).  A run
 trains on the caller's feature arrays as they are, train and test alike,
 without copying or casting them; the top input is built in float64 by
-:func:`top_input`; and a cut-layer gradient, float64 on the wire, is cast
+:func:`top_input`; and a cut-layer gradient, a float64 message, is cast
 only where a bottom consumes it (:func:`bottom_backward`).  The serial
-reference uses the same two helpers, so the deterministic modes stay
+reference runs through the same steps, so the deterministic modes stay
 bit-identical to it.
 
 Every mode runs the same worker loop per party, and every batch's channel
@@ -116,7 +120,9 @@ def build_models(
 
     Hidden layers are ReLU throughout, including each bottom model's output
     layer (it is a hidden layer of the composed network); the top model ends
-    in a sigmoid for classification, identity for regression.  The bottoms
+    in the identity, so for classification it outputs a logit, which
+    :func:`active_step` trains on (:func:`splitbus.nn.logistic_loss`) and
+    evaluation ranks as it is.  The bottoms
     are in :data:`splitbus.data.FEATURE_DTYPE`, the dtype of the features
     they consume, and the top in float64; the weights are the same draws
     either way, cast after drawing.
@@ -124,7 +130,6 @@ def build_models(
     passive_dims = [d_passive, *shape.passive_hidden, shape.passive_embed]
     active_dims = [d_active, *shape.active_hidden, shape.active_embed]
     top_dims = [shape.active_embed + shape.passive_embed, *shape.top_hidden, 1]
-    head = nn.Activation.SIGMOID if task is Task.CLASSIFICATION else nn.Activation.IDENTITY
     passive = nn.init_mlp(
         passive_dims, [nn.Activation.RELU] * (len(passive_dims) - 1),
         derive_seed(seed, _SEED_PASSIVE_BOTTOM), dt.FEATURE_DTYPE,
@@ -134,7 +139,7 @@ def build_models(
         derive_seed(seed, _SEED_ACTIVE_BOTTOM), dt.FEATURE_DTYPE,
     )
     top = nn.init_mlp(
-        top_dims, [nn.Activation.RELU] * (len(top_dims) - 2) + [head],
+        top_dims, [nn.Activation.RELU] * (len(top_dims) - 2) + [nn.Activation.IDENTITY],
         derive_seed(seed, _SEED_TOP),
     )
     return passive, active, top
@@ -148,13 +153,66 @@ def top_input(top: nn.MlpModel, z_active: np.ndarray, z_passive: np.ndarray) -> 
 def bottom_backward(
     bottom: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray
 ) -> list[nn.LayerGrads]:
-    """A bottom's parameter gradients from its cut-layer gradient ``d_z``.
+    """A bottom's parameter gradients from its cut-layer gradient ``d_z``,
+    in the bottom's gradient workspace.
 
     ``d_z`` is cast to the bottom's dtype first: a diverging run's gradient
     may round to ``inf`` there, and the non-finite loss it then produces
     aborts the run.  The raw-feature gradient goes nowhere, so it is skipped.
     """
-    return nn.backward(bottom, tape, d_z.astype(bottom.dtype, copy=False), input_grad=False)[0]
+    d_z = d_z.astype(bottom.dtype, copy=False)
+    return nn.backward(bottom, tape, d_z, input_grad=False, workspace=True)[0]
+
+
+def passive_forward(
+    model: nn.MlpModel, x: np.ndarray, sigma: float, rng: np.random.Generator,
+    report: NoiseReport | None = None,
+) -> tuple[np.ndarray, nn.ForwardTape]:
+    """The passive party's step up to the exchange: the bottom forward and
+    the embedding noise.  Returns what it publishes and the tape that
+    :func:`passive_update` needs."""
+    embedding, tape = nn.forward(model, x)
+    return add_noise(embedding, sigma, rng, report), tape
+
+
+def passive_update(model: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray, eta: float) -> None:
+    """The passive party's step after the exchange: backprop the cut-layer
+    gradient ``d_z`` through ``tape`` and update the model."""
+    nn.sgd_step(model, bottom_backward(model, tape, d_z), eta)
+
+
+def active_step(
+    bottom: nn.MlpModel,
+    top: nn.MlpModel,
+    bottom_out: tuple[np.ndarray, nn.ForwardTape],
+    z_passive: np.ndarray,
+    y: np.ndarray,
+    task: Task,
+    eta: float,
+    send_gradient,
+) -> float:
+    """The active party's step once the passive embedding is in; returns the batch loss.
+
+    ``bottom_out`` is ``nn.forward(bottom, x)``, which needs only the active
+    party's rows and so runs before the wait.  The top trains on logits for
+    classification and with MSE for regression.  ``send_gradient`` gets the
+    passive party's cut-layer gradient before either local model changes,
+    so the passive side can start its backward pass at once.  A non-finite
+    loss raises :class:`TrainingAbort` before anything is sent or updated.
+    """
+    z_active, tape_bottom = bottom_out
+    logits, tape_top = nn.forward(top, top_input(top, z_active, z_passive))
+    loss_fn = nn.logistic_loss if task is Task.CLASSIFICATION else nn.mse_loss
+    loss, d_logits = loss_fn(logits, y)
+    if not math.isfinite(loss):
+        raise TrainingAbort("non-finite training loss")
+    top_grads, d_top_input = nn.backward(top, tape_top, d_logits, workspace=True)
+    cut = z_active.shape[1]
+    send_gradient(np.ascontiguousarray(d_top_input[:, cut:]))
+    bottom_grads = bottom_backward(bottom, tape_bottom, d_top_input[:, :cut])
+    nn.sgd_step(top, top_grads, eta)
+    nn.sgd_step(bottom, bottom_grads, eta)
+    return loss
 
 
 def plan_for_epoch(num_rows: int, batch_size: int, run_seed: int, epoch: int) -> BatchPlan:
@@ -490,9 +548,8 @@ class PassiveEngine(_Engine):
         t0 = time.perf_counter()
         if self.skew_seconds > 0.0:
             time.sleep(self.skew_seconds)  # simulated extra compute
-        x = self.features[batch.indices]
-        embedding, tape = nn.forward(model, x)
-        noised = add_noise(embedding, self.sigma, self.noise_rngs[w], self.noise_reports[w])
+        noised, tape = passive_forward(model, self.features[batch.indices], self.sigma,
+                                       self.noise_rngs[w], self.noise_reports[w])
         stats.busy_seconds += time.perf_counter() - t0
         shared.broker.publish(
             bk.ChannelMessage(
@@ -510,7 +567,7 @@ class PassiveEngine(_Engine):
         stats.batch_id = batch_id
         _check_alignment(message, plan.batches[batch_id])
         t0 = time.perf_counter()
-        nn.sgd_step(model, bottom_backward(model, entry.tape, message.payload), self.eta)
+        passive_update(model, entry.tape, message.payload, self.eta)
         stats.busy_seconds += time.perf_counter() - t0
         stats.completed += 1
         queue.arrive(stats)
@@ -536,7 +593,6 @@ class ActiveEngine(_Engine):
         self.bottoms, self.tops = self.replica_groups
         self.labels = labels
         self.task = task
-        self.embed_cols = initial_bottom.out_dim
 
     def run_epoch(
         self,
@@ -578,42 +634,30 @@ class ActiveEngine(_Engine):
     def _process_batch(self, w, plan, batch_id, message, bottom_out, shared, stats):
         batch = plan.batches[batch_id]
         _check_alignment(message, batch)
-        bottom, top = self.bottoms[w], self.tops[w]
-        z_active, tape_bottom = bottom_out
+        bottom = self.bottoms[w]
+        publish_seconds = 0.0
+
+        def send_gradient(d_z_passive: np.ndarray) -> None:
+            nonlocal publish_seconds
+            t1 = time.perf_counter()
+            shared.broker.publish(
+                bk.ChannelMessage(
+                    bk.MessageKind.GRADIENT,
+                    batch_id,
+                    d_z_passive,
+                    batch.sample_range,
+                    sender_worker=w,
+                    param_version=bottom.param_version,
+                )
+            )
+            publish_seconds = time.perf_counter() - t1
+
         t0 = time.perf_counter()
         if self.skew_seconds > 0.0:
             time.sleep(self.skew_seconds)  # simulated extra compute that needs the embedding
-        y = self.labels[batch.indices]
-        predictions, tape_top = nn.forward(top, top_input(top, z_active, message.payload))
-        if self.task is Task.CLASSIFICATION:
-            loss, d_pred = nn.cross_entropy_loss(predictions, y)
-        else:
-            loss, d_pred = nn.mse_loss(predictions, y)
-        if not math.isfinite(loss):
-            raise TrainingAbort(
-                f"non-finite training loss at epoch {shared.epoch}, batch {batch_id}"
-            )
-        top_grads, d_top_input = nn.backward(top, tape_top, d_pred)
-        d_z_active = d_top_input[:, : self.embed_cols]
-        d_z_passive = np.ascontiguousarray(d_top_input[:, self.embed_cols :])
-        stats.busy_seconds += time.perf_counter() - t0
-        # Ship the cut-layer gradient before touching local parameters so the
-        # passive side can start its backward pass as early as possible.
-        shared.broker.publish(
-            bk.ChannelMessage(
-                bk.MessageKind.GRADIENT,
-                batch_id,
-                d_z_passive,
-                batch.sample_range,
-                sender_worker=w,
-                param_version=bottom.param_version,
-            )
-        )
-        t1 = time.perf_counter()
-        bottom_grads = bottom_backward(bottom, tape_bottom, d_z_active)
-        nn.sgd_step(top, top_grads, self.eta)
-        nn.sgd_step(bottom, bottom_grads, self.eta)
-        stats.busy_seconds += time.perf_counter() - t1
+        loss = active_step(bottom, self.tops[w], bottom_out, message.payload,
+                           self.labels[batch.indices], self.task, self.eta, send_gradient)
+        stats.busy_seconds += time.perf_counter() - t0 - publish_seconds
         shared.record_loss(batch_id, loss)
         stats.completed += 1
 
@@ -734,8 +778,9 @@ def _transport(passive_in_flight: int) -> str:
     A second interpreter pays off when the parties can compute at once: the
     passive party has more than one batch in flight (several workers, or
     lookahead past one batch).  With one batch in flight the parties mostly
-    take turns, and a child adds only its fork, its reaping and a pipe hop per
-    message.  Without ``fork`` every run uses threads.
+    take turns, and a child adds only its fork, its reaping and a copy
+    through shared memory per message.  Without ``fork`` every run uses
+    threads.
     """
     if passive_in_flight > 1 and "fork" in multiprocessing.get_all_start_methods():
         return "process"
@@ -803,7 +848,9 @@ def run_training(
     active_side = PartySide("active", active, (deadline,), *plan_args)
     transport = _transport(workers_passive * lookahead)
     if transport == "process":  # fork before any runtime thread starts
-        passive_party = tp.PassiveProcess(broker, passive_side.run_epoch)
+        passive_party = tp.PassiveProcess(broker, passive_side.run_epoch,
+                                          min(cfg.batch_size, n), passive_init.out_dim,
+                                          max(workers_active, workers_passive))
     else:
         passive_party = _PassiveThread(passive_side)
     cpus_active, cpus_passive = passive_party.cpus

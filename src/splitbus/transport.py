@@ -10,22 +10,46 @@ consumer: embedding channels in the parent, gradient channels in the child.
 The two interpreters no longer share one GIL, so each party's compute can
 use its own core.
 
-Wire.  One simplex ``multiprocessing`` pipe per direction carries, in order,
-message frames, at most one close frame and pickled control messages (epoch
-commands down, epoch results up).  Sharing the pipe orders a control
-message after every frame sent before it: when an epoch result arrives, all
-of that epoch's embeddings are already in the parent's channels, and when
-the child reads the parent's end-of-epoch command, all of that epoch's
-gradients are in its channels.  So nothing crosses an epoch boundary and
-the counters that come back with a result are complete.
+Mailbox.  Cut-layer messages do not cross the pipe.  Before the fork,
+:class:`Mailbox` maps one anonymous shared region (it has no name under
+``/dev/shm``, and the child inherits it) holding one slot per (kind, batch
+id): a header (sequence number, rows, sample range, parameter version,
+sender worker, publish time) and a (rows, cut width) float64 payload.  A
+publish for the peer writes the slot under a fork-context lock and bumps
+the slot's sequence number.  Each kind has eight locks, slot b taking lock
+b % 8: a thread that loses the CPU (or the interpreter lock) while it holds
+one then stalls only the slots of its stripe, not every read and write of
+the other process.  A subscribe on a channel the peer feeds compares the
+slot's sequence number with the last one this process read, without a
+lock; if it moved, it copies the payload out under the slot's lock and
+publishes it into the local
+channel, which counts it as published and then delivered, and any message
+the slot overwrote unread as published and evicted, so the newest message
+wins as in a local channel.  So no thread of the consumer wakes per
+message but the one that takes it.
 
-A message frame is a fixed header (kind, batch id, sample range, sender
-worker, parameter version) plus the payload in
-:func:`~splitbus.broker.serialize_payload`'s wire format.  A receiver thread
-in each process publishes incoming messages into its local channels.  A
-close frame, or EOF on the pipe (the peer died), fails the receiving side's
-current epoch through :meth:`~splitbus.runtime.EpochShared.fail`, which
-closes its broker.
+A subscriber that must wait takes one of its process's ``multiprocessing``
+semaphores for its kind, writes the batch id it waits for beside that
+semaphore's entry in the region's sleeper table, and blocks on it.  A
+publisher posts only the semaphores registered for its slot, so there is no
+post on the hot path when nobody waits, and a post never goes to a thread
+that waits for another batch.  Closing the local bus posts every semaphore
+of the kind, so each sleeper sees the close.  Every acquire of a slot lock
+waits in short timeouts and gives up once the peer is gone, so a peer
+killed while holding one still ends the run.
+
+Pipe.  One simplex ``multiprocessing`` pipe per direction carries pickled
+control messages (epoch commands down, epoch results up) and at most one
+close frame; a receiver thread in each process reads it, so that thread
+wakes a few times per epoch.  Each slot write comes before the producer's
+next control message in program order: when an epoch result arrives, all
+of that epoch's embeddings are already in the parent's slots, and when the
+child reads the parent's end-of-epoch command, all of that epoch's
+gradients are in its slots.  So nothing crosses an epoch boundary, and the
+counters that come back with a result, taken after pulling every slot, are
+complete.  A close frame, or EOF on the pipe (the peer died), fails the
+receiving side's current epoch through
+:meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
 
 Placement.  Separate interpreters only compute at once if the scheduler
 runs them on separate cores, and left alone it often stacks both processes'
@@ -42,28 +66,38 @@ nothing is pinned; the ``thread`` transport never pins.
 Lifetime.  A run starts exactly one child and always reaps it: the parent
 sends a close frame and a stop command, joins the child (killing it if it
 does not exit in time), then joins its receiver thread, which ends at the
-pipe's EOF.
+pipe's EOF.  The fork-context locks and semaphores are unlinked when they
+are made, and the mapping goes with the last reference to it.
 """
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing
 import os
 import pickle
 import queue
-import struct
 import threading
+import time
 from collections.abc import Sequence
+
+import numpy as np
 
 from . import broker as bk
 
 # How long a stopped child may take to exit before it is killed.
 _JOIN_SECONDS = 5.0
+# How long one wait for a slot lock lasts before the waiter checks whether
+# the peer is gone.
+_LOCK_POLL_SECONDS = 0.1
 
-_MESSAGE, _CLOSE, _CONTROL = 0, 1, 2
-# tag, kind, batch id, sample range (2), sender worker, param version
-_FRAME = struct.Struct("<BB5q")
-_KINDS = list(bk.MessageKind)
+_CLOSE, _CONTROL = 1, 2
+_KIND_INDEX = {bk.MessageKind.EMBEDDING: 0, bk.MessageKind.GRADIENT: 1}
+# Slot locks per kind; slot b takes lock b % _STRIPES.
+_STRIPES = 8
+# int64 words of a slot header: sequence number, rows, sample range (2),
+# parameter version, sender worker, publish time (monotonic ns), padding.
+_HEAD = 8
 
 
 class PeerGone(RuntimeError):
@@ -96,19 +130,161 @@ def pin_thread(cpus: Sequence[int]) -> None:
         pass  # the allowed set shrank since the split; the thread runs unpinned
 
 
-class Link:
-    """One process's end of the two pipes, plus its receiver thread.
+class Mailbox:
+    """Shared-memory slots for the cut-layer messages of one forked run.
 
-    ``send`` and ``send_close`` are the hooks :meth:`Broker.connect` wants;
-    control messages go out with :meth:`send_control` and come in through
-    :meth:`recv_control`, which returns None once the peer is gone.
+    Made before the fork, so parent and child map the same region.  Each
+    process keeps its own record of the sequence numbers it has read, its
+    own free list of wake-up semaphores and its own ``peer_gone`` flag,
+    which its :class:`Link` sets.  Up to ``waiters`` threads per process
+    may wait at once.
     """
 
-    def __init__(self, tx, rx, broker: bk.Broker, peer: str, cpus: Sequence[int] = ()):
+    def __init__(self, num_batches: int, rows: int, cols: int, waiters: int):
+        ctx = multiprocessing.get_context("fork")
+        self._rows, self._cols = rows, cols
+        words = _HEAD + rows * cols
+        table = -(-2 * waiters // _HEAD) * _HEAD  # the sleeper table, padded to a slot header
+        region = mmap.mmap(-1, 8 * (table + 2 * num_batches * words))
+        flat = np.frombuffer(region, dtype=np.int64)
+        self._waiting_for = flat[: 2 * waiters].reshape(2, waiters)  # batch id, or -1
+        self._waiting_for[:] = -1
+        self._slots = flat[table:].reshape(2, num_batches, words)
+        self._seq = self._slots[:, :, 0]
+        self._payload = self._slots.view(np.float64)[:, :, _HEAD:]
+        self._read = [[0] * num_batches, [0] * num_batches]  # per process
+        self._locks = [[ctx.Lock() for _ in range(_STRIPES)] for _ in range(2)]
+        self._wake = [[ctx.Semaphore(0) for _ in range(waiters)] for _ in range(2)]
+        self._free = [list(range(waiters)), list(range(waiters))]
+        self._free_lock = threading.Lock()
+        self.peer_gone = False
+
+    def _lock(self, k: int, b: int):
+        return self._locks[k][b % _STRIPES]
+
+    def _acquire(self, lock) -> bool:
+        """Take ``lock``; False once the peer is gone and the lock is not free."""
+        while not lock.acquire(timeout=_LOCK_POLL_SECONDS):
+            if self.peer_gone:
+                return False
+        return True
+
+    def write(self, message: bk.ChannelMessage) -> None:
+        """Put ``message`` into its slot, over any message there, and wake its waiter."""
+        k, rows, cols = _KIND_INDEX[message.kind], *message.payload.shape
+        if cols != self._cols or rows > self._rows:
+            raise ValueError(f"a {rows}x{cols} payload does not fit a "
+                             f"{self._rows}x{self._cols} slot")
+        lock = self._lock(k, message.batch_id)
+        if not self._acquire(lock):
+            return  # the peer died; nothing will read the message
+        try:
+            self._store(k, message)
+            woken = [s for s, b in enumerate(self._waiting_for[k].tolist())
+                     if b == message.batch_id]
+            for s in woken:
+                self._waiting_for[k, s] = -1
+        finally:
+            lock.release()
+        for s in woken:
+            self._wake[k][s].release()
+
+    def _store(self, k: int, message: bk.ChannelMessage) -> None:
+        b = message.batch_id
+        rows, cols = message.payload.shape
+        np.copyto(self._payload[k, b, : rows * cols].reshape(rows, cols), message.payload)
+        slot = self._slots[k, b]
+        slot[1:7] = (rows, *message.sample_range, message.param_version,
+                     message.sender_worker, time.monotonic_ns())
+        slot[0] += 1
+
+    def _take(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer) -> bool:
+        """Under the slot's lock: publish slot ``b``'s message into ``channel`` if it is unread."""
+        k = _KIND_INDEX[kind]
+        seq, rows, start, stop, version, sender, stamp = self._slots[k, b, :7].tolist()
+        unread = seq - self._read[k][b]
+        if not unread:
+            return False
+        self._read[k][b] = seq
+        payload = self._payload[k, b, : rows * self._cols].reshape(rows, self._cols).copy()
+        message = bk.ChannelMessage(kind, b, payload, (start, stop), sender, version, stamp / 1e9)
+        channel.publish(message, superseded=unread - 1)
+        return True
+
+    def pull(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer) -> None:
+        """Move slot ``b``'s unread message, if any, into ``channel``."""
+        k = _KIND_INDEX[kind]
+        if self._seq[k, b] == self._read[k][b]:
+            return  # nothing new; a stale read only defers the message to the next pull
+        lock = self._lock(k, b)
+        if self._acquire(lock):
+            try:
+                self._take(kind, b, channel)
+            finally:
+                lock.release()
+
+    def pull_all(self, kind: bk.MessageKind, channels: list[bk.ChannelBuffer]) -> None:
+        k = _KIND_INDEX[kind]
+        for b in np.flatnonzero(self._seq[k] != self._read[k]).tolist():
+            self.pull(kind, b, channels[b])
+
+    def wait(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer,
+             deadline: float | None) -> None:
+        """Block until slot ``b`` has news (moved into ``channel``), ``channel``
+        closes, or the monotonic ``deadline`` (None: never) passes.
+
+        The thread registers the slot it waits for beside a semaphore of its
+        own, and a publisher posts exactly the semaphores registered for its
+        slot, so a post never wakes a thread that waits for another batch.
+        A registration left behind by a timeout costs its semaphore's next
+        user one spurious wake-up, after which it checks its slot again.
+        """
+        k = _KIND_INDEX[kind]
+        lock = self._lock(k, b)
+        with self._free_lock:
+            s = self._free[k].pop()
+        try:
+            while not channel.closed:
+                left = None if deadline is None else deadline - time.monotonic()
+                if (left is not None and left <= 0.0) or not self._acquire(lock):
+                    return
+                try:
+                    if self._take(kind, b, channel):
+                        return
+                    self._waiting_for[k, s] = b
+                finally:
+                    lock.release()
+                self._wake[k][s].acquire(True, left)
+        finally:
+            with self._free_lock:
+                self._free[k].append(s)
+
+    def wake(self, kind: bk.MessageKind) -> None:
+        """Wake every thread of this process that waits on ``kind``, without
+        a slot lock; each sees its closed channel and returns."""
+        for semaphore in self._wake[_KIND_INDEX[kind]]:
+            semaphore.release()
+
+
+class Link:
+    """One process's end of the two pipes and of the mailbox, plus its receiver thread.
+
+    ``send``, ``pull``, ``pull_all`` and ``wait`` (the mailbox's) and
+    ``send_close`` are the hooks :meth:`Broker.connect` wants; ``inbound``
+    is the kind this process consumes.  Control messages go out with
+    :meth:`send_control` and come in through :meth:`recv_control`, which
+    returns None once the peer is gone.
+    """
+
+    def __init__(self, tx, rx, mailbox: Mailbox, inbound: bk.MessageKind, peer: str,
+                 cpus: Sequence[int] = ()):
         self._tx, self._rx = tx, rx
         self._cpus = cpus  # the receiver thread's share
-        self._broker = broker
+        self._mailbox = mailbox
+        self._inbound = inbound
         self.peer = peer
+        self.send, self.pull, self.pull_all, self.wait = (
+            mailbox.write, mailbox.pull, mailbox.pull_all, mailbox.wait)
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._close_sent = False
@@ -131,25 +307,15 @@ class Link:
 
     # -- sending ------------------------------------------------------------
 
-    def send(self, message: bk.ChannelMessage) -> None:
-        """Ship a message to the peer's channel; dropped if the peer is gone."""
-        body = bk.serialize_payload(message.payload)
-        start, stop = message.sample_range
-        head = _FRAME.pack(_MESSAGE, _KINDS.index(message.kind), message.batch_id,
-                           start, stop, message.sender_worker, message.param_version)
-        try:
-            with self._send_lock:
-                self._tx.send_bytes(head + body)
-        except OSError:
-            pass  # the peer died; its receiver is gone and the run is failing
-
     def send_close(self) -> None:
-        """Close the peer's side of the bus once, unless the peer closed ours.
+        """Wake this process's waiters, and close the peer's side of the bus
+        once, unless the peer closed ours.
 
         The receiver thread gets here through :meth:`_peer_gone` after setting
-        ``_gone``, and must return without the send lock: a worker may hold it
-        while blocked on a full pipe that only the peer's receiver drains.
+        ``_gone``, and returns without the send lock or a slot lock,
+        which a dead peer may have left held.
         """
+        self._mailbox.wake(self._inbound)
         if self._gone is not None:
             return
         with self._send_lock:
@@ -185,15 +351,7 @@ class Link:
                     frame = self._rx.recv_bytes()
                 except (EOFError, OSError):
                     return
-                tag = frame[0]
-                if tag == _MESSAGE:
-                    _, kind, batch_id, start, stop, sender, version = _FRAME.unpack_from(frame)
-                    payload = bk.deserialize_payload(memoryview(frame)[_FRAME.size:])
-                    self._broker.publish(bk.ChannelMessage(
-                        _KINDS[kind], batch_id, payload, (start, stop),
-                        sender_worker=sender, param_version=version,
-                    ))
-                elif tag == _CLOSE:
+                if frame[0] == _CLOSE:
                     self._peer_gone(PeerGone(f"the {self.peer} party closed the bus"))
                 else:
                     self._inbox.put(pickle.loads(memoryview(frame)[1:]))
@@ -205,6 +363,7 @@ class Link:
         with self._state_lock:
             if self._gone is None:
                 self._gone = exc
+            self._mailbox.peer_gone = True
             shared = self._shared
         if shared is not None:
             shared.fail(exc)
@@ -232,25 +391,31 @@ class PassiveProcess:
     ``run_epoch(epoch, end_sync, shared)`` runs in the child and returns an
     object with ``failure`` and ``channel_stats`` attributes; the child sends
     it back once :meth:`finish` says the active side of the epoch is done.
+    Every cut-layer message has at most ``rows`` rows and ``cols`` columns,
+    the size of a mailbox slot, and neither process runs more than
+    ``waiters`` workers.
     ``cpus`` is the (parent, child) split from :func:`split_cpus`; the
     parent's runtime threads pin themselves to ``cpus[0]``.
     """
 
-    def __init__(self, broker: bk.Broker, run_epoch):
+    def __init__(self, broker: bk.Broker, run_epoch, rows: int, cols: int, waiters: int):
         self.cpus = split_cpus()
         ctx = multiprocessing.get_context("fork")
+        mailbox = Mailbox(broker.num_channels, rows, cols, waiters)
         down_rx, down_tx = ctx.Pipe(duplex=False)  # parent -> child
         up_rx, up_tx = ctx.Pipe(duplex=False)  # child -> parent
         self._broker = broker
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
-            args=(broker, run_epoch, self.cpus[1], (up_tx, down_rx), (down_tx, up_rx)),
+            args=(broker, mailbox, run_epoch, self.cpus[1], (up_tx, down_rx),
+                  (down_tx, up_rx)),
         )
         self._process.start()
         down_rx.close()
         up_tx.close()
-        self._link = Link(down_tx, up_rx, broker, peer="passive", cpus=self.cpus[0])
+        self._link = Link(down_tx, up_rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive",
+                          cpus=self.cpus[0])
         broker.connect(self._link, bk.MessageKind.GRADIENT)
         self._link.start()
 
@@ -284,15 +449,15 @@ class PassiveProcess:
         self._link.close()
 
 
-def _child_main(broker: bk.Broker, run_epoch, cpus: Sequence[int], child_ends,
-                parent_ends) -> None:
+def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[int],
+                child_ends, parent_ends) -> None:
     """The child's command loop: one passive epoch per ``("epoch", e, end_sync)``."""
     from .runtime import EpochShared  # runtime imports this module
 
     pin_thread(cpus)  # before any thread starts, so every thread inherits it
     for end in parent_ends:
         end.close()
-    link = Link(*child_ends, broker, peer="active")
+    link = Link(*child_ends, mailbox, bk.MessageKind.GRADIENT, peer="active")
     broker.connect(link, bk.MessageKind.EMBEDDING)
     link.start()
     while True:

@@ -1,10 +1,12 @@
-"""Suite-wide leak guard: a test must not leave a child process or a thread
-behind, nor change the CPUs the calling thread may run on.
+"""Suite-wide leak guard: a test must not leave a child process, a thread or
+an entry under ``/dev/shm`` behind, nor change the CPUs the calling thread
+may run on.
 
 The process transport forks at most one child per run, starts a receiver
-thread in each process, and pins the runtime's threads, never the caller's;
-a run that fails to reap its child, join its thread or keep the caller's
-affinity fails the test that started it.
+thread in each process, shares an anonymous mapping and unlinked
+semaphores with the child, and pins the runtime's threads, never the
+caller's; a run that fails to reap its child, join its thread, unlink what
+it shares or keep the caller's affinity fails the test that started it.
 """
 
 import multiprocessing
@@ -17,11 +19,17 @@ import pytest
 _getaffinity = getattr(os, "sched_getaffinity", lambda pid: None)
 
 
+def _shm_entries() -> set[str] | None:
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else None
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_children_or_threads():
     baseline = threading.active_count()
     cpus = _getaffinity(0)
+    shm = _shm_entries()
     yield
     assert multiprocessing.active_children() == []
     assert threading.active_count() == baseline
     assert _getaffinity(0) == cpus
+    assert _shm_entries() == shm

@@ -9,7 +9,10 @@ package against these, not the other way around.
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +80,8 @@ def _loss_value(model: nn.MlpModel, x: np.ndarray, y: np.ndarray, loss: str) -> 
     out, _ = nn.forward(model, x)
     if loss == "ce":
         value, _ = nn.cross_entropy_loss(out, y)
+    elif loss == "logit":
+        value, _ = nn.logistic_loss(out, y)
     else:
         value, _ = nn.mse_loss(out, y)
     return value
@@ -231,6 +236,50 @@ def clip_sum_cross_entropy_loss(
     inside = (predictions > nn.EPS_PROB) & (predictions < 1.0 - nn.EPS_PROB)
     d_pred = -(targets / clamped - (1.0 - targets) / (1.0 - clamped)) / n
     return loss, np.where(inside, d_pred, 0.0)
+
+
+def mp_logistic_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of log(1 + e^z) - y*z and its gradient (sigmoid(z) - y)/n at 60 digits."""
+    from mpmath import mp, mpf
+
+    with mp.workdps(60):
+        n = logits.shape[0]
+        total = mpf(0)
+        grad = np.empty(logits.shape)
+        for idx, (z, y) in enumerate(zip(logits.ravel().tolist(), targets.ravel().tolist())):
+            z, y = mpf(z), mpf(y)
+            total += mp.log1p(mp.exp(z)) - y * z
+            grad.ravel()[idx] = float((1 / (1 + mp.exp(-z)) - y) / n)
+        return float(total / n), grad
+
+
+def per_layer_sgd_step(model: nn.MlpModel, grads: list[nn.LayerGrads], eta: float) -> None:
+    """The first ``nn.sgd_step``: ``w -= eta * g`` layer by layer."""
+    for layer, grad in zip(model.layers, grads):
+        layer.weight -= eta * grad.d_weight
+        layer.bias -= eta * grad.d_bias
+
+
+def per_layer_load_from(dst: nn.MlpModel, src: nn.MlpModel) -> None:
+    """The first ``MlpModel.load_from``: one copy per weight and bias."""
+    for mine, theirs in zip(dst.layers, src.layers):
+        np.copyto(mine.weight, theirs.weight)
+        np.copyto(mine.bias, theirs.bias)
+
+
+def per_layer_average(models: list[nn.MlpModel]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The first ``nn.average_models``: per layer, a left-to-right sum over
+    the models divided by their count; (weight, bias) per layer."""
+    count = float(len(models))
+    averaged = []
+    for idx, layer in enumerate(models[0].layers):
+        w_sum = layer.weight.copy()
+        b_sum = layer.bias.copy()
+        for other in models[1:]:
+            w_sum += other.layers[idx].weight
+            b_sum += other.layers[idx].bias
+        averaged.append((w_sum / count, b_sum / count))
+    return averaged
 
 
 # -- data oracles --------------------------------------------------------------
@@ -444,3 +493,59 @@ def realistic_constants(stages=None, **overrides):
     )
     values.update(overrides)
     return DelayConstants(**values)
+
+
+# -- file and wire helpers that only the tests use ------------------------------
+
+
+def read_jsonl(path: str) -> tuple[list[dict], dict | None]:
+    """Parse a metrics file back into (epoch rows, summary or None)."""
+    rows: list[dict] = []
+    summary: dict | None = None
+    with open(path) as handle:
+        for line in handle:
+            line = line.strip()
+            if not line:
+                continue
+            obj = json.loads(line)
+            if obj.get("record") == "summary":
+                summary = obj
+            else:
+                rows.append(obj)
+    return rows, summary
+
+
+def write_csv(path: str, table: data.LabeledTable) -> None:
+    """Write a LabeledTable as CSV (features then a final `label` column).
+
+    Floats are rendered with repr so a write/load round trip is lossless.
+    """
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow([f"f{i}" for i in range(table.num_features)] + ["label"])
+        for r in range(table.num_rows):
+            writer.writerow([repr(float(v)) for v in (*table.features[r], table.labels[r, 0])])
+
+
+_WIRE_HEADER = struct.Struct("<QQ")
+
+
+def serialize_payload(payload: np.ndarray) -> bytes:
+    """Wire encoding: uint64-LE (rows, cols) header + float64-LE row-major data.
+
+    ``broker.payload_byte_size`` counts a message's bytes in this format.
+    """
+    if payload.ndim != 2:
+        raise ValueError("payload must be 2-D")
+    rows, cols = payload.shape
+    body = np.ascontiguousarray(payload, dtype="<f8").tobytes()
+    return _WIRE_HEADER.pack(rows, cols) + body
+
+
+def deserialize_payload(blob: bytes) -> np.ndarray:
+    rows, cols = _WIRE_HEADER.unpack_from(blob, 0)
+    expected = _WIRE_HEADER.size + 8 * rows * cols
+    if len(blob) != expected:
+        raise ValueError(f"payload blob is {len(blob)} bytes, expected {expected}")
+    data = np.frombuffer(blob, dtype="<f8", offset=_WIRE_HEADER.size)
+    return data.reshape(rows, cols).astype(np.float64)

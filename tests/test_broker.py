@@ -9,6 +9,8 @@ import pytest
 
 from splitbus import broker as bk
 
+from oracles import deserialize_payload, serialize_payload
+
 
 def _msg(batch_id=0, kind=bk.MessageKind.EMBEDDING, rows=2, cols=3, fill=1.0,
          sample_range=(0, 2), sender=0, version=0):
@@ -28,9 +30,9 @@ def test_serialization_round_trip_is_bit_exact():
     rng = np.random.default_rng(0)
     for rows, cols in ((1, 1), (3, 7), (256, 8)):
         payload = rng.normal(size=(rows, cols))
-        blob = bk.serialize_payload(payload)
+        blob = serialize_payload(payload)
         assert len(blob) == bk.payload_byte_size(rows, cols) == 16 + 8 * rows * cols
-        back = bk.deserialize_payload(blob)
+        back = deserialize_payload(blob)
         assert back.dtype == np.float64
         assert np.array_equal(back, payload)
 
@@ -122,7 +124,7 @@ def test_byte_counter_matches_independent_serialization_tally():
     for i in range(12):
         rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         payload = rng.normal(size=(rows, cols))
-        expected += len(bk.serialize_payload(payload))
+        expected += len(serialize_payload(payload))
         broker.publish(
             bk.ChannelMessage(
                 bk.MessageKind.EMBEDDING, i % 2, payload, (0, rows), 0, 0

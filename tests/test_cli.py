@@ -12,16 +12,16 @@ import pytest
 
 import splitbus
 from splitbus import cli
-from splitbus.broker import serialize_payload
 from splitbus.cli import _load_experiment, _parse_range, build_parser, main
 from splitbus.config import ExperimentConfig, ModelShape, experiment_from_mapping
-from splitbus.data import Task, generate_synthetic, write_csv
-from splitbus.metrics import read_jsonl
+from splitbus.data import Task, generate_synthetic
 from splitbus.planner import PlanState, SearchSpace, comm_seconds, read_plan
 from splitbus.profiler import CalibRole, read_profile, write_profile
 from splitbus.runtime import build_models
 
-from oracles import brute_force_search, realistic_constants
+from oracles import (
+    brute_force_search, read_jsonl, realistic_constants, serialize_payload, write_csv,
+)
 
 
 TINY_CONF = """

@@ -8,7 +8,9 @@ import pytest
 
 from splitbus import broker, data, nn
 
-from oracles import copying_generate_synthetic, copying_split_rows, copying_vertical_split
+from oracles import (
+    copying_generate_synthetic, copying_split_rows, copying_vertical_split, write_csv,
+)
 
 
 def test_synthetic_classification_is_deterministic_and_balanced():
@@ -67,14 +69,14 @@ def test_synthetic_regression_has_noisy_linear_signal():
 def test_csv_round_trip_preserves_values(tmp_path):
     table = data.generate_synthetic(50, 6, 2, data.Task.REGRESSION, seed=5)
     path = tmp_path / "t.csv"
-    data.write_csv(str(path), table)
+    write_csv(str(path), table)
     reloaded = data.load_csv(str(path), "label", data.Task.REGRESSION, standardize=False)
     _assert_same_bits(reloaded.features, table.features, np.float32)
     _assert_same_bits(reloaded.labels, table.labels)
     # with standardisation on, a standardised table is standardised again in
     # float64 and stored in float32, which moves it by float32 rounding only
     std_once = data.load_csv(str(path), "label", data.Task.REGRESSION)
-    data.write_csv(str(path), std_once)
+    write_csv(str(path), std_once)
     std_twice = data.load_csv(str(path), "label", data.Task.REGRESSION)
     again = data.standardize_columns(std_once.features.astype(np.float64))
     _assert_same_bits(std_twice.features, again.astype(np.float32), np.float32)
@@ -326,7 +328,7 @@ def test_generate_synthetic_is_bit_identical_to_copying_oracle(rows, features, i
 
 def _csv_table(tmp_path) -> data.LabeledTable:
     path = tmp_path / "t.csv"
-    data.write_csv(str(path), data.generate_synthetic(150, 9, 3, data.Task.CLASSIFICATION, seed=6))
+    write_csv(str(path), data.generate_synthetic(150, 9, 3, data.Task.CLASSIFICATION, seed=6))
     return data.load_csv(str(path), "label", data.Task.CLASSIFICATION)
 
 

@@ -10,13 +10,12 @@ from splitbus.metrics import (
     EpochMetrics,
     RunSummary,
     auc_score,
-    read_jsonl,
     rmse,
     time_to_target,
     write_jsonl,
 )
 
-from oracles import loop_auc
+from oracles import loop_auc, read_jsonl
 
 
 def pairwise_auc(labels, scores):

@@ -208,6 +208,145 @@ def test_cross_entropy_clamp_keeps_loss_finite_and_grad_zero():
     assert np.all(grad == 0.0)
 
 
+def _logit_cases(rng: np.random.Generator):
+    edges = np.array([0.0, -0.0, 1e-300, 0.5, 20.0, -20.0, 36.0, 37.0, 40.0, -40.0,
+                      700.0, -700.0, 745.0, -745.0, 800.0, -800.0])
+    for rows in (1, 2, 32, 257):
+        z = rng.normal(0.0, 10.0 ** float(rng.integers(0, 3)), size=(rows, 1))
+        z.ravel()[: min(rows, edges.size)] = edges[:rows]
+        rng.shuffle(z)
+        yield z, rng.integers(0, 2, size=(rows, 1)).astype(np.float64)
+
+
+def test_logistic_loss_matches_mpmath_oracle_up_to_800():
+    # Each entry may miss by a few ulps of max(1, |z|): softplus(z) - y*z
+    # cancels for large |z|, and so does z - softplus(z) in the gradient.
+    rng = np.random.default_rng(43)
+    eps = np.finfo(np.float64).eps
+    largest = 0.0
+    for z, y in _logit_cases(rng):
+        loss, grad = nn.logistic_loss(z, y)
+        want_loss, want_grad = oracles.mp_logistic_loss(z, y)
+        scale = np.maximum(1.0, np.abs(z))
+        assert abs(loss - want_loss) <= 4 * eps * float(np.mean(scale)), (loss, want_loss)
+        assert np.all(np.abs(grad - want_grad) <= 4 * eps * scale / z.shape[0])
+        assert math.isfinite(loss) and np.all(np.isfinite(grad))
+        largest = max(largest, float(np.max(np.abs(z))))
+    assert largest == 800.0
+    for bad in (np.nan, np.inf, -np.inf):  # what aborts a run
+        z = np.array([[0.5], [bad]])
+        with np.errstate(invalid="ignore"):
+            for y in (np.ones((2, 1)), np.zeros((2, 1))):
+                assert not math.isfinite(nn.logistic_loss(z, y)[0])
+
+
+def test_logistic_loss_gradient_matches_finite_differences():
+    rng = np.random.default_rng(47)
+    worst = 0.0
+    for seed in range(12):
+        rows, width = int(rng.integers(2, 9)), int(rng.integers(2, 17))
+        model = nn.init_mlp([width, 8, 1], [nn.Activation.RELU, nn.Activation.IDENTITY], seed=seed)
+        for layer in model.layers:
+            layer.bias[:] = rng.uniform(0.05, 0.3, size=layer.bias.shape)
+        x = rng.normal(0.0, 2.0, size=(rows, width))
+        y = rng.integers(0, 2, size=(rows, 1)).astype(np.float64)
+        out, tape = nn.forward(model, x)
+        loss, d_out = nn.logistic_loss(out, y)
+        h = 1e-6
+        for r in range(rows):  # the loss against its own logits
+            bumped = out.copy()
+            bumped[r, 0] += h
+            up = nn.logistic_loss(bumped, y)[0]
+            bumped[r, 0] -= 2 * h
+            down = nn.logistic_loss(bumped, y)[0]
+            assert abs((up - down) / (2 * h) - d_out[r, 0]) <= 1e-8
+        grads, d_input = nn.backward(model, tape, d_out)
+        for got, want in zip(grads, oracles.fd_model_grads(model, x, y, "logit")):
+            worst = max(worst, oracles.max_relative_error(got.d_weight, want.d_weight),
+                        oracles.max_relative_error(got.d_bias, want.d_bias))
+        worst = max(worst, oracles.max_relative_error(
+            d_input, oracles.fd_input_grad(model, x, y, "logit")))
+    assert worst <= 1e-5, f"worst relative error {worst:.3e}"
+
+
+def _uint_bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64 if a.dtype == np.float64 else np.uint32)
+
+
+def _random_model(rng: np.random.Generator, seed: int, dtype) -> nn.MlpModel:
+    kinds = list(nn.Activation)
+    depth = int(rng.integers(1, 5))
+    dims = [int(rng.integers(1, 33)) for _ in range(depth + 1)]
+    acts = [kinds[int(rng.integers(0, len(kinds)))] for _ in range(depth)]
+    model = nn.init_mlp(dims, acts, seed=seed, dtype=dtype)
+    model.params[:] = rng.normal(0.0, 1.0, size=model.params.shape)
+    return model
+
+
+def test_flat_updates_are_bit_identical_to_per_layer_oracles():
+    rng = np.random.default_rng(53)
+    for seed in range(40):
+        dtype = (np.float32, np.float64)[seed % 2]
+        model = _random_model(rng, seed, dtype)
+        assert all(np.shares_memory(layer.weight, model.params) for layer in model.layers)
+        model.grad[:] = rng.normal(0.0, 1.0, size=model.grad.shape)
+        model.grad[rng.random(model.grad.shape) < 0.1] = -0.0
+        grads = [nn.LayerGrads(g.d_weight.copy(), g.d_bias.copy()) for g in model.grads]
+        twin = model.clone()
+        eta = float(rng.uniform(1e-4, 1.0))
+        nn.sgd_step(model, model.grads, eta)  # the workspace: one flat update
+        oracles.per_layer_sgd_step(twin, grads, eta)
+        assert np.array_equal(_uint_bits(model.params), _uint_bits(twin.params)), seed
+
+        source = model.clone()
+        source.params[:] = rng.normal(size=source.params.shape)
+        mine, theirs = model.clone(), model.clone()
+        mine.load_from(source)
+        oracles.per_layer_load_from(theirs, source)
+        assert np.array_equal(_uint_bits(mine.params), _uint_bits(theirs.params)), seed
+        assert not np.shares_memory(mine.params, source.params)
+
+        group = [model] + [model.clone() for _ in range(int(rng.integers(0, 4)))]
+        for other in group[1:]:
+            other.params[:] = rng.normal(size=other.params.shape)
+        averaged = nn.average_models(group)
+        for layer, (weight, bias) in zip(averaged.layers, oracles.per_layer_average(group)):
+            assert np.array_equal(_uint_bits(layer.weight), _uint_bits(weight)), seed
+            assert np.array_equal(_uint_bits(layer.bias), _uint_bits(bias)), seed
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_into_the_workspace_keeps_the_bits(dtype):
+    rng = np.random.default_rng(59)
+    for seed in range(40):
+        model, x = _random_forward_case(rng, seed)
+        model = nn.MlpModel([nn.Layer(layer.weight.astype(dtype), layer.bias.astype(dtype),
+                                      layer.activation) for layer in model.layers])
+        x = x.astype(dtype)
+        out, tape = nn.forward(model, x)
+        d_out = rng.normal(size=out.shape).astype(dtype)
+        d_out[rng.random(d_out.shape) < 0.1] = -0.0
+        kept = d_out.copy()
+        want, want_input = nn.backward(model, tape, d_out)
+        got, got_input = nn.backward(model, tape, d_out, workspace=True)
+        assert got is model.grads
+        assert np.array_equal(_uint_bits(d_out), _uint_bits(kept))  # the caller's array is read only
+        assert np.array_equal(_uint_bits(got_input), _uint_bits(want_input)), seed
+        for mine, theirs in zip(got, want):
+            assert np.array_equal(_uint_bits(mine.d_weight), _uint_bits(theirs.d_weight)), seed
+            assert np.array_equal(_uint_bits(mine.d_bias), _uint_bits(theirs.d_bias)), seed
+
+
+def test_a_pickled_model_keeps_its_flat_layout():
+    import pickle
+
+    model = _random_model(np.random.default_rng(61), 3, np.float32)
+    back = pickle.loads(pickle.dumps(model))
+    assert np.array_equal(back.params, model.params) and back.dtype == model.dtype
+    assert all(np.shares_memory(layer.weight, back.params) for layer in back.layers)
+    assert back.param_version == model.param_version
+
+
 def test_mse_loss_and_gradient_formula():
     pred = np.array([[1.0], [3.0]])
     target = np.array([[0.0], [1.0]])

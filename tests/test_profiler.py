@@ -288,18 +288,27 @@ class TestCalibrationSweep:
     def test_repeat_run_medians_are_stable(self):
         # heavyweight stage so scheduler jitter stays well under the bound.
         # On a shared host the speed of the machine drifts by more than the
-        # bound between two back-to-back sweeps, so the two sides are 20
-        # sweeps each, interleaved, and compared through their median.
+        # bound between two back-to-back sweeps, and a process on the other
+        # CPU can slow one sweep for a while.  So the two sweeps are
+        # interleaved per batch size: each round runs one sweep of each side
+        # at that size back to back, the side that goes first alternating
+        # from round to round, and each stage is judged by the median over
+        # the rounds of the two sides' per-round ratio.
         relu = nn.Activation.RELU
         passive = nn.init_mlp([128, 256, 64], [relu, relu], seed=4)
         active = nn.init_mlp([128, 256, 64], [relu, relu], seed=5)
         top = nn.init_mlp([128, 128, 1], [relu, nn.Activation.SIGMOID], seed=6)
-        sweeps = [run_calibration(passive, active, top, [256], repetitions=3) for _ in range(40)]
-        for stage, sample in enumerate(sweeps[0]):
-            assert all(sweep[stage].role is sample.role for sweep in sweeps)
-            first = statistics.median(s[stage].elapsed_seconds for s in sweeps[0::2])
-            second = statistics.median(s[stage].elapsed_seconds for s in sweeps[1::2])
-            assert 0.8 < first / second < 1.25, (sample.role, first / second)
+        for b in (64, 256):
+            ratios = []
+            for round_ in range(20):
+                pair = [run_calibration(passive, active, top, [b], repetitions=3) for _ in range(2)]
+                first, second = pair if round_ % 2 == 0 else pair[::-1]
+                assert [s.role for s in first] == [s.role for s in second]
+                ratios.append([f.elapsed_seconds / s.elapsed_seconds
+                               for f, s in zip(first, second)])
+            for stage, sample in enumerate(first):
+                ratio = statistics.median(r[stage] for r in ratios)
+                assert 0.8 < ratio < 1.25, (sample.role, b, ratio)
 
     def test_backward_stages_pass_the_runtime_input_grad_switch(self, monkeypatch):
         # Bottom backprop stops at the parameter gradients in the runtime, so

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import re
 import signal
+import sys
 import time
 import threading
 from dataclasses import replace
@@ -316,7 +317,7 @@ class TestTransports:
 
     def test_merged_stats_conserve_and_count_every_crossing_payload(self, monkeypatch):
         # Deadlines of 10 s never expire here, so every batch's embedding and
-        # gradient cross exactly once per epoch, each as one frame whose
+        # gradient cross exactly once per epoch, each as one slot write whose
         # payload has the batch's rows and passive_embed columns.
         train, _ = vertical_pair(n=400, d=10, seed=5)
         cfg = TrainConfig(
@@ -325,13 +326,13 @@ class TestTransports:
         )
         use_transport(monkeypatch, "process")
         brokers, sent = capture_brokers(monkeypatch), []
-        real_send = tp.Link.send
+        real_write = tp.Mailbox.write
 
-        def counting_send(self, message):
+        def counting_write(self, message):
             sent.append(bk.payload_byte_size(*message.payload.shape))
-            return real_send(self, message)
+            return real_write(self, message)
 
-        monkeypatch.setattr(tp.Link, "send", counting_send)  # the parent sends gradients
+        monkeypatch.setattr(tp.Mailbox, "write", counting_write)  # the parent writes gradients
         result = run_training(train, None, cfg)
 
         (broker,) = brokers
@@ -346,9 +347,9 @@ class TestTransports:
         assert result.summary.total_bytes_published == stats.bytes_published
         assert result.epochs[-1].bytes_published == stats.bytes_published
 
-    def test_frames_larger_than_a_pipe_buffer_cross_bit_exactly(self, monkeypatch):
-        # 256 rows x 40 columns of float64 is 80 KiB a payload, more than the
-        # 64 KiB a Linux pipe buffers, so every send waits on the receiver.
+    def test_slots_of_256_rows_cross_bit_exactly(self, monkeypatch):
+        # 256 rows x 40 columns of float64 is an 80 KiB slot payload, many
+        # pages of the shared region, each way.
         train, test = vertical_pair(n=1200, d=12, seed=4)
         shape = replace(SMALL_SHAPE, passive_embed=40)
         cfg = TrainConfig(
@@ -358,9 +359,109 @@ class TestTransports:
         use_transport(monkeypatch, "process")
         ref = run_reference(train, test, cfg)
         result = run_training(train, test, cfg)
+        assert result.summary.transport == "process"
         assert result.epoch_train_losses == ref["epoch_train_losses"]
         for key in ("passive_bottom", "active_bottom", "top"):
             assert models_bit_equal(result.final_models[key], ref["models"][key])
+
+    def test_retries_supersede_slots_and_every_message_is_counted(self, monkeypatch):
+        # A 2 ms passive skew against a 3 ms deadline: some active waits
+        # expire, the retried batch's embedding overwrites its slot, and the
+        # overwritten message counts as published and evicted.
+        brokers = capture_brokers(monkeypatch)
+        train, _ = vertical_pair(n=800, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=2, seed=3, shape=SMALL_SHAPE,
+            deadline_seconds=0.003, skew_passive_seconds=0.002, max_retries=6,
+        )
+        summary = run_training(train, None, cfg).summary
+        (broker,) = brokers
+        stats = broker.stats()
+        assert summary.transport == "process"
+        assert stats.conserved(), stats
+        assert stats.published == (stats.delivered + stats.evicted + stats.flushed
+                                   + stats.dropped_closed + stats.residual)
+        assert summary.total_evictions == stats.evicted
+
+    def test_mailbox_stress_loses_and_duplicates_nothing(self):
+        # More threads than cores on both sides of the slots, with a short
+        # switch interval: writers overwrite slots at random while readers
+        # wait on random batches, some of whose waits time out.
+        batches, writers, readers, per_writer = 6, 4, 4, 3000
+        broker = bk.Broker(batches, 1, 1)
+        mailbox = tp.Mailbox(batches, 2, 1, readers)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"),
+                       bk.MessageKind.GRADIENT)
+        delivered, lock, done = [], threading.Lock(), threading.Event()
+
+        def write(w):
+            rng = np.random.default_rng(w)
+            for i in range(per_writer):
+                tag = float(w * per_writer + i)
+                mailbox.write(bk.ChannelMessage(bk.MessageKind.EMBEDDING, int(rng.integers(batches)),
+                                                np.full((2, 1), tag), (0, 2), w, i))
+
+        def read(r):
+            rng = np.random.default_rng(100 + r)
+            while not done.is_set():
+                result = broker.subscribe(bk.MessageKind.EMBEDDING, int(rng.integers(batches)),
+                                          0.002)
+                if result.outcome is bk.SubscribeOutcome.DELIVERED:
+                    with lock:
+                        delivered.append(result.message.payload[0, 0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=read, args=(r,)) for r in range(readers)]
+            threads += [threading.Thread(target=write, args=(w,)) for w in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads[readers:]:
+                t.join(10.0)
+            done.set()
+            for t in threads[:readers]:
+                t.join(10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        stats = broker.stats()
+        assert stats.published == writers * per_writer
+        assert len(delivered) == len(set(delivered)) == stats.delivered > 0
+        assert set(delivered) <= {float(t) for t in range(writers * per_writer)}
+        assert stats.conserved(), stats
+        rx.close()
+        tx.close()
+
+    def test_an_overwritten_slot_counts_as_published_and_evicted(self):
+        # The peer's side, written straight into the mailbox: three embeddings
+        # for batch 0 before any subscribe, one for batch 1 that nobody takes.
+        broker = bk.Broker(2, 1, 1)
+        mailbox = tp.Mailbox(2, 4, 3, 1)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"),
+                       bk.MessageKind.GRADIENT)
+        for fill, batch_id in ((1.0, 0), (2.0, 0), (3.0, 0), (4.0, 1)):
+            mailbox.write(bk.ChannelMessage(bk.MessageKind.EMBEDDING, batch_id,
+                                            np.full((4, 3), fill, np.float32), (0, 4), 1, 7))
+        result = broker.subscribe(bk.MessageKind.EMBEDDING, 0, 0.0)
+        assert result.outcome is bk.SubscribeOutcome.DELIVERED
+        message = result.message
+        assert message.payload.dtype == np.float64 and np.all(message.payload == 3.0)
+        assert (message.sample_range, message.sender_worker, message.param_version) == ((0, 4), 1, 7)
+        assert 0.0 < message.publish_time <= time.monotonic()
+        stats = broker.stats()  # pulls batch 1's slot first
+        assert (stats.published, stats.delivered, stats.evicted, stats.residual) == (4, 1, 2, 1)
+        assert stats.bytes_published == 4 * bk.payload_byte_size(4, 3)
+        assert stats.conserved()
+        assert broker.flush_all() == 1
+        assert broker.subscribe(bk.MessageKind.EMBEDDING, 1, 0.0).outcome is \
+            bk.SubscribeOutcome.EXPIRED
+        assert broker.stats().conserved()
+        rx.close()
+        tx.close()
 
 
 ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -818,26 +919,74 @@ class TestFailurePlumbing:
         if os.path.isdir("/dev/shm"):
             assert set(os.listdir("/dev/shm")) == shm_before
 
-    def test_peer_failure_does_not_wait_for_the_send_lock(self):
-        # The receiver thread fails the epoch when the peer closes or dies.  A
-        # worker may hold the send lock meanwhile, blocked on a full pipe that
-        # only the peer's receiver drains, so the failure must not need it.
+    def test_child_killed_holding_the_mailbox_lock_ends_a_free_running_run(
+        self, monkeypatch
+    ):
+        # The child dies in the middle of a slot write, so the lock of the
+        # embedding slots stays held; the parent's workers wait for it and
+        # must give up once the pipe's EOF says the peer is gone.
+        train, _ = vertical_pair(n=800, d=10, seed=3)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=20, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=2, seed=5, shape=SMALL_SHAPE,
+        )
+        parent = os.getpid()
+        real_store, stores = tp.Mailbox._store, []
+
+        def killing_store(self, k, message):
+            if os.getpid() != parent:
+                stores.append(None)
+                if len(stores) == 12:  # mid-epoch, after the active pool started
+                    os.kill(os.getpid(), signal.SIGKILL)
+            return real_store(self, k, message)
+
+        monkeypatch.setattr(tp.Mailbox, "_store", killing_store)
+        baseline = threading.active_count()
+        started = time.perf_counter()
+        with pytest.raises(tp.PeerGone, match=r"passive party") as failure:
+            run_training(train, None, cfg)
+        assert time.perf_counter() - started < 5.0
+        assert f"code {-signal.SIGKILL}" in str(failure.value)
+        assert "[passive party, epoch 1]" in str(failure.value)
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == baseline
+
+    def test_peer_failure_does_not_wait_for_the_mailbox_lock(self):
+        # A peer killed while it writes a slot leaves the shared lock held.
+        # The receiver's failure path must not need that lock, and a worker
+        # waiting for it must give up once the peer is gone.
         rx, tx = multiprocessing.Pipe(duplex=False)
         broker = bk.Broker(1, 1, 1)
-        link = tp.Link(tx, rx, broker, peer="passive")
+        mailbox = tp.Mailbox(1, 2, 3, 1)
+        link = tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive")
         broker.connect(link, bk.MessageKind.GRADIENT)
         shared = EpochShared(broker, 1)
         link.watch(shared)
-        with link._send_lock:
+        gradient = bk.ChannelMessage(bk.MessageKind.GRADIENT, 0, np.ones((2, 3)), (0, 2), 0, 0)
+        results = []
+        with mailbox._lock(0, 0), mailbox._lock(1, 0):  # as the dead peer left them
+            workers = [
+                threading.Thread(target=broker.publish, args=(gradient,)),
+                threading.Thread(target=lambda: results.append(
+                    broker.subscribe(bk.MessageKind.EMBEDDING, 0, None))),
+            ]
+            for worker in workers:
+                worker.start()
             receiver = threading.Thread(target=link._peer_gone, args=(tp.PeerGone("gone"),))
             receiver.start()
             receiver.join(2.0)
             blocked = receiver.is_alive()
+            for worker in workers:
+                worker.join(2.0)
+            stuck = [worker.is_alive() for worker in workers]
         receiver.join()
+        for worker in workers:
+            worker.join()
         rx.close()
         tx.close()
-        assert not blocked
+        assert not blocked and stuck == [False, False]
         assert shared.failed
+        assert [r.outcome for r in results] == [bk.SubscribeOutcome.CLOSED]
 
     def test_unpicklable_child_failure_comes_back_as_its_text(self, monkeypatch):
         class HoldsALock(RuntimeError):
