@@ -489,31 +489,43 @@ def process_threads(pid: int) -> list[int]:
 
 
 def record_placement(monkeypatch) -> dict:
-    """Note, at every active batch step, where each runtime thread may run.
+    """Note, at every active batch step and as each active worker starts,
+    where each runtime thread may run.
 
     ``parent`` maps the name of each of this process's runtime threads (the
     active workers and the receiver) to its CPU set; ``child`` maps the id
-    of each thread seen in the passive child to its CPU set.
+    of each thread seen in the passive child to its CPU set.  A worker notes
+    itself as it starts, so it is seen even if the other worker took every
+    batch of the epoch before it ran.
     """
     seen: dict = {"parent": {}, "child": {}}
     children = []
     real_init, real_process = tp.PassiveProcess.__init__, ActiveEngine._process_batch
+    real_loop = ActiveEngine._worker_loop
 
     def capturing_init(self, *args):
         real_init(self, *args)
         children.append(self._process.pid)
 
-    def recording_process(self, *args):
+    def record():
         threads = {t.native_id: t.name for t in threading.enumerate()
                    if t.native_id is not None and t.name.startswith(("active-", "passive-receiver"))}
         for tid, cpus in thread_affinities(threads).items():
             seen["parent"][threads[tid]] = cpus
         for pid in children:
             seen["child"].update(thread_affinities(process_threads(pid)))
+
+    def recording_process(self, *args):
+        record()
         return real_process(self, *args)
+
+    def recording_loop(self, *args):
+        record()
+        return real_loop(self, *args)
 
     monkeypatch.setattr(tp.PassiveProcess, "__init__", capturing_init)
     monkeypatch.setattr(ActiveEngine, "_process_batch", recording_process)
+    monkeypatch.setattr(ActiveEngine, "_worker_loop", recording_loop)
     return seen
 
 
