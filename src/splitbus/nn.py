@@ -46,10 +46,11 @@ noise draw, a loss sum), as in mixed-precision training (Micikevicius et al.
 
 A classifier trains on logits: its last layer is the identity and
 ``logistic_loss`` takes the logits directly, ``mean(log(1 + e^z) - y*z)``,
-with gradient ``(sigmoid(z) - y) / n``.  That is a handful of ufunc calls
-where a sigmoid head, the clamped ``cross_entropy_loss`` on probabilities
-and the sigmoid's backward took about three times as long at small batches.
-The sigmoid head and ``cross_entropy_loss`` remain for models built that way.
+with gradient ``(sigmoid(z) - y) / n``.  That is a handful of ufunc calls,
+about a third of the time a sigmoid head, the clamped
+``cross_entropy_loss`` on probabilities and the sigmoid's backward take at
+small batches.  The sigmoid head and ``cross_entropy_loss`` serve models
+built that way.
 
 Arrays are shaped (rows, cols) with rows = samples.  No autodiff framework
 is involved, which keeps the arithmetic order deterministic — several tests

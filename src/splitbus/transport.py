@@ -22,11 +22,10 @@ one then stalls only the slots of its stripe, not every read and write of
 the other process.  A subscribe on a channel the peer feeds compares the
 slot's sequence number with the last one this process read, without a
 lock; if it moved, it copies the payload out under the slot's lock and
-publishes it into the local
-channel, which counts it as published and then delivered, and any message
-the slot overwrote unread as published and evicted, so the newest message
-wins as in a local channel.  So no thread of the consumer wakes per
-message but the one that takes it.
+publishes it into the local channel, which counts it as published and then
+delivered, and any message the slot overwrote unread as published and
+evicted, so the newest message wins as in a local channel.  So no thread of
+the consumer wakes per message but the one that takes it.
 
 A subscriber that must wait takes one of its process's ``multiprocessing``
 semaphores for its kind, writes the batch id it waits for beside that
