@@ -335,7 +335,3 @@ def read_key_value_file(path: str, what: str) -> dict[str, str]:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     return parse_key_value_text(text, path)
-
-
-def load_experiment_config(path: str) -> ExperimentConfig:
-    return experiment_from_mapping(read_key_value_file(path, "config"), path)

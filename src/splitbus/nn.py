@@ -12,13 +12,10 @@ layer through ``_layer_forward``, so the layer arithmetic lives in one place.
 
 Each model keeps its parameters in one flat array, ``MlpModel.params``: a
 layer's weight and bias are views into it, so ``clone``, ``load_from`` and
-``average_models`` are one array operation each.  Beside it sits a gradient
-workspace of the same shape, ``MlpModel.grad``, with per-layer views in
-``MlpModel.grads``.  ``backward(..., workspace=True)`` writes the parameter
-gradients there (``matmul``/``add.reduce`` with ``out=``, the same bits as
-the allocating calls), and ``sgd_step`` given that workspace updates the
-model in one step, ``grad *= eta; params -= grad``, which per element is
-bit-identical to the per-layer ``w -= eta * g``.
+``average_models`` are one array operation each.  ``backward`` writes the
+parameter gradients into a workspace of the same shape, ``MlpModel.grad``
+(per-layer views in ``MlpModel.grads``), and ``sgd_step`` updates the whole
+model from it in one step.
 
 The tape holds only what ``backward`` reads: each layer's input and its
 output.  The activation is applied in place over the affine output, and the
@@ -221,9 +218,6 @@ class MlpModel:
     def out_dim(self) -> int:
         return self.layers[-1].weight.shape[1]
 
-    def layer_dims(self) -> list[int]:
-        return [self.in_dim] + [layer.weight.shape[1] for layer in self.layers]
-
     def clone(self) -> "MlpModel":
         return self._with_params(self.params.copy(), self.param_version)
 
@@ -318,42 +312,28 @@ def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def backward(
-    model: MlpModel,
-    tape: ForwardTape,
-    d_output: np.ndarray,
-    *,
-    input_grad: bool = True,
-    workspace: bool = False,
+    model: MlpModel, tape: ForwardTape, d_output: np.ndarray, *, input_grad: bool = True
 ) -> tuple[list[LayerGrads], np.ndarray | None]:
     """Backprop ``d_output`` (dLoss/dOutput) through the taped forward pass.
 
-    Returns per-layer parameter gradients and the gradient w.r.t. the batch
-    input.  The input gradient is the payload that travels back across the
-    cut layer during split training; with ``input_grad=False`` the layer-0
-    product that computes it is skipped and ``None`` comes back instead.
-    With ``workspace=True`` the parameter gradients are written into the
-    model's workspace and ``model.grads`` comes back: the next such call
-    overwrites them, and ``sgd_step`` consumes them in one update.
+    Writes the parameter gradients into the model's workspace and returns
+    ``(model.grads, input gradient)``; the next call overwrites them.  The
+    input gradient is the payload that travels back across the cut layer
+    during split training; with ``input_grad=False`` the layer-0 product
+    that computes it is skipped and ``None`` comes back instead.
     """
     if d_output.shape != tape.postacts[-1].shape:
         raise ValueError("d_output shape does not match the taped output")
     _check_dtype(d_output, model.dtype, "d_output")
-    grads: list[LayerGrads] = model.grads if workspace else [None] * len(model.layers)  # type: ignore[list-item]
     upstream, owned = d_output, False
     for idx in range(len(model.layers) - 1, -1, -1):
-        layer = model.layers[idx]
+        layer, out = model.layers[idx], model.grads[idx]
         delta = _activation_backward(layer.activation, upstream, tape.postacts[idx], owned)
-        if workspace:
-            np.matmul(tape.inputs[idx].T, delta, out=grads[idx].d_weight)
-            np.add.reduce(delta, axis=0, keepdims=True, out=grads[idx].d_bias)
-        else:
-            grads[idx] = LayerGrads(
-                d_weight=tape.inputs[idx].T @ delta,
-                d_bias=np.add.reduce(delta, axis=0, keepdims=True),
-            )
+        np.matmul(tape.inputs[idx].T, delta, out=out.d_weight)
+        np.add.reduce(delta, axis=0, keepdims=True, out=out.d_bias)
         upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
         owned = True
-    return grads, upstream
+    return model.grads, upstream
 
 
 def cross_entropy_loss(
@@ -411,24 +391,12 @@ def mse_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.nd
     return loss, 2.0 * diff / n
 
 
-def sgd_step(model: MlpModel, grads: list[LayerGrads], eta: float) -> None:
-    """In-place vanilla SGD update; bumps the parameter version.
-
-    Given ``model.grads`` (filled by ``backward(..., workspace=True)``), it
-    scales the workspace by ``eta`` and subtracts it from ``model.params``.
-    """
-    if len(grads) != len(model.layers):
-        raise ValueError("gradient list does not match layer count")
-    if grads is model.grads:  # the workspace: one update for the whole model
-        model.grad *= eta
-        model.params -= model.grad
-    else:
-        for grad in grads:  # an in-place update would cast a float64 gradient silently
-            _check_dtype(grad.d_weight, model.dtype, "d_weight")
-            _check_dtype(grad.d_bias, model.dtype, "d_bias")
-        for layer, grad in zip(model.layers, grads):
-            layer.weight -= eta * grad.d_weight
-            layer.bias -= eta * grad.d_bias
+def sgd_step(model: MlpModel, eta: float) -> None:
+    """In-place vanilla SGD from the gradients ``backward`` left in the
+    model's workspace, ``grad *= eta; params -= grad``; bumps the parameter
+    version.  The workspace holds ``eta`` times the gradient afterwards."""
+    model.grad *= eta
+    model.params -= model.grad
     model.param_version += 1
 
 

@@ -7,11 +7,11 @@ party's compute time is the sum of its stages' ``profiler.stage_seconds``
 (each ``CalibRole`` names its party), scaled by the party's w/C.  The
 search minimises it over a discrete grid, restricted to batch sizes both
 parties can hold in memory.  The memory model is affine in the batch size
-by construction (see ``profiler.model_memory_bytes``), so the ceiling is
-closed-form.  The grid has no overlapping subproblems, so the search is one
-numpy evaluation of the whole grid and an argmin; the tests check it against
-plain enumeration of ``iteration_objective``, bit for bit, including
-tie-breaks.
+by construction (twice the parameter bytes, plus the tape's bytes per row;
+see the ``profiler`` docstring), so the ceiling is closed-form.  The grid
+has no overlapping subproblems, so the search is one numpy evaluation of
+the whole grid and an argmin; the tests check it against plain enumeration
+of ``iteration_objective``, bit for bit, including tie-breaks.
 """
 
 from __future__ import annotations

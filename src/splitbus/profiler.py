@@ -7,11 +7,14 @@ one call takes ``coef * B**exp`` seconds at one core per worker, and ``w``
 workers on ``C`` cores scale it by ``w / C``.  A profile file has one
 ``<stage> = <coef> <exp>`` line per role.  What the models fix is read off
 them, not measured or configured: memory per party is ``base + slope * B``
-bytes, from the allocation formula of ``model_memory_bytes``, and both
-cut-layer messages (the embedding and its gradient) are ``(B, cut_width)``
-float64 arrays, ``broker.payload_byte_size(B, cut_width)`` bytes on the
-wire, where ``cut_width`` is the passive model's output width.  The largest
-batch both parties can afford is the planner's feasibility ceiling.
+bytes, where ``base`` is twice its models' parameter bytes (the parameters
+and their gradient workspace) and ``slope`` is what the forward tape keeps
+per batch row (the input and each layer's output, at the model's
+itemsize).  Both cut-layer messages (the embedding and its gradient) are
+``(B, cut_width)`` float64 arrays, ``broker.payload_byte_size(B,
+cut_width)`` bytes on the wire, where ``cut_width`` is the passive model's
+output width.  The largest batch both parties can afford is the planner's
+feasibility ceiling.
 
 The fits take the measurements at face value: if per-call time shrinks as
 the batch grows (heavily amortised vectorised code), the fitted exponent is
@@ -136,10 +139,9 @@ def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Gene
     _, tape = nn.forward(model, x)
     if not role.value.endswith("backward"):
         return lambda: nn.forward(model, x)
-    # As in the runtime's steps: only the top model's input gradient is
-    # consumed, and the parameter gradients go into the model's workspace.
+    # As in the runtime's steps: only the top model's input gradient is consumed.
     input_grad = role is CalibRole.TOP_BACKWARD
-    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad, workspace=True)
+    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad)
 
 
 # A power-law fit with r^2 below this warns that the delay model may not fit.
@@ -274,19 +276,6 @@ def _bytes_per_row(model: nn.MlpModel) -> int:
     return model.dtype.itemsize * widths
 
 
-def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
-    """Deterministic allocation model: parameters + gradients + activations.
-
-    Counts what training one batch materialises: two copies of the parameter
-    tensors (weights and their gradients), the input minibatch, and one
-    activation per layer, which is what the ``nn.forward`` tape keeps for
-    the backward pass, all in the model's dtype.
-    """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    return 2 * model.parameter_bytes + batch_size * _bytes_per_row(model)
-
-
 # -- end-to-end profile construction ------------------------------------------
 
 
@@ -306,8 +295,8 @@ def build_constants(
     The fitted coefficients are scaled by the party's core count so that the
     model's prediction for one worker on the profiled machine reproduces the
     measurement (the w/C factor divides it back out).  The memory constants
-    are read off ``model_memory_bytes`` and the cut width off the passive
-    model, not fitted.
+    (twice the parameter bytes, plus the tape's bytes per row) and the cut
+    width are read off the models, not fitted.
     """
     cores = {"active": cores_active, "passive": cores_passive}
     stages = {}

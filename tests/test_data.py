@@ -33,8 +33,8 @@ def test_synthetic_classification_learnable_by_single_layer_oracle():
     for _ in range(300):
         out, tape = nn.forward(model, x_train)
         _, d_out = nn.cross_entropy_loss(out, train.labels)
-        grads, _ = nn.backward(model, tape, d_out)
-        nn.sgd_step(model, grads, eta=0.5)
+        nn.backward(model, tape, d_out)
+        nn.sgd_step(model, eta=0.5)
     scores, _ = nn.forward(model, x_test)
     auc = _rank_auc(test.labels.ravel(), scores.ravel())
     assert auc > 0.8, f"oracle AUC {auc:.3f}"

@@ -55,6 +55,7 @@ def test_backward_without_input_grad_keeps_parameter_grads():
             nn.cross_entropy_loss(out, y)[1] if loss == "ce" else nn.mse_loss(out, y)[1]
         )
         full, d_input = nn.backward(model, tape, d_out)
+        full = [nn.LayerGrads(g.d_weight.copy(), g.d_bias.copy()) for g in full]
         params_only, no_input = nn.backward(model, tape, d_out, input_grad=False)
         assert d_input is not None and no_input is None
         for a, b in zip(full, params_only):
@@ -294,7 +295,7 @@ def test_flat_updates_are_bit_identical_to_per_layer_oracles():
         grads = [nn.LayerGrads(g.d_weight.copy(), g.d_bias.copy()) for g in model.grads]
         twin = model.clone()
         eta = float(rng.uniform(1e-4, 1.0))
-        nn.sgd_step(model, model.grads, eta)  # the workspace: one flat update
+        nn.sgd_step(model, eta)  # one flat update of the workspace
         oracles.per_layer_sgd_step(twin, grads, eta)
         assert np.array_equal(_uint_bits(model.params), _uint_bits(twin.params)), seed
 
@@ -327,8 +328,8 @@ def test_backward_into_the_workspace_keeps_the_bits(dtype):
         d_out = rng.normal(size=out.shape).astype(dtype)
         d_out[rng.random(d_out.shape) < 0.1] = -0.0
         kept = d_out.copy()
-        want, want_input = nn.backward(model, tape, d_out)
-        got, got_input = nn.backward(model, tape, d_out, workspace=True)
+        want, want_input = oracles.allocating_backward(model, tape, d_out)
+        got, got_input = nn.backward(model, tape, d_out)
         assert got is model.grads
         assert np.array_equal(_uint_bits(d_out), _uint_bits(kept))  # the caller's array is read only
         assert np.array_equal(_uint_bits(got_input), _uint_bits(want_input)), seed
@@ -377,13 +378,14 @@ def test_sgd_step_applies_exact_update_and_bumps_version():
     out, tape = nn.forward(model, x)
     d_out = nn.cross_entropy_loss(out, y)[1] if loss == "ce" else nn.mse_loss(out, y)[1]
     grads, _ = nn.backward(model, tape, d_out)
+    grads = [(g.d_weight.copy(), g.d_bias.copy()) for g in grads]  # the step scales the workspace
     before = [(l.weight.copy(), l.bias.copy()) for l in model.layers]
     version = model.param_version
-    nn.sgd_step(model, grads, eta=0.05)
+    nn.sgd_step(model, eta=0.05)
     assert model.param_version == version + 1
-    for (w0, b0), layer, grad in zip(before, model.layers, grads):
-        assert np.array_equal(layer.weight, w0 - 0.05 * grad.d_weight)
-        assert np.array_equal(layer.bias, b0 - 0.05 * grad.d_bias)
+    for (w0, b0), layer, (d_weight, d_bias) in zip(before, model.layers, grads):
+        assert np.array_equal(layer.weight, w0 - 0.05 * d_weight)
+        assert np.array_equal(layer.bias, b0 - 0.05 * d_bias)
 
 
 def test_average_models_matches_elementwise_mean():
@@ -444,7 +446,7 @@ def test_every_array_stays_in_the_model_dtype(dtype):
     grads, d_input = nn.backward(model, tape, np.ones(out.shape, dtype=dtype))
     arrays = [out, d_input, nn.predict(model, x), *tape.inputs, *tape.postacts]
     arrays += [a for grad in grads for a in (grad.d_weight, grad.d_bias)]
-    nn.sgd_step(model, grads, eta=0.1)
+    nn.sgd_step(model, eta=0.1)
     averaged = nn.average_models([model, model.clone()])
     arrays += [a for m in (model, averaged) for layer in m.layers
                for a in (layer.weight, layer.bias)]
@@ -473,9 +475,6 @@ def test_dtype_mismatches_raise():
     out, tape = nn.forward(narrow, x.astype(np.float32))
     with pytest.raises(ValueError, match="d_output is float64"):
         nn.backward(narrow, tape, np.ones(out.shape))
-    wide_grads, _ = nn.backward(wide, nn.forward(wide, x)[1], np.ones(out.shape))
-    with pytest.raises(ValueError, match="d_weight is float64"):
-        nn.sgd_step(narrow, wide_grads, eta=0.1)
     with pytest.raises(ValueError, match="dtype"):
         nn.MlpModel([narrow.layers[0], wide.layers[1]])
     with pytest.raises(ValueError, match="bias is float64"):

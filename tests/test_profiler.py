@@ -30,7 +30,6 @@ from splitbus.profiler import (
     fit_power_law,
     memory_bound,
     message_seconds,
-    model_memory_bytes,
     predict_times,
     read_profile,
     run_calibration,
@@ -38,7 +37,7 @@ from splitbus.profiler import (
     DEFAULT_BATCH_SWEEP,
 )
 
-from oracles import mp_stage_time, realistic_constants
+from oracles import model_memory_bytes, mp_stage_time, realistic_constants
 
 SWEEP = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
@@ -218,7 +217,8 @@ class TestMemoryModel:
         ]
         relu = nn.Activation.RELU
         passive, active, top = small_models()
-        narrow = [nn.init_mlp(m.layer_dims(), [relu, relu], seed=1, dtype=np.float32)
+        narrow = [nn.init_mlp([m.in_dim] + [layer.weight.shape[1] for layer in m.layers],
+                              [relu, relu], seed=1, dtype=np.float32)
                   for m in (passive, active)]
         wide_c = build_constants(samples, passive, active, top)
         narrow_c = build_constants(samples, *narrow, top)

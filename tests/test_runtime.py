@@ -671,6 +671,26 @@ class TestChannels:
         assert summary.total_batch_retries > 0
         assert summary.total_evictions <= summary.total_batch_retries
 
+    @pytest.mark.parametrize("mode, workers, transport, timing", [
+        (Mode.LOCKSTEP, 1, "thread", {}),
+        # The active party outlasts the passive deadline, so passive retries
+        # republish embeddings that the active party has not yet taken.
+        (Mode.ASYNC_PS, 2, "process",
+         dict(deadline_seconds=0.003, skew_active_seconds=0.006, lookahead=4)),
+    ])
+    def test_run_totals_are_the_epoch_counters(self, mode, workers, transport, timing):
+        train, _ = vertical_pair(n=800, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=mode, batch_size=32, workers_active=workers, workers_passive=workers,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE, max_retries=6, **timing,
+        )
+        result = run_training(train, None, cfg)
+        summary = result.summary
+        assert summary.transport == transport
+        assert summary.total_bytes_published == result.epochs[-1].bytes_published > 0
+        assert summary.total_evictions == sum(row.evictions for row in result.epochs)
+        assert (summary.total_evictions > 0) == bool(timing)
+
 
 class TestCriticalPath:
     def test_active_bottom_forward_runs_before_embedding_wait(self, monkeypatch):
