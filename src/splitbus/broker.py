@@ -15,16 +15,16 @@ Payload bytes are accounted as :func:`payload_byte_size`: a (rows, cols)
 header of two uint64 plus the row-major float64 payload, the size of the
 message whichever way it travels.
 
-When the two parties run in two processes, each process holds the run's
-broker and each channel lives in the process of its consumer.  A broker
-connected to a peer (:meth:`Broker.connect`) hands publishes of the peer's
-kind to the link, which writes them into a shared-memory slot of the peer
-(:class:`splitbus.transport.Mailbox`).  A channel of the other kind is fed
-from this process's slots: a subscribe first pulls the slot's newest
-message into the channel, counted there as published (and any message it
-overwrote unread as published and evicted), and then consumes as usual;
-:meth:`Broker.stats` and :meth:`Broker.flush_all` pull every slot first,
-and :meth:`Broker.stats` adds the counters the peer last reported.
+When the two parties run in two processes, each process holds a copy of
+the run's broker, and :meth:`Broker.connect` keeps in it only the channels
+of the kind that process consumes.  Publishes of the other kind go to the
+link, which writes them into a shared-memory slot of the peer
+(:class:`splitbus.transport.Mailbox`); a subscribe to that kind raises
+``KeyError``.  A kept channel is fed from this process's slots: a subscribe
+first pulls the slot's newest message into the channel, counted there as
+published (and any message it overwrote unread as published and evicted),
+and then consumes as usual; :meth:`Broker.stats` and :meth:`Broker.flush_all`
+pull every slot first, and :meth:`Broker.stats` adds the peer's last counters.
 """
 
 from __future__ import annotations
@@ -201,27 +201,26 @@ class Broker:
             self._channels[(MessageKind.EMBEDDING, batch_id)] = ChannelBuffer(embed_capacity)
             self._channels[(MessageKind.GRADIENT, batch_id)] = ChannelBuffer(grad_capacity)
         self._link = None  # a peer process's link; see connect()
-        self._remote_kind: MessageKind | None = None
-        self._peer_fed: MessageKind | None = None
+        self._inbound: MessageKind | None = None  # the kind the peer feeds; see connect()
         self._peer_stats: BrokerStats | None = None
 
-    def connect(self, link, remote_kind: MessageKind) -> None:
-        """Send publishes of ``remote_kind`` to the peer process through ``link``,
-        and feed this process's channels of the other kind from it.
+    def connect(self, link) -> None:
+        """Feed this process's channels of ``link.inbound`` from the peer
+        process, send publishes of the other kind to it through ``link``, and
+        drop this process's channels of that other kind, which the peer holds.
 
-        The hooks: ``link.send(message)`` writes a message into the peer's
-        slot; ``link.pull(kind, batch_id, channel)`` moves the newest unread
+        The hooks: ``link.inbound`` is the kind this process consumes;
+        ``link.send(message)`` writes a message into the peer's slot;
+        ``link.pull(kind, batch_id, channel)`` moves the newest unread
         message of this process's slot into ``channel``;
         ``link.pull_all(kind, channels)`` does so for every batch id;
         ``link.wait(kind, batch_id, channel, deadline)`` blocks until that
         slot has news, ``channel`` closes or the monotonic ``deadline``
         (None: never) passes; ``link.send_close()`` wakes this process's
-        waiters and closes the peer's side.  The peer consumes
-        ``remote_kind``, so those channels stay unused in this process.
+        waiters and closes the peer's side.
         """
-        self._link = link
-        self._remote_kind = remote_kind
-        self._peer_fed = next(kind for kind in MessageKind if kind is not remote_kind)
+        self._link, self._inbound = link, link.inbound
+        self._channels = {key: ch for key, ch in self._channels.items() if key[0] is self._inbound}
 
     def set_peer_stats(self, stats: BrokerStats) -> None:
         """The peer's cumulative channel counters, added into :meth:`stats`."""
@@ -234,7 +233,7 @@ class Broker:
             raise KeyError(f"no {kind.value} channel for batch id {batch_id}") from None
 
     def publish(self, message: ChannelMessage) -> None:
-        if message.kind is self._remote_kind:
+        if self._link is not None and message.kind is not self._inbound:
             self._link.send(message)
         else:
             self._channel(message.kind, message.batch_id).publish(message)
@@ -243,7 +242,7 @@ class Broker:
         self, kind: MessageKind, batch_id: int, timeout: float | None
     ) -> SubscribeResult:
         channel = self._channel(kind, batch_id)
-        if kind is not self._peer_fed:
+        if kind is not self._inbound:
             return channel.consume(timeout)
         start = time.monotonic()
         self._link.pull(kind, batch_id, channel)
@@ -257,7 +256,7 @@ class Broker:
 
     def _pull_all(self) -> None:
         if self._link is not None:
-            kind = self._peer_fed
+            kind = self._inbound
             self._link.pull_all(kind, [self._channels[(kind, b)] for b in range(self.num_channels)])
 
     def flush_all(self) -> int:

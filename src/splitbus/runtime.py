@@ -772,11 +772,11 @@ class _PassiveThread:
 def _transport(passive_in_flight: int) -> str:
     """Where the passive pool runs: ``process`` (a forked child) or ``thread``.
 
-    A second interpreter pays off when the parties can compute at once: the
-    passive party has more than one batch in flight (several workers, or
-    lookahead past one batch).  With one batch in flight the parties mostly
-    take turns, and a child adds only its fork, its reaping and a copy
-    through shared memory per message.  Without ``fork`` every run uses
+    A second interpreter pays off when the passive party has more than one
+    batch in flight (several workers, or lookahead past one batch).  With
+    one, the two bottom models still overlap, but measured on two CPUs a
+    child was never resolvably faster than threads, and it adds its fork and
+    reaping (about 15-20 ms) to every run.  Without ``fork`` every run uses
     threads.
     """
     if passive_in_flight > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -854,7 +854,7 @@ def run_training(
 
     epoch_rows: list[mt.EpochMetrics] = []
     party_rows: list[dict] = []
-    prev_stats = broker.stats()
+    prev_stats = bk.BrokerStats(0, 0, 0, 0, 0, 0, 0)  # a fresh broker has counted nothing
     stopped_early = False
 
     try:

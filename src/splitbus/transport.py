@@ -5,8 +5,8 @@ When the passive party can have more than one batch in flight,
 pool before any runtime thread starts.  The parent keeps the active pool,
 evaluation and the run's :class:`~splitbus.broker.Broker`, and its epoch
 command tells the child whether the epoch ends in an average; the child
-works on its forked copy of that broker.  Each channel lives in the process of its
-consumer: embedding channels in the parent, gradient channels in the child.
+works on its forked copy of that broker.  Each copy keeps only the channels
+its process consumes: embeddings in the parent, gradients in the child.
 The two interpreters no longer share one GIL, so each party's compute can
 use its own core.
 
@@ -39,14 +39,14 @@ killed while holding one still ends the run.
 
 Pipe.  One simplex ``multiprocessing`` pipe per direction carries pickled
 control messages (epoch commands down, epoch results up) and at most one
-close frame; a receiver thread in each process reads it, so that thread
+close command; a receiver thread in each process reads it, so that thread
 wakes a few times per epoch.  Each slot write comes before the producer's
 next control message in program order: when an epoch result arrives, all
 of that epoch's embeddings are already in the parent's slots, and when the
 child reads the parent's end-of-epoch command, all of that epoch's
 gradients are in its slots.  So nothing crosses an epoch boundary, and the
 counters that come back with a result, taken after pulling every slot, are
-complete.  A close frame, or EOF on the pipe (the peer died), fails the
+complete.  A close command, or EOF on the pipe (the peer died), fails the
 receiving side's current epoch through
 :meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
 
@@ -63,8 +63,8 @@ the run.  With fewer than two CPUs, or without ``sched_setaffinity``,
 nothing is pinned; the ``thread`` transport never pins.
 
 Lifetime.  A run starts exactly one child and always reaps it: the parent
-sends a close frame and a stop command, joins the child (killing it if it
-does not exit in time), then joins its receiver thread, which ends at the
+sends a close and a stop command, joins the child (killing it if it does
+not exit in time), then joins its receiver thread, which ends at the
 pipe's EOF.  The fork-context locks and semaphores are unlinked when they
 are made, and the mapping goes with the last reference to it.
 """
@@ -90,7 +90,6 @@ _JOIN_SECONDS = 5.0
 # the peer is gone.
 _LOCK_POLL_SECONDS = 0.1
 
-_CLOSE, _CONTROL = 1, 2
 _KIND_INDEX = {bk.MessageKind.EMBEDDING: 0, bk.MessageKind.GRADIENT: 1}
 # Slot locks per kind; slot b takes lock b % _STRIPES.
 _STRIPES = 8
@@ -268,9 +267,9 @@ class Mailbox:
 class Link:
     """One process's end of the two pipes and of the mailbox, plus its receiver thread.
 
-    ``send``, ``pull``, ``pull_all`` and ``wait`` (the mailbox's) and
-    ``send_close`` are the hooks :meth:`Broker.connect` wants; ``inbound``
-    is the kind this process consumes.  Control messages go out with
+    ``send``, ``pull``, ``pull_all`` and ``wait`` (the mailbox's),
+    ``send_close`` and ``inbound``, the kind this process consumes, are the
+    hooks :meth:`Broker.connect` wants.  Control messages go out with
     :meth:`send_control` and come in through :meth:`recv_control`, which
     returns None once the peer is gone.
     """
@@ -280,7 +279,7 @@ class Link:
         self._tx, self._rx = tx, rx
         self._cpus = cpus  # the receiver thread's share
         self._mailbox = mailbox
-        self._inbound = inbound
+        self.inbound = inbound
         self.peer = peer
         self.send, self.pull, self.pull_all, self.wait = (
             mailbox.write, mailbox.pull, mailbox.pull_all, mailbox.wait)
@@ -314,7 +313,7 @@ class Link:
         ``_gone``, and returns without the send lock or a slot lock,
         which a dead peer may have left held.
         """
-        self._mailbox.wake(self._inbound)
+        self._mailbox.wake(self.inbound)
         if self._gone is not None:
             return
         with self._send_lock:
@@ -322,15 +321,14 @@ class Link:
                 return
             self._close_sent = True
             try:
-                self._tx.send_bytes(bytes([_CLOSE]))
+                self._tx.send(("close",))
             except OSError:
                 pass
 
     def send_control(self, obj) -> None:
-        blob = bytes([_CONTROL]) + pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
         try:
             with self._send_lock:
-                self._tx.send_bytes(blob)
+                self._tx.send(obj)
         except OSError:
             pass  # recv_control reports the dead peer
 
@@ -347,13 +345,13 @@ class Link:
         try:
             while True:
                 try:
-                    frame = self._rx.recv_bytes()
+                    obj = self._rx.recv()
                 except (EOFError, OSError):
                     return
-                if frame[0] == _CLOSE:
+                if obj == ("close",):
                     self._peer_gone(PeerGone(f"the {self.peer} party closed the bus"))
                 else:
-                    self._inbox.put(pickle.loads(memoryview(frame)[1:]))
+                    self._inbox.put(obj)
         finally:  # EOF: the peer exited; anything else is a bug, and waiters must not hang
             self._peer_gone(PeerGone(f"the {self.peer} party's process exited"))
             self._inbox.put(None)
@@ -415,7 +413,7 @@ class PassiveProcess:
         up_tx.close()
         self._link = Link(down_tx, up_rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive",
                           cpus=self.cpus[0])
-        broker.connect(self._link, bk.MessageKind.GRADIENT)
+        broker.connect(self._link)
         self._link.start()
 
     def begin(self, epoch: int, end_sync: bool, shared) -> None:
@@ -457,7 +455,7 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[i
     for end in parent_ends:
         end.close()
     link = Link(*child_ends, mailbox, bk.MessageKind.GRADIENT, peer="active")
-    broker.connect(link, bk.MessageKind.EMBEDDING)
+    broker.connect(link)
     link.start()
     while True:
         command = link.recv_control()

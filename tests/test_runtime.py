@@ -336,6 +336,8 @@ class TestTransports:
         result = run_training(train, None, cfg)
 
         (broker,) = brokers
+        assert set(broker._channels) == {(bk.MessageKind.EMBEDDING, b)
+                                         for b in range(broker.num_channels)}
         stats = broker.stats()
         rows = [b.indices.size for e in range(1, 4) for b in plan_for_epoch(
             train.num_rows, 32, cfg.seed, e).batches]
@@ -365,15 +367,17 @@ class TestTransports:
             assert models_bit_equal(result.final_models[key], ref["models"][key])
 
     def test_retries_supersede_slots_and_every_message_is_counted(self, monkeypatch):
-        # A 2 ms passive skew against a 3 ms deadline: some active waits
-        # expire, the retried batch's embedding overwrites its slot, and the
-        # overwritten message counts as published and evicted.
+        # A 5 ms active skew against a 3 ms deadline: passive waits for
+        # gradients expire, and with two batches in flight per worker the
+        # retried batch's embedding overwrites its slot before the active
+        # side reads it; the overwritten message counts as published and
+        # evicted.
         brokers = capture_brokers(monkeypatch)
         train, _ = vertical_pair(n=800, d=10, seed=5)
         cfg = TrainConfig(
             mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
             learning_rate=0.05, epochs=2, seed=3, shape=SMALL_SHAPE,
-            deadline_seconds=0.003, skew_passive_seconds=0.002, max_retries=6,
+            deadline_seconds=0.003, skew_active_seconds=0.005, lookahead=2, max_retries=6,
         )
         summary = run_training(train, None, cfg).summary
         (broker,) = brokers
@@ -382,6 +386,7 @@ class TestTransports:
         assert stats.conserved(), stats
         assert stats.published == (stats.delivered + stats.evicted + stats.flushed
                                    + stats.dropped_closed + stats.residual)
+        assert stats.evicted > 0
         assert summary.total_evictions == stats.evicted
 
     def test_mailbox_stress_loses_and_duplicates_nothing(self):
@@ -392,8 +397,7 @@ class TestTransports:
         broker = bk.Broker(batches, 1, 1)
         mailbox = tp.Mailbox(batches, 2, 1, readers)
         rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"),
-                       bk.MessageKind.GRADIENT)
+        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"))
         delivered, lock, done = [], threading.Lock(), threading.Event()
 
         def write(w):
@@ -441,8 +445,7 @@ class TestTransports:
         broker = bk.Broker(2, 1, 1)
         mailbox = tp.Mailbox(2, 4, 3, 1)
         rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"),
-                       bk.MessageKind.GRADIENT)
+        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"))
         for fill, batch_id in ((1.0, 0), (2.0, 0), (3.0, 0), (4.0, 1)):
             mailbox.write(bk.ChannelMessage(bk.MessageKind.EMBEDDING, batch_id,
                                             np.full((4, 3), fill, np.float32), (0, 4), 1, 7))
@@ -460,6 +463,38 @@ class TestTransports:
         assert broker.subscribe(bk.MessageKind.EMBEDDING, 1, 0.0).outcome is \
             bk.SubscribeOutcome.EXPIRED
         assert broker.stats().conserved()
+        rx.close()
+        tx.close()
+
+    @pytest.mark.parametrize("inbound", list(bk.MessageKind))
+    def test_a_connected_broker_keeps_only_the_kind_it_consumes(self, inbound):
+        # The peer holds the other kind's channels: a publish of that kind
+        # goes into the peer's slot, and a subscribe to it fails at once
+        # instead of waiting on a channel that nothing feeds.
+        other = next(kind for kind in bk.MessageKind if kind is not inbound)
+        broker = bk.Broker(3, 1, 1)
+        mailbox = tp.Mailbox(3, 2, 1, 1)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker.connect(tp.Link(tx, rx, mailbox, inbound, peer="peer"))
+        assert set(broker._channels) == {(inbound, b) for b in range(3)}
+        raised = []
+
+        def subscribe_other():
+            try:
+                broker.subscribe(other, 0, None)
+            except KeyError as exc:
+                raised.append(str(exc))
+
+        waiter = threading.Thread(target=subscribe_other, daemon=True)
+        waiter.start()
+        waiter.join(2.0)
+        assert raised == [repr(f"no {other.value} channel for batch id 0")]
+        broker.publish(bk.ChannelMessage(other, 1, np.ones((2, 1)), (0, 2), 0, 0))
+        assert mailbox._seq[tp._KIND_INDEX[other]].tolist() == [0, 1, 0]
+        mailbox.write(bk.ChannelMessage(inbound, 2, np.ones((2, 1)), (0, 2), 0, 0))
+        assert broker.subscribe(inbound, 2, 0.0).outcome is bk.SubscribeOutcome.DELIVERED
+        stats = broker.stats()  # the peer counts the publish it consumes
+        assert (stats.published, stats.delivered) == (1, 1) and stats.conserved()
         rx.close()
         tx.close()
 
@@ -991,7 +1026,7 @@ class TestFailurePlumbing:
         broker = bk.Broker(1, 1, 1)
         mailbox = tp.Mailbox(1, 2, 3, 1)
         link = tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive")
-        broker.connect(link, bk.MessageKind.GRADIENT)
+        broker.connect(link)
         shared = EpochShared(broker, 1)
         link.watch(shared)
         gradient = bk.ChannelMessage(bk.MessageKind.GRADIENT, 0, np.ones((2, 3)), (0, 2), 0, 0)
