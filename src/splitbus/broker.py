@@ -16,24 +16,25 @@ header of two uint64 plus the row-major float64 payload, the size of the
 message whichever way it travels.
 
 When the two parties run in two processes, each process holds a copy of
-the run's broker, and :meth:`Broker.connect` keeps in it only the channels
-of the kind that process consumes.  Publishes of the other kind go to the
-link, which writes them into a shared-memory slot of the peer
-(:class:`splitbus.transport.Mailbox`); a subscribe to that kind raises
-``KeyError``.  A kept channel is fed from this process's slots: a subscribe
-first pulls the slot's newest message into the channel, counted there as
-published (and any message it overwrote unread as published and evicted),
-and then consumes as usual; :meth:`Broker.stats` and :meth:`Broker.flush_all`
-pull every slot first, and :meth:`Broker.stats` adds the peer's last counters.
+the run's broker, connected by :meth:`Broker.connect` to a shared-memory
+mailbox (:class:`splitbus.transport.Mailbox`) that holds one slot per kind
+and batch id.  A connected broker builds no channels: every publish is
+written into its slot, a subscribe to the kind this process consumes takes
+the slot's newest message, and a subscribe to the other kind raises
+``KeyError``.  The mailbox counts each slot as a channel of capacity one,
+so a message overwritten unread is published and evicted, and keeps the
+counters in the shared region, so :meth:`Broker.stats` of either process
+counts both.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import threading
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,14 +107,9 @@ class ChannelBuffer:
         self.counters = _ChannelCounters()
         self._closed = False
 
-    def publish(self, message: ChannelMessage, superseded: int = 0) -> None:
-        """Buffer ``message``; ``superseded`` more of its size were overwritten
-        before they reached the channel, and count as published and evicted."""
-        size = payload_byte_size(*message.payload.shape)
+    def publish(self, message: ChannelMessage) -> None:
         with self._cond:
-            self.counters.published += 1 + superseded
-            self.counters.evicted += superseded
-            self.counters.bytes_published += superseded * size
+            self.counters.published += 1
             if self._closed:
                 self.counters.dropped_closed += 1
                 return
@@ -123,7 +119,7 @@ class ChannelBuffer:
                 self._messages.pop(0)
                 self.counters.evicted += 1
             self._messages.append(message)
-            self.counters.bytes_published += size
+            self.counters.bytes_published += payload_byte_size(*message.payload.shape)
             self._cond.notify_all()
 
     def consume(self, timeout: float | None) -> SubscribeResult:
@@ -164,10 +160,6 @@ class ChannelBuffer:
             self._closed = True
             self._cond.notify_all()
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def size(self) -> int:
         with self._cond:
             return len(self._messages)
@@ -196,35 +188,29 @@ class Broker:
         if num_channels < 1:
             raise ValueError("need at least one channel")
         self.num_channels = num_channels
-        self._channels: dict[tuple[MessageKind, int], ChannelBuffer] = {}
-        for batch_id in range(num_channels):
-            self._channels[(MessageKind.EMBEDDING, batch_id)] = ChannelBuffer(embed_capacity)
-            self._channels[(MessageKind.GRADIENT, batch_id)] = ChannelBuffer(grad_capacity)
+        self._capacity = {MessageKind.EMBEDDING: embed_capacity,
+                          MessageKind.GRADIENT: grad_capacity}
         self._link = None  # a peer process's link; see connect()
-        self._inbound: MessageKind | None = None  # the kind the peer feeds; see connect()
-        self._peer_stats: BrokerStats | None = None
+        self._inbound: MessageKind | None = None  # the kind this process consumes; see connect()
+
+    @functools.cached_property
+    def _channels(self) -> dict[tuple[MessageKind, int], ChannelBuffer]:
+        """Built on first use; a connected broker has none."""
+        return {(kind, batch_id): ChannelBuffer(self._capacity[kind])
+                for batch_id in range(self.num_channels) for kind in MessageKind}
 
     def connect(self, link) -> None:
-        """Feed this process's channels of ``link.inbound`` from the peer
-        process, send publishes of the other kind to it through ``link``, and
-        drop this process's channels of that other kind, which the peer holds.
+        """Serve this broker from a mailbox shared with the peer process.
 
-        The hooks: ``link.inbound`` is the kind this process consumes;
-        ``link.send(message)`` writes a message into the peer's slot;
-        ``link.pull(kind, batch_id, channel)`` moves the newest unread
-        message of this process's slot into ``channel``;
-        ``link.pull_all(kind, channels)`` does so for every batch id;
-        ``link.wait(kind, batch_id, channel, deadline)`` blocks until that
-        slot has news, ``channel`` closes or the monotonic ``deadline``
-        (None: never) passes; ``link.send_close()`` wakes this process's
-        waiters and closes the peer's side.
+        Call it before any other method.  The hooks: ``link.inbound`` is the
+        kind this process consumes; ``link.send(message)`` writes a message
+        into its slot; ``link.read(kind, batch_id, timeout)`` takes a slot's
+        newest unread message as :meth:`ChannelBuffer.consume` would;
+        ``link.flush(kind)`` drops every unread message of that kind;
+        ``link.stats()`` counts every slot, the peer's too; and
+        ``link.send_close()`` closes this process's side and the peer's.
         """
-        self._link, self._inbound = link, link.inbound
-        self._channels = {key: ch for key, ch in self._channels.items() if key[0] is self._inbound}
-
-    def set_peer_stats(self, stats: BrokerStats) -> None:
-        """The peer's cumulative channel counters, added into :meth:`stats`."""
-        self._peer_stats = stats
+        self._link, self._inbound, self._channels = link, link.inbound, {}
 
     def _channel(self, kind: MessageKind, batch_id: int) -> ChannelBuffer:
         try:
@@ -233,7 +219,7 @@ class Broker:
             raise KeyError(f"no {kind.value} channel for batch id {batch_id}") from None
 
     def publish(self, message: ChannelMessage) -> None:
-        if self._link is not None and message.kind is not self._inbound:
+        if self._link is not None:
             self._link.send(message)
         else:
             self._channel(message.kind, message.batch_id).publish(message)
@@ -241,26 +227,13 @@ class Broker:
     def subscribe(
         self, kind: MessageKind, batch_id: int, timeout: float | None
     ) -> SubscribeResult:
-        channel = self._channel(kind, batch_id)
-        if kind is not self._inbound:
-            return channel.consume(timeout)
-        start = time.monotonic()
-        self._link.pull(kind, batch_id, channel)
-        result = channel.consume(0.0)
-        if result.outcome is SubscribeOutcome.EXPIRED and timeout != 0.0:
-            deadline = None if timeout is None else start + timeout
-            self._link.wait(kind, batch_id, channel, deadline)
-            result = channel.consume(0.0)
-        result.waited_seconds = time.monotonic() - start
-        return result
-
-    def _pull_all(self) -> None:
-        if self._link is not None:
-            kind = self._inbound
-            self._link.pull_all(kind, [self._channels[(kind, b)] for b in range(self.num_channels)])
+        if kind is self._inbound and 0 <= batch_id < self.num_channels:
+            return self._link.read(kind, batch_id, timeout)
+        return self._channel(kind, batch_id).consume(timeout)
 
     def flush_all(self) -> int:
-        self._pull_all()
+        if self._link is not None:
+            return self._link.flush(self._inbound)
         return sum(channel.flush() for channel in self._channels.values())
 
     def close(self) -> None:
@@ -270,7 +243,8 @@ class Broker:
             self._link.send_close()
 
     def stats(self) -> BrokerStats:
-        self._pull_all()
+        if self._link is not None:
+            return self._link.stats()
         published = delivered = evicted = flushed = dropped = residual = nbytes = 0
         for channel in self._channels.values():
             with channel._cond:
@@ -281,7 +255,4 @@ class Broker:
                 dropped += channel.counters.dropped_closed
                 residual += len(channel._messages)
                 nbytes += channel.counters.bytes_published
-        local = BrokerStats(published, delivered, evicted, flushed, dropped, residual, nbytes)
-        if self._peer_stats is None:
-            return local
-        return BrokerStats(*(a + b for a, b in zip(astuple(local), astuple(self._peer_stats))))
+        return BrokerStats(published, delivered, evicted, flushed, dropped, residual, nbytes)

@@ -205,7 +205,7 @@ def active_step(
         raise TrainingAbort("non-finite training loss")
     _, d_top_input = nn.backward(top, tape_top, d_logits)
     cut = z_active.shape[1]
-    send_gradient(np.ascontiguousarray(d_top_input[:, cut:]))
+    send_gradient(d_top_input[:, cut:])
     bottom_backward(bottom, tape_bottom, d_top_input[:, :cut])
     nn.sgd_step(top, eta)
     nn.sgd_step(bottom, eta)
@@ -705,7 +705,6 @@ class EpochResult:
     snapshot: list[nn.MlpModel] | None = None  # one averaged model per replica group
     noise_reports: Sequence[NoiseReport] = ()  # cumulative
     syncs: int = 0  # the party server's syncs so far
-    channel_stats: bk.BrokerStats | None = None  # filled in by the process transport
 
 
 @dataclass

@@ -5,34 +5,33 @@ When the passive party can have more than one batch in flight,
 pool before any runtime thread starts.  The parent keeps the active pool,
 evaluation and the run's :class:`~splitbus.broker.Broker`, and its epoch
 command tells the child whether the epoch ends in an average; the child
-works on its forked copy of that broker.  Each copy keeps only the channels
-its process consumes: embeddings in the parent, gradients in the child.
-The two interpreters no longer share one GIL, so each party's compute can
-use its own core.
+works on its forked copy of that broker.  Both copies are connected to
+one mailbox and build no channels: the parent reads embeddings from it, the
+child gradients.  The two interpreters no longer share one GIL, so each
+party's compute can use its own core.
 
 Mailbox.  Cut-layer messages do not cross the pipe.  Before the fork,
 :class:`Mailbox` maps one anonymous shared region (it has no name under
 ``/dev/shm``, and the child inherits it) holding one slot per (kind, batch
-id): a header (sequence number, rows, sample range, parameter version,
-sender worker, publish time) and a (rows, cut width) float64 payload.  A
-publish for the peer writes the slot under a fork-context lock and bumps
-the slot's sequence number.  Each kind has eight locks, slot b taking lock
+id): a header (the slot's counters, then the rows, sample range, parameter
+version, sender worker and publish time of its message) and a (rows, cut
+width) float64 payload.  A publish writes the slot under a fork-context lock and
+bumps its sequence number.  Each kind has eight locks, slot b taking lock
 b % 8: a thread that loses the CPU (or the interpreter lock) while it holds
 one then stalls only the slots of its stripe, not every read and write of
-the other process.  A subscribe on a channel the peer feeds compares the
-slot's sequence number with the last one this process read, without a
-lock; if it moved, it copies the payload out under the slot's lock and
-publishes it into the local channel, which counts it as published and then
-delivered, and any message the slot overwrote unread as published and
-evicted, so the newest message wins as in a local channel.  So no thread of
-the consumer wakes per message but the one that takes it.
+the other process.  The slot is the channel, of capacity one: a subscribe
+compares the slot's sequence number with the last one this process read,
+without a lock, and if it moved, builds the message from the slot under
+its lock, counting any message the slot overwrote unread as evicted.  So
+no thread of the consumer wakes per message but the one that takes it.
 
 A subscriber that must wait takes one of its process's ``multiprocessing``
 semaphores for its kind, writes the batch id it waits for beside that
 semaphore's entry in the region's sleeper table, and blocks on it.  A
 publisher posts only the semaphores registered for its slot, so there is no
 post on the hot path when nobody waits, and a post never goes to a thread
-that waits for another batch.  Closing the local bus posts every semaphore
+that waits for another batch.  Closing the local bus marks its kind
+closed, so later writes of it count as dropped, and posts every semaphore
 of the kind, so each sleeper sees the close.  Every acquire of a slot lock
 waits in short timeouts and gives up once the peer is gone, so a peer
 killed while holding one still ends the run.
@@ -44,9 +43,9 @@ wakes a few times per epoch.  Each slot write comes before the producer's
 next control message in program order: when an epoch result arrives, all
 of that epoch's embeddings are already in the parent's slots, and when the
 child reads the parent's end-of-epoch command, all of that epoch's
-gradients are in its slots.  So nothing crosses an epoch boundary, and the
-counters that come back with a result, taken after pulling every slot, are
-complete.  A close command, or EOF on the pipe (the peer died), fails the
+gradients are in its slots.  So nothing crosses an epoch boundary, and
+once a result is in, the slots' counters hold still until the next epoch
+command.  A close command, or EOF on the pipe (the peer died), fails the
 receiving side's current epoch through
 :meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
 
@@ -71,6 +70,7 @@ are made, and the mapping goes with the last reference to it.
 
 from __future__ import annotations
 
+import array
 import mmap
 import multiprocessing
 import os
@@ -90,12 +90,16 @@ _JOIN_SECONDS = 5.0
 # the peer is gone.
 _LOCK_POLL_SECONDS = 0.1
 
-_KIND_INDEX = {bk.MessageKind.EMBEDDING: 0, bk.MessageKind.GRADIENT: 1}
+_KINDS = (bk.MessageKind.EMBEDDING, bk.MessageKind.GRADIENT)  # .index() hashes no enum
 # Slot locks per kind; slot b takes lock b % _STRIPES.
 _STRIPES = 8
-# int64 words of a slot header: sequence number, rows, sample range (2),
-# parameter version, sender worker, publish time (monotonic ns), padding.
-_HEAD = 8
+# Words of a slot header, all int64.  The counters come first: writes that
+# landed (the sequence number), the last sequence number its consumer read,
+# the messages it delivered, evicted and flushed, the writes dropped once it
+# closed, and the bytes landed.  Then the newest message's rows, sample range
+# (2), parameter version, sender worker and publish time (monotonic ns).
+_SEQ, _READ, _DELIVERED, _EVICTED, _FLUSHED, _DROPPED, _BYTES, _ROWS = range(8)
+_HEAD = _ROWS + 6
 
 
 class PeerGone(RuntimeError):
@@ -131,8 +135,8 @@ def pin_thread(cpus: Sequence[int]) -> None:
 class Mailbox:
     """Shared-memory slots for the cut-layer messages of one forked run.
 
-    Made before the fork, so parent and child map the same region.  Each
-    process keeps its own record of the sequence numbers it has read, its
+    Made before the fork, so parent and child map the same region, counters
+    included: either process can count every slot.  Each process keeps its
     own free list of wake-up semaphores and its own ``peer_gone`` flag,
     which its :class:`Link` sets.  Up to ``waiters`` threads per process
     may wait at once.
@@ -141,16 +145,19 @@ class Mailbox:
     def __init__(self, num_batches: int, rows: int, cols: int, waiters: int):
         ctx = multiprocessing.get_context("fork")
         self._rows, self._cols = rows, cols
-        words = _HEAD + rows * cols
-        table = -(-2 * waiters // _HEAD) * _HEAD  # the sleeper table, padded to a slot header
-        region = mmap.mmap(-1, 8 * (table + 2 * num_batches * words))
+        stride = _HEAD + rows * cols
+        table = 2 * waiters + 2  # the sleeper table, then one closed flag per kind
+        region = mmap.mmap(-1, 8 * (table + 2 * num_batches * stride))
         flat = np.frombuffer(region, dtype=np.int64)
-        self._waiting_for = flat[: 2 * waiters].reshape(2, waiters)  # batch id, or -1
-        self._waiting_for[:] = -1
-        self._slots = flat[table:].reshape(2, num_batches, words)
-        self._seq = self._slots[:, :, 0]
-        self._payload = self._slots.view(np.float64)[:, :, _HEAD:]
-        self._read = [[0] * num_batches, [0] * num_batches]  # per process
+        flat[: 2 * waiters] = -1
+        words = memoryview(region).cast("q")
+        self._sleepers = [words[k * waiters: (k + 1) * waiters] for k in range(2)]  # batch ids
+        self._closed = words[2 * waiters: table]
+        heads = [words[o: o + _HEAD] for o in range(table, len(words), stride)]
+        self._heads = [heads[:num_batches], heads[num_batches:]]
+        self._slots = flat[table:].reshape(2, num_batches, stride)  # for passes over every slot
+        payloads = self._slots.view(np.float64)[:, :, _HEAD:]
+        self._payloads = [[p.reshape(rows, cols) for p in payloads[k]] for k in range(2)]
         self._locks = [[ctx.Lock() for _ in range(_STRIPES)] for _ in range(2)]
         self._wake = [[ctx.Semaphore(0) for _ in range(waiters)] for _ in range(2)]
         self._free = [list(range(waiters)), list(range(waiters))]
@@ -168,8 +175,9 @@ class Mailbox:
         return True
 
     def write(self, message: bk.ChannelMessage) -> None:
-        """Put ``message`` into its slot, over any message there, and wake its waiter."""
-        k, rows, cols = _KIND_INDEX[message.kind], *message.payload.shape
+        """Put ``message`` into its slot, over any message there, and wake its
+        waiter; once the slot's consumer has closed, count it as dropped."""
+        k, rows, cols = _KINDS.index(message.kind), *message.payload.shape
         if cols != self._cols or rows > self._rows:
             raise ValueError(f"a {rows}x{cols} payload does not fit a "
                              f"{self._rows}x{self._cols} slot")
@@ -177,97 +185,121 @@ class Mailbox:
         if not self._acquire(lock):
             return  # the peer died; nothing will read the message
         try:
-            self._store(k, message)
-            woken = [s for s, b in enumerate(self._waiting_for[k].tolist())
-                     if b == message.batch_id]
-            for s in woken:
-                self._waiting_for[k, s] = -1
+            woken = self._store(k, message)
         finally:
             lock.release()
         for s in woken:
             self._wake[k][s].release()
 
-    def _store(self, k: int, message: bk.ChannelMessage) -> None:
-        b = message.batch_id
-        rows, cols = message.payload.shape
-        np.copyto(self._payload[k, b, : rows * cols].reshape(rows, cols), message.payload)
-        slot = self._slots[k, b]
-        slot[1:7] = (rows, *message.sample_range, message.param_version,
-                     message.sender_worker, time.monotonic_ns())
-        slot[0] += 1
+    def _store(self, k: int, message: bk.ChannelMessage) -> list[int]:
+        """Under the slot's lock: write ``message``; returns the sleepers to wake."""
+        b, payload = message.batch_id, message.payload
+        head = self._heads[k][b]
+        if self._closed[k]:
+            head[_DROPPED] += 1
+            return []
+        self._payloads[k][b][: len(payload)] = payload
+        head[_ROWS:] = array.array("q", (len(payload), *message.sample_range,
+                                         message.param_version, message.sender_worker,
+                                         time.monotonic_ns()))
+        head[_BYTES] += bk.payload_byte_size(len(payload), self._cols)
+        head[_SEQ] += 1
+        sleepers = self._sleepers[k]
+        woken = [s for s, waits_for in enumerate(sleepers.tolist()) if waits_for == b]
+        for s in woken:
+            sleepers[s] = -1
+        return woken
 
-    def _take(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer) -> bool:
-        """Under the slot's lock: publish slot ``b``'s message into ``channel`` if it is unread."""
-        k = _KIND_INDEX[kind]
-        seq, rows, start, stop, version, sender, stamp = self._slots[k, b, :7].tolist()
-        unread = seq - self._read[k][b]
-        if not unread:
-            return False
-        self._read[k][b] = seq
-        payload = self._payload[k, b, : rows * self._cols].reshape(rows, self._cols).copy()
-        message = bk.ChannelMessage(kind, b, payload, (start, stop), sender, version, stamp / 1e9)
-        channel.publish(message, superseded=unread - 1)
-        return True
-
-    def pull(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer) -> None:
-        """Move slot ``b``'s unread message, if any, into ``channel``."""
-        k = _KIND_INDEX[kind]
-        if self._seq[k, b] == self._read[k][b]:
-            return  # nothing new; a stale read only defers the message to the next pull
+    def _take(self, k: int, b: int, tally: int, sleeper: int | None = None):
+        """Under the slot's lock, taken here: slot ``b``'s message if it is
+        unread, counted in header word ``tally`` (the unread ones it overwrote
+        count as evicted); else register ``sleeper``, if given, with the slot."""
         lock = self._lock(k, b)
-        if self._acquire(lock):
-            try:
-                self._take(kind, b, channel)
-            finally:
-                lock.release()
+        if not self._acquire(lock):
+            return None
+        try:
+            head = self._heads[k][b]
+            seq, read = head[_SEQ], head[_READ]
+            if seq == read:
+                if sleeper is not None:
+                    self._sleepers[k][sleeper] = b
+                return None
+            rows, start, stop, version, sender, stamp = head[_ROWS:].tolist()
+            head[_READ] = seq
+            head[tally] += 1
+            head[_EVICTED] += seq - read - 1
+            payload = self._payloads[k][b][:rows].copy()
+        finally:
+            lock.release()
+        return bk.ChannelMessage(_KINDS[k], b, payload, (start, stop), sender, version, stamp / 1e9)
 
-    def pull_all(self, kind: bk.MessageKind, channels: list[bk.ChannelBuffer]) -> None:
-        k = _KIND_INDEX[kind]
-        for b in np.flatnonzero(self._seq[k] != self._read[k]).tolist():
-            self.pull(kind, b, channels[b])
+    def read(self, kind: bk.MessageKind, b: int, timeout: float | None) -> bk.SubscribeResult:
+        """Take slot ``b``'s unread message, waiting up to ``timeout`` seconds
+        (None: forever) for one unless this process's side closes.
 
-    def wait(self, kind: bk.MessageKind, b: int, channel: bk.ChannelBuffer,
-             deadline: float | None) -> None:
-        """Block until slot ``b`` has news (moved into ``channel``), ``channel``
-        closes, or the monotonic ``deadline`` (None: never) passes.
-
-        The thread registers the slot it waits for beside a semaphore of its
-        own, and a publisher posts exactly the semaphores registered for its
-        slot, so a post never wakes a thread that waits for another batch.
-        A registration left behind by a timeout costs its semaphore's next
-        user one spurious wake-up, after which it checks its slot again.
+        A waiting thread registers the slot beside a semaphore of its own,
+        and a writer posts exactly the semaphores registered for its slot, so
+        a post never wakes a thread that waits for another batch.  A
+        registration left behind by a timeout costs its semaphore's next user
+        one spurious wake-up, after which it checks its slot again.
         """
-        k = _KIND_INDEX[kind]
-        lock = self._lock(k, b)
+        start, k = time.monotonic(), _KINDS.index(kind)
+        head = self._heads[k][b]  # read without the lock: a stale read only defers the message
+        message = self._take(k, b, _DELIVERED) if head[_SEQ] != head[_READ] else None
+        if message is None and timeout != 0.0:
+            message = self._wait(k, b, None if timeout is None else start + timeout)
+        outcome = (bk.SubscribeOutcome.DELIVERED if message is not None else
+                   bk.SubscribeOutcome.CLOSED if self._closed[k] else bk.SubscribeOutcome.EXPIRED)
+        return bk.SubscribeResult(outcome, message, time.monotonic() - start)
+
+    def _wait(self, k: int, b: int, deadline: float | None) -> bk.ChannelMessage | None:
         with self._free_lock:
             s = self._free[k].pop()
         try:
-            while not channel.closed:
+            while not self._closed[k]:
                 left = None if deadline is None else deadline - time.monotonic()
-                if (left is not None and left <= 0.0) or not self._acquire(lock):
-                    return
-                try:
-                    if self._take(kind, b, channel):
-                        return
-                    self._waiting_for[k, s] = b
-                finally:
-                    lock.release()
+                if left is not None and left <= 0.0:
+                    return None
+                message = self._take(k, b, _DELIVERED, sleeper=s)
+                if message is not None or self.peer_gone:
+                    return message
                 self._wake[k][s].acquire(True, left)
+            return None
         finally:
             with self._free_lock:
                 self._free[k].append(s)
 
-    def wake(self, kind: bk.MessageKind) -> None:
-        """Wake every thread of this process that waits on ``kind``, without
-        a slot lock; each sees its closed channel and returns."""
-        for semaphore in self._wake[_KIND_INDEX[kind]]:
+    def flush(self, kind: bk.MessageKind) -> int:
+        """Drop every unread message of ``kind``: each slot's newest counts as
+        flushed, the ones it overwrote as evicted.  Returns the flushed count."""
+        k = _KINDS.index(kind)
+        unread = self._slots[k, :, _SEQ] != self._slots[k, :, _READ]
+        return sum(self._take(k, b, _FLUSHED) is not None
+                   for b in np.flatnonzero(unread).tolist())
+
+    def stats(self) -> bk.BrokerStats:
+        """The counters of every slot of both kinds, each slot a channel of
+        capacity one: its newest unread message is residual, and the unread
+        ones that message overwrote are evicted."""
+        counts = self._slots[:, :, :_ROWS].reshape(-1, _ROWS)
+        residual = int(np.count_nonzero(counts[:, _SEQ] != counts[:, _READ]))
+        landed, read, delivered, evicted, flushed, dropped, nbytes = counts.sum(axis=0).tolist()
+        return bk.BrokerStats(landed + dropped, delivered, evicted + landed - read - residual,
+                              flushed, dropped, residual, nbytes)
+
+    def close(self, kind: bk.MessageKind) -> None:
+        """Mark ``kind`` closed, so later writes of it count as dropped, and
+        wake every thread of this process that waits on it, without a slot lock."""
+        k = _KINDS.index(kind)
+        self._closed[k] = 1
+        for semaphore in self._wake[k]:
             semaphore.release()
 
 
 class Link:
     """One process's end of the two pipes and of the mailbox, plus its receiver thread.
 
-    ``send``, ``pull``, ``pull_all`` and ``wait`` (the mailbox's),
+    ``send``, ``read``, ``flush`` and ``stats`` (the mailbox's),
     ``send_close`` and ``inbound``, the kind this process consumes, are the
     hooks :meth:`Broker.connect` wants.  Control messages go out with
     :meth:`send_control` and come in through :meth:`recv_control`, which
@@ -281,8 +313,8 @@ class Link:
         self._mailbox = mailbox
         self.inbound = inbound
         self.peer = peer
-        self.send, self.pull, self.pull_all, self.wait = (
-            mailbox.write, mailbox.pull, mailbox.pull_all, mailbox.wait)
+        self.send, self.read, self.flush, self.stats = (
+            mailbox.write, mailbox.read, mailbox.flush, mailbox.stats)
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._close_sent = False
@@ -306,14 +338,14 @@ class Link:
     # -- sending ------------------------------------------------------------
 
     def send_close(self) -> None:
-        """Wake this process's waiters, and close the peer's side of the bus
-        once, unless the peer closed ours.
+        """Close this process's side of the mailbox, which wakes its waiters,
+        and the peer's side of the bus once, unless the peer closed ours.
 
         The receiver thread gets here through :meth:`_peer_gone` after setting
         ``_gone``, and returns without the send lock or a slot lock,
         which a dead peer may have left held.
         """
-        self._mailbox.wake(self.inbound)
+        self._mailbox.close(self.inbound)
         if self._gone is not None:
             return
         with self._send_lock:
@@ -386,7 +418,7 @@ class PassiveProcess:
     """Parent-side handle of the child process that runs the passive party.
 
     ``run_epoch(epoch, end_sync, shared)`` runs in the child and returns an
-    object with ``failure`` and ``channel_stats`` attributes; the child sends
+    object with a ``failure`` attribute; the child sends
     it back once :meth:`finish` says the active side of the epoch is done.
     Every cut-layer message has at most ``rows`` rows and ``cols`` columns,
     the size of a mailbox slot, and neither process runs more than
@@ -401,7 +433,6 @@ class PassiveProcess:
         mailbox = Mailbox(broker.num_channels, rows, cols, waiters)
         down_rx, down_tx = ctx.Pipe(duplex=False)  # parent -> child
         up_rx, up_tx = ctx.Pipe(duplex=False)  # child -> parent
-        self._broker = broker
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
@@ -432,7 +463,6 @@ class PassiveProcess:
                 f"passive party process exited with code {self._process.exitcode} "
                 f"[passive party, epoch {self._epoch}]"
             ))
-        self._broker.set_peer_stats(result.channel_stats)
         return result
 
     def close(self) -> None:
@@ -468,7 +498,6 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[i
         result = run_epoch(epoch, end_sync, shared)
         if link.recv_control() != ("end",):
             return  # the parent stopped or died mid-epoch
-        result.channel_stats = broker.stats()  # every gradient of the epoch is in
         if result.failure is not None:
             result.failure = _portable_failure(result.failure)
         link.send_control(result)

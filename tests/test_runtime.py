@@ -336,8 +336,8 @@ class TestTransports:
         result = run_training(train, None, cfg)
 
         (broker,) = brokers
-        assert set(broker._channels) == {(bk.MessageKind.EMBEDDING, b)
-                                         for b in range(broker.num_channels)}
+        # The parent consumes embeddings straight from their slots and holds no channel.
+        assert broker._inbound is bk.MessageKind.EMBEDDING and broker._channels == {}
         stats = broker.stats()
         rows = [b.indices.size for e in range(1, 4) for b in plan_for_epoch(
             train.num_rows, 32, cfg.seed, e).batches]
@@ -468,15 +468,15 @@ class TestTransports:
 
     @pytest.mark.parametrize("inbound", list(bk.MessageKind))
     def test_a_connected_broker_keeps_only_the_kind_it_consumes(self, inbound):
-        # The peer holds the other kind's channels: a publish of that kind
-        # goes into the peer's slot, and a subscribe to it fails at once
-        # instead of waiting on a channel that nothing feeds.
+        # A connected broker holds no channels: the kind it consumes is read
+        # from its slots, a publish of the other kind goes into the peer's
+        # slot, and a subscribe to that kind fails at once instead of waiting
+        # on a slot that nothing here reads.
         other = next(kind for kind in bk.MessageKind if kind is not inbound)
         broker = bk.Broker(3, 1, 1)
         mailbox = tp.Mailbox(3, 2, 1, 1)
         rx, tx = multiprocessing.Pipe(duplex=False)
         broker.connect(tp.Link(tx, rx, mailbox, inbound, peer="peer"))
-        assert set(broker._channels) == {(inbound, b) for b in range(3)}
         raised = []
 
         def subscribe_other():
@@ -489,14 +489,82 @@ class TestTransports:
         waiter.start()
         waiter.join(2.0)
         assert raised == [repr(f"no {other.value} channel for batch id 0")]
+        with pytest.raises(KeyError, match=f"no {inbound.value} channel for batch id 3"):
+            broker.subscribe(inbound, 3, None)
         broker.publish(bk.ChannelMessage(other, 1, np.ones((2, 1)), (0, 2), 0, 0))
-        assert mailbox._seq[tp._KIND_INDEX[other]].tolist() == [0, 1, 0]
+        assert mailbox._slots[tp._KINDS.index(other), :, tp._SEQ].tolist() == [0, 1, 0]
         mailbox.write(bk.ChannelMessage(inbound, 2, np.ones((2, 1)), (0, 2), 0, 0))
         assert broker.subscribe(inbound, 2, 0.0).outcome is bk.SubscribeOutcome.DELIVERED
-        stats = broker.stats()  # the peer counts the publish it consumes
-        assert (stats.published, stats.delivered) == (1, 1) and stats.conserved()
+        assert mailbox._slots[tp._KINDS.index(inbound), :, tp._READ].tolist() == [0, 0, 1]
+        stats = broker.stats()  # counts the peer's slots too
+        assert (stats.published, stats.delivered, stats.residual) == (2, 1, 1)
+        assert stats.conserved() and broker._channels == {}
         rx.close()
         tx.close()
+
+    @pytest.mark.parametrize("inbound", list(bk.MessageKind))
+    def test_a_write_after_close_is_dropped_on_the_slot_path(self, inbound):
+        broker = bk.Broker(2, 1, 1)
+        mailbox = tp.Mailbox(2, 2, 1, 1)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker.connect(tp.Link(tx, rx, mailbox, inbound, peer="peer"))
+        mailbox.write(bk.ChannelMessage(inbound, 0, np.ones((2, 1)), (0, 2), 0, 0))
+        broker.close()
+        mailbox.write(bk.ChannelMessage(inbound, 1, np.ones((2, 1)), (0, 2), 0, 0))
+        stats = broker.stats()
+        assert (stats.published, stats.dropped_closed, stats.residual) == (2, 1, 1)
+        assert stats.bytes_published == bk.payload_byte_size(2, 1)
+        assert stats.conserved(), stats
+        assert broker.subscribe(inbound, 1, None).outcome is bk.SubscribeOutcome.CLOSED
+        assert broker.stats() == stats
+        rx.close()
+        tx.close()
+
+    def test_flush_all_counts_each_unread_slot_once_and_its_overwritten_messages(self):
+        broker = bk.Broker(3, 1, 1)
+        mailbox = tp.Mailbox(3, 2, 1, 1)
+        rx, tx = multiprocessing.Pipe(duplex=False)
+        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.GRADIENT, peer="active"))
+        for batch_id in (0, 0, 0, 1, 2, 2):
+            mailbox.write(bk.ChannelMessage(bk.MessageKind.GRADIENT, batch_id, np.ones((2, 1)),
+                                            (0, 2), 0, 0))
+        assert broker.subscribe(bk.MessageKind.GRADIENT, 2, 0.0).message is not None
+        assert broker.flush_all() == 2
+        stats = broker.stats()
+        assert (stats.published, stats.delivered, stats.flushed, stats.evicted,
+                stats.residual) == (6, 1, 2, 3, 0)
+        assert stats.conserved(), stats
+        assert broker.flush_all() == 0
+        assert broker.subscribe(bk.MessageKind.GRADIENT, 0, 0.0).outcome is \
+            bk.SubscribeOutcome.EXPIRED
+        rx.close()
+        tx.close()
+
+    @pytest.mark.parametrize("transport, mode, workers, built", [
+        ("thread", Mode.LOCKSTEP, 1, 2 * 4),
+        ("process", Mode.ASYNC_PS, 2, 0),
+    ])
+    def test_only_the_thread_transport_builds_channel_buffers(
+        self, transport, mode, workers, built, monkeypatch
+    ):
+        # 150 training rows at B = 40 are 4 batch ids; a forked child's
+        # buffers would be counted in its own copy of the list, not here.
+        buffers, real_init = [], bk.ChannelBuffer.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            buffers.append(self)
+
+        monkeypatch.setattr(bk.ChannelBuffer, "__init__", counting_init)
+        train, _ = vertical_pair(n=200, d=8, seed=2)
+        cfg = TrainConfig(
+            mode=mode, batch_size=40, workers_active=workers, workers_passive=workers,
+            learning_rate=0.02, epochs=2, seed=1, shape=SMALL_SHAPE,
+        )
+        result = run_training(train, None, cfg)
+        assert result.summary.transport == transport
+        assert bk.channel_count_for(train.num_rows, 40) == 4
+        assert len(buffers) == built
 
 
 ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
@@ -682,9 +750,37 @@ class TestChannels:
             mode=mode, batch_size=50, workers_active=workers, workers_passive=workers,
             learning_rate=0.02, epochs=1, seed=1, shape=SMALL_SHAPE,
         )
-        run_training(train, None, cfg)
+        checked = []
+        real_finish = tp.PassiveProcess.finish
+
+        def checking_finish(self, failed_result):
+            # Between epochs, in the parent: every embedding slot, written
+            # twice, delivers only its newest message and counts the other
+            # as published and evicted.
+            result = real_finish(self, failed_result)
+            (broker,) = brokers
+            before = broker.stats()
+            newest = []
+            for batch_id in range(broker.num_channels):
+                for fill in (1.0, 2.0):
+                    broker.publish(bk.ChannelMessage(
+                        bk.MessageKind.EMBEDDING, batch_id,
+                        np.full((2, SMALL_SHAPE.passive_embed), fill), (0, 2), 0, 0))
+                got = broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, 0.0)
+                newest.append(got.message.payload[0, 0])
+            after, n = broker.stats(), broker.num_channels
+            checked.append((newest == [2.0] * n, after.published - before.published == 2 * n,
+                            after.evicted - before.evicted == n,
+                            after.delivered - before.delivered == n, after.conserved()))
+            return result
+
+        monkeypatch.setattr(tp.PassiveProcess, "finish", checking_finish)
+        transport = run_training(train, None, cfg).summary.transport
         (broker,) = brokers  # a forked child works on a copy of this one
-        assert {channel.capacity for channel in broker._channels.values()} == {1}
+        if transport == "thread":
+            assert {channel.capacity for channel in broker._channels.values()} == {1}
+        else:
+            assert checked == [(True,) * 5] and broker._channels == {}
 
     @pytest.mark.parametrize("mode", [Mode.PUBSUB, Mode.ASYNC_PS])
     def test_skewed_pools_retry_and_account_for_every_message(self, mode, monkeypatch):
