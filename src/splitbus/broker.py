@@ -18,13 +18,13 @@ message whichever way it travels.
 When the two parties run in two processes, each process holds a copy of
 the run's broker, connected by :meth:`Broker.connect` to a shared-memory
 mailbox (:class:`splitbus.transport.Mailbox`) that holds one slot per kind
-and batch id.  A connected broker builds no channels: every publish is
-written into its slot, a subscribe to the kind this process consumes takes
-the slot's newest message, and a subscribe to the other kind raises
-``KeyError``.  The mailbox counts each slot as a channel of capacity one,
-so a message overwritten unread is published and evicted, and keeps the
-counters in the shared region, so :meth:`Broker.stats` of either process
-counts both.
+and batch id.  A connected broker builds no channels and calls the mailbox
+itself: every publish is written into its slot, a subscribe to the kind
+this process consumes takes the slot's newest message, and a subscribe to
+the other kind raises ``KeyError``.  The mailbox counts each slot as a
+channel of capacity one, so a message overwritten unread is published and
+evicted, and keeps the counters in the shared region, so
+:meth:`Broker.stats` of either process counts both.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ import functools
 import math
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +62,7 @@ class ChannelMessage:
     sample_range: tuple[int, int]
     sender_worker: int
     param_version: int
-    # Monotonic clock, stamped by the first publish; a message from the peer
-    # process keeps the peer's stamp (the clock is system-wide).
+    # Monotonic clock, stamped by every publish that lands.
     publish_time: float = 0.0
 
 
@@ -113,8 +113,7 @@ class ChannelBuffer:
             if self._closed:
                 self.counters.dropped_closed += 1
                 return
-            if not message.publish_time:
-                message.publish_time = time.monotonic()
+            message.publish_time = time.monotonic()
             if len(self._messages) == self.capacity:
                 self._messages.pop(0)
                 self.counters.evicted += 1
@@ -190,8 +189,9 @@ class Broker:
         self.num_channels = num_channels
         self._capacity = {MessageKind.EMBEDDING: embed_capacity,
                           MessageKind.GRADIENT: grad_capacity}
-        self._link = None  # a peer process's link; see connect()
-        self._inbound: MessageKind | None = None  # the kind this process consumes; see connect()
+        self._mailbox = None  # shared with a peer process; see connect()
+        self._inbound: MessageKind | None = None  # the kind this process consumes
+        self._notify_peer = None  # tells the peer this side closed
 
     @functools.cached_property
     def _channels(self) -> dict[tuple[MessageKind, int], ChannelBuffer]:
@@ -199,18 +199,16 @@ class Broker:
         return {(kind, batch_id): ChannelBuffer(self._capacity[kind])
                 for batch_id in range(self.num_channels) for kind in MessageKind}
 
-    def connect(self, link) -> None:
-        """Serve this broker from a mailbox shared with the peer process.
+    def connect(self, mailbox, inbound: MessageKind,
+                notify_peer: Callable[[], None] = lambda: None) -> None:
+        """Serve this broker from ``mailbox``, shared with the peer process.
 
-        Call it before any other method.  The hooks: ``link.inbound`` is the
-        kind this process consumes; ``link.send(message)`` writes a message
-        into its slot; ``link.read(kind, batch_id, timeout)`` takes a slot's
-        newest unread message as :meth:`ChannelBuffer.consume` would;
-        ``link.flush(kind)`` drops every unread message of that kind;
-        ``link.stats()`` counts every slot, the peer's too; and
-        ``link.send_close()`` closes this process's side and the peer's.
+        Call it before any other method.  ``inbound`` is the kind this
+        process consumes and flushes.  ``close`` closes ``inbound`` in the
+        mailbox, which wakes its waiters, and then calls ``notify_peer``.
         """
-        self._link, self._inbound, self._channels = link, link.inbound, {}
+        self._mailbox, self._inbound, self._notify_peer = mailbox, inbound, notify_peer
+        self._channels = {}
 
     def _channel(self, kind: MessageKind, batch_id: int) -> ChannelBuffer:
         try:
@@ -219,8 +217,8 @@ class Broker:
             raise KeyError(f"no {kind.value} channel for batch id {batch_id}") from None
 
     def publish(self, message: ChannelMessage) -> None:
-        if self._link is not None:
-            self._link.send(message)
+        if self._mailbox is not None:
+            self._mailbox.write(message)
         else:
             self._channel(message.kind, message.batch_id).publish(message)
 
@@ -228,23 +226,24 @@ class Broker:
         self, kind: MessageKind, batch_id: int, timeout: float | None
     ) -> SubscribeResult:
         if kind is self._inbound and 0 <= batch_id < self.num_channels:
-            return self._link.read(kind, batch_id, timeout)
+            return self._mailbox.read(kind, batch_id, timeout)
         return self._channel(kind, batch_id).consume(timeout)
 
     def flush_all(self) -> int:
-        if self._link is not None:
-            return self._link.flush(self._inbound)
+        if self._mailbox is not None:
+            return self._mailbox.flush(self._inbound)
         return sum(channel.flush() for channel in self._channels.values())
 
     def close(self) -> None:
         for channel in self._channels.values():
             channel.close()
-        if self._link is not None:
-            self._link.send_close()
+        if self._mailbox is not None:
+            self._mailbox.close(self._inbound)
+            self._notify_peer()
 
     def stats(self) -> BrokerStats:
-        if self._link is not None:
-            return self._link.stats()
+        if self._mailbox is not None:
+            return self._mailbox.stats()
         published = delivered = evicted = flushed = dropped = residual = nbytes = 0
         for channel in self._channels.values():
             with channel._cond:

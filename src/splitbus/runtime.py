@@ -744,28 +744,22 @@ class PartySide:
 
 
 class _PassiveThread:
-    """The thread transport: the passive side of each epoch on one thread."""
+    """The thread transport: each passive epoch runs on a one-worker thread pool."""
 
     def __init__(self, side: PartySide):
         self.cpus: tuple[list[int], list[int]] = ([], [])  # one process: nothing to split
         self._side = side
-        self._thread: threading.Thread | None = None
-        self._result: EpochResult | None = None
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="passive-party")
+        self._future = None  # the epoch in flight
 
     def begin(self, epoch: int, end_sync: bool, shared: EpochShared) -> None:
-        def run() -> None:
-            self._result = self._side.run_epoch(epoch, end_sync, shared)
-
-        self._thread = threading.Thread(target=run, name="passive-party")
-        self._thread.start()
+        self._future = self._pool.submit(self._side.run_epoch, epoch, end_sync, shared)
 
     def finish(self, failed_result) -> EpochResult:
-        self._thread.join()
-        return self._result
+        return self._future.result()
 
     def close(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
+        self._pool.shutdown()
 
 
 def _transport(passive_in_flight: int) -> str:

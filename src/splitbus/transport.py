@@ -6,9 +6,9 @@ pool before any runtime thread starts.  The parent keeps the active pool,
 evaluation and the run's :class:`~splitbus.broker.Broker`, and its epoch
 command tells the child whether the epoch ends in an average; the child
 works on its forked copy of that broker.  Both copies are connected to
-one mailbox and build no channels: the parent reads embeddings from it, the
-child gradients.  The two interpreters no longer share one GIL, so each
-party's compute can use its own core.
+one mailbox, call it themselves and build no channels: the parent reads
+embeddings from it, the child gradients.  The two interpreters no longer
+share one GIL, so each party's compute can use its own core.
 
 Mailbox.  Cut-layer messages do not cross the pipe.  Before the fork,
 :class:`Mailbox` maps one anonymous shared region (it has no name under
@@ -36,17 +36,17 @@ of the kind, so each sleeper sees the close.  Every acquire of a slot lock
 waits in short timeouts and gives up once the peer is gone, so a peer
 killed while holding one still ends the run.
 
-Pipe.  One simplex ``multiprocessing`` pipe per direction carries pickled
-control messages (epoch commands down, epoch results up) and at most one
-close command; a receiver thread in each process reads it, so that thread
-wakes a few times per epoch.  Each slot write comes before the producer's
-next control message in program order: when an epoch result arrives, all
-of that epoch's embeddings are already in the parent's slots, and when the
-child reads the parent's end-of-epoch command, all of that epoch's
-gradients are in its slots.  So nothing crosses an epoch boundary, and
-once a result is in, the slots' counters hold still until the next epoch
-command.  A close command, or EOF on the pipe (the peer died), fails the
-receiving side's current epoch through
+Pipe.  One duplex ``multiprocessing`` pipe carries pickled control
+messages (epoch commands down, epoch results up) and at most one close
+command each way; each process keeps one end, and a receiver thread reads
+it, so that thread wakes a few times per epoch.  Each slot write comes
+before the producer's next control message in program order: when an epoch
+result arrives, all of that epoch's embeddings are already in the parent's
+slots, and when the child reads the parent's end-of-epoch command, all of
+that epoch's gradients are in its slots.  So nothing crosses an epoch
+boundary, and once a result is in, the slots' counters hold still until
+the next epoch command.  A close command, or EOF on the pipe (the peer
+died), fails the receiving side's current epoch through
 :meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
 
 Placement.  Separate interpreters only compute at once if the scheduler
@@ -62,8 +62,8 @@ the run.  With fewer than two CPUs, or without ``sched_setaffinity``,
 nothing is pinned; the ``thread`` transport never pins.
 
 Lifetime.  A run starts exactly one child and always reaps it: the parent
-sends a close and a stop command, joins the child (killing it if it does
-not exit in time), then joins its receiver thread, which ends at the
+closes its broker, sends a stop command, joins the child (killing it if it
+does not exit in time), then joins its receiver thread, which ends at the
 pipe's EOF.  The fork-context locks and semaphores are unlinked when they
 are made, and the mapping goes with the last reference to it.
 """
@@ -297,24 +297,19 @@ class Mailbox:
 
 
 class Link:
-    """One process's end of the two pipes and of the mailbox, plus its receiver thread.
+    """One process's end of the control pipe, plus its receiver thread.
 
-    ``send``, ``read``, ``flush`` and ``stats`` (the mailbox's),
-    ``send_close`` and ``inbound``, the kind this process consumes, are the
-    hooks :meth:`Broker.connect` wants.  Control messages go out with
-    :meth:`send_control` and come in through :meth:`recv_control`, which
-    returns None once the peer is gone.
+    Control messages go out with :meth:`send_control` and come in through
+    :meth:`recv_control`, which returns None once the peer is gone and
+    ``mailbox.peer_gone`` is set.  :meth:`send_close` is the broker's
+    ``notify_peer`` hook (:meth:`Broker.connect`).
     """
 
-    def __init__(self, tx, rx, mailbox: Mailbox, inbound: bk.MessageKind, peer: str,
-                 cpus: Sequence[int] = ()):
-        self._tx, self._rx = tx, rx
+    def __init__(self, conn, mailbox: Mailbox, peer: str, cpus: Sequence[int] = ()):
+        self._conn = conn
         self._cpus = cpus  # the receiver thread's share
         self._mailbox = mailbox
-        self.inbound = inbound
         self.peer = peer
-        self.send, self.read, self.flush, self.stats = (
-            mailbox.write, mailbox.read, mailbox.flush, mailbox.stats)
         self._send_lock = threading.Lock()
         self._state_lock = threading.Lock()
         self._close_sent = False
@@ -338,14 +333,11 @@ class Link:
     # -- sending ------------------------------------------------------------
 
     def send_close(self) -> None:
-        """Close this process's side of the mailbox, which wakes its waiters,
-        and the peer's side of the bus once, unless the peer closed ours.
+        """Close the peer's side of the bus once, unless the peer closed ours.
 
         The receiver thread gets here through :meth:`_peer_gone` after setting
-        ``_gone``, and returns without the send lock or a slot lock,
-        which a dead peer may have left held.
+        ``_gone``, and returns without taking the send lock.
         """
-        self._mailbox.close(self.inbound)
         if self._gone is not None:
             return
         with self._send_lock:
@@ -353,14 +345,14 @@ class Link:
                 return
             self._close_sent = True
             try:
-                self._tx.send(("close",))
+                self._conn.send(("close",))
             except OSError:
                 pass
 
     def send_control(self, obj) -> None:
         try:
             with self._send_lock:
-                self._tx.send(obj)
+                self._conn.send(obj)
         except OSError:
             pass  # recv_control reports the dead peer
 
@@ -377,7 +369,7 @@ class Link:
         try:
             while True:
                 try:
-                    obj = self._rx.recv()
+                    obj = self._conn.recv()
                 except (EOFError, OSError):
                     return
                 if obj == ("close",):
@@ -398,11 +390,9 @@ class Link:
             shared.fail(exc)
 
     def close(self) -> None:
-        """Close the sending end and wait for the receiver to see EOF."""
-        with self._send_lock:
-            self._tx.close()
+        """Wait for the receiver to see EOF (the peer has exited), then close this end."""
         self._receiver.join()
-        self._rx.close()
+        self._conn.close()
 
 
 def _portable_failure(exc: BaseException) -> BaseException:
@@ -431,20 +421,17 @@ class PassiveProcess:
         self.cpus = split_cpus()
         ctx = multiprocessing.get_context("fork")
         mailbox = Mailbox(broker.num_channels, rows, cols, waiters)
-        down_rx, down_tx = ctx.Pipe(duplex=False)  # parent -> child
-        up_rx, up_tx = ctx.Pipe(duplex=False)  # child -> parent
+        parent_end, child_end = ctx.Pipe()
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
-            args=(broker, mailbox, run_epoch, self.cpus[1], (up_tx, down_rx),
-                  (down_tx, up_rx)),
+            args=(broker, mailbox, run_epoch, self.cpus[1], child_end, parent_end),
         )
         self._process.start()
-        down_rx.close()
-        up_tx.close()
-        self._link = Link(down_tx, up_rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive",
-                          cpus=self.cpus[0])
-        broker.connect(self._link)
+        child_end.close()
+        self._broker = broker
+        self._link = Link(parent_end, mailbox, peer="passive", cpus=self.cpus[0])
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING, self._link.send_close)
         self._link.start()
 
     def begin(self, epoch: int, end_sync: bool, shared) -> None:
@@ -467,7 +454,7 @@ class PassiveProcess:
 
     def close(self) -> None:
         """Stop the child, reap it, and join the receiver thread."""
-        self._link.send_close()  # ends an epoch the child may still be in
+        self._broker.close()  # ends an epoch the child may still be in
         self._link.send_control(("stop",))
         self._process.join(_JOIN_SECONDS)
         if self._process.exitcode is None:
@@ -477,15 +464,14 @@ class PassiveProcess:
 
 
 def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[int],
-                child_ends, parent_ends) -> None:
+                conn, parent_end) -> None:
     """The child's command loop: one passive epoch per ``("epoch", e, end_sync)``."""
     from .runtime import EpochShared  # runtime imports this module
 
     pin_thread(cpus)  # before any thread starts, so every thread inherits it
-    for end in parent_ends:
-        end.close()
-    link = Link(*child_ends, mailbox, bk.MessageKind.GRADIENT, peer="active")
-    broker.connect(link)
+    parent_end.close()
+    link = Link(conn, mailbox, peer="active")
+    broker.connect(mailbox, bk.MessageKind.GRADIENT, link.send_close)
     link.start()
     while True:
         command = link.recv_control()

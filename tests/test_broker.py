@@ -104,6 +104,16 @@ def test_publish_stamps_monotonic_nondecreasing_times():
     assert all(a <= b for a, b in zip(times, times[1:]))
 
 
+def test_republishing_a_consumed_message_stamps_it_again():
+    channel = bk.ChannelBuffer(capacity=1)
+    message = _msg()
+    channel.publish(message)
+    first = channel.consume(0.0).message.publish_time
+    time.sleep(0.002)
+    channel.publish(message)
+    assert channel.consume(0.0).message.publish_time >= first + 0.002
+
+
 def test_broker_routes_by_kind_and_batch_id():
     broker = bk.Broker(num_channels=3, embed_capacity=2, grad_capacity=2)
     broker.publish(_msg(batch_id=2, kind=bk.MessageKind.EMBEDDING, fill=1.0))

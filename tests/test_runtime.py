@@ -396,8 +396,7 @@ class TestTransports:
         batches, writers, readers, per_writer = 6, 4, 4, 3000
         broker = bk.Broker(batches, 1, 1)
         mailbox = tp.Mailbox(batches, 2, 1, readers)
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"))
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING)
         delivered, lock, done = [], threading.Lock(), threading.Event()
 
         def write(w):
@@ -436,16 +435,13 @@ class TestTransports:
         assert len(delivered) == len(set(delivered)) == stats.delivered > 0
         assert set(delivered) <= {float(t) for t in range(writers * per_writer)}
         assert stats.conserved(), stats
-        rx.close()
-        tx.close()
 
     def test_an_overwritten_slot_counts_as_published_and_evicted(self):
         # The peer's side, written straight into the mailbox: three embeddings
         # for batch 0 before any subscribe, one for batch 1 that nobody takes.
         broker = bk.Broker(2, 1, 1)
         mailbox = tp.Mailbox(2, 4, 3, 1)
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive"))
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING)
         for fill, batch_id in ((1.0, 0), (2.0, 0), (3.0, 0), (4.0, 1)):
             mailbox.write(bk.ChannelMessage(bk.MessageKind.EMBEDDING, batch_id,
                                             np.full((4, 3), fill, np.float32), (0, 4), 1, 7))
@@ -463,8 +459,6 @@ class TestTransports:
         assert broker.subscribe(bk.MessageKind.EMBEDDING, 1, 0.0).outcome is \
             bk.SubscribeOutcome.EXPIRED
         assert broker.stats().conserved()
-        rx.close()
-        tx.close()
 
     @pytest.mark.parametrize("inbound", list(bk.MessageKind))
     def test_a_connected_broker_keeps_only_the_kind_it_consumes(self, inbound):
@@ -475,8 +469,7 @@ class TestTransports:
         other = next(kind for kind in bk.MessageKind if kind is not inbound)
         broker = bk.Broker(3, 1, 1)
         mailbox = tp.Mailbox(3, 2, 1, 1)
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, inbound, peer="peer"))
+        broker.connect(mailbox, inbound)
         raised = []
 
         def subscribe_other():
@@ -499,15 +492,43 @@ class TestTransports:
         stats = broker.stats()  # counts the peer's slots too
         assert (stats.published, stats.delivered, stats.residual) == (2, 1, 1)
         assert stats.conserved() and broker._channels == {}
-        rx.close()
-        tx.close()
+
+    @pytest.mark.parametrize("inbound", list(bk.MessageKind))
+    def test_closing_a_connected_broker_wakes_its_waiter_and_tells_the_peer_once(
+        self, inbound
+    ):
+        # Both PassiveProcess.close and run_training close the parent's
+        # broker; the peer hears of it once.
+        other = next(kind for kind in bk.MessageKind if kind is not inbound)
+        broker = bk.Broker(2, 1, 1)
+        mailbox = tp.Mailbox(2, 2, 1, 1)
+        ours, theirs = multiprocessing.Pipe()
+        broker.connect(mailbox, inbound, tp.Link(ours, mailbox, peer="peer").send_close)
+        results = []
+        waiter = threading.Thread(target=lambda: results.append(
+            broker.subscribe(inbound, 1, None)), daemon=True)
+        waiter.start()
+        sleepers = mailbox._sleepers[tp._KINDS.index(inbound)]
+        deadline = time.monotonic() + 5.0
+        while sleepers.tolist() != [1] and time.monotonic() < deadline:
+            time.sleep(0.001)
+        broker.close()
+        broker.close()
+        waiter.join(2.0)
+        assert [r.outcome for r in results] == [bk.SubscribeOutcome.CLOSED]
+        assert theirs.recv() == ("close",) and not theirs.poll(0.1)
+        failed_at = time.monotonic()
+        with pytest.raises(KeyError, match=f"no {other.value} channel for batch id 0"):
+            broker.subscribe(other, 0, 1.0)
+        assert time.monotonic() - failed_at < 0.5
+        ours.close()
+        theirs.close()
 
     @pytest.mark.parametrize("inbound", list(bk.MessageKind))
     def test_a_write_after_close_is_dropped_on_the_slot_path(self, inbound):
         broker = bk.Broker(2, 1, 1)
         mailbox = tp.Mailbox(2, 2, 1, 1)
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, inbound, peer="peer"))
+        broker.connect(mailbox, inbound)
         mailbox.write(bk.ChannelMessage(inbound, 0, np.ones((2, 1)), (0, 2), 0, 0))
         broker.close()
         mailbox.write(bk.ChannelMessage(inbound, 1, np.ones((2, 1)), (0, 2), 0, 0))
@@ -517,14 +538,11 @@ class TestTransports:
         assert stats.conserved(), stats
         assert broker.subscribe(inbound, 1, None).outcome is bk.SubscribeOutcome.CLOSED
         assert broker.stats() == stats
-        rx.close()
-        tx.close()
 
     def test_flush_all_counts_each_unread_slot_once_and_its_overwritten_messages(self):
         broker = bk.Broker(3, 1, 1)
         mailbox = tp.Mailbox(3, 2, 1, 1)
-        rx, tx = multiprocessing.Pipe(duplex=False)
-        broker.connect(tp.Link(tx, rx, mailbox, bk.MessageKind.GRADIENT, peer="active"))
+        broker.connect(mailbox, bk.MessageKind.GRADIENT)
         for batch_id in (0, 0, 0, 1, 2, 2):
             mailbox.write(bk.ChannelMessage(bk.MessageKind.GRADIENT, batch_id, np.ones((2, 1)),
                                             (0, 2), 0, 0))
@@ -537,8 +555,6 @@ class TestTransports:
         assert broker.flush_all() == 0
         assert broker.subscribe(bk.MessageKind.GRADIENT, 0, 0.0).outcome is \
             bk.SubscribeOutcome.EXPIRED
-        rx.close()
-        tx.close()
 
     @pytest.mark.parametrize("transport, mode, workers, built", [
         ("thread", Mode.LOCKSTEP, 1, 2 * 4),
@@ -1118,11 +1134,11 @@ class TestFailurePlumbing:
         # A peer killed while it writes a slot leaves the shared lock held.
         # The receiver's failure path must not need that lock, and a worker
         # waiting for it must give up once the peer is gone.
-        rx, tx = multiprocessing.Pipe(duplex=False)
+        ours, theirs = multiprocessing.Pipe()
         broker = bk.Broker(1, 1, 1)
         mailbox = tp.Mailbox(1, 2, 3, 1)
-        link = tp.Link(tx, rx, mailbox, bk.MessageKind.EMBEDDING, peer="passive")
-        broker.connect(link)
+        link = tp.Link(ours, mailbox, peer="passive")
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING, link.send_close)
         shared = EpochShared(broker, 1)
         link.watch(shared)
         gradient = bk.ChannelMessage(bk.MessageKind.GRADIENT, 0, np.ones((2, 3)), (0, 2), 0, 0)
@@ -1145,8 +1161,8 @@ class TestFailurePlumbing:
         receiver.join()
         for worker in workers:
             worker.join()
-        rx.close()
-        tx.close()
+        ours.close()
+        theirs.close()
         assert not blocked and stuck == [False, False]
         assert shared.failed
         assert [r.outcome for r in results] == [bk.SubscribeOutcome.CLOSED]
