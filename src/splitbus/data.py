@@ -120,7 +120,7 @@ class VerticalDataset:
         return self.active_features.shape[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class Batch:
     batch_id: int
     start: int  # position range within the plan's shuffled order

@@ -7,8 +7,13 @@ layer-0 input (that input gradient is what crosses the party boundary at the
 cut layer; a bottom model's raw-feature gradient goes nowhere), and
 ``sgd_step`` / ``average_models`` are the only mutation points.  ``predict``
 is inference: no tape, rows taken ``PREDICT_BLOCK_ROWS`` at a time, so a
-large evaluation set holds one block's activations at once.  Both run each
-layer through ``_layer_forward``, so the layer arithmetic lives in one place.
+large evaluation set holds one block's activations at once.  ``predict``
+runs each layer through ``_layer_forward``; ``forward``, the per-batch hot
+path, writes the same calls out inline over ``MlpModel.views``, one
+``(weight, bias, activation, d_weight, d_bias)`` tuple per layer, which
+``backward`` reads too.  Products go through ``np.dot``, which on
+C-contiguous operands makes the same BLAS call as ``@`` with less dispatch
+(``tests/test_nn.py`` pins the bits at the edge shapes).
 
 Each model keeps its parameters in one flat array, ``MlpModel.params``: a
 layer's weight and bias are views into it, so ``clone``, ``load_from`` and
@@ -75,6 +80,8 @@ class Activation(enum.Enum):
     SIGMOID = "sigmoid"
     IDENTITY = "identity"
 
+
+_RELU = Activation.RELU
 
 # The dtypes a model may compute in.
 _DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -181,14 +188,21 @@ class MlpModel:
         self.param_version = param_version
         self.layers: list[Layer] = []
         self.grads: list[LayerGrads] = []
+        # (weight, bias, activation, d_weight, d_bias) per layer: what forward
+        # and backward read, unpacked once here instead of per call.
+        self.views: list[tuple] = []
         start = 0
         for (fan_in, fan_out), activation in structure:
             mid = start + fan_in * fan_out
             end = mid + fan_out
-            self.layers.append(Layer(params[start:mid].reshape(fan_in, fan_out),
-                                     params[mid:end].reshape(1, fan_out), activation))
-            self.grads.append(LayerGrads(self.grad[start:mid].reshape(fan_in, fan_out),
-                                         self.grad[mid:end].reshape(1, fan_out)))
+            layer = Layer(params[start:mid].reshape(fan_in, fan_out),
+                          params[mid:end].reshape(1, fan_out), activation)
+            grads = LayerGrads(self.grad[start:mid].reshape(fan_in, fan_out),
+                               self.grad[mid:end].reshape(1, fan_out))
+            self.layers.append(layer)
+            self.grads.append(grads)
+            self.views.append((layer.weight, layer.bias, activation,
+                               grads.d_weight, grads.d_bias))
             start = end
 
     def _with_params(self, params: np.ndarray, param_version: int) -> "MlpModel":
@@ -276,21 +290,30 @@ def _check_input(model: MlpModel, x: np.ndarray) -> None:
 
 def _layer_forward(layer: Layer, x: np.ndarray) -> np.ndarray:
     """One layer: the affine map, then the activation over it in place."""
-    z = x @ layer.weight
+    z = np.dot(x, layer.weight)
     z += layer.bias
     return _activate(layer.activation, z)
 
 
 def forward(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, ForwardTape]:
-    """Run the batch through the model, returning (output, tape)."""
+    """Run the batch through the model, returning (output, tape).
+
+    Each layer is ``_layer_forward``'s arithmetic, written out with the ReLU
+    inline: this is the per-batch hot path.
+    """
     _check_input(model, x)
-    tape = ForwardTape()
+    inputs, postacts = [], []
     current = x
-    for layer in model.layers:
-        tape.inputs.append(current)
-        current = _layer_forward(layer, current)
-        tape.postacts.append(current)
-    return current, tape
+    for weight, bias, activation, _, _ in model.views:
+        inputs.append(current)
+        current = np.dot(current, weight)
+        current += bias
+        if activation is _RELU:
+            np.maximum(current, 0.0, out=current)
+        else:
+            current = _activate(activation, current)
+        postacts.append(current)
+    return current, ForwardTape(inputs, postacts)
 
 
 def predict(model: MlpModel, x: np.ndarray) -> np.ndarray:
@@ -326,12 +349,16 @@ def backward(
         raise ValueError("d_output shape does not match the taped output")
     _check_dtype(d_output, model.dtype, "d_output")
     upstream, owned = d_output, False
-    for idx in range(len(model.layers) - 1, -1, -1):
-        layer, out = model.layers[idx], model.grads[idx]
-        delta = _activation_backward(layer.activation, upstream, tape.postacts[idx], owned)
-        np.matmul(tape.inputs[idx].T, delta, out=out.d_weight)
-        np.add.reduce(delta, axis=0, keepdims=True, out=out.d_bias)
-        upstream = delta @ layer.weight.T if idx > 0 or input_grad else None
+    inputs, postacts, views = tape.inputs, tape.postacts, model.views
+    for idx in range(len(views) - 1, -1, -1):
+        weight, _, activation, d_weight, d_bias = views[idx]
+        if activation is _RELU:  # _activation_backward's ReLU, inline
+            delta = np.multiply(upstream, postacts[idx] > 0.0, out=upstream if owned else None)
+        else:
+            delta = _activation_backward(activation, upstream, postacts[idx], owned)
+        np.dot(inputs[idx].T, delta, out=d_weight)
+        np.add.reduce(delta, axis=0, keepdims=True, out=d_bias)
+        upstream = np.dot(delta, weight.T) if idx > 0 or input_grad else None
         owned = True
     return model.grads, upstream
 

@@ -16,6 +16,16 @@ end-of-epoch average; the active side runs on the thread that called
 :func:`run_training`, and the passive side on a thread of its own or in the
 child.
 
+Each party's pool is a :class:`WorkerPool`, started once per run before
+epoch 1's clock starts: on the ``process`` transport the passive pool
+starts in the child before it reads its first command, and the active
+pool in the parent right after the fork, once the child has said its pool
+is up; on the ``thread`` transport both start in this process.  Its
+threads pin themselves once as they start, each epoch hands them its
+work, and the run joins them when it returns or fails.  A party's
+``run_epoch`` called outside a run makes a pool for that epoch and joins
+it before returning.
+
 A forked run also splits the caller's CPUs between the two processes
 (:func:`splitbus.transport.split_cpus`): the parent's runtime threads (the
 active workers and the receiver) pin themselves to the lower half, the
@@ -75,10 +85,11 @@ import math
 import multiprocessing
 import threading
 import time
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from queue import SimpleQueue
 
 import numpy as np
 
@@ -266,16 +277,16 @@ class WorkQueue:
         self._barrier = barrier
         lanes = 1 if barrier is None else barrier.parties
         padded = batch_ids + [None] * (-len(batch_ids) % lanes)
-        self._lanes = [[(b, 0) for b in padded[j::lanes]] for j in range(lanes)]
+        self._lanes = [deque((b, 0) for b in padded[j::lanes]) for j in range(lanes)]
         self._lock = threading.Lock()
 
-    def _lane(self, w: int) -> list[tuple[int | None, int]]:
+    def _lane(self, w: int) -> deque[tuple[int | None, int]]:
         return self._lanes[w % len(self._lanes)]  # a shared queue has one lane
 
     def pop(self, w: int) -> tuple[int | None, int] | None:
         with self._lock:
             lane = self._lane(w)
-            return lane.pop(0) if lane else None
+            return lane.popleft() if lane else None
 
     def empty(self, w: int) -> bool:
         with self._lock:
@@ -345,16 +356,11 @@ class PartyServer:
 
 
 class EpochShared:
-    """State shared by every worker thread during one epoch.
+    """State shared by every worker thread during one epoch."""
 
-    ``cpus`` is the share this process's worker threads pin themselves to;
-    empty, they run wherever the caller's thread may.
-    """
-
-    def __init__(self, broker: bk.Broker, epoch: int, cpus: Sequence[int] = ()):
+    def __init__(self, broker: bk.Broker, epoch: int):
         self.broker = broker
         self.epoch = epoch
-        self.cpus = cpus
         self.losses: list[tuple[int, float]] = []
         self._lock = threading.Lock()
         self.failure: BaseException | None = None
@@ -386,42 +392,72 @@ class EpochShared:
         return self.failure is not None
 
 
-def _run_pool(name: str, num_workers: int, shared: EpochShared, body, *args) -> WorkerStats:
-    """Run ``body(w, *args, stats)`` on one thread per worker, join them all and
-    return the sum of their tallies.
+class WorkerPool:
+    """One party's worker threads, started once and reused for every epoch.
 
-    A worker's exception gets the party, worker, epoch and batch appended to
-    its message and goes to :meth:`EpochShared.fail`, which stops the rest; a
-    worker released from a barrier that the failure aborted just returns.
+    Thread ``w`` is named ``{name}-{w}``.  It pins itself to ``cpus`` as it
+    starts (an empty share pins nothing), then runs each epoch's work that
+    :meth:`run` hands it until :meth:`close` ends and joins it.
     """
-    stats = [WorkerStats() for _ in range(num_workers)]
 
-    def run(w: int) -> None:
-        start = time.perf_counter()
-        try:
-            tp.pin_thread(shared.cpus)
-            body(w, *args, stats[w])
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:  # re-raised by run_training
-            _name_failure_site(
-                exc, f"{name} worker {w}, epoch {shared.epoch}, batch {stats[w].batch_id}"
-            )
-            shared.fail(exc)
-        finally:
-            stats[w].wall_seconds = time.perf_counter() - start
+    def __init__(self, name: str, size: int, cpus: Sequence[int] = ()):
+        self.name = name
+        self._cpus = cpus
+        self._jobs = [SimpleQueue() for _ in range(size)]
+        self._done: SimpleQueue = SimpleQueue()
+        # Daemon threads: a pool left open must not keep the interpreter alive.
+        self._threads = [threading.Thread(target=self._serve, args=(w,), name=f"{name}-{w}",
+                                          daemon=True) for w in range(size)]
+        for thread in self._threads:
+            thread.start()
 
-    threads = [
-        threading.Thread(target=run, args=(w,), name=f"{name}-{w}") for w in range(num_workers)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    total = WorkerStats()
-    for worker in stats:
-        total.absorb(worker)
-    return total
+    def _serve(self, w: int) -> None:
+        tp.pin_thread(self._cpus)
+        for job in iter(self._jobs[w].get, None):
+            try:
+                job(w)
+            finally:
+                self._done.put(None)
+
+    def run(self, shared: EpochShared, body, *args) -> WorkerStats:
+        """Run ``body(w, *args, stats)`` on every worker, wait for them all and
+        return the sum of their tallies.
+
+        A worker's exception gets the party, worker, epoch and batch appended
+        to its message and goes to :meth:`EpochShared.fail`, which stops the
+        rest; a worker released from a barrier that the failure aborted just
+        returns.
+        """
+        stats = [WorkerStats() for _ in self._threads]
+
+        def job(w: int) -> None:
+            start = time.perf_counter()
+            try:
+                body(w, *args, stats[w])
+            except threading.BrokenBarrierError:
+                pass
+            except BaseException as exc:  # re-raised by run_training
+                _name_failure_site(exc, f"{self.name} worker {w}, epoch {shared.epoch}, "
+                                        f"batch {stats[w].batch_id}")
+                shared.fail(exc)
+            finally:
+                stats[w].wall_seconds = time.perf_counter() - start
+
+        for jobs in self._jobs:
+            jobs.put(job)
+        for _ in self._threads:
+            self._done.get()
+        total = WorkerStats()
+        for worker in stats:
+            total.absorb(worker)
+        return total
+
+    def close(self) -> None:
+        """End every worker once its current work is done, and join it."""
+        for jobs in self._jobs:
+            jobs.put(None)
+        for thread in self._threads:
+            thread.join()
 
 
 def _name_failure_site(exc: BaseException, site: str) -> None:
@@ -455,7 +491,9 @@ class _Engine:
     """One party's replicas: a group per model, one replica per worker in each,
     which the party's server averages group by group."""
 
+    party = ""  # "passive" or "active": names the worker threads and a failure's site
     noise_reports: Sequence[NoiseReport] = ()  # a party that adds noise has one per worker
+    pool: WorkerPool | None = None  # the run's workers (PartySide.start_workers)
 
     def __init__(self, features, initial_models, num_workers, eta, skew_seconds, max_retries):
         self.features = features
@@ -472,9 +510,22 @@ class _Engine:
     def snapshot(self) -> list[nn.MlpModel]:
         return [nn.average_models(group) for group in self.replica_groups]
 
+    def _run_pool(self, shared: EpochShared, body, *args) -> WorkerStats:
+        """One epoch on the run's workers, or, called outside a run, on a
+        pool made and joined for this epoch alone."""
+        if self.pool is not None:
+            return self.pool.run(shared, body, *args)
+        pool = WorkerPool(self.party, self.num_workers)
+        try:
+            return pool.run(shared, body, *args)
+        finally:
+            pool.close()
+
 
 class PassiveEngine(_Engine):
     """The feature-only party: bottom-model replicas plus noise streams."""
+
+    party = "passive"
 
     def __init__(
         self,
@@ -501,8 +552,7 @@ class PassiveEngine(_Engine):
         deadline: float | None,
         lookahead: int,
     ) -> WorkerStats:
-        return _run_pool("passive", self.num_workers, shared, self._worker_body,
-                         plan, queue, shared, deadline, lookahead)
+        return self._run_pool(shared, self._worker_body, plan, queue, shared, deadline, lookahead)
 
     # -- worker internals ---------------------------------------------------
 
@@ -545,8 +595,9 @@ class PassiveEngine(_Engine):
         t0 = time.perf_counter()
         if self.skew_seconds > 0.0:
             time.sleep(self.skew_seconds)  # simulated extra compute
-        noised, tape = passive_forward(model, self.features[batch.indices], self.sigma,
-                                       self.noise_rngs[w], self.noise_reports[w])
+        rows = self.features.take(batch.indices, axis=0)
+        noised, tape = passive_forward(model, rows, self.sigma, self.noise_rngs[w],
+                                       self.noise_reports[w])
         stats.busy_seconds += time.perf_counter() - t0
         shared.broker.publish(
             bk.ChannelMessage(
@@ -573,6 +624,8 @@ class PassiveEngine(_Engine):
 class ActiveEngine(_Engine):
     """The label-holding party: bottom + top replicas per worker."""
 
+    party = "active"
+
     def __init__(
         self,
         features: np.ndarray,
@@ -598,8 +651,7 @@ class ActiveEngine(_Engine):
         shared: EpochShared,
         deadline: float | None,
     ) -> WorkerStats:
-        return _run_pool("active", self.num_workers, shared, self._worker_loop,
-                         plan, queue, shared, deadline)
+        return self._run_pool(shared, self._worker_loop, plan, queue, shared, deadline)
 
     def _worker_loop(self, w, plan, queue, shared, deadline, stats):
         while not shared.failed:
@@ -624,7 +676,7 @@ class ActiveEngine(_Engine):
 
     def _bottom_forward(self, w, batch, stats) -> tuple[np.ndarray, nn.ForwardTape]:
         t0 = time.perf_counter()
-        out = nn.forward(self.bottoms[w], self.features[batch.indices])
+        out = nn.forward(self.bottoms[w], self.features.take(batch.indices, axis=0))
         stats.busy_seconds += time.perf_counter() - t0
         return out
 
@@ -653,7 +705,8 @@ class ActiveEngine(_Engine):
         if self.skew_seconds > 0.0:
             time.sleep(self.skew_seconds)  # simulated extra compute that needs the embedding
         loss = active_step(bottom, self.tops[w], bottom_out, message.payload,
-                           self.labels[batch.indices], self.task, self.eta, send_gradient)
+                           self.labels.take(batch.indices, axis=0), self.task, self.eta,
+                           send_gradient)
         stats.busy_seconds += time.perf_counter() - t0 - publish_seconds
         shared.record_loss(batch_id, loss)
         stats.completed += 1
@@ -711,7 +764,6 @@ class EpochResult:
 class PartySide:
     """Everything one party needs to run its side of an epoch."""
 
-    name: str  # "active" or "passive", as a failure names the party
     engine: PassiveEngine | ActiveEngine
     pool_args: tuple  # the engine's own ``run_epoch`` arguments after the shared ones
     num_rows: int
@@ -736,19 +788,28 @@ class PartySide:
                 engine.server.sync(engine.replica_groups)
             snapshot = engine.snapshot()
         except BaseException as exc:  # outside the workers; re-raised by run_training
-            _name_failure_site(exc, f"{self.name} party, epoch {epoch}")
+            _name_failure_site(exc, f"{engine.party} party, epoch {epoch}")
             shared.fail(exc)
             return EpochResult(None, shared.failure)
         return EpochResult(stats, shared.failure, snapshot, engine.noise_reports,
                            engine.server.syncs)
 
+    def start_workers(self, cpus: Sequence[int] = ()) -> WorkerPool:
+        """Start the party's workers for every later epoch; close the pool
+        this returns when the run ends."""
+        engine = self.engine
+        engine.pool = WorkerPool(engine.party, engine.num_workers, cpus)
+        return engine.pool
+
 
 class _PassiveThread:
-    """The thread transport: each passive epoch runs on a one-worker thread pool."""
+    """The thread transport: the passive workers start here, in this process,
+    and each passive epoch runs on a one-worker thread pool."""
 
     def __init__(self, side: PartySide):
         self.cpus: tuple[list[int], list[int]] = ([], [])  # one process: nothing to split
         self._side = side
+        self._workers = side.start_workers()
         self._pool = ThreadPoolExecutor(1, thread_name_prefix="passive-party")
         self._future = None  # the epoch in flight
 
@@ -760,6 +821,7 @@ class _PassiveThread:
 
     def close(self) -> None:
         self._pool.shutdown()
+        self._workers.close()
 
 
 def _transport(passive_in_flight: int) -> str:
@@ -834,11 +896,11 @@ def run_training(
     deadline = cfg.deadline_seconds if policy.waits_expire else None
     lookahead = policy.lookahead(cfg, num_batches)
     plan_args = (n, cfg.batch_size, cfg.seed, policy.rendezvous)
-    passive_side = PartySide("passive", passive, (deadline, lookahead), *plan_args)
-    active_side = PartySide("active", active, (deadline,), *plan_args)
+    passive_side = PartySide(passive, (deadline, lookahead), *plan_args)
+    active_side = PartySide(active, (deadline,), *plan_args)
     transport = _transport(workers_passive * lookahead)
     if transport == "process":  # fork before any runtime thread starts
-        passive_party = tp.PassiveProcess(broker, passive_side.run_epoch,
+        passive_party = tp.PassiveProcess(broker, passive_side,
                                           min(cfg.batch_size, n), passive_init.out_dim,
                                           max(workers_active, workers_passive))
     else:
@@ -851,9 +913,10 @@ def run_training(
     stopped_early = False
 
     try:
+        active_side.start_workers(cpus_active)  # before any epoch's clock starts
         for epoch in range(1, cfg.epochs + 1):
             broker.flush_all()  # deadline-skipped leftovers never leak across epochs
-            shared = EpochShared(broker, epoch, cpus_active)
+            shared = EpochShared(broker, epoch)
             epoch_start = time.perf_counter()
 
             end_sync = policy.end_sync(cfg.sync_base_interval, epoch)
@@ -911,7 +974,9 @@ def run_training(
                 stopped_early = True
                 break
     finally:
-        passive_party.close()
+        passive_party.close()  # a forked run's close also ends an epoch the active pool is in
+        if active.pool is not None:
+            active.pool.close()
 
     merged_report = NoiseReport(sigma=sigma)
     for report in passive_result.noise_reports:

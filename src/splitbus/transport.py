@@ -37,16 +37,22 @@ waits in short timeouts and gives up once the peer is gone, so a peer
 killed while holding one still ends the run.
 
 Pipe.  One duplex ``multiprocessing`` pipe carries pickled control
-messages (epoch commands down, epoch results up) and at most one close
-command each way; each process keeps one end, and a receiver thread reads
-it, so that thread wakes a few times per epoch.  Each slot write comes
-before the producer's next control message in program order: when an epoch
-result arrives, all of that epoch's embeddings are already in the parent's
-slots, and when the child reads the parent's end-of-epoch command, all of
-that epoch's gradients are in its slots.  So nothing crosses an epoch
-boundary, and once a result is in, the slots' counters hold still until
-the next epoch command.  A close command, or EOF on the pipe (the peer
-died), fails the receiving side's current epoch through
+messages (epoch commands down; the child's ready message, then epoch
+results up) and at most one close command each way; each process keeps one
+end, and a receiver thread reads it, so that thread wakes twice per epoch.
+Each slot write comes before the producer's next control message in
+program order.  The child sends its epoch result as soon as its workers
+are done, so when the result arrives, all of that epoch's embeddings are
+in the parent's slots.  The parent's active workers may still be
+publishing gradients then, for batches the passive workers gave up on; but
+the parent sends the next epoch command only after its own workers are
+done, so when the child reads it, all of the last epoch's gradients are in
+its slots, and the child's flush at the start of the new epoch counts
+every late one.  So nothing crosses an epoch boundary, with no
+end-of-epoch handshake, and once the parent has the result and its own
+workers are done, the slots' counters hold still until the next epoch
+command.  A close command, or EOF on the pipe (the peer died), fails the
+receiving side's current epoch through
 :meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
 
 Placement.  Separate interpreters only compute at once if the scheduler
@@ -56,21 +62,26 @@ threads on one.  So the fork splits the CPUs the caller may use
 the lower half, plus the odd one out, for the parent; the upper half for
 the child.  The child pins itself before it starts any thread, so all of
 its threads inherit its share.  In the parent, each runtime thread pins
-itself when it starts: the active pool's workers and the receiver thread.
+itself once, when it starts: the active pool's workers, which start right
+after the fork and serve every epoch of the run, and the receiver thread.
 The caller's own thread is never pinned, so its affinity is the same after
 the run.  With fewer than two CPUs, or without ``sched_setaffinity``,
 nothing is pinned; the ``thread`` transport never pins.
 
-Lifetime.  A run starts exactly one child and always reaps it: the parent
-closes its broker, sends a stop command, joins the child (killing it if it
-does not exit in time), then joins its receiver thread, which ends at the
-pipe's EOF.  The fork-context locks and semaphores are unlinked when they
-are made, and the mapping goes with the last reference to it.
+Lifetime.  A run starts exactly one child and always reaps it.  The child
+pins itself, starts its receiver and its passive worker pool, and sends a
+ready message, which the parent waits for before it starts its own
+workers, so neither party starts a thread once epoch 1's clock runs.  The
+child runs every epoch on that pool and joins it before it exits.  At the
+end of the run the parent closes its broker, sends a stop command, joins
+the child (killing it if it does not exit in time), then joins its
+receiver thread, which ends at the pipe's EOF.  The fork-context locks and
+semaphores are unlinked when they are made, and the mapping goes with the
+last reference to it.
 """
 
 from __future__ import annotations
 
-import array
 import mmap
 import multiprocessing
 import os
@@ -198,14 +209,19 @@ class Mailbox:
         if self._closed[k]:
             head[_DROPPED] += 1
             return []
-        self._payloads[k][b][: len(payload)] = payload
-        head[_ROWS:] = array.array("q", (len(payload), *message.sample_range,
-                                         message.param_version, message.sender_worker,
-                                         time.monotonic_ns()))
-        head[_BYTES] += bk.payload_byte_size(len(payload), self._cols)
+        rows = len(payload)
+        self._payloads[k][b][:rows] = payload
+        head[_ROWS] = rows
+        head[_ROWS + 1], head[_ROWS + 2] = message.sample_range
+        head[_ROWS + 3] = message.param_version
+        head[_ROWS + 4] = message.sender_worker
+        head[_ROWS + 5] = time.monotonic_ns()
+        head[_BYTES] += bk.payload_byte_size(rows, self._cols)
         head[_SEQ] += 1
         sleepers = self._sleepers[k]
-        woken = [s for s, waits_for in enumerate(sleepers.tolist()) if waits_for == b]
+        if b not in sleepers:
+            return []
+        woken = [s for s, waits_for in enumerate(sleepers) if waits_for == b]
         for s in woken:
             sleepers[s] = -1
         return woken
@@ -224,7 +240,7 @@ class Mailbox:
                 if sleeper is not None:
                     self._sleepers[k][sleeper] = b
                 return None
-            rows, start, stop, version, sender, stamp = head[_ROWS:].tolist()
+            rows, start, stop, version, sender, stamp = head[_ROWS:]
             head[_READ] = seq
             head[tally] += 1
             head[_EVICTED] += seq - read - 1
@@ -407,9 +423,11 @@ def _portable_failure(exc: BaseException) -> BaseException:
 class PassiveProcess:
     """Parent-side handle of the child process that runs the passive party.
 
-    ``run_epoch(epoch, end_sync, shared)`` runs in the child and returns an
-    object with a ``failure`` attribute; the child sends
-    it back once :meth:`finish` says the active side of the epoch is done.
+    ``party`` is the passive side (:class:`splitbus.runtime.PartySide`).  In
+    the child, ``party.start_workers()`` starts its worker pool once, before
+    the constructor returns, and ``party.run_epoch(epoch, end_sync, shared)``
+    runs each epoch and returns an object with a ``failure`` attribute,
+    which the child sends back as soon as the epoch's pool ends.
     Every cut-layer message has at most ``rows`` rows and ``cols`` columns,
     the size of a mailbox slot, and neither process runs more than
     ``waiters`` workers.
@@ -417,7 +435,7 @@ class PassiveProcess:
     parent's runtime threads pin themselves to ``cpus[0]``.
     """
 
-    def __init__(self, broker: bk.Broker, run_epoch, rows: int, cols: int, waiters: int):
+    def __init__(self, broker: bk.Broker, party, rows: int, cols: int, waiters: int):
         self.cpus = split_cpus()
         ctx = multiprocessing.get_context("fork")
         mailbox = Mailbox(broker.num_channels, rows, cols, waiters)
@@ -425,7 +443,7 @@ class PassiveProcess:
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
-            args=(broker, mailbox, run_epoch, self.cpus[1], child_end, parent_end),
+            args=(broker, mailbox, party, self.cpus[1], child_end, parent_end),
         )
         self._process.start()
         child_end.close()
@@ -433,6 +451,7 @@ class PassiveProcess:
         self._link = Link(parent_end, mailbox, peer="passive", cpus=self.cpus[0])
         broker.connect(mailbox, bk.MessageKind.EMBEDDING, self._link.send_close)
         self._link.start()
+        self._link.recv_control()  # the child's workers are up (None: it died, as finish reports)
 
     def begin(self, epoch: int, end_sync: bool, shared) -> None:
         self._epoch = epoch
@@ -442,7 +461,6 @@ class PassiveProcess:
     def finish(self, failed_result):
         """The child's result for the epoch; ``failed_result(exc)`` stands in
         for a child that died without sending one."""
-        self._link.send_control(("end",))
         result = self._link.recv_control()
         if result is None:
             self._process.join(_JOIN_SECONDS)
@@ -463,7 +481,7 @@ class PassiveProcess:
         self._link.close()
 
 
-def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[int],
+def _child_main(broker: bk.Broker, mailbox: Mailbox, party, cpus: Sequence[int],
                 conn, parent_end) -> None:
     """The child's command loop: one passive epoch per ``("epoch", e, end_sync)``."""
     from .runtime import EpochShared  # runtime imports this module
@@ -473,19 +491,22 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, run_epoch, cpus: Sequence[i
     link = Link(conn, mailbox, peer="active")
     broker.connect(mailbox, bk.MessageKind.GRADIENT, link.send_close)
     link.start()
-    while True:
-        command = link.recv_control()
-        if command is None or command[0] != "epoch":
-            return
-        _, epoch, end_sync = command
-        broker.flush_all()
-        shared = EpochShared(broker, epoch)
-        link.watch(shared)
-        result = run_epoch(epoch, end_sync, shared)
-        if link.recv_control() != ("end",):
-            return  # the parent stopped or died mid-epoch
-        if result.failure is not None:
-            result.failure = _portable_failure(result.failure)
-        link.send_control(result)
-        if result.failure is not None:
-            return
+    workers = party.start_workers()
+    link.send_control(("ready",))
+    try:
+        while True:
+            command = link.recv_control()
+            if command is None or command[0] != "epoch":
+                return
+            _, epoch, end_sync = command
+            broker.flush_all()  # the last epoch's late gradients, all in by now
+            shared = EpochShared(broker, epoch)
+            link.watch(shared)
+            result = party.run_epoch(epoch, end_sync, shared)
+            if result.failure is not None:
+                result.failure = _portable_failure(result.failure)
+            link.send_control(result)
+            if result.failure is not None:
+                return
+    finally:
+        workers.close()

@@ -338,6 +338,35 @@ def test_backward_into_the_workspace_keeps_the_bits(dtype):
             assert np.array_equal(_uint_bits(mine.d_bias), _uint_bits(theirs.d_bias)), seed
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("dims", [[1, 1], [1, 4, 1], [5, 1, 3], [6, 1, 1, 2], [4, 3, 1]])
+def test_dot_products_keep_the_bits_at_edge_shapes(dims, rows, dtype):
+    # B = 1, width-1 layers and a width-1 input are where BLAS may take a
+    # matrix-vector or outer-product path instead of a GEMM.
+    rng = np.random.default_rng(61)
+    for activation in (nn.Activation.RELU, nn.Activation.SIGMOID):
+        acts = [activation] * (len(dims) - 2) + [nn.Activation.IDENTITY]
+        model = nn.init_mlp(dims, acts, seed=len(dims), dtype=dtype)
+        model.params[:] = rng.normal(size=model.params.size)  # biases too
+        x = rng.normal(size=(rows, dims[0])).astype(dtype)
+        out, tape = nn.forward(model, x)
+        want_out, _, want_post = oracles.out_of_place_forward(model, x)
+        assert np.array_equal(_uint_bits(out), _uint_bits(want_out))
+        for mine, theirs in zip(tape.postacts, want_post):
+            assert np.array_equal(_uint_bits(mine), _uint_bits(theirs))
+        d_out = rng.normal(size=out.shape).astype(dtype)
+        for input_grad in (True, False):
+            want, want_input = oracles.allocating_backward(model, tape, d_out, input_grad)
+            got, got_input = nn.backward(model, tape, d_out, input_grad=input_grad)
+            assert (got_input is None) == (want_input is None) == (not input_grad)
+            if input_grad:
+                assert np.array_equal(_uint_bits(got_input), _uint_bits(want_input))
+            for mine, theirs in zip(got, want):
+                assert np.array_equal(_uint_bits(mine.d_weight), _uint_bits(theirs.d_weight))
+                assert np.array_equal(_uint_bits(mine.d_bias), _uint_bits(theirs.d_bias))
+
+
 def test_a_pickled_model_keeps_its_flat_layout():
     import pickle
 

@@ -8,6 +8,7 @@ semantics (rendezvous, free-running, deadlines) and failure plumbing.
 import math
 import multiprocessing
 import os
+import pathlib
 import re
 import signal
 import sys
@@ -648,6 +649,31 @@ def record_placement(monkeypatch) -> dict:
     return seen
 
 
+def log_calls(monkeypatch, owner, name: str, path, who) -> None:
+    """Append ``<pid> <who(*args)>`` to the file ``path`` at every call of
+    ``owner.name``, in this process and in a child forked after this call."""
+    real = getattr(owner, name)
+
+    def logging(*args, **kwargs):
+        with open(path, "a") as log:
+            log.write(f"{os.getpid()} {who(*args)}\n")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, logging)
+
+
+def logged_workers(path: pathlib.Path) -> dict[int, list[str]]:
+    """The worker thread names (``active-w``, ``passive-w``) that ``log_calls``
+    logged, sorted with repeats kept, by process id."""
+    found: dict[int, list[str]] = {}
+    if path.exists():
+        for line in path.read_text().splitlines():
+            pid, name = line.split(" ", 1)
+            if re.fullmatch(r"(active|passive)-\d+", name):
+                found.setdefault(int(pid), []).append(name)
+    return {pid: sorted(names) for pid, names in found.items()}
+
+
 @pytest.mark.skipif(real_getaffinity is None, reason="needs os.sched_getaffinity")
 class TestPlacement:
     @pytest.mark.parametrize("allowed, parent, child", [
@@ -661,7 +687,7 @@ class TestPlacement:
         assert tp.split_cpus() == (parent, child)
 
     @pytest.mark.skipif(len(ALLOWED_CPUS) < 2, reason="needs two CPUs to split")
-    def test_forked_run_gives_each_party_its_own_cpus(self, monkeypatch):
+    def test_forked_run_gives_each_party_its_own_cpus(self, monkeypatch, tmp_path):
         train, _ = vertical_pair(n=400, d=10, seed=5)
         cfg = TrainConfig(
             mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
@@ -669,6 +695,9 @@ class TestPlacement:
         )
         caller = real_getaffinity(0)
         seen = record_placement(monkeypatch)
+        pins = tmp_path / "pins"
+        log_calls(monkeypatch, tp, "pin_thread", pins,
+                  lambda *args: threading.current_thread().name)
         summary = run_training(train, None, cfg).summary
 
         active, passive = set(summary.cpus_active), set(summary.cpus_passive)
@@ -682,6 +711,10 @@ class TestPlacement:
         assert len(seen["child"]) >= 4  # main, receiver and two workers
         assert all(cpus == passive for cpus in seen["child"].values()), seen
         assert real_getaffinity(0) == caller
+        # Each worker pins itself once per run, not once per epoch.
+        pinned = logged_workers(pins)
+        assert pinned.pop(os.getpid()) == ["active-0", "active-1"]
+        assert list(pinned.values()) == [["passive-0", "passive-1"]]  # the one child
 
     @pytest.mark.parametrize("platform", ["one cpu", "no sched_setaffinity"])
     def test_nothing_is_pinned_without_a_split(self, platform, monkeypatch):
@@ -720,6 +753,128 @@ class TestPlacement:
         assert (summary.transport, summary.cpus_active, summary.cpus_passive) == ("thread", [], [])
         assert sorted(seen["parent"]) == ["active-0", "active-1"]
         assert all(cpus == set(ALLOWED_CPUS) for cpus in seen["parent"].values()), seen
+
+
+class TestWorkerPools:
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_each_party_starts_its_workers_once_per_run(self, transport, monkeypatch,
+                                                       tmp_path):
+        train, _ = vertical_pair(n=400, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, transport)
+        starts = tmp_path / "starts"
+        log_calls(monkeypatch, threading.Thread, "start", starts, lambda thread: thread.name)
+        result = run_training(train, None, cfg)
+
+        assert result.summary.epochs_run == 3
+        started = logged_workers(starts)
+        parent = started.pop(os.getpid())
+        if transport == "process":
+            assert parent == ["active-0", "active-1"]
+            assert list(started.values()) == [["passive-0", "passive-1"]]  # the one child
+        else:
+            assert parent == ["active-0", "active-1", "passive-0", "passive-1"]
+            assert started == {}
+
+    def test_a_pool_hands_every_epoch_to_every_worker_once(self):
+        # More workers than CPUs and a short switch interval, so hand-offs
+        # interleave; one epoch fails, and the pool serves the next ones.
+        workers, epochs, failing = 8, 200, 50
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        broker = bk.Broker(1, 1, 1)
+        pool = runtime.WorkerPool("stress", workers)
+        ran, failures = [], []
+        try:
+            for epoch in range(1, epochs + 1):
+                shared = EpochShared(broker, epoch)
+                seen = []
+
+                def body(w, stats):
+                    seen.append(w)
+                    stats.completed += 1
+                    if epoch == failing and w == 3:
+                        raise RuntimeError("injected")
+
+                total = pool.run(shared, body)
+                ran.append((sorted(seen) == list(range(workers)), total.completed))
+                if shared.failure is not None:
+                    failures.append(str(shared.failure))
+        finally:
+            pool.close()
+            sys.setswitchinterval(interval)
+        assert ran == [(True, workers)] * epochs
+        assert failures == [f"injected [stress worker 3, epoch {failing}, batch None]"]
+
+    @pytest.mark.parametrize("transport", TRANSPORTS)
+    def test_a_worker_failure_in_a_later_epoch_leaves_no_thread(self, transport,
+                                                              monkeypatch):
+        train, _ = vertical_pair(n=400, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
+        )
+        use_transport(monkeypatch, transport)
+        real_process = ActiveEngine._process_batch
+
+        def failing_process(self, w, plan, batch_id, message, bottom_out, shared, stats):
+            if shared.epoch == 2:
+                raise RuntimeError("injected epoch-2 failure")
+            return real_process(self, w, plan, batch_id, message, bottom_out, shared, stats)
+
+        monkeypatch.setattr(ActiveEngine, "_process_batch", failing_process)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected epoch-2 failure") as failure:
+            run_training(train, None, cfg)
+        assert re.search(r"\[active worker [01], epoch 2, batch \d+\]", str(failure.value))
+        assert threading.active_count() == baseline
+        assert multiprocessing.active_children() == []
+
+    def test_an_epoch_ends_without_a_handshake_and_loses_nothing(self, monkeypatch):
+        # Each active batch outlasts the passive deadline, so passive workers
+        # give up batches whose gradients the active pool still publishes,
+        # some after the child has sent its epoch result.  Each late gradient
+        # stays unread in its slot until the child's next epoch flushes it.
+        brokers = capture_brokers(monkeypatch)
+        train, _ = vertical_pair(n=800, d=10, seed=5)
+        cfg = TrainConfig(
+            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE, lookahead=4,
+            deadline_seconds=0.002, skew_active_seconds=0.005, max_retries=1,
+        )
+        use_transport(monkeypatch, "process")
+        settled, real_finish = [], tp.PassiveProcess.finish
+
+        def checking_finish(self, failed_result):
+            # Once the child's result is in, nothing moves the counters.
+            result = real_finish(self, failed_result)
+            (broker,) = brokers
+            before = broker.stats()
+            time.sleep(0.02)
+            settled.append((before == broker.stats(), before.conserved()))
+            return result
+
+        monkeypatch.setattr(tp.PassiveProcess, "finish", checking_finish)
+        result = run_training(train, None, cfg)
+
+        (broker,) = brokers
+        assert settled == [(True, True)] * 3
+        assert broker.stats().conserved()
+        assert all(math.isfinite(loss) for loss in result.epoch_train_losses)
+        grads = broker._mailbox._slots[1, :, :tp._ROWS]  # the gradient slots' counters
+        landed, delivered = grads[:, tp._SEQ].sum(), grads[:, tp._DELIVERED].sum()
+        residual = np.count_nonzero(grads[:, tp._SEQ] != grads[:, tp._READ])
+        flushed, evicted = grads[:, tp._FLUSHED].sum(), grads[:, tp._EVICTED].sum()
+        # One gradient per batch the active pool completed, one applied per
+        # batch a passive worker completed; the rest landed late.
+        assert landed == sum(row["active_completed"] for row in result.party_stats)
+        assert delivered == sum(row["passive_completed"] for row in result.party_stats)
+        assert landed - delivered > 0 and evicted == 0
+        assert flushed > 0  # late gradients of an earlier epoch, caught by the next epoch's flush
+        assert flushed + residual == landed - delivered
 
 
 class TestBrokerTraffic:
