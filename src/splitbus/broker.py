@@ -24,7 +24,8 @@ this process consumes takes the slot's newest message, and a subscribe to
 the other kind raises ``KeyError``.  The mailbox counts each slot as a
 channel of capacity one, so a message overwritten unread is published and
 evicted, and keeps the counters in the shared region, so
-:meth:`Broker.stats` of either process counts both.
+:meth:`Broker.stats` of either process counts both.  So does its closed
+flag: :meth:`Broker.close` of either copy closes the bus for both.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import functools
 import math
 import threading
 import time
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,7 +191,6 @@ class Broker:
                           MessageKind.GRADIENT: grad_capacity}
         self._mailbox = None  # shared with a peer process; see connect()
         self._inbound: MessageKind | None = None  # the kind this process consumes
-        self._notify_peer = None  # tells the peer this side closed
 
     @functools.cached_property
     def _channels(self) -> dict[tuple[MessageKind, int], ChannelBuffer]:
@@ -199,15 +198,14 @@ class Broker:
         return {(kind, batch_id): ChannelBuffer(self._capacity[kind])
                 for batch_id in range(self.num_channels) for kind in MessageKind}
 
-    def connect(self, mailbox, inbound: MessageKind,
-                notify_peer: Callable[[], None] = lambda: None) -> None:
+    def connect(self, mailbox, inbound: MessageKind) -> None:
         """Serve this broker from ``mailbox``, shared with the peer process.
 
         Call it before any other method.  ``inbound`` is the kind this
-        process consumes and flushes.  ``close`` closes ``inbound`` in the
-        mailbox, which wakes its waiters, and then calls ``notify_peer``.
+        process consumes and flushes.  ``close`` closes the mailbox, for
+        the peer's copy too, and wakes every waiter of both processes.
         """
-        self._mailbox, self._inbound, self._notify_peer = mailbox, inbound, notify_peer
+        self._mailbox, self._inbound = mailbox, inbound
         self._channels = {}
 
     def _channel(self, kind: MessageKind, batch_id: int) -> ChannelBuffer:
@@ -238,8 +236,7 @@ class Broker:
         for channel in self._channels.values():
             channel.close()
         if self._mailbox is not None:
-            self._mailbox.close(self._inbound)
-            self._notify_peer()
+            self._mailbox.close()
 
     def stats(self) -> BrokerStats:
         if self._mailbox is not None:

@@ -426,7 +426,8 @@ class WorkerPool:
         A worker's exception gets the party, worker, epoch and batch appended
         to its message and goes to :meth:`EpochShared.fail`, which stops the
         rest; a worker released from a barrier that the failure aborted just
-        returns.
+        returns.  A worker that finds the bus closed (the peer failed)
+        raises :class:`~splitbus.transport.PeerGone`.
         """
         stats = [WorkerStats() for _ in self._threads]
 
@@ -574,7 +575,7 @@ class PassiveEngine(_Engine):
                                          result.message, stats)
                     continue
                 if result.outcome is bk.SubscribeOutcome.CLOSED:
-                    return
+                    raise tp.PeerGone("the bus closed")
                 if blocking:
                     queue.expire(w, oldest, pending.pop(oldest).attempt, self.max_retries, stats)
                     continue
@@ -667,7 +668,7 @@ class ActiveEngine(_Engine):
                 result = shared.broker.subscribe(bk.MessageKind.EMBEDDING, batch_id, deadline)
                 stats.add_wait(result.waited_seconds)
                 if result.outcome is bk.SubscribeOutcome.CLOSED:
-                    return
+                    raise tp.PeerGone("the bus closed")
                 if result.outcome is bk.SubscribeOutcome.EXPIRED:
                     queue.expire(w, batch_id, attempt, self.max_retries, stats)
                     continue  # the tape goes; a retry runs the forward again

@@ -30,16 +30,17 @@ semaphores for its kind, writes the batch id it waits for beside that
 semaphore's entry in the region's sleeper table, and blocks on it.  A
 publisher posts only the semaphores registered for its slot, so there is no
 post on the hot path when nobody waits, and a post never goes to a thread
-that waits for another batch.  Closing the local bus marks its kind
-closed, so later writes of it count as dropped, and posts every semaphore
-of the kind, so each sleeper sees the close.  Every acquire of a slot lock
-waits in short timeouts and gives up once the peer is gone, so a peer
-killed while holding one still ends the run.
+that waits for another batch.  Closing the bus, from either process, sets
+one closed flag in the region, so later writes of either kind count as
+dropped, and posts every semaphore of both kinds; the semaphores are made
+before the fork, so each sleeper of both processes sees the close.  Every
+acquire of a slot lock waits in short timeouts and gives up once the peer
+is gone, so a peer killed while holding one still ends the run.
 
 Pipe.  One duplex ``multiprocessing`` pipe carries pickled control
-messages (epoch commands down; the child's ready message, then epoch
-results up) and at most one close command each way; each process keeps one
-end, and a receiver thread reads it, so that thread wakes twice per epoch.
+messages: epoch commands and the stop command down, the child's ready
+message and epoch results up.  Each process keeps one end, which one thread
+writes and a receiver thread reads, so that thread wakes twice per epoch.
 Each slot write comes before the producer's next control message in
 program order.  The child sends its epoch result as soon as its workers
 are done, so when the result arrives, all of that epoch's embeddings are
@@ -51,9 +52,10 @@ its slots, and the child's flush at the start of the new epoch counts
 every late one.  So nothing crosses an epoch boundary, with no
 end-of-epoch handshake, and once the parent has the result and its own
 workers are done, the slots' counters hold still until the next epoch
-command.  A close command, or EOF on the pipe (the peer died), fails the
-receiving side's current epoch through
-:meth:`~splitbus.runtime.EpochShared.fail`, which closes its broker.
+command.  No failure crosses the pipe but the epoch result: a party that
+fails closes the bus, and a worker of the other party that then finds it
+closed raises :class:`PeerGone`, which fails that party's epoch too.  EOF
+on the pipe (the peer died) closes the bus in the same way.
 
 Placement.  Separate interpreters only compute at once if the scheduler
 runs them on separate cores, and left alone it often stacks both processes'
@@ -73,11 +75,11 @@ pins itself, starts its receiver and its passive worker pool, and sends a
 ready message, which the parent waits for before it starts its own
 workers, so neither party starts a thread once epoch 1's clock runs.  The
 child runs every epoch on that pool and joins it before it exits.  At the
-end of the run the parent closes its broker, sends a stop command, joins
-the child (killing it if it does not exit in time), then joins its
-receiver thread, which ends at the pipe's EOF.  The fork-context locks and
-semaphores are unlinked when they are made, and the mapping goes with the
-last reference to it.
+end of the run the parent closes the bus, which ends an epoch the child
+may still be in, sends a stop command, joins the child (killing it if it
+does not exit in time), then joins its receiver thread, which ends at the
+pipe's EOF.  The fork-context locks and semaphores are unlinked when they
+are made, and the mapping goes with the last reference to it.
 """
 
 from __future__ import annotations
@@ -147,17 +149,18 @@ class Mailbox:
     """Shared-memory slots for the cut-layer messages of one forked run.
 
     Made before the fork, so parent and child map the same region, counters
-    included: either process can count every slot.  Each process keeps its
-    own free list of wake-up semaphores and its own ``peer_gone`` flag,
-    which its :class:`Link` sets.  Up to ``waiters`` threads per process
-    may wait at once.
+    and closed flag included: either process can count every slot, and
+    either can close the bus for both.  Each process keeps its own free list
+    of wake-up semaphores and its own ``peer_gone`` flag, which its
+    :class:`Link` sets.  Up to ``waiters`` threads per process may wait at
+    once.
     """
 
     def __init__(self, num_batches: int, rows: int, cols: int, waiters: int):
         ctx = multiprocessing.get_context("fork")
         self._rows, self._cols = rows, cols
         stride = _HEAD + rows * cols
-        table = 2 * waiters + 2  # the sleeper table, then one closed flag per kind
+        table = 2 * waiters + 1  # the sleeper table, then the closed flag
         region = mmap.mmap(-1, 8 * (table + 2 * num_batches * stride))
         flat = np.frombuffer(region, dtype=np.int64)
         flat[: 2 * waiters] = -1
@@ -187,7 +190,7 @@ class Mailbox:
 
     def write(self, message: bk.ChannelMessage) -> None:
         """Put ``message`` into its slot, over any message there, and wake its
-        waiter; once the slot's consumer has closed, count it as dropped."""
+        waiter; once the bus is closed, count it as dropped."""
         k, rows, cols = _KINDS.index(message.kind), *message.payload.shape
         if cols != self._cols or rows > self._rows:
             raise ValueError(f"a {rows}x{cols} payload does not fit a "
@@ -206,7 +209,7 @@ class Mailbox:
         """Under the slot's lock: write ``message``; returns the sleepers to wake."""
         b, payload = message.batch_id, message.payload
         head = self._heads[k][b]
-        if self._closed[k]:
+        if self._closed[0]:
             head[_DROPPED] += 1
             return []
         rows = len(payload)
@@ -251,7 +254,7 @@ class Mailbox:
 
     def read(self, kind: bk.MessageKind, b: int, timeout: float | None) -> bk.SubscribeResult:
         """Take slot ``b``'s unread message, waiting up to ``timeout`` seconds
-        (None: forever) for one unless this process's side closes.
+        (None: forever) for one unless the bus closes.
 
         A waiting thread registers the slot beside a semaphore of its own,
         and a writer posts exactly the semaphores registered for its slot, so
@@ -265,19 +268,19 @@ class Mailbox:
         if message is None and timeout != 0.0:
             message = self._wait(k, b, None if timeout is None else start + timeout)
         outcome = (bk.SubscribeOutcome.DELIVERED if message is not None else
-                   bk.SubscribeOutcome.CLOSED if self._closed[k] else bk.SubscribeOutcome.EXPIRED)
+                   bk.SubscribeOutcome.CLOSED if self._closed[0] else bk.SubscribeOutcome.EXPIRED)
         return bk.SubscribeResult(outcome, message, time.monotonic() - start)
 
     def _wait(self, k: int, b: int, deadline: float | None) -> bk.ChannelMessage | None:
         with self._free_lock:
             s = self._free[k].pop()
         try:
-            while not self._closed[k]:
+            while not self._closed[0]:
                 left = None if deadline is None else deadline - time.monotonic()
                 if left is not None and left <= 0.0:
                     return None
                 message = self._take(k, b, _DELIVERED, sleeper=s)
-                if message is not None or self.peer_gone:
+                if message is not None:
                     return message
                 self._wake[k][s].acquire(True, left)
             return None
@@ -303,34 +306,31 @@ class Mailbox:
         return bk.BrokerStats(landed + dropped, delivered, evicted + landed - read - residual,
                               flushed, dropped, residual, nbytes)
 
-    def close(self, kind: bk.MessageKind) -> None:
-        """Mark ``kind`` closed, so later writes of it count as dropped, and
-        wake every thread of this process that waits on it, without a slot lock."""
-        k = _KINDS.index(kind)
-        self._closed[k] = 1
-        for semaphore in self._wake[k]:
-            semaphore.release()
+    def close(self) -> None:
+        """Close the bus for both processes: later writes of either kind count
+        as dropped, and every waiter of either process wakes, without a slot
+        lock.  Closing it again does nothing."""
+        if self._closed[0]:
+            return
+        self._closed[0] = 1
+        for semaphores in self._wake:
+            for semaphore in semaphores:
+                semaphore.release()
 
 
 class Link:
     """One process's end of the control pipe, plus its receiver thread.
 
-    Control messages go out with :meth:`send_control` and come in through
-    :meth:`recv_control`, which returns None once the peer is gone and
-    ``mailbox.peer_gone`` is set.  :meth:`send_close` is the broker's
-    ``notify_peer`` hook (:meth:`Broker.connect`).
+    Control messages go out with :meth:`send_control`, from one thread of
+    the process, and come in through :meth:`recv_control`, which returns
+    None once the peer is gone.  At the pipe's EOF the receiver closes the
+    bus and sets ``mailbox.peer_gone``.
     """
 
     def __init__(self, conn, mailbox: Mailbox, peer: str, cpus: Sequence[int] = ()):
         self._conn = conn
         self._cpus = cpus  # the receiver thread's share
         self._mailbox = mailbox
-        self.peer = peer
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._close_sent = False
-        self._gone: PeerGone | None = None  # set once the peer closed or died
-        self._shared = None  # the EpochShared a peer failure is sent to
         self._inbox: queue.SimpleQueue = queue.SimpleQueue()
         self._receiver = threading.Thread(target=self._receive, name=f"{peer}-receiver",
                                           daemon=True)
@@ -338,41 +338,11 @@ class Link:
     def start(self) -> None:
         self._receiver.start()
 
-    def watch(self, shared) -> None:
-        """Fail ``shared`` when the peer goes (at once if it already has)."""
-        with self._state_lock:
-            self._shared = shared
-            gone = self._gone
-        if gone is not None:
-            shared.fail(gone)
-
-    # -- sending ------------------------------------------------------------
-
-    def send_close(self) -> None:
-        """Close the peer's side of the bus once, unless the peer closed ours.
-
-        The receiver thread gets here through :meth:`_peer_gone` after setting
-        ``_gone``, and returns without taking the send lock.
-        """
-        if self._gone is not None:
-            return
-        with self._send_lock:
-            if self._close_sent:
-                return
-            self._close_sent = True
-            try:
-                self._conn.send(("close",))
-            except OSError:
-                pass
-
     def send_control(self, obj) -> None:
         try:
-            with self._send_lock:
-                self._conn.send(obj)
+            self._conn.send(obj)
         except OSError:
             pass  # recv_control reports the dead peer
-
-    # -- receiving ----------------------------------------------------------
 
     def recv_control(self):
         obj = self._inbox.get()
@@ -388,22 +358,11 @@ class Link:
                     obj = self._conn.recv()
                 except (EOFError, OSError):
                     return
-                if obj == ("close",):
-                    self._peer_gone(PeerGone(f"the {self.peer} party closed the bus"))
-                else:
-                    self._inbox.put(obj)
+                self._inbox.put(obj)
         finally:  # EOF: the peer exited; anything else is a bug, and waiters must not hang
-            self._peer_gone(PeerGone(f"the {self.peer} party's process exited"))
-            self._inbox.put(None)
-
-    def _peer_gone(self, exc: PeerGone) -> None:
-        with self._state_lock:
-            if self._gone is None:
-                self._gone = exc
+            self._mailbox.close()  # first: a waiter giving up on a lock then sees it closed
             self._mailbox.peer_gone = True
-            shared = self._shared
-        if shared is not None:
-            shared.fail(exc)
+            self._inbox.put(None)
 
     def close(self) -> None:
         """Wait for the receiver to see EOF (the peer has exited), then close this end."""
@@ -427,7 +386,8 @@ class PassiveProcess:
     the child, ``party.start_workers()`` starts its worker pool once, before
     the constructor returns, and ``party.run_epoch(epoch, end_sync, shared)``
     runs each epoch and returns an object with a ``failure`` attribute,
-    which the child sends back as soon as the epoch's pool ends.
+    which the child sends back as soon as the epoch's pool ends.  Both
+    copies of ``broker`` share one bus, so a failure closes it for both.
     Every cut-layer message has at most ``rows`` rows and ``cols`` columns,
     the size of a mailbox slot, and neither process runs more than
     ``waiters`` workers.
@@ -449,13 +409,12 @@ class PassiveProcess:
         child_end.close()
         self._broker = broker
         self._link = Link(parent_end, mailbox, peer="passive", cpus=self.cpus[0])
-        broker.connect(mailbox, bk.MessageKind.EMBEDDING, self._link.send_close)
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING)
         self._link.start()
         self._link.recv_control()  # the child's workers are up (None: it died, as finish reports)
 
     def begin(self, epoch: int, end_sync: bool, shared) -> None:
         self._epoch = epoch
-        self._link.watch(shared)
         self._link.send_control(("epoch", epoch, end_sync))
 
     def finish(self, failed_result):
@@ -472,7 +431,7 @@ class PassiveProcess:
 
     def close(self) -> None:
         """Stop the child, reap it, and join the receiver thread."""
-        self._broker.close()  # ends an epoch the child may still be in
+        self._broker.close()  # closes the bus, which ends an epoch the child may still be in
         self._link.send_control(("stop",))
         self._process.join(_JOIN_SECONDS)
         if self._process.exitcode is None:
@@ -489,7 +448,7 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, party, cpus: Sequence[int],
     pin_thread(cpus)  # before any thread starts, so every thread inherits it
     parent_end.close()
     link = Link(conn, mailbox, peer="active")
-    broker.connect(mailbox, bk.MessageKind.GRADIENT, link.send_close)
+    broker.connect(mailbox, bk.MessageKind.GRADIENT)
     link.start()
     workers = party.start_workers()
     link.send_control(("ready",))
@@ -500,9 +459,7 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, party, cpus: Sequence[int],
                 return
             _, epoch, end_sync = command
             broker.flush_all()  # the last epoch's late gradients, all in by now
-            shared = EpochShared(broker, epoch)
-            link.watch(shared)
-            result = party.run_epoch(epoch, end_sync, shared)
+            result = party.run_epoch(epoch, end_sync, EpochShared(broker, epoch))
             if result.failure is not None:
                 result.failure = _portable_failure(result.failure)
             link.send_control(result)

@@ -495,35 +495,47 @@ class TestTransports:
         assert stats.conserved() and broker._channels == {}
 
     @pytest.mark.parametrize("inbound", list(bk.MessageKind))
-    def test_closing_a_connected_broker_wakes_its_waiter_and_tells_the_peer_once(
-        self, inbound
-    ):
-        # Both PassiveProcess.close and run_training close the parent's
-        # broker; the peer hears of it once.
+    def test_closing_one_copy_closes_both_kinds(self, inbound):
+        # Two copies of the broker on one mailbox, as in the two processes of
+        # a forked run: closing either, twice here as a run's failure and its
+        # end both do, wakes the waiters of both kinds and drops later writes
+        # of both, and nothing goes down the pipe.
         other = next(kind for kind in bk.MessageKind if kind is not inbound)
-        broker = bk.Broker(2, 1, 1)
         mailbox = tp.Mailbox(2, 2, 1, 1)
-        ours, theirs = multiprocessing.Pipe()
-        broker.connect(mailbox, inbound, tp.Link(ours, mailbox, peer="peer").send_close)
-        results = []
-        waiter = threading.Thread(target=lambda: results.append(
-            broker.subscribe(inbound, 1, None)), daemon=True)
-        waiter.start()
-        sleepers = mailbox._sleepers[tp._KINDS.index(inbound)]
+        ours, peers = bk.Broker(2, 1, 1), bk.Broker(2, 1, 1)
+        ours.connect(mailbox, inbound)
+        peers.connect(mailbox, other)
+        ours_end, theirs = multiprocessing.Pipe()
+        link = tp.Link(ours_end, mailbox, peer="peer")
+        link.start()
+        results = {}
+
+        def wait(broker, kind):
+            results[kind] = broker.subscribe(kind, 1, None)
+
+        waiters = [threading.Thread(target=wait, args=pair, daemon=True)
+                   for pair in ((ours, inbound), (peers, other))]
+        for waiter in waiters:
+            waiter.start()
         deadline = time.monotonic() + 5.0
-        while sleepers.tolist() != [1] and time.monotonic() < deadline:
+        while (any(sleepers.tolist() != [1] for sleepers in mailbox._sleepers)
+               and time.monotonic() < deadline):
             time.sleep(0.001)
-        broker.close()
-        broker.close()
-        waiter.join(2.0)
-        assert [r.outcome for r in results] == [bk.SubscribeOutcome.CLOSED]
-        assert theirs.recv() == ("close",) and not theirs.poll(0.1)
-        failed_at = time.monotonic()
-        with pytest.raises(KeyError, match=f"no {other.value} channel for batch id 0"):
-            broker.subscribe(other, 0, 1.0)
-        assert time.monotonic() - failed_at < 0.5
         ours.close()
-        theirs.close()
+        ours.close()
+        for waiter in waiters:
+            waiter.join(2.0)
+        assert {kind: r.outcome for kind, r in results.items()} == {
+            kind: bk.SubscribeOutcome.CLOSED for kind in bk.MessageKind}
+        ours.publish(bk.ChannelMessage(other, 0, np.ones((2, 1)), (0, 2), 0, 0))
+        peers.publish(bk.ChannelMessage(inbound, 0, np.ones((2, 1)), (0, 2), 0, 0))
+        stats = peers.stats()
+        assert (stats.published, stats.dropped_closed, stats.bytes_published) == (2, 2, 0)
+        assert stats.conserved(), stats
+        assert not theirs.poll(0.1)
+        theirs.close()  # EOF: the receiver closes the closed bus again and ends
+        link.close()
+        assert mailbox.peer_gone and link.recv_control() is None
 
     @pytest.mark.parametrize("inbound", list(bk.MessageKind))
     def test_a_write_after_close_is_dropped_on_the_slot_path(self, inbound):
@@ -809,27 +821,45 @@ class TestWorkerPools:
         assert ran == [(True, workers)] * epochs
         assert failures == [f"injected [stress worker 3, epoch {failing}, batch None]"]
 
+    @pytest.mark.parametrize("side", ["active", "passive"])
+    @pytest.mark.parametrize("mode", [Mode.ASYNC_PS, Mode.SYNC_PS])
     @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_a_worker_failure_in_a_later_epoch_leaves_no_thread(self, transport,
+    def test_a_worker_failure_in_a_later_epoch_leaves_no_thread(self, transport, mode, side,
                                                               monkeypatch):
+        # sync_ps waits never expire and its workers meet at barriers, so
+        # only the closed bus can end the other party's epoch.  The child
+        # must then exit by itself, not be killed after its join timeout.
         train, _ = vertical_pair(n=400, d=10, seed=5)
         cfg = TrainConfig(
-            mode=Mode.ASYNC_PS, batch_size=32, workers_active=2, workers_passive=2,
+            mode=mode, batch_size=32, workers_active=2, workers_passive=2,
             learning_rate=0.05, epochs=3, seed=3, shape=SMALL_SHAPE,
         )
         use_transport(monkeypatch, transport)
-        real_process = ActiveEngine._process_batch
+        engine, step = ((ActiveEngine, "_process_batch") if side == "active"
+                        else (PassiveEngine, "_publish_embedding"))
+        real_step = getattr(engine, step)
 
-        def failing_process(self, w, plan, batch_id, message, bottom_out, shared, stats):
-            if shared.epoch == 2:
+        def failing_step(self, *args):
+            result = real_step(self, *args)  # which names the batch
+            if args[-2].epoch == 2:  # both steps take (..., shared, stats)
                 raise RuntimeError("injected epoch-2 failure")
-            return real_process(self, w, plan, batch_id, message, bottom_out, shared, stats)
+            return result
 
-        monkeypatch.setattr(ActiveEngine, "_process_batch", failing_process)
+        monkeypatch.setattr(engine, step, failing_step)
+        exits, real_close = [], tp.PassiveProcess.close
+
+        def recording_close(self):
+            real_close(self)
+            exits.append(self._process.exitcode)
+
+        monkeypatch.setattr(tp.PassiveProcess, "close", recording_close)
         baseline = threading.active_count()
+        started = time.perf_counter()
         with pytest.raises(RuntimeError, match="injected epoch-2 failure") as failure:
             run_training(train, None, cfg)
-        assert re.search(r"\[active worker [01], epoch 2, batch \d+\]", str(failure.value))
+        assert time.perf_counter() - started < 5.0
+        assert re.search(rf"\[{side} worker [01], epoch 2, batch \d+\]", str(failure.value))
+        assert exits == ([0] if transport == "process" else [])
         assert threading.active_count() == baseline
         assert multiprocessing.active_children() == []
 
@@ -1076,6 +1106,51 @@ class TestDeadlines:
         assert time.perf_counter() - started < 5.0  # would hang forever otherwise
         closer.join()
 
+    def test_a_rendezvous_pool_whose_bus_closed_does_not_hang(self):
+        # Batch 0 completes, so worker 0 waits at the barrier for worker 1,
+        # whose gradient never comes.  The bus closes with no EpochShared.fail,
+        # as when the other party fails: only worker 1's wake-up on the closed
+        # bus can free the barrier.
+        train, _ = vertical_pair(n=160, d=10, seed=4)
+        plan = plan_for_epoch(train.num_rows, 40, 4, epoch=1)
+        passive_init, _, _ = build_models(
+            SMALL_SHAPE, 5, train.passive_features.shape[1], train.task, 4
+        )
+        broker = bk.Broker(plan.num_batches, 1, 1)
+        engine = PassiveEngine(
+            train.passive_features, passive_init, num_workers=2, eta=0.05,
+            sigma=0.0, noise_seed=0,
+        )
+        shared = EpochShared(broker, epoch=1)
+        barrier = threading.Barrier(2)
+        shared.add_barrier(barrier)
+        queue = WorkQueue([b.batch_id for b in plan.batches], barrier)
+
+        def answer_batch_0_then_close():
+            embedding = broker.subscribe(bk.MessageKind.EMBEDDING, 0, 5.0).message
+            broker.publish(bk.ChannelMessage(
+                bk.MessageKind.GRADIENT, 0, np.zeros_like(embedding.payload),
+                embedding.sample_range, sender_worker=0, param_version=0,
+            ))
+            broker.close()
+
+        baseline = threading.active_count()
+        helper = threading.Thread(target=answer_batch_0_then_close)
+        epoch = threading.Thread(target=engine.run_epoch,
+                                 args=(plan, queue, shared, None, 1))
+        started = time.perf_counter()
+        helper.start()
+        epoch.start()
+        epoch.join(5.0)
+        hung = epoch.is_alive()
+        barrier.abort()  # frees a hung pool, so a failure here does not hang the suite
+        epoch.join()
+        helper.join()
+        assert not hung and time.perf_counter() - started < 5.0
+        assert isinstance(shared.failure, tp.PeerGone), shared.failure
+        assert "[passive worker 1, epoch 1, batch 1]" in str(shared.failure)
+        assert threading.active_count() == baseline
+
 
 class TestEvaluation:
     @pytest.mark.parametrize("task", list(Task))
@@ -1287,39 +1362,33 @@ class TestFailurePlumbing:
 
     def test_peer_failure_does_not_wait_for_the_mailbox_lock(self):
         # A peer killed while it writes a slot leaves the shared lock held.
-        # The receiver's failure path must not need that lock, and a worker
+        # The receiver's EOF path must not need that lock, and a worker
         # waiting for it must give up once the peer is gone.
         ours, theirs = multiprocessing.Pipe()
         broker = bk.Broker(1, 1, 1)
         mailbox = tp.Mailbox(1, 2, 3, 1)
         link = tp.Link(ours, mailbox, peer="passive")
-        broker.connect(mailbox, bk.MessageKind.EMBEDDING, link.send_close)
-        shared = EpochShared(broker, 1)
-        link.watch(shared)
+        broker.connect(mailbox, bk.MessageKind.EMBEDDING)
         gradient = bk.ChannelMessage(bk.MessageKind.GRADIENT, 0, np.ones((2, 3)), (0, 2), 0, 0)
         results = []
         with mailbox._lock(0, 0), mailbox._lock(1, 0):  # as the dead peer left them
             workers = [
-                threading.Thread(target=broker.publish, args=(gradient,)),
+                threading.Thread(target=broker.publish, args=(gradient,), daemon=True),
                 threading.Thread(target=lambda: results.append(
-                    broker.subscribe(bk.MessageKind.EMBEDDING, 0, None))),
+                    broker.subscribe(bk.MessageKind.EMBEDDING, 0, None)), daemon=True),
             ]
             for worker in workers:
                 worker.start()
-            receiver = threading.Thread(target=link._peer_gone, args=(tp.PeerGone("gone"),))
-            receiver.start()
-            receiver.join(2.0)
-            blocked = receiver.is_alive()
+            link.start()
+            theirs.close()  # the peer's end goes, as when its process dies
+            link._receiver.join(2.0)
+            blocked = link._receiver.is_alive()
             for worker in workers:
                 worker.join(2.0)
             stuck = [worker.is_alive() for worker in workers]
-        receiver.join()
-        for worker in workers:
-            worker.join()
-        ours.close()
-        theirs.close()
+        link.close()
         assert not blocked and stuck == [False, False]
-        assert shared.failed
+        assert mailbox.peer_gone and link.recv_control() is None
         assert [r.outcome for r in results] == [bk.SubscribeOutcome.CLOSED]
 
     def test_unpicklable_child_failure_comes_back_as_its_text(self, monkeypatch):
