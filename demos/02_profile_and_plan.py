@@ -1,9 +1,10 @@
 """From stopwatch to worker plan.
 
-Stage timings are measured on the actual models, each stage's batch-size
-curve is fitted as a power law, and the fitted constants drive a search for
-the cheapest (workers_active, workers_passive, batch_size) triple that fits
-in memory.
+Each party's whole per-batch step is timed through the runtime's own step
+functions on clones of the actual models, each step's batch-size curve is
+fitted as a power law, and the fitted constants drive a search for the
+cheapest (workers_active, workers_passive, batch_size) triple that fits in
+memory.
 
 Run:  python3 demos/02_profile_and_plan.py
 """
@@ -16,11 +17,12 @@ from splitbus.config import ModelShape
 from splitbus.data import Task
 from splitbus.planner import SearchSpace, dp_search, iteration_objective
 from splitbus.profiler import (
+    CalibRole,
     build_constants,
     fit_power_law,
     memory_bound,
-    predict_times,
     run_calibration,
+    step_seconds,
 )
 from splitbus.runtime import build_models
 
@@ -34,12 +36,12 @@ def main():
     )
     passive, active, top = build_models(shape, 40, 40, Task.CLASSIFICATION, SEED)
 
-    print("1. timing forward/backward stages over a batch-size sweep ...")
+    print("1. timing each party's per-batch step over a batch-size sweep ...")
     sweep = [32, 64, 128, 256, 512]
     samples = run_calibration(passive, active, top, batch_sizes=sweep,
                               repetitions=5, seed=SEED)
 
-    print("   fitted per-stage power laws (seconds ~= coef * batch^exp):")
+    print("   fitted per-step power laws (seconds ~= coef * batch^exp):")
     by_role = {}
     for sample in samples:
         by_role.setdefault(sample.role, []).append(sample)
@@ -49,7 +51,7 @@ def main():
             coef, exp, r2 = fit_power_law(
                 [r.batch_size for r in rows], [r.elapsed_seconds for r in rows]
             )
-            print(f"     {role.value:<24} coef={coef:.3e}  exp={exp:+.3f}  r2={r2:.3f}")
+            print(f"     {role.value:<14} coef={coef:.3e}  exp={exp:+.3f}  r2={r2:.3f}")
         constants = build_constants(
             samples, passive, active, top,
             mem_budget_active=64 * 2**20, mem_budget_passive=64 * 2**20,
@@ -79,16 +81,16 @@ def main():
             plan.workers_active, plan.workers_passive, plan.batch_size) else ""
         print(f"   {wa:>4} {wp:>4} {batch:>6} {cost:>10.6f}{tag}")
 
-    times = predict_times(constants, plan.batch_size, plan.workers_active,
-                          plan.workers_passive)
-    print("\n5. predicted seconds per iteration of each stage at the chosen plan:")
-    party_seconds = {"active": 0.0, "passive": 0.0}
-    for role, seconds in times.items():
-        print(f"     {role.value:<24} {role.party:<8} {seconds:.6f}")
-        party_seconds[role.party] += seconds
+    workers = {CalibRole.ACTIVE_STEP: plan.workers_active,
+               CalibRole.PASSIVE_STEP: plan.workers_passive}
+    print("\n5. each party's step at the chosen plan, times its worker count:")
+    party_seconds = {}
+    for role, w in workers.items():
+        party_seconds[role] = step_seconds(constants, role, plan.batch_size) * w
+        print(f"     {role.value:<14} x{w}  {party_seconds[role]:.6f} s")
     slowest = max(party_seconds, key=party_seconds.get)
-    print(f"   the bottleneck is the {slowest} party "
-          f"({party_seconds[slowest]:.6f} s of compute per iteration)")
+    print(f"   the bottleneck is the {slowest.value} "
+          f"({party_seconds[slowest]:.6f} s per iteration)")
 
 
 if __name__ == "__main__":

@@ -68,14 +68,6 @@ def _parse_sweep(text: str) -> list[int]:
     return sizes
 
 
-def _parse_bandwidth(text: str) -> float:
-    """A link bandwidth in bytes/second; ``inf`` means an unbounded link."""
-    value = float(text)
-    if not value > 0.0:  # NaN fails this too
-        raise ValueError("must be positive")
-    return value
-
-
 def _flag_value(flag: str, parse, text: str):
     """``parse(text)``; a ``ValueError`` becomes a :class:`ConfigError` naming ``flag``."""
     try:
@@ -173,7 +165,6 @@ def _save_models(path: str, result: RunResult) -> None:
 
 def cmd_profile(args) -> int:
     sweep = _flag_value("--batches", _parse_sweep, args.batches) if args.batches else None
-    bandwidth = _flag_value("--bandwidth", _parse_bandwidth, args.bandwidth)
     if args.repetitions < 1:
         raise ConfigError(f"--repetitions {args.repetitions}: must be >= 1")
     exp = _load_experiment(args)
@@ -183,14 +174,10 @@ def cmd_profile(args) -> int:
         train.passive_features.shape[1], exp.dataset.task, exp.train.seed,
     )
     samples = run_calibration(passive, active, top, sweep, repetitions=args.repetitions)
-    cores = os.cpu_count() or 1
-    constants = build_constants(
-        samples, passive, active, top,
-        cores_active=cores, cores_passive=cores, bandwidth_bytes_per_sec=bandwidth,
-    )
+    constants = build_constants(samples, passive, active, top)
     with _writing(args.out):
         write_profile(args.out, constants)
-    print(f"wrote delay profile ({len(samples)} samples, {cores} cores) to {args.out}")
+    print(f"wrote delay profile ({len(samples)} samples) to {args.out}")
     return 0
 
 
@@ -331,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--out", default="profile.txt")
     profile.add_argument("--batches", help="comma-separated calibration batch sizes")
     profile.add_argument("--repetitions", type=int, default=5)
-    profile.add_argument(
-        "--bandwidth", default="1e9", help="link bandwidth, bytes/second (inf: unbounded)"
-    )
     profile.set_defaults(func=cmd_profile)
 
     plan = add_parser("plan", help="search worker counts and batch size")

@@ -60,6 +60,7 @@ class EpochMetrics:
     busy_fraction: float
     bytes_published: int  # cumulative, nondecreasing across epochs
     batches_completed: int
+    # Both sum the two parties' workers: a batch both parties give up on counts twice.
     batches_skipped: int
     batch_retries: int
     evictions: int  # messages pushed out of a full channel by a newer attempt, this epoch

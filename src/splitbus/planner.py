@@ -1,17 +1,15 @@
 """Configuration search: pick (workers_active, workers_passive, batch_size).
 
-The per-iteration wall time is modelled as the slower party's compute time
-plus the wire time of the two cut-layer messages, whose size follows from
-the batch size and the cut width (see ``profiler.message_seconds``).  A
-party's compute time is the sum of its stages' ``profiler.stage_seconds``
-(each ``CalibRole`` names its party), scaled by the party's w/C.  The
-search minimises it over a discrete grid, restricted to batch sizes both
-parties can hold in memory.  The memory model is affine in the batch size
-by construction (twice the parameter bytes, plus the tape's bytes per row;
-see the ``profiler`` docstring), so the ceiling is closed-form.  The grid
-has no overlapping subproblems, so the search is one numpy evaluation of
-the whole grid and an argmin; the tests check it against plain enumeration
-of ``iteration_objective``, bit for bit, including tie-breaks.
+The per-iteration wall time is modelled as the slower party's step:
+``max(t_active(B) * w_a, t_passive(B) * w_p)``, where ``t`` is the party's
+fitted step time (``profiler.step_seconds``) and ``w`` its worker count.
+The search minimises it over a discrete grid, restricted to batch sizes
+both parties can hold in memory.  The memory model is affine in the batch
+size by construction (twice the parameter bytes, plus the tape's bytes per
+row; see the ``profiler`` docstring), so the ceiling is closed-form.  The
+grid has no overlapping subproblems, so the search is one numpy evaluation
+of the whole grid and an argmin; the tests check it against plain
+enumeration of ``iteration_objective``, bit for bit, including tie-breaks.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, read_key_value_file
-from .profiler import CalibRole, DelayConstants, memory_bound, message_seconds, stage_seconds
+from .profiler import CalibRole, DelayConstants, memory_bound, step_seconds
 
 
 class InfeasiblePlanError(ValueError):
@@ -65,24 +63,6 @@ class PlanState:
     cost_seconds: float
 
 
-def party_polynomials(c: DelayConstants, batch_size: int) -> tuple[float, float]:
-    """(active, passive) per-call compute seconds at one core per worker.
-
-    Each party's stages are added in ``CalibRole`` order.  Shared by
-    ``iteration_objective`` and ``dp_search`` so both perform identical
-    float operations.
-    """
-    totals = {"active": 0.0, "passive": 0.0}
-    for role in CalibRole:
-        totals[role.party] += stage_seconds(c, role, batch_size)
-    return totals["active"], totals["passive"]
-
-
-def comm_seconds(c: DelayConstants, batch_size: int) -> float:
-    """Embedding + gradient transfer time for one iteration."""
-    return 2 * message_seconds(c, batch_size)
-
-
 def iteration_objective(
     c: DelayConstants, workers_active: int, workers_passive: int, batch_size: int
 ) -> float:
@@ -91,12 +71,10 @@ def iteration_objective(
         raise ValueError("batch size and worker counts must be >= 1")
     if batch_size > memory_bound(c):
         raise InfeasiblePlanError(f"batch size {batch_size} exceeds the memory bound")
-    poly_active, poly_passive = party_polynomials(c, batch_size)
-    compute = max(
-        poly_active * workers_active / c.cores_active,
-        poly_passive * workers_passive / c.cores_passive,
+    return max(
+        step_seconds(c, CalibRole.ACTIVE_STEP, batch_size) * workers_active,
+        step_seconds(c, CalibRole.PASSIVE_STEP, batch_size) * workers_passive,
     )
-    return compute + comm_seconds(c, batch_size)
 
 
 def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
@@ -104,7 +82,7 @@ def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
 
     Ties break toward the smaller batch size, then fewer active workers,
     then fewer passive workers — cheaper memory and coordination for free.
-    Each batch's polynomials are Python scalars, as in ``iteration_objective``,
+    Each batch's step times are Python scalars, as in ``iteration_objective``,
     so every grid cost is bit-equal to it.
     """
     ceiling = memory_bound(c)
@@ -117,11 +95,10 @@ def dp_search(c: DelayConstants, space: SearchSpace) -> PlanState:
     w_passive = np.array(space.workers_passive, dtype=float)
     cost = np.empty((len(batches), w_active.size, w_passive.size))
     for k, b in enumerate(batches):
-        poly_active, poly_passive = party_polynomials(c, b)
         cost[k] = np.maximum(
-            poly_active * w_active[:, None] / c.cores_active,
-            poly_passive * w_passive[None, :] / c.cores_passive,
-        ) + comm_seconds(c, b)
+            step_seconds(c, CalibRole.ACTIVE_STEP, b) * w_active[:, None],
+            step_seconds(c, CalibRole.PASSIVE_STEP, b) * w_passive[None, :],
+        )
     # the first minimum in C order is the (cost, B, w_a, w_p) tie-break
     k, i, j = np.unravel_index(np.argmin(cost), cost.shape)
     return PlanState(

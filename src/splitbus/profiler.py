@@ -1,20 +1,23 @@
 """Delay-model calibration: timing sweeps and power-law fits.
 
-``DelayConstants.stages`` maps each :class:`CalibRole` (forward and backward
-of the two bottom models and the top model, each run by one party) to a
-``(coef, exp)`` pair fitted by log-log least squares over a batch-size sweep:
-one call takes ``coef * B**exp`` seconds at one core per worker, and ``w``
-workers on ``C`` cores scale it by ``w / C``.  A profile file has one
-``<stage> = <coef> <exp>`` line per role.  What the models fix is read off
-them, not measured or configured: memory per party is ``base + slope * B``
-bytes, where ``base`` is twice its models' parameter bytes (the parameters
-and their gradient workspace) and ``slope`` is what the forward tape keeps
-per batch row (the input and each layer's output, at the model's
-itemsize).  Both cut-layer messages (the embedding and its gradient) are
-``(B, cut_width)`` float64 arrays, ``broker.payload_byte_size(B,
-cut_width)`` bytes on the wire, where ``cut_width`` is the passive model's
-output width.  The largest batch both parties can afford is the planner's
-feasibility ceiling.
+The profile times the two calls a party's worker makes per batch, through
+the runtime's own functions: the passive step
+(:func:`splitbus.runtime.passive_forward`, the bottom forward and the
+embedding noise, then :func:`splitbus.runtime.passive_update`) and the
+active step (the active bottom's ``nn.forward``, then
+:func:`splitbus.runtime.active_step`: the top forward, the loss, the top
+backward and both local updates).  The row gathers and the message exchange
+are not timed.  ``DelayConstants.stages`` maps each :class:`CalibRole` to a
+``(coef, exp)`` pair fitted by log-log least squares over a batch-size
+sweep: one step takes ``coef * B**exp`` seconds (:func:`step_seconds`).  A
+profile file has one ``<step> = <coef> <exp>`` line per step, then one
+``name = value`` line per ``mem_*`` constant.  What the models fix is read
+off them, not measured or configured: memory per party is
+``base + slope * B`` bytes, where ``base`` is twice its models' parameter
+bytes (the parameters and their gradient workspace) and ``slope`` is what
+the forward tape keeps per batch row (the input and each layer's output, at
+the model's itemsize).  The largest batch both parties can afford is the
+planner's feasibility ceiling.
 
 The fits take the measurements at face value: if per-call time shrinks as
 the batch grows (heavily amortised vectorised code), the fitted exponent is
@@ -33,29 +36,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
-from .broker import payload_byte_size
+from . import nn, runtime
 from .config import ConfigError, read_key_value_file
+from .data import Task
+from .privacy import NoiseReport
 
 
 class CalibRole(enum.Enum):
-    """One timed stage.  Forward and backward are timed separately for all
-    three models so every delay constant is identified by its own sweep.
+    """One timed step: what one party's worker computes per batch, in the
+    order the sweep times them."""
 
-    The order is the order in which the planner adds up each party's stages.
-    """
-
-    ACTIVE_BOTTOM_FORWARD = "active_bottom_forward"
-    TOP_FORWARD = "top_forward"
-    ACTIVE_BOTTOM_BACKWARD = "active_bottom_backward"
-    TOP_BACKWARD = "top_backward"
-    PASSIVE_FORWARD = "passive_forward"
-    PASSIVE_BACKWARD = "passive_backward"
-
-    @property
-    def party(self) -> str:
-        """``"active"`` or ``"passive"``: the active party also runs the top model."""
-        return "passive" if self.value.startswith("passive") else "active"
+    PASSIVE_STEP = "passive_step"
+    ACTIVE_STEP = "active_step"
 
 
 @dataclass
@@ -83,14 +75,21 @@ def run_calibration(
     repetitions: int = 5,
     seed: int = 0,
 ) -> list[CalibrationSample]:
-    """Time every stage at every batch size; median of repetitions.
+    """Time both parties' steps at every batch size; median of repetitions.
+
+    The steps run on clones of the models at learning rate 0: the caller's
+    models keep their parameters and versions, and the clones' weights, and
+    so the loss, never move.  The passive step adds noise at sigma 1,
+    so the noise draw is timed with it; a run with ``privacy_mu = inf``
+    skips that draw, which the profile still counts.  The active step trains
+    on zero labels with the classification loss.
 
     Single-threaded on purpose: contention would corrupt the timings.  For
-    each batch size, every stage gets its own input and tape and one
-    untimed warm-up call (absorbing allocator and cache effects), and then
-    each repetition times all six stages round-robin, so that drift in the
-    machine's speed hits every stage alike instead of whichever stage's
-    block it falls in.  Samples come back stage by stage, each in sweep order.
+    each batch size, each step gets its own inputs and one untimed warm-up
+    call (absorbing allocator and cache effects), and then each repetition
+    times the two steps one after the other, so that drift in the machine's
+    speed hits both alike instead of whichever step's block it falls in.
+    Samples come back step by step, each in sweep order.
     """
     if not batch_sizes:
         batch_sizes = list(DEFAULT_BATCH_SWEEP)
@@ -99,49 +98,50 @@ def run_calibration(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     rng = np.random.default_rng(seed)
+    models = [m.clone() for m in (passive_model, active_model, top_model)]
 
-    stages: list[tuple[CalibRole, nn.MlpModel]] = [
-        (CalibRole.PASSIVE_FORWARD, passive_model),
-        (CalibRole.PASSIVE_BACKWARD, passive_model),
-        (CalibRole.ACTIVE_BOTTOM_FORWARD, active_model),
-        (CalibRole.ACTIVE_BOTTOM_BACKWARD, active_model),
-        (CalibRole.TOP_FORWARD, top_model),
-        (CalibRole.TOP_BACKWARD, top_model),
-    ]
-    # medians[s][i]: stage s at batch_sizes[i]
-    medians: list[list[float]] = [[] for _ in stages]
+    # medians[s][i]: step s at batch_sizes[i]
+    medians: list[list[float]] = [[] for _ in CalibRole]
     for b in batch_sizes:
-        calls = [_stage_call(role, model, b, rng) for role, model in stages]
+        calls = _step_calls(*models, b, rng)
         for call in calls:
             call()  # warm-up
-        timings: list[list[float]] = [[] for _ in stages]
+        timings: list[list[float]] = [[] for _ in calls]
         for _ in range(repetitions):
             for call, times in zip(calls, timings):
                 t0 = time.perf_counter()
                 call()
                 times.append(time.perf_counter() - t0)
-        for stage_medians, times in zip(medians, timings):
-            stage_medians.append(statistics.median(times))
+        for step_medians, times in zip(medians, timings):
+            step_medians.append(statistics.median(times))
     return [
         CalibrationSample(role, b, elapsed, repetitions)
-        for (role, _), stage_medians in zip(stages, medians)
-        for b, elapsed in zip(batch_sizes, stage_medians)
+        for role, step_medians in zip(CalibRole, medians)
+        for b, elapsed in zip(batch_sizes, step_medians)
     ]
 
 
-def _stage_call(role: CalibRole, model: nn.MlpModel, b: int, rng: np.random.Generator):
-    """One stage at batch size ``b`` as a no-argument call, with its own input and tape.
+def _step_calls(passive: nn.MlpModel, active: nn.MlpModel, top: nn.MlpModel, b: int,
+                rng: np.random.Generator):
+    """Both steps at batch size ``b`` as no-argument calls, in ``CalibRole``
+    order, with inputs in the dtypes the runtime passes: features in each
+    bottom's dtype, and the noised embedding and its gradient in float64."""
+    x_passive = rng.normal(size=(b, passive.in_dim)).astype(passive.dtype, copy=False)
+    x_active = rng.normal(size=(b, active.in_dim)).astype(active.dtype, copy=False)
+    z_passive = rng.normal(size=(b, passive.out_dim))
+    d_z = np.ones((b, passive.out_dim))
+    labels = np.zeros((b, 1))
+    report = NoiseReport()
 
-    Input and output gradient are in the model's dtype, as in the runtime.
-    """
-    x = rng.normal(size=(b, model.in_dim)).astype(model.dtype, copy=False)
-    d_out = np.ones((b, model.out_dim), dtype=model.dtype)
-    _, tape = nn.forward(model, x)
-    if not role.value.endswith("backward"):
-        return lambda: nn.forward(model, x)
-    # As in the runtime's steps: only the top model's input gradient is consumed.
-    input_grad = role is CalibRole.TOP_BACKWARD
-    return lambda: nn.backward(model, tape, d_out, input_grad=input_grad)
+    def passive_step() -> None:
+        _, tape = runtime.passive_forward(passive, x_passive, 1.0, rng, report)
+        runtime.passive_update(passive, tape, d_z, 0.0)
+
+    def active_step() -> None:
+        runtime.active_step(active, top, nn.forward(active, x_active), z_passive, labels,
+                            Task.CLASSIFICATION, 0.0, lambda d_z_passive: None)
+
+    return passive_step, active_step
 
 
 # A power-law fit with r^2 below this warns that the delay model may not fit.
@@ -179,23 +179,15 @@ def fit_power_law(
     return float(math.exp(intercept)), float(exponent), r_squared
 
 
-_MAY_BE_UNBOUNDED = frozenset(
-    {"bandwidth_bytes_per_sec", "mem_budget_active", "mem_budget_passive"}
-)
+_MAY_BE_UNBOUNDED = frozenset({"mem_budget_active", "mem_budget_passive"})
 
 
 @dataclass
 class DelayConstants:
     """Everything the planner needs about one deployment."""
 
-    # role -> (coef, exp): per-call seconds = coef * B**exp at one core per worker
+    # role -> (coef, exp): one step takes coef * B**exp seconds
     stages: dict[CalibRole, tuple[float, float]]
-    # both cut-layer messages are (B, cut_width) float64 arrays
-    cut_width: int
-    # deployment
-    cores_active: int = 1
-    cores_passive: int = 1
-    bandwidth_bytes_per_sec: float = 1e9
     # memory model: bytes(B) = base + slope * B, per party
     mem_base_active: float = 0.0
     mem_base_passive: float = 0.0
@@ -215,17 +207,11 @@ class DelayConstants:
                 raise ValueError(f"{role.value} must be finite, got {coef!r} {exp!r}")
             if coef <= 0.0:
                 raise ValueError(f"{role.value} coef must be positive, got {coef!r}")
-        # Only an unbounded resource (bandwidth, a memory budget) may be +inf.
+        # Only a memory budget may be +inf: an unbounded party.
         for f in _SCALAR_FIELDS:
             value = getattr(self, f.name)
             if math.isnan(value) or (math.isinf(value) and f.name not in _MAY_BE_UNBOUNDED):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.cores_active < 1 or self.cores_passive < 1:
-            raise ValueError("core counts must be >= 1")
-        if self.bandwidth_bytes_per_sec <= 0.0:
-            raise ValueError("bandwidth must be positive")
-        if self.cut_width < 1:
-            raise ValueError("cut_width must be >= 1")
         if self.mem_slope_active <= 0.0 or self.mem_slope_passive <= 0.0:
             raise ValueError("memory slopes must be positive")
         if self.mem_budget_active <= self.mem_base_active:
@@ -237,25 +223,10 @@ class DelayConstants:
 _SCALAR_FIELDS = [f for f in dataclasses.fields(DelayConstants) if f.name != "stages"]
 
 
-def stage_seconds(c: DelayConstants, role: CalibRole, batch_size: int) -> float:
-    """Per-call seconds of one stage at one core per worker: ``coef * B**exp``."""
+def step_seconds(c: DelayConstants, role: CalibRole, batch_size: int) -> float:
+    """Seconds of one party's step at batch size ``batch_size``: ``coef * B**exp``."""
     coef, exp = c.stages[role]
     return coef * float(batch_size) ** exp
-
-
-def predict_times(c: DelayConstants, batch_size: int, w_active: int,
-                  w_passive: int) -> dict[CalibRole, float]:
-    """Each stage's seconds per iteration at one (B, w_a, w_p) point: its
-    per-call seconds times its party's w/C share."""
-    if batch_size < 1 or w_active < 1 or w_passive < 1:
-        raise ValueError("batch size and worker counts must be >= 1")
-    share = {"active": w_active / c.cores_active, "passive": w_passive / c.cores_passive}
-    return {role: stage_seconds(c, role, batch_size) * share[role.party] for role in CalibRole}
-
-
-def message_seconds(c: DelayConstants, batch_size: int) -> float:
-    """Wire time of one cut-layer message (embedding or gradient) at batch ``batch_size``."""
-    return payload_byte_size(batch_size, c.cut_width) / c.bandwidth_bytes_per_sec
 
 
 def memory_bound(c: DelayConstants) -> float:
@@ -284,34 +255,24 @@ def build_constants(
     passive_model: nn.MlpModel,
     active_model: nn.MlpModel,
     top_model: nn.MlpModel,
-    cores_active: int = 1,
-    cores_passive: int = 1,
-    bandwidth_bytes_per_sec: float = 1e9,
     mem_budget_active: float = math.inf,
     mem_budget_passive: float = math.inf,
 ) -> DelayConstants:
     """Fit the full constant set from calibration samples.
 
-    The fitted coefficients are scaled by the party's core count so that the
-    model's prediction for one worker on the profiled machine reproduces the
-    measurement (the w/C factor divides it back out).  The memory constants
-    (twice the parameter bytes, plus the tape's bytes per row) and the cut
-    width are read off the models, not fitted.
+    Each step's power law is fitted to its medians.  The memory constants
+    (twice the parameter bytes, plus the tape's bytes per row) are read off
+    the models, not fitted.
     """
-    cores = {"active": cores_active, "passive": cores_passive}
     stages = {}
     for role in CalibRole:
         mine = [s for s in samples if s.role is role]
         coef, exponent, _ = fit_power_law(
             [s.batch_size for s in mine], [s.elapsed_seconds for s in mine]
         )
-        stages[role] = (coef * cores[role.party], exponent)
+        stages[role] = (coef, exponent)
     return DelayConstants(
         stages=stages,
-        cut_width=passive_model.out_dim,
-        cores_active=cores_active,
-        cores_passive=cores_passive,
-        bandwidth_bytes_per_sec=bandwidth_bytes_per_sec,
         mem_base_active=float(2 * (active_model.parameter_bytes + top_model.parameter_bytes)),
         mem_base_passive=float(2 * passive_model.parameter_bytes),
         mem_slope_active=float(_bytes_per_row(active_model) + _bytes_per_row(top_model)),
@@ -325,8 +286,8 @@ def build_constants(
 
 
 def write_profile(path: str, constants: DelayConstants) -> None:
-    """One ``<stage> = <coef> <exp>`` line per stage, then one ``name = value``
-    line per other constant; repr keeps floats lossless."""
+    """One ``<step> = <coef> <exp>`` line per step, then one ``name = value``
+    line per memory constant; repr keeps floats lossless."""
     with open(path, "w") as handle:
         for role in CalibRole:
             coef, exp = constants.stages[role]
@@ -335,7 +296,7 @@ def write_profile(path: str, constants: DelayConstants) -> None:
             handle.write(f"{f.name} = {getattr(constants, f.name)!r}\n")
 
 
-def _stage_pair(text: str) -> tuple[float, float]:
+def _step_pair(text: str) -> tuple[float, float]:
     parts = text.split()
     if len(parts) != 2:
         raise ValueError("expected '<coef> <exp>'")
@@ -344,8 +305,8 @@ def _stage_pair(text: str) -> tuple[float, float]:
 
 def read_profile(path: str) -> DelayConstants:
     """Inverse of ``write_profile``; unreadable or malformed files raise ``ConfigError``."""
-    parsers = {role.value: _stage_pair for role in CalibRole}
-    parsers.update((f.name, int if f.type == "int" else float) for f in _SCALAR_FIELDS)
+    parsers = {role.value: _step_pair for role in CalibRole}
+    parsers.update((f.name, float) for f in _SCALAR_FIELDS)
     values: dict[str, object] = {}
     for name, text in read_key_value_file(path, "profile").items():
         if name not in parsers:

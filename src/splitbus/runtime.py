@@ -817,7 +817,7 @@ class _PassiveThread:
     def begin(self, epoch: int, end_sync: bool, shared: EpochShared) -> None:
         self._future = self._pool.submit(self._side.run_epoch, epoch, end_sync, shared)
 
-    def finish(self, failed_result) -> EpochResult:
+    def finish(self) -> EpochResult:
         return self._future.result()
 
     def close(self) -> None:
@@ -923,7 +923,7 @@ def run_training(
             end_sync = policy.end_sync(cfg.sync_base_interval, epoch)
             passive_party.begin(epoch, end_sync, shared)
             active_result = active_side.run_epoch(epoch, end_sync, shared)
-            passive_result = passive_party.finish(lambda exc: EpochResult(None, exc))
+            passive_result = passive_party.finish()
 
             epoch_wall = time.perf_counter() - epoch_start
             failure = _first_failure(shared, passive_result)

@@ -417,13 +417,15 @@ class PassiveProcess:
         self._epoch = epoch
         self._link.send_control(("epoch", epoch, end_sync))
 
-    def finish(self, failed_result):
-        """The child's result for the epoch; ``failed_result(exc)`` stands in
-        for a child that died without sending one."""
+    def finish(self):
+        """The child's result for the epoch, or, for a child that died without
+        sending one, a result that carries only a :class:`PeerGone`."""
         result = self._link.recv_control()
         if result is None:
+            from .runtime import EpochResult  # runtime imports this module
+
             self._process.join(_JOIN_SECONDS)
-            return failed_result(PeerGone(
+            return EpochResult(None, PeerGone(
                 f"passive party process exited with code {self._process.exitcode} "
                 f"[passive party, epoch {self._epoch}]"
             ))

@@ -399,36 +399,23 @@ def model_memory_bytes(model: nn.MlpModel, batch_size: int) -> int:
     return 2 * model.parameter_bytes + batch_size * model.dtype.itemsize * widths
 
 
-def mp_stage_time(coef: float, exp: float, batch: int, workers: int, cores: int) -> float:
-    """coef * batch**exp * workers / cores at 50 decimal digits."""
+def mp_stage_time(coef: float, exp: float, batch: int, workers: int) -> float:
+    """coef * batch**exp * workers at 50 decimal digits."""
     from mpmath import mp, mpf
 
     with mp.workdps(50):
-        return float(mpf(coef) * mpf(batch) ** mpf(exp) * mpf(workers) / mpf(cores))
+        return float(mpf(coef) * mpf(batch) ** mpf(exp) * mpf(workers))
 
 
 def mp_iteration_objective(c, w_a: int, w_p: int, batch: int) -> float:
-    """High-precision re-evaluation of the planner's objective.
-
-    Each of the two messages is a (batch, cut_width) float64 array behind a
-    16-byte header, written out here rather than taken from the broker.
-    """
+    """High-precision re-evaluation of the planner's objective: the slower
+    party's step time times its worker count."""
     from mpmath import mp, mpf
 
     with mp.workdps(50):
         b = mpf(batch)
-        per_call = {
-            role.value: mpf(coef) * b ** mpf(exp) for role, (coef, exp) in c.stages.items()
-        }
-        active = (
-            per_call["active_bottom_forward"] + per_call["active_bottom_backward"]
-            + per_call["top_forward"] + per_call["top_backward"]
-        ) * mpf(w_a) / mpf(c.cores_active)
-        passive = (
-            per_call["passive_forward"] + per_call["passive_backward"]
-        ) * mpf(w_p) / mpf(c.cores_passive)
-        comm = 2 * (16 + 8 * b * mpf(c.cut_width)) / mpf(c.bandwidth_bytes_per_sec)
-        return float(max(active, passive) + comm)
+        step = {role.value: mpf(coef) * b ** mpf(exp) for role, (coef, exp) in c.stages.items()}
+        return float(max(step["active_step"] * w_a, step["passive_step"] * w_p))
 
 
 def brute_force_search(c, space):
@@ -470,17 +457,8 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
     smallest = min(batch_candidates)
     need_a = slope_a * smallest
     need_p = slope_p * smallest
-    draw_order = [  # fixes which drawn value each stage gets for a given seed
-        CalibRole.ACTIVE_BOTTOM_FORWARD, CalibRole.PASSIVE_FORWARD,
-        CalibRole.ACTIVE_BOTTOM_BACKWARD, CalibRole.PASSIVE_BACKWARD,
-        CalibRole.TOP_FORWARD, CalibRole.TOP_BACKWARD,
-    ]
     return DelayConstants(
-        stages={role: (coef(), expo()) for role in draw_order},
-        cut_width=int(rng.integers(1, 1025)),
-        cores_active=int(rng.integers(1, 64)),
-        cores_passive=int(rng.integers(1, 64)),
-        bandwidth_bytes_per_sec=float(rng.uniform(1e6, 1e10)),
+        stages={role: (coef(), expo()) for role in CalibRole},
         mem_base_active=base_a,
         mem_base_passive=base_p,
         mem_slope_active=slope_a,
@@ -490,33 +468,28 @@ def random_delay_constants(rng: np.random.Generator, batch_candidates: list[int]
     )
 
 
-# (coef, exp) per stage, from a real profiling run
+# (coef, exp) per step, from 'splitbus profile' with the default
+# configuration on a 2-CPU x86-64 host
 REALISTIC_STAGES = {
-    "active_bottom_forward": (0.018, -0.8015),
-    "passive_forward": (0.010, -1.0071),
-    "active_bottom_backward": (0.066, -0.6069),
-    "passive_backward": (0.038, -1.0546),
-    "top_forward": (0.011, -0.7514),
-    "top_backward": (0.072, -0.7834),
+    "passive_step": (1.473e-05, 0.3623),
+    "active_step": (2.779e-05, 0.2890),
 }
 
 
 def realistic_constants(stages=None, **overrides):
     """A fitted constant set from a real profiling run, frozen as a fixture.
 
-    Negative exponents (per-call time shrinking with batch size) are what
-    heavily vectorised stacks actually measure, so the planner tests get
-    exercised on that regime rather than on toy monotone curves.  ``stages``
-    maps stage names to the (coef, exp) pairs that replace the frozen ones.
+    Exponents well below 1 (a step's fixed per-call cost amortised over the
+    batch) are what small vectorised models actually measure, so the planner
+    tests get exercised on that regime rather than on toy linear curves.
+    ``stages`` maps step names to the (coef, exp) pairs that replace the
+    frozen ones.
     """
     from splitbus.profiler import CalibRole, DelayConstants
 
     table = {**REALISTIC_STAGES, **(stages or {})}
     values = dict(
         stages={CalibRole(name): pair for name, pair in table.items()},
-        cut_width=16,
-        cores_active=32, cores_passive=32,
-        bandwidth_bytes_per_sec=1.25e9,
         mem_base_active=1e8, mem_base_passive=1e8,
         mem_slope_active=1e6, mem_slope_passive=1e6,
         mem_budget_active=4e9, mem_budget_passive=4e9,

@@ -15,12 +15,12 @@ from splitbus import cli
 from splitbus.cli import _load_experiment, _parse_range, build_parser, main
 from splitbus.config import ExperimentConfig, ModelShape, experiment_from_mapping
 from splitbus.data import Task, generate_synthetic
-from splitbus.planner import PlanState, SearchSpace, comm_seconds, read_plan
+from splitbus.planner import PlanState, SearchSpace, read_plan
 from splitbus.profiler import CalibRole, read_profile, write_profile
 from splitbus.runtime import build_models
 
 from oracles import (
-    brute_force_search, read_jsonl, realistic_constants, serialize_payload, write_csv,
+    brute_force_search, read_jsonl, realistic_constants, write_csv,
 )
 
 
@@ -65,32 +65,6 @@ class TestProfileCommand:
         assert all(coef > 0 for coef, _ in constants.stages.values())
 
     @pytest.mark.filterwarnings("ignore:power-law fit")
-    def test_an_unbounded_bandwidth_is_allowed(self, tiny_config, tmp_path):
-        out = tmp_path / "prof.txt"
-        assert main([
-            "profile", "--config", tiny_config, "--out", str(out),
-            "--batches", "8,32,128", "--repetitions", "1", "--bandwidth", "inf",
-        ]) == 0
-        assert read_profile(str(out)).bandwidth_bytes_per_sec == float("inf")
-
-    @pytest.mark.filterwarnings("ignore:power-law fit")
-    def test_message_size_follows_from_the_cut_width(self, tmp_path):
-        conf = tmp_path / "wide.conf"
-        conf.write_text(TINY_CONF + "model.passive_embed = 24\n")
-        out = tmp_path / "prof.txt"
-        # a power-of-two bandwidth makes seconds * bandwidth exact
-        code = main([
-            "profile", "--config", str(conf), "--out", str(out),
-            "--batches", "8,32,128", "--repetitions", "1", "--bandwidth", str(2**30),
-        ])
-        assert code == 0
-        constants = read_profile(str(out))
-        assert constants.cut_width == 24
-        for b in (1, 50, 256, 4096):
-            wire = 2 * len(serialize_payload(np.zeros((b, constants.cut_width))))
-            assert comm_seconds(constants, b) * constants.bandwidth_bytes_per_sec == wire
-
-    @pytest.mark.filterwarnings("ignore:power-law fit")
     def test_party_widths_come_from_the_split(self, tmp_path):
         conf = tmp_path / "split.conf"
         conf.write_text(TINY_CONF + "split.active_features = 3\n")
@@ -110,9 +84,6 @@ class TestProfileCommand:
         (["--batches", "0,8,16"], "--batches"),
         (["--batches", "8,x,16"], "--batches"),
         (["--repetitions", "0"], "--repetitions"),
-        (["--bandwidth", "0"], "--bandwidth"),  # inf is allowed: an unbounded link
-        (["--bandwidth", "-5"], "--bandwidth"),
-        (["--bandwidth", "nan"], "--bandwidth"),
     ])
     def test_a_bad_sweep_exits_2_naming_the_flag(self, tiny_config, tmp_path, capsys,
                                                  monkeypatch, argv, flag):
@@ -153,6 +124,39 @@ mem_budget_active = 4000000000.0
 mem_budget_passive = 4000000000.0
 """
 
+# The six timed stages, one line each, as written before the two steps.
+SIX_STAGE_PROFILE = """\
+active_bottom_forward = 0.018 -0.8015
+top_forward = 0.011 -0.7514
+active_bottom_backward = 0.066 -0.6069
+top_backward = 0.072 -0.7834
+passive_forward = 0.01 -1.0071
+passive_backward = 0.038 -1.0546
+cut_width = 16
+cores_active = 32
+cores_passive = 32
+bandwidth_bytes_per_sec = 1250000000.0
+mem_base_active = 100000000.0
+mem_base_passive = 100000000.0
+mem_slope_active = 1000000.0
+mem_slope_passive = 1000000.0
+mem_budget_active = 4000000000.0
+mem_budget_passive = 4000000000.0
+"""
+
+# The two steps, with a core count from before the cores went.
+CORES_PROFILE = """\
+passive_step = 1.473e-05 0.3623
+active_step = 2.779e-05 0.289
+cores_active = 32
+mem_base_active = 100000000.0
+mem_base_passive = 100000000.0
+mem_slope_active = 1000000.0
+mem_slope_passive = 1000000.0
+mem_budget_active = 4000000000.0
+mem_budget_passive = 4000000000.0
+"""
+
 
 class TestPlanCommand:
     def test_plan_matches_enumeration_oracle(self, tmp_path):
@@ -180,15 +184,19 @@ class TestPlanCommand:
         assert code == 4
         assert "no feasible plan" in capsys.readouterr().err
 
-    def test_old_format_profile_exits_2_naming_the_key(self, tmp_path, capsys):
-        # A profile with one line per coef and per exp, as written before
-        # the stage lines: it is refused, not read in part.
+    @pytest.mark.parametrize("text, key", [
+        (OLD_FORMAT_PROFILE, "forward_coef_active"),
+        (SIX_STAGE_PROFILE, "active_bottom_forward"),
+        (CORES_PROFILE, "cores_active"),
+    ], ids=["coef_exp_lines", "six_stages", "cores"])
+    def test_old_format_profile_exits_2_naming_the_key(self, tmp_path, capsys, text, key):
+        # A profile in an older format is refused, not read in part.
         prof = tmp_path / "prof.txt"
-        prof.write_text(OLD_FORMAT_PROFILE)
+        prof.write_text(text)
         out = tmp_path / "p.txt"
         assert main(["plan", "--profile", str(prof), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {prof}: unknown constant 'forward_coef_active' (re-run 'splitbus profile')\n"
+            f"error: {prof}: unknown constant '{key}' (re-run 'splitbus profile')\n"
         )
         assert not out.exists()
         write_profile(str(prof), realistic_constants())
@@ -197,8 +205,8 @@ class TestPlanCommand:
         assert "mem_exponent" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "line", ["active_bottom_forward = nan -0.8", "top_backward = 0.072 inf"],
-        ids=["active_bottom_forward-nan-coef", "top_backward-inf-exp"],
+        "line", ["active_step = nan -0.8", "passive_step = 0.072 inf"],
+        ids=["active_step-nan-coef", "passive_step-inf-exp"],
     )
     def test_non_finite_profile_value_exits_2_naming_the_field(self, tmp_path, capsys, line):
         prof = tmp_path / "prof.txt"

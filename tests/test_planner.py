@@ -1,7 +1,5 @@
 """Configuration search vs its enumeration oracle, plus objective arithmetic."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -12,38 +10,27 @@ from splitbus.planner import (
     SearchSpace,
     dp_search,
     iteration_objective,
-    party_polynomials,
     read_plan,
     write_plan,
 )
-from splitbus.profiler import memory_bound
+from splitbus.profiler import CalibRole, memory_bound, step_seconds
 
 from oracles import (
+    REALISTIC_STAGES,
     brute_force_search,
     mp_iteration_objective,
     random_delay_constants,
     realistic_constants,
 )
 
+REALISTIC_PASSIVE_STEP = REALISTIC_STAGES["passive_step"]
+
 
 def swap_roles(c):
     stage = {role.value: pair for role, pair in c.stages.items()}
     return realistic_constants(
-        stages={
-            "active_bottom_forward": stage["passive_forward"],
-            "active_bottom_backward": stage["passive_backward"],
-            "passive_forward": stage["active_bottom_forward"],
-            "passive_backward": stage["active_bottom_backward"],
-            "top_forward": stage["top_forward"],
-            "top_backward": stage["top_backward"],
-        },
-        cores_active=c.cores_passive,
-        cores_passive=c.cores_active,
+        stages={"active_step": stage["passive_step"], "passive_step": stage["active_step"]}
     )
-
-
-# the top model's contribution made vanishingly small
-NO_TOP = {"top_forward": (1e-300, -0.7514), "top_backward": (1e-300, -0.7834)}
 
 
 class TestObjective:
@@ -53,20 +40,16 @@ class TestObjective:
         want = mp_iteration_objective(c, 8, 10, 256)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_zero_comm_equals_pure_compute_max(self):
-        c = realistic_constants(bandwidth_bytes_per_sec=math.inf)
-        poly_active, poly_passive = party_polynomials(c, 64)
+    def test_equals_the_slower_partys_step_times_its_workers(self):
+        c = realistic_constants()
         assert iteration_objective(c, 3, 5, 64) == max(
-            poly_active * 3 / c.cores_active, poly_passive * 5 / c.cores_passive
+            step_seconds(c, CalibRole.ACTIVE_STEP, 64) * 3,
+            step_seconds(c, CalibRole.PASSIVE_STEP, 64) * 5,
         )
 
     def test_symmetric_parties_swap_invariant(self):
-        # make the top model's contribution vanishingly small so the two
-        # parties' compute branches are mirror images
-        c = realistic_constants(stages=NO_TOP, cores_active=16, cores_passive=16)
-        assert iteration_objective(c, 4, 9, 128) == pytest.approx(
-            iteration_objective(swap_roles(c), 9, 4, 128), rel=1e-9
-        )
+        c = realistic_constants()
+        assert iteration_objective(c, 4, 9, 128) == iteration_objective(swap_roles(c), 9, 4, 128)
 
     def test_infeasible_batch_rejected(self):
         c = realistic_constants(mem_budget_active=1e8 + 1e6 * 100)  # bound = 100
@@ -76,28 +59,18 @@ class TestObjective:
 
 
 class TestStateCost:
-    """The cost of one grid state with zero message bytes is pure compute."""
+    """The cost of one grid state is the slower party's step times its workers."""
 
     def test_matches_high_precision_reference(self):
-        c = realistic_constants(bandwidth_bytes_per_sec=math.inf)
+        c = realistic_constants()
         got = iteration_objective(c, 8, 8, 32)
         assert got == pytest.approx(mp_iteration_objective(c, 8, 8, 32), rel=1e-12)
 
     def test_identical_branches_collapse(self):
-        c = realistic_constants(
-            stages={
-                **NO_TOP,
-                "active_bottom_forward": (0.010, -1.0071),
-                "active_bottom_backward": (0.038, -1.0546),
-            },
-            cores_active=8, cores_passive=8,
-            bandwidth_bytes_per_sec=math.inf,
-        )
-        poly_active, poly_passive = party_polynomials(c, 64)
-        assert poly_active == pytest.approx(poly_passive, rel=1e-12)
-        assert iteration_objective(c, 4, 4, 64) == pytest.approx(
-            poly_passive * 4 / 8, rel=1e-12
-        )
+        c = realistic_constants(stages={"active_step": REALISTIC_PASSIVE_STEP})
+        active = step_seconds(c, CalibRole.ACTIVE_STEP, 64)
+        assert active == step_seconds(c, CalibRole.PASSIVE_STEP, 64)
+        assert iteration_objective(c, 4, 4, 64) == active * 4
 
 
 class TestSearch:
@@ -132,17 +105,13 @@ class TestSearch:
         fast, slow = dp_search(c, space), brute_force_search(c, space)
         assert fast == slow
 
-    @pytest.mark.parametrize("cores, plan, cost_hex", [
-        ((32, 32), (1, 1, 256), "0x1.59bc85e6474dfp-13"),
-        ((2, 3), (1, 1, 1024), "0x1.e4694f5787817p-11"),
-    ])
-    def test_reference_plan_cost_is_pinned_to_the_bit(self, cores, plan, cost_hex):
-        # Pinned floats: a change to the order in which a party's stages are
-        # added, or to the per-stage formula, moves the last bits and shows here.
-        c = realistic_constants(cores_active=cores[0], cores_passive=cores[1])
+    def test_reference_plan_cost_is_pinned_to_the_bit(self):
+        # Pinned floats: a change to the per-step formula, or to how a
+        # worker count scales it, moves the last bits and shows here.
+        c = realistic_constants()
         got = dp_search(c, SearchSpace(1, 10, 1, 10, [16, 32, 64, 128, 256, 512, 1024]))
-        assert (got.workers_active, got.workers_passive, got.batch_size) == plan
-        assert got.cost_seconds.hex() == cost_hex
+        assert (got.workers_active, got.workers_passive, got.batch_size) == (1, 1, 16)
+        assert got.cost_seconds.hex() == "0x1.03bd7c037760dp-14"
 
     def test_monotone_objective_picks_fewest_workers(self):
         # every term positive and growing with w; B fixed
@@ -156,15 +125,7 @@ class TestSearch:
         # flat exponents make every batch size equally fast; the active
         # branch dwarfs the passive one so w_p never affects the max
         c = realistic_constants(
-            stages={
-                "active_bottom_forward": (0.018, 0.0),
-                "active_bottom_backward": (0.066, 0.0),
-                "top_forward": (0.011, 0.0),
-                "top_backward": (0.072, 0.0),
-                "passive_forward": (1e-12, 0.0),
-                "passive_backward": (1e-12, 0.0),
-            },
-            bandwidth_bytes_per_sec=math.inf,
+            stages={"active_step": (0.167, 0.0), "passive_step": (1e-12, 0.0)}
         )
         space = SearchSpace(3, 3, 2, 6, [512, 128, 256, 128])
         plan = dp_search(c, space)

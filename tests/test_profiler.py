@@ -18,9 +18,9 @@ import numpy as np
 import pytest
 
 import splitbus
-from splitbus import nn
-from splitbus.broker import payload_byte_size
+from splitbus import nn, runtime
 from splitbus.config import ConfigError
+from splitbus.planner import iteration_objective
 from splitbus.profiler import (
     CalibRole,
     CalibrationSample,
@@ -29,10 +29,9 @@ from splitbus.profiler import (
     build_constants,
     fit_power_law,
     memory_bound,
-    message_seconds,
-    predict_times,
     read_profile,
     run_calibration,
+    step_seconds,
     write_profile,
     DEFAULT_BATCH_SWEEP,
 )
@@ -101,41 +100,25 @@ class TestPowerLawFit:
         assert coef > 0.0 and r2 < 0.9
 
 
-PASSIVE_STAGES = {"passive_forward", "passive_backward"}
-
-
 class TestPrediction:
     def test_stage_times_match_high_precision(self):
-        c = realistic_constants(cores_active=32, cores_passive=8)
-        times = predict_times(c, 32, 8, 3)
-        assert set(times) == set(CalibRole)
+        c = realistic_constants()
         for role, (coef, exponent) in c.stages.items():
-            w, cores = (3, 8) if role.value in PASSIVE_STAGES else (8, 32)
-            want = mp_stage_time(coef, exponent, 32, w, cores)
-            assert times[role] == pytest.approx(want, rel=1e-12), role
-
-    def test_transfer_times(self):
-        # both messages: a 16-byte header and 64 x 2 float64 entries = 1040 bytes
-        c = realistic_constants(cut_width=2, bandwidth_bytes_per_sec=1040.0)
-        assert message_seconds(c, 64) == 1.0
+            for w in (1, 3, 8):
+                want = mp_stage_time(coef, exponent, 32, w)
+                assert step_seconds(c, role, 32) * w == pytest.approx(want, rel=1e-12), role
 
     def test_unit_cancellation(self):
-        c = realistic_constants(stages={"top_forward": (1.0, 0.0)}, cores_active=8)
-        assert predict_times(c, 17, 8, 1)[CalibRole.TOP_FORWARD] == 1.0
-
-    def test_core_scaling_homogeneous(self):
-        c1 = realistic_constants(cores_active=8, cores_passive=4)
-        c2 = realistic_constants(cores_active=16, cores_passive=8)
-        t1 = predict_times(c1, 128, 4, 2)
-        t2 = predict_times(c2, 128, 8, 4)
-        assert t1 == t2  # w/C unchanged => identical floats
+        c = realistic_constants(stages={"active_step": (1.0, 0.0)})
+        assert step_seconds(c, CalibRole.ACTIVE_STEP, 17) == 1.0
+        assert iteration_objective(c, 8, 1, 17) == 8.0
 
     def test_rejects_bad_inputs(self):
         c = realistic_constants()
         with pytest.raises(ValueError):
-            predict_times(c, 0, 1, 1)
+            iteration_objective(c, 1, 1, 0)
         with pytest.raises(ValueError):
-            predict_times(c, 8, 0, 1)
+            iteration_objective(c, 0, 1, 8)
 
 
 class TestMemoryBound:
@@ -208,8 +191,7 @@ class TestMemoryModel:
             assert held == b * _bytes_per_row(narrow)
             assert model_memory_bytes(wide, b) == 2 * model_memory_bytes(narrow, b)
 
-    def test_narrow_bottoms_leave_the_wire_as_it_was(self):
-        # The cut-layer messages stay float64, whatever the bottoms compute in.
+    def test_narrow_bottoms_halve_the_passive_rows_term(self):
         samples = [
             CalibrationSample(role, b, 0.004 * b**0.9, 3)
             for role in CalibRole
@@ -222,12 +204,6 @@ class TestMemoryModel:
                   for m in (passive, active)]
         wide_c = build_constants(samples, passive, active, top)
         narrow_c = build_constants(samples, *narrow, top)
-        assert narrow_c.cut_width == wide_c.cut_width == passive.out_dim
-        for b in (1, 64, 1024):
-            assert message_seconds(narrow_c, b) == message_seconds(wide_c, b)
-            assert message_seconds(narrow_c, b) * narrow_c.bandwidth_bytes_per_sec == (
-                payload_byte_size(b, passive.out_dim)
-            )
         assert narrow_c.mem_slope_passive == wide_c.mem_slope_passive / 2
 
     def test_build_constants_equals_allocation_formula(self):
@@ -273,9 +249,10 @@ class TestCalibrationSweep:
     def test_sample_structure(self):
         passive, active, top = small_models()
         samples = run_calibration(passive, active, top, [2, 8, 32], repetitions=3)
-        assert len(samples) == 6 * 3  # six stages x three sizes
-        seen = {(s.role, s.batch_size) for s in samples}
-        assert len(seen) == 18
+        assert len(samples) == 2 * 3  # two steps x three sizes
+        assert [(s.role, s.batch_size) for s in samples] == [
+            (role, b) for role in CalibRole for b in (2, 8, 32)
+        ]
         assert all(s.elapsed_seconds > 0.0 for s in samples)
         assert all(s.repetitions == 3 for s in samples)
 
@@ -286,7 +263,7 @@ class TestCalibrationSweep:
         assert sizes == DEFAULT_BATCH_SWEEP
 
     def test_repeat_run_medians_are_stable(self):
-        # heavyweight stage so scheduler jitter stays well under the bound.
+        # heavyweight steps so scheduler jitter stays well under the bound.
         # On a shared host the speed of the machine drifts by more than the
         # bound between two back-to-back sweeps, and a process on the other
         # CPU can slow one sweep for a while.  So the two sweeps are
@@ -306,56 +283,45 @@ class TestCalibrationSweep:
                 assert [s.role for s in first] == [s.role for s in second]
                 ratios.append([f.elapsed_seconds / s.elapsed_seconds
                                for f, s in zip(first, second)])
-            for stage, sample in enumerate(first):
-                ratio = statistics.median(r[stage] for r in ratios)
+            for step, sample in enumerate(first):
+                ratio = statistics.median(r[step] for r in ratios)
                 assert 0.8 < ratio < 1.25, (sample.role, b, ratio)
 
-    def test_backward_stages_pass_the_runtime_input_grad_switch(self, monkeypatch):
-        # Bottom backprop stops at the parameter gradients in the runtime, so
-        # it is timed that way; only the top model's input gradient is used.
+    def test_times_the_runtime_steps_alternating_within_each_batch_size(self, monkeypatch):
+        # The sweep calls the runtime's own step functions.  Host drift must
+        # hit both steps alike, so after one warm-up each, every repetition
+        # runs the passive step and then the active one, one batch size
+        # after the other.
         passive, active, top = small_models()
-        real_backward = nn.backward
-        seen = []
-
-        def recording_backward(model, tape, d_out, **kwargs):
-            seen.append((model, kwargs))
-            return real_backward(model, tape, d_out, **kwargs)
-
-        monkeypatch.setattr(nn, "backward", recording_backward)
-        run_calibration(passive, active, top, [4, 16], repetitions=2)
-        switches = {}
-        for model, kwargs in seen:
-            switches.setdefault(id(model), set()).add(kwargs["input_grad"])
-        assert switches == {id(passive): {False}, id(active): {False}, id(top): {True}}
-
-    def test_stages_alternate_within_each_batch_size(self, monkeypatch):
-        # Host drift must hit all six stages alike, so each repetition times
-        # every stage once, round-robin, instead of one stage's block at a time.
-        passive, active, top = small_models()
-        names = {id(passive): "passive", id(active): "active", id(top): "top"}
-        real_forward, real_backward = nn.forward, nn.backward
+        real_update, real_step = runtime.passive_update, runtime.active_step
         calls = []
 
-        def recording_forward(model, x):
-            calls.append((x.shape[0], names[id(model)], "forward"))
-            return real_forward(model, x)
+        def recording_update(model, tape, d_z, eta):
+            calls.append((d_z.shape[0], "passive", eta))
+            return real_update(model, tape, d_z, eta)
 
-        def recording_backward(model, tape, d_out, **kwargs):
-            calls.append((d_out.shape[0], names[id(model)], "backward"))
-            return real_backward(model, tape, d_out, **kwargs)
+        def recording_step(bottom, top, bottom_out, z_passive, y, task, eta, send_gradient):
+            calls.append((y.shape[0], "active", eta))
+            return real_step(bottom, top, bottom_out, z_passive, y, task, eta, send_gradient)
 
-        monkeypatch.setattr(nn, "forward", recording_forward)
-        monkeypatch.setattr(nn, "backward", recording_backward)
+        monkeypatch.setattr(runtime, "passive_update", recording_update)
+        monkeypatch.setattr(runtime, "active_step", recording_step)
         reps = 4
         run_calibration(passive, active, top, [4, 16], repetitions=reps)
-        cycle = [(m, k) for m in ("passive", "active", "top") for k in ("forward", "backward")]
-        sizes = [size for size, _, _ in calls]
-        assert sizes == sorted(sizes)  # one batch size after the other
-        for b in (4, 16):
-            sequence = [(m, k) for size, m, k in calls if size == b]
-            # per stage: a forward for its tape and one warm-up call, then the timed cycles
-            assert len(sequence) == 2 * 6 + 6 * reps
-            assert sequence[-6 * reps:] == cycle * reps
+        # per batch size: one warm-up of each step, then the timed cycles
+        assert calls == [
+            (b, party, 0.0) for b in (4, 16) for _ in range(1 + reps)
+            for party in ("passive", "active")
+        ]
+
+    def test_leaves_the_callers_models_as_they_were(self):
+        passive, active, top = small_models()
+        models = (passive, active, top)
+        before = [(m.params.view(np.uint64).copy(), m.param_version) for m in models]
+        run_calibration(passive, active, top, [4, 16], repetitions=2)
+        for model, (params, version) in zip(models, before):
+            assert np.array_equal(model.params.view(np.uint64), params)
+            assert model.param_version == version
 
     def test_validates_arguments(self):
         passive, active, top = small_models()
@@ -364,7 +330,7 @@ class TestCalibrationSweep:
         with pytest.raises(ValueError):
             run_calibration(passive, active, top, [4], repetitions=0)
         with pytest.raises(ValueError):
-            CalibrationSample(CalibRole.TOP_FORWARD, 4, -0.1, 1)
+            CalibrationSample(CalibRole.ACTIVE_STEP, 4, -0.1, 1)
 
 
 class TestProfileBuild:
@@ -374,16 +340,12 @@ class TestProfileBuild:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # tiny-model timings may fit loosely
             constants = build_constants(
-                samples, passive, active, top,
-                cores_active=4, cores_passive=2,
-                bandwidth_bytes_per_sec=1e9,
-                mem_budget_active=1e9, mem_budget_passive=1e9,
+                samples, passive, active, top, mem_budget_active=1e9, mem_budget_passive=1e9,
             )
         assert constants.mem_base_passive == 2 * passive.parameter_bytes
         assert constants.mem_base_active == 2 * (
             active.parameter_bytes + top.parameter_bytes
         )
-        assert constants.cut_width == passive.out_dim
         assert memory_bound(constants) > 256
 
         path = tmp_path / "profile.txt"
@@ -392,23 +354,20 @@ class TestProfileBuild:
         assert loaded == constants  # repr round-trip is lossless
 
     def test_single_worker_prediction_reproduces_measurement(self):
-        # fitted coef absorbs the core count: predict(w=1) == measured median
+        # an exact power law: the fitted step time at w=1 is the measured median
         samples = [
             CalibrationSample(role, b, 0.004 * b**0.9, 3)
             for role in CalibRole
             for b in (8, 32, 128)
         ]
         passive, active, top = small_models()
-        constants = build_constants(
-            samples, passive, active, top, cores_active=4, cores_passive=2
-        )
-        predicted = predict_times(constants, 32, 1, 1)
+        constants = build_constants(samples, passive, active, top)
         measured = 0.004 * 32**0.9
         for role in CalibRole:
-            assert predicted[role] == pytest.approx(measured, rel=1e-9), role
+            assert step_seconds(constants, role, 32) == pytest.approx(measured, rel=1e-9), role
 
     def test_non_finite_constants_are_rejected_by_name(self):
-        unbounded = {"bandwidth_bytes_per_sec", "mem_budget_active", "mem_budget_passive"}
+        unbounded = {"mem_budget_active", "mem_budget_passive"}
         for f in dataclasses.fields(DelayConstants):
             if f.name == "stages":
                 continue
@@ -421,12 +380,8 @@ class TestProfileBuild:
                 for pair in ((value, -0.5), (0.01, value)):
                     with pytest.raises(ValueError, match=f"{role.value} must be finite"):
                         realistic_constants(stages={role.value: pair})
-        # bandwidth and budgets may be unbounded: no wire time, no memory ceiling
-        c = realistic_constants(
-            bandwidth_bytes_per_sec=math.inf, mem_budget_active=math.inf,
-            mem_budget_passive=math.inf,
-        )
-        assert message_seconds(c, 64) == 0.0
+        # the budgets may be unbounded: no memory ceiling
+        c = realistic_constants(mem_budget_active=math.inf, mem_budget_passive=math.inf)
         assert memory_bound(c) == math.inf
 
     @pytest.mark.parametrize("coef", [0.0, -0.01])
@@ -435,14 +390,14 @@ class TestProfileBuild:
             with pytest.raises(ValueError, match=f"{role.value} coef must be positive"):
                 realistic_constants(stages={role.value: (coef, -0.5)})
 
-    def test_stages_must_be_exactly_the_six_roles(self):
+    def test_stages_must_be_exactly_the_two_steps(self):
         stages = realistic_constants().stages
         for role in CalibRole:
             short = {r: pair for r, pair in stages.items() if r is not role}
             with pytest.raises(ValueError, match=f"missing \\['{role.value}'\\]"):
-                DelayConstants(stages=short, cut_width=16)
+                DelayConstants(stages=short)
         with pytest.raises(ValueError, match="unknown \\['top_sideways'\\]"):
-            DelayConstants(stages={**stages, "top_sideways": (1.0, 0.0)}, cut_width=16)
+            DelayConstants(stages={**stages, "top_sideways": (1.0, 0.0)})
 
     def test_read_profile_rejects_junk(self, tmp_path):
         good = tmp_path / "p.txt"
@@ -460,7 +415,7 @@ class TestProfileBuild:
             read_profile(str(truncated))
 
         malformed = tmp_path / "mal.txt"
-        malformed.write_text("top_forward 0.01 -0.5\n")
+        malformed.write_text("active_step 0.01 -0.5\n")
         with pytest.raises(ValueError, match="expected"):
             read_profile(str(malformed))
 
@@ -470,7 +425,10 @@ class TestProfileBuild:
         lines = dict(line.split(" = ") for line in path.read_text().splitlines())
         for role in CalibRole:
             assert lines[role.value] == "{!r} {!r}".format(*realistic_constants().stages[role])
-        assert len(lines) == len(CalibRole) + len(dataclasses.fields(DelayConstants)) - 1
+        assert list(lines) == ["passive_step", "active_step"] + [
+            f"mem_{kind}_{party}" for kind in ("base", "slope", "budget")
+            for party in ("active", "passive")
+        ]
 
     @pytest.mark.parametrize("role", list(CalibRole), ids=lambda r: r.value)
     def test_read_profile_names_a_missing_or_malformed_stage_line(self, tmp_path, role):

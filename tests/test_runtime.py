@@ -96,6 +96,29 @@ def capture_brokers(monkeypatch) -> list[bk.Broker]:
     return brokers
 
 
+def run_within(seconds: float, call, *args):
+    """``call(*args)`` on a daemon thread: its result, or what it raised.
+
+    A call still running after ``seconds`` fails the test instead of hanging it.
+    """
+    results, errors = [], []
+
+    def target():
+        try:
+            results.append(call(*args))
+        except BaseException as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=target, name="run-within", daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"{call.__name__} still running after {seconds} s")
+    if errors:
+        raise errors[0]
+    return results[0]
+
+
 class TestSerialEquivalence:
     def test_lockstep_and_single_worker_pubsub_match_reference(self, monkeypatch):
         train, test = vertical_pair()
@@ -878,9 +901,9 @@ class TestWorkerPools:
         use_transport(monkeypatch, "process")
         settled, real_finish = [], tp.PassiveProcess.finish
 
-        def checking_finish(self, failed_result):
+        def checking_finish(self):
             # Once the child's result is in, nothing moves the counters.
-            result = real_finish(self, failed_result)
+            result = real_finish(self)
             (broker,) = brokers
             before = broker.stats()
             time.sleep(0.02)
@@ -954,11 +977,11 @@ class TestChannels:
         checked = []
         real_finish = tp.PassiveProcess.finish
 
-        def checking_finish(self, failed_result):
+        def checking_finish(self):
             # Between epochs, in the parent: every embedding slot, written
             # twice, delivers only its newest message and counts the other
             # as published and evicted.
-            result = real_finish(self, failed_result)
+            result = real_finish(self)
             (broker,) = brokers
             before = broker.stats()
             newest = []
@@ -1319,7 +1342,7 @@ class TestFailurePlumbing:
         shm_before = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
         started = time.perf_counter()
         with pytest.raises(tp.PeerGone, match=r"passive party") as failure:
-            run_training(train, None, cfg)
+            run_within(5.0, run_training, train, None, cfg)
         assert time.perf_counter() - started < 5.0
         assert f"code {-signal.SIGKILL}" in str(failure.value)
         assert "[passive party, epoch 1]" in str(failure.value)
@@ -1353,7 +1376,7 @@ class TestFailurePlumbing:
         baseline = threading.active_count()
         started = time.perf_counter()
         with pytest.raises(tp.PeerGone, match=r"passive party") as failure:
-            run_training(train, None, cfg)
+            run_within(5.0, run_training, train, None, cfg)
         assert time.perf_counter() - started < 5.0
         assert f"code {-signal.SIGKILL}" in str(failure.value)
         assert "[passive party, epoch 1]" in str(failure.value)
