@@ -83,7 +83,9 @@ class TestProfileCommand:
         (["--batches", "8,8,16"], "--batches"),
         (["--batches", "0,8,16"], "--batches"),
         (["--batches", "8,x,16"], "--batches"),
+        (["--batches", "8,,16"], "--batches"),
         (["--repetitions", "0"], "--repetitions"),
+        (["--repetitions", "-3"], "--repetitions"),
     ])
     def test_a_bad_sweep_exits_2_naming_the_flag(self, tiny_config, tmp_path, capsys,
                                                  monkeypatch, argv, flag):
@@ -96,6 +98,16 @@ class TestProfileCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0], err
+        assert not out.exists()
+
+    def test_the_bandwidth_flag_is_gone(self, tiny_config, tmp_path, capsys, monkeypatch):
+        # The delay model has no wire term, so the profile takes no bandwidth.
+        monkeypatch.setattr(cli, "run_calibration", None)
+        out = tmp_path / "prof.txt"
+        with pytest.raises(SystemExit) as stop:
+            main(["profile", "--config", tiny_config, "--out", str(out), "--bandwidth", "1e9"])
+        assert stop.value.code == 2
+        assert "unrecognized arguments: --bandwidth" in capsys.readouterr().err
         assert not out.exists()
 
 

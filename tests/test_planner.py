@@ -47,6 +47,15 @@ class TestObjective:
             step_seconds(c, CalibRole.PASSIVE_STEP, 64) * 5,
         )
 
+    def test_cost_scales_linearly_in_the_slower_partys_workers(self):
+        # the passive step is the slower one here, so only w_p moves the cost
+        c = realistic_constants(stages={"active_step": (1e-12, 0.0)})
+        one = iteration_objective(c, 1, 1, 64)
+        assert one == step_seconds(c, CalibRole.PASSIVE_STEP, 64)
+        for w in (2, 3, 7):
+            assert iteration_objective(c, 1, w, 64) == one * w
+            assert iteration_objective(c, w, 1, 64) == one
+
     def test_symmetric_parties_swap_invariant(self):
         c = realistic_constants()
         assert iteration_objective(c, 4, 9, 128) == iteration_objective(swap_roles(c), 9, 4, 128)
@@ -112,6 +121,16 @@ class TestSearch:
         got = dp_search(c, SearchSpace(1, 10, 1, 10, [16, 32, 64, 128, 256, 512, 1024]))
         assert (got.workers_active, got.workers_passive, got.batch_size) == (1, 1, 16)
         assert got.cost_seconds.hex() == "0x1.03bd7c037760dp-14"
+
+    def test_amortised_plan_cost_is_pinned_to_the_bit(self):
+        # Negative exponents: the per-call time falls as the batch grows, so
+        # the largest batch wins, at the fewest workers the space allows.
+        c = realistic_constants(
+            stages={"passive_step": (0.048, -1.0434), "active_step": (0.167, -0.7412)}
+        )
+        got = dp_search(c, SearchSpace(2, 6, 1, 10, [16, 32, 64, 128, 256, 512, 1024]))
+        assert (got.workers_active, got.workers_passive, got.batch_size) == (2, 1, 1024)
+        assert got.cost_seconds.hex() == "0x1.010d79afc8c64p-9"
 
     def test_monotone_objective_picks_fewest_workers(self):
         # every term positive and growing with w; B fixed

@@ -113,6 +113,13 @@ class TestPrediction:
         assert step_seconds(c, CalibRole.ACTIVE_STEP, 17) == 1.0
         assert iteration_objective(c, 8, 1, 17) == 8.0
 
+    @pytest.mark.parametrize("role", list(CalibRole), ids=lambda r: r.value)
+    def test_a_batch_of_one_costs_the_coefficient(self, role):
+        c = realistic_constants()
+        coef, exp = c.stages[role]
+        assert step_seconds(c, role, 1) == coef
+        assert step_seconds(c, role, 256) == coef * 256.0**exp
+
     def test_rejects_bad_inputs(self):
         c = realistic_constants()
         with pytest.raises(ValueError):
@@ -314,6 +321,25 @@ class TestCalibrationSweep:
             for party in ("passive", "active")
         ]
 
+    def test_the_passive_step_draws_noise_at_sigma_one(self, monkeypatch):
+        # A run with privacy_mu = inf skips the draw; the profile times it.
+        passive, active, top = small_models()
+        real_forward = runtime.passive_forward
+        calls = []
+
+        def recording_forward(model, x, sigma, rng, report=None):
+            calls.append((x.shape[0], sigma, report))
+            return real_forward(model, x, sigma, rng, report)
+
+        monkeypatch.setattr(runtime, "passive_forward", recording_forward)
+        reps = 2
+        run_calibration(passive, active, top, [4, 16], repetitions=reps)
+        assert [(b, sigma) for b, sigma, _ in calls] == [
+            (b, 1.0) for b in (4, 16) for _ in range(1 + reps)
+        ]
+        for b, _, report in calls:
+            assert report.entries == (1 + reps) * b * passive.out_dim
+
     def test_leaves_the_callers_models_as_they_were(self):
         passive, active, top = small_models()
         models = (passive, active, top)
@@ -352,6 +378,24 @@ class TestProfileBuild:
         write_profile(str(path), constants)
         loaded = read_profile(str(path))
         assert loaded == constants  # repr round-trip is lossless
+
+    def test_unbounded_budgets_round_trip(self, tmp_path):
+        c = realistic_constants(mem_budget_active=math.inf, mem_budget_passive=math.inf)
+        path = tmp_path / "p.txt"
+        write_profile(str(path), c)
+        assert read_profile(str(path)) == c
+
+    @pytest.mark.parametrize(
+        "key", ["cut_width", "cores_active", "cores_passive", "bandwidth_bytes_per_sec"]
+    )
+    def test_read_profile_refuses_a_removed_constant(self, tmp_path, key):
+        # The model has no wire term and no core scaling: a profile that still
+        # carries one of their constants was fitted under the old model.
+        path = tmp_path / "p.txt"
+        write_profile(str(path), realistic_constants())
+        path.write_text(path.read_text() + f"{key} = 16\n")
+        with pytest.raises(ConfigError, match=f"unknown constant '{key}'"):
+            read_profile(str(path))
 
     def test_single_worker_prediction_reproduces_measurement(self):
         # an exact power law: the fitted step time at w=1 is the measured median
