@@ -9,14 +9,22 @@ memory.
 Run:  python3 demos/02_profile_and_plan.py
 """
 
-import warnings
+import os
 
-import numpy as np
+# One BLAS thread, as bench/run.py sets it: the steps are timed as the
+# runtime's workers run them, and BLAS's own threads can stall a timed call.
+# Set before numpy is imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from splitbus.config import ModelShape
-from splitbus.data import Task
-from splitbus.planner import SearchSpace, dp_search, iteration_objective
-from splitbus.profiler import (
+import warnings  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from splitbus.config import ModelShape  # noqa: E402
+from splitbus.data import Task  # noqa: E402
+from splitbus.planner import SearchSpace, dp_search, iteration_objective  # noqa: E402
+from splitbus.profiler import (  # noqa: E402
     CalibRole,
     build_constants,
     fit_power_law,
@@ -24,7 +32,7 @@ from splitbus.profiler import (
     run_calibration,
     step_seconds,
 )
-from splitbus.runtime import build_models
+from splitbus.runtime import build_models  # noqa: E402
 
 SEED = 7
 

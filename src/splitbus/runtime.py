@@ -10,21 +10,26 @@ run in this process (the ``thread`` transport).  :func:`_transport` makes
 that choice and :class:`~splitbus.metrics.RunSummary` records it.  Workers
 are threads either way; the only things the parties share are the batch
 plan (derived from the run seed on both sides) and the broker's channels.
-Both parties run every epoch through the same :meth:`PartySide.run_epoch`,
-which plans the epoch, runs the party's pool and does the party's own
-end-of-epoch average; the active side runs on the thread that called
-:func:`run_training`, and the passive side on a thread of its own or in the
-child.
+Each party is a :class:`PartySide`, driven by the thread that called
+:func:`run_training` or by the child's main thread, never by a thread of
+its own.  :meth:`PartySide.begin` plans the epoch, builds the party's own
+:class:`EpochShared` and hands the work to the party's pool;
+:meth:`PartySide.finish` waits for the pool and does the party's own
+end-of-epoch average and snapshot.  :func:`run_training` begins the
+passive epoch, then the active one, and finishes them in the other order;
+on the ``process`` transport the passive calls are commands to the child,
+which runs the same lifecycle.  The parties share no epoch state, so a
+failure reaches the other party only through the closed bus.
 
 Each party's pool is a :class:`WorkerPool`, started once per run before
-epoch 1's clock starts: on the ``process`` transport the passive pool
-starts in the child before it reads its first command, and the active
-pool in the parent right after the fork, once the child has said its pool
-is up; on the ``thread`` transport both start in this process.  Its
-threads pin themselves once as they start, each epoch hands them its
-work, and the run joins them when it returns or fails.  A party's
-``run_epoch`` called outside a run makes a pool for that epoch and joins
-it before returning.
+epoch 1's clock starts (:meth:`PartySide.start`): on the ``process``
+transport the passive pool starts in the child before it reads its first
+command, and the active pool in the parent right after the fork, once the
+child has said its pool is up; on the ``thread`` transport both start in
+this process.  Its threads pin themselves once as they start, each epoch
+hands them its work, and the run joins them when it returns or fails.
+:meth:`PassiveEngine.run_epoch`, called outside a run, makes a pool for
+that epoch and joins it before returning.
 
 A forked run also splits the caller's CPUs between the two processes
 (:func:`splitbus.transport.split_cpus`): the parent's runtime threads (the
@@ -88,7 +93,7 @@ import time
 from collections import OrderedDict, deque
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from queue import SimpleQueue
 
 import numpy as np
@@ -356,7 +361,7 @@ class PartyServer:
 
 
 class EpochShared:
-    """State shared by every worker thread during one epoch."""
+    """State shared by one party's worker threads during one epoch."""
 
     def __init__(self, broker: bk.Broker, epoch: int):
         self.broker = broker
@@ -364,28 +369,20 @@ class EpochShared:
         self.losses: list[tuple[int, float]] = []
         self._lock = threading.Lock()
         self.failure: BaseException | None = None
-        self.barriers: list[threading.Barrier] = []
+        self.barrier: threading.Barrier | None = None  # set before the workers start
 
     def record_loss(self, batch_id: int, value: float) -> None:
         with self._lock:
             self.losses.append((batch_id, value))
 
     def fail(self, exc: BaseException) -> None:
+        """Keep the first failure, close the bus and abort the barrier."""
         with self._lock:
             if self.failure is None:
                 self.failure = exc
-            barriers = list(self.barriers)
         self.broker.close()
-        for barrier in barriers:
-            barrier.abort()
-
-    def add_barrier(self, barrier: threading.Barrier) -> None:
-        """Abort ``barrier`` on failure, at once if the epoch already failed."""
-        with self._lock:
-            self.barriers.append(barrier)
-            failed = self.failure is not None
-        if failed:
-            barrier.abort()
+        if self.barrier is not None:
+            self.barrier.abort()
 
     @property
     def failed(self) -> bool:
@@ -397,7 +394,7 @@ class WorkerPool:
 
     Thread ``w`` is named ``{name}-{w}``.  It pins itself to ``cpus`` as it
     starts (an empty share pins nothing), then runs each epoch's work that
-    :meth:`run` hands it until :meth:`close` ends and joins it.
+    :meth:`start` hands it until :meth:`close` ends and joins it.
     """
 
     def __init__(self, name: str, size: int, cpus: Sequence[int] = ()):
@@ -405,6 +402,7 @@ class WorkerPool:
         self._cpus = cpus
         self._jobs = [SimpleQueue() for _ in range(size)]
         self._done: SimpleQueue = SimpleQueue()
+        self._stats: list[WorkerStats] = []  # one tally per worker while they have work
         # Daemon threads: a pool left open must not keep the interpreter alive.
         self._threads = [threading.Thread(target=self._serve, args=(w,), name=f"{name}-{w}",
                                           daemon=True) for w in range(size)]
@@ -419,9 +417,9 @@ class WorkerPool:
             finally:
                 self._done.put(None)
 
-    def run(self, shared: EpochShared, body, *args) -> WorkerStats:
-        """Run ``body(w, *args, stats)`` on every worker, wait for them all and
-        return the sum of their tallies.
+    def start(self, shared: EpochShared, body, *args) -> None:
+        """Hand ``body(w, *args, stats)`` to every worker and return at once;
+        :meth:`wait` collects the tallies.
 
         A worker's exception gets the party, worker, epoch and batch appended
         to its message and goes to :meth:`EpochShared.fail`, which stops the
@@ -429,7 +427,7 @@ class WorkerPool:
         returns.  A worker that finds the bus closed (the peer failed)
         raises :class:`~splitbus.transport.PeerGone`.
         """
-        stats = [WorkerStats() for _ in self._threads]
+        self._stats = stats = [WorkerStats() for _ in self._threads]
 
         def job(w: int) -> None:
             start = time.perf_counter()
@@ -446,11 +444,16 @@ class WorkerPool:
 
         for jobs in self._jobs:
             jobs.put(job)
-        for _ in self._threads:
+
+    def wait(self) -> WorkerStats:
+        """Wait for every worker to finish the work :meth:`start` last handed
+        out (at once if there is none) and return the sum of their tallies."""
+        for _ in self._stats:
             self._done.get()
         total = WorkerStats()
-        for worker in stats:
+        for worker in self._stats:
             total.absorb(worker)
+        self._stats = []
         return total
 
     def close(self) -> None:
@@ -494,7 +497,6 @@ class _Engine:
 
     party = ""  # "passive" or "active": names the worker threads and a failure's site
     noise_reports: Sequence[NoiseReport] = ()  # a party that adds noise has one per worker
-    pool: WorkerPool | None = None  # the run's workers (PartySide.start_workers)
 
     def __init__(self, features, initial_models, num_workers, eta, skew_seconds, max_retries):
         self.features = features
@@ -510,17 +512,6 @@ class _Engine:
 
     def snapshot(self) -> list[nn.MlpModel]:
         return [nn.average_models(group) for group in self.replica_groups]
-
-    def _run_pool(self, shared: EpochShared, body, *args) -> WorkerStats:
-        """One epoch on the run's workers, or, called outside a run, on a
-        pool made and joined for this epoch alone."""
-        if self.pool is not None:
-            return self.pool.run(shared, body, *args)
-        pool = WorkerPool(self.party, self.num_workers)
-        try:
-            return pool.run(shared, body, *args)
-        finally:
-            pool.close()
 
 
 class PassiveEngine(_Engine):
@@ -553,11 +544,17 @@ class PassiveEngine(_Engine):
         deadline: float | None,
         lookahead: int,
     ) -> WorkerStats:
-        return self._run_pool(shared, self._worker_body, plan, queue, shared, deadline, lookahead)
+        """One epoch outside a run, on a pool made and joined for it alone."""
+        pool = WorkerPool(self.party, self.num_workers)
+        try:
+            pool.start(shared, self._worker_loop, plan, queue, shared, deadline, lookahead)
+            return pool.wait()
+        finally:
+            pool.close()
 
     # -- worker internals ---------------------------------------------------
 
-    def _worker_body(self, w, plan, queue, shared, deadline, lookahead, stats):
+    def _worker_loop(self, w, plan, queue, shared, deadline, lookahead, stats):
         model = self.replicas[w]
         pending: OrderedDict[int, _PendingBatch] = OrderedDict()
         while not shared.failed:
@@ -644,15 +641,6 @@ class ActiveEngine(_Engine):
         self.bottoms, self.tops = self.replica_groups
         self.labels = labels
         self.task = task
-
-    def run_epoch(
-        self,
-        plan: BatchPlan,
-        queue: WorkQueue,
-        shared: EpochShared,
-        deadline: float | None,
-    ) -> WorkerStats:
-        return self._run_pool(shared, self._worker_loop, plan, queue, shared, deadline)
 
     def _worker_loop(self, w, plan, queue, shared, deadline, stats):
         while not shared.failed:
@@ -757,72 +745,75 @@ class EpochResult:
     stats: WorkerStats | None
     failure: BaseException | None
     snapshot: list[nn.MlpModel] | None = None  # one averaged model per replica group
+    losses: Sequence[tuple[int, float]] = ()  # (batch id, loss); the active party's only
     noise_reports: Sequence[NoiseReport] = ()  # cumulative
     syncs: int = 0  # the party server's syncs so far
 
 
 @dataclass
 class PartySide:
-    """Everything one party needs to run its side of an epoch."""
+    """One party's side of a run, driven by one thread of its process.
+
+    :meth:`start` starts the party's workers once; each epoch is then
+    :meth:`begin`, which returns once the workers have their work, and
+    :meth:`finish`, which waits for them; :meth:`close` joins them.
+    """
 
     engine: PassiveEngine | ActiveEngine
-    pool_args: tuple  # the engine's own ``run_epoch`` arguments after the shared ones
+    pool_args: tuple  # the engine's worker-loop arguments after the shared ones
+    broker: bk.Broker
     num_rows: int
     batch_size: int
     seed: int
     rendezvous: bool
+    _pool: WorkerPool | None = field(default=None, init=False)
+    _shared: EpochShared | None = field(default=None, init=False)  # the epoch in flight
+    _end_sync: bool = field(default=False, init=False)
 
-    def run_epoch(self, epoch: int, end_sync: bool, shared: EpochShared) -> EpochResult:
-        """Plan the epoch, run the pool, then do the party's own end-of-epoch average."""
+    def start(self, cpus: Sequence[int] = ()) -> None:
+        """Start the party's workers, pinned to ``cpus``, for every later epoch."""
+        self._pool = WorkerPool(self.engine.party, self.engine.num_workers, cpus)
+
+    def begin(self, epoch: int, end_sync: bool) -> None:
+        """Plan the epoch and hand it to the workers; a failure here closes
+        the bus, and :meth:`finish` reports it."""
         engine = self.engine
+        self._shared = shared = EpochShared(self.broker, epoch)
+        self._end_sync = end_sync
         try:
             plan = plan_for_epoch(self.num_rows, self.batch_size, self.seed, epoch)
-            barrier = None
             if self.rendezvous:  # its action averages the replicas after every iteration
-                barrier = threading.Barrier(
+                shared.barrier = threading.Barrier(
                     engine.num_workers, action=lambda: engine.server.sync(engine.replica_groups)
                 )
-                shared.add_barrier(barrier)
-            queue = WorkQueue([b.batch_id for b in plan.batches], barrier)
-            stats = engine.run_epoch(plan, queue, shared, *self.pool_args)
-            if end_sync:
-                engine.server.sync(engine.replica_groups)
-            snapshot = engine.snapshot()
+            queue = WorkQueue([b.batch_id for b in plan.batches], shared.barrier)
+            self._pool.start(shared, engine._worker_loop, plan, queue, shared, *self.pool_args)
         except BaseException as exc:  # outside the workers; re-raised by run_training
-            _name_failure_site(exc, f"{engine.party} party, epoch {epoch}")
-            shared.fail(exc)
-            return EpochResult(None, shared.failure)
-        return EpochResult(stats, shared.failure, snapshot, engine.noise_reports,
-                           engine.server.syncs)
-
-    def start_workers(self, cpus: Sequence[int] = ()) -> WorkerPool:
-        """Start the party's workers for every later epoch; close the pool
-        this returns when the run ends."""
-        engine = self.engine
-        engine.pool = WorkerPool(engine.party, engine.num_workers, cpus)
-        return engine.pool
-
-
-class _PassiveThread:
-    """The thread transport: the passive workers start here, in this process,
-    and each passive epoch runs on a one-worker thread pool."""
-
-    def __init__(self, side: PartySide):
-        self.cpus: tuple[list[int], list[int]] = ([], [])  # one process: nothing to split
-        self._side = side
-        self._workers = side.start_workers()
-        self._pool = ThreadPoolExecutor(1, thread_name_prefix="passive-party")
-        self._future = None  # the epoch in flight
-
-    def begin(self, epoch: int, end_sync: bool, shared: EpochShared) -> None:
-        self._future = self._pool.submit(self._side.run_epoch, epoch, end_sync, shared)
+            self._fail(exc)
 
     def finish(self) -> EpochResult:
-        return self._future.result()
+        """Wait for the workers, then do the party's own end-of-epoch average
+        and snapshot."""
+        shared, engine = self._shared, self.engine
+        stats = self._pool.wait()
+        if not shared.failed:
+            try:
+                if self._end_sync:
+                    engine.server.sync(engine.replica_groups)
+                return EpochResult(stats, None, engine.snapshot(), shared.losses,
+                                   engine.noise_reports, engine.server.syncs)
+            except BaseException as exc:  # outside the workers; re-raised by run_training
+                self._fail(exc)
+        return EpochResult(None, shared.failure)
+
+    def _fail(self, exc: BaseException) -> None:
+        _name_failure_site(exc, f"{self.engine.party} party, epoch {self._shared.epoch}")
+        self._shared.fail(exc)
 
     def close(self) -> None:
-        self._pool.shutdown()
-        self._workers.close()
+        """Join the workers once their current work is done."""
+        if self._pool is not None:
+            self._pool.close()
 
 
 def _transport(passive_in_flight: int) -> str:
@@ -832,20 +823,23 @@ def _transport(passive_in_flight: int) -> str:
     batch in flight (several workers, or lookahead past one batch).  With
     one, the two bottom models still overlap, but measured on two CPUs a
     child was never resolvably faster than threads, and it adds its fork and
-    reaping (about 15-20 ms) to every run.  Without ``fork`` every run uses
-    threads.
+    reaping to every run: about 6 ms (5-8 ms) from the fork to the child's
+    ready message and 2.6 ms (2-4 ms) to close it, timed in process on a
+    2-CPU host (ROADMAP.md's measurement table).  Without ``fork`` every run
+    uses threads.
     """
     if passive_in_flight > 1 and "fork" in multiprocessing.get_all_start_methods():
         return "process"
     return "thread"
 
 
-def _first_failure(shared: EpochShared, passive: EpochResult) -> BaseException | None:
-    """The failure to raise: a party's own error before a peer-gone report."""
-    for failure in (shared.failure, passive.failure):
+def _first_failure(active: EpochResult, passive: EpochResult) -> BaseException | None:
+    """The failure to raise: a party's own error before a peer-gone report,
+    and of two peer-gone reports the passive one, which names a dead child."""
+    for failure in (active.failure, passive.failure):
         if failure is not None and not isinstance(failure, tp.PeerGone):
             return failure
-    return passive.failure if passive.failure is not None else shared.failure
+    return passive.failure if passive.failure is not None else active.failure
 
 
 def run_training(
@@ -896,17 +890,18 @@ def run_training(
 
     deadline = cfg.deadline_seconds if policy.waits_expire else None
     lookahead = policy.lookahead(cfg, num_batches)
-    plan_args = (n, cfg.batch_size, cfg.seed, policy.rendezvous)
-    passive_side = PartySide(passive, (deadline, lookahead), *plan_args)
-    active_side = PartySide(active, (deadline,), *plan_args)
+    side_args = (broker, n, cfg.batch_size, cfg.seed, policy.rendezvous)
+    passive_side = PartySide(passive, (deadline, lookahead), *side_args)
+    active_side = PartySide(active, (deadline,), *side_args)
     transport = _transport(workers_passive * lookahead)
     if transport == "process":  # fork before any runtime thread starts
-        passive_party = tp.PassiveProcess(broker, passive_side,
-                                          min(cfg.batch_size, n), passive_init.out_dim,
+        passive_party = tp.PassiveProcess(passive_side, min(cfg.batch_size, n),
+                                          passive_init.out_dim,
                                           max(workers_active, workers_passive))
-    else:
-        passive_party = _PassiveThread(passive_side)
-    cpus_active, cpus_passive = passive_party.cpus
+        cpus_active, cpus_passive = passive_party.cpus
+    else:  # one process: nothing to split
+        passive_party, cpus_active, cpus_passive = passive_side, [], []
+        passive_side.start()
 
     epoch_rows: list[mt.EpochMetrics] = []
     party_rows: list[dict] = []
@@ -914,19 +909,19 @@ def run_training(
     stopped_early = False
 
     try:
-        active_side.start_workers(cpus_active)  # before any epoch's clock starts
+        active_side.start(cpus_active)  # before any epoch's clock starts
         for epoch in range(1, cfg.epochs + 1):
             broker.flush_all()  # deadline-skipped leftovers never leak across epochs
-            shared = EpochShared(broker, epoch)
             epoch_start = time.perf_counter()
 
             end_sync = policy.end_sync(cfg.sync_base_interval, epoch)
-            passive_party.begin(epoch, end_sync, shared)
-            active_result = active_side.run_epoch(epoch, end_sync, shared)
+            passive_party.begin(epoch, end_sync)
+            active_side.begin(epoch, end_sync)
+            active_result = active_side.finish()
             passive_result = passive_party.finish()
 
             epoch_wall = time.perf_counter() - epoch_start
-            failure = _first_failure(shared, passive_result)
+            failure = _first_failure(active_result, passive_result)
             if failure is not None:
                 raise failure
 
@@ -944,7 +939,7 @@ def run_training(
                 mt.EpochMetrics(
                     epoch=epoch,
                     wall_seconds=epoch_wall,
-                    mean_train_loss=batch_loss_mean(shared.losses),
+                    mean_train_loss=batch_loss_mean(active_result.losses),
                     test_metric=test_metric,
                     total_wait_seconds=both.wait_seconds,
                     active_wait_seconds=active_stats.wait_seconds,
@@ -975,9 +970,9 @@ def run_training(
                 stopped_early = True
                 break
     finally:
-        passive_party.close()  # a forked run's close also ends an epoch the active pool is in
-        if active.pool is not None:
-            active.pool.close()
+        broker.close()  # first: it ends an epoch either party may still be in
+        passive_party.close()
+        active_side.close()
 
     merged_report = NoiseReport(sigma=sigma)
     for report in passive_result.noise_reports:
@@ -1017,7 +1012,6 @@ def run_training(
         cpus_active=cpus_active,
         cpus_passive=cpus_passive,
     )
-    broker.close()
     return RunResult(
         epochs=epoch_rows,
         summary=summary,

@@ -382,38 +382,40 @@ def _portable_failure(exc: BaseException) -> BaseException:
 class PassiveProcess:
     """Parent-side handle of the child process that runs the passive party.
 
-    ``party`` is the passive side (:class:`splitbus.runtime.PartySide`).  In
-    the child, ``party.start_workers()`` starts its worker pool once, before
-    the constructor returns, and ``party.run_epoch(epoch, end_sync, shared)``
-    runs each epoch and returns an object with a ``failure`` attribute,
-    which the child sends back as soon as the epoch's pool ends.  Both
-    copies of ``broker`` share one bus, so a failure closes it for both.
-    Every cut-layer message has at most ``rows`` rows and ``cols`` columns,
-    the size of a mailbox slot, and neither process runs more than
-    ``waiters`` workers.
-    ``cpus`` is the (parent, child) split from :func:`split_cpus`; the
-    parent's runtime threads pin themselves to ``cpus[0]``.
+    ``party`` is the passive side (:class:`splitbus.runtime.PartySide`), and
+    ``party.broker`` the run's broker; both copies of it share one bus, so a
+    failure closes it for both.  The child runs the same lifecycle on its
+    main thread as the thread transport runs in this process:
+    ``party.start()`` before the constructor returns, then per epoch
+    command ``party.begin(epoch, end_sync)`` and ``party.finish()``, whose
+    result (it carries a ``failure`` attribute) the child sends back as
+    soon as the epoch's workers are done, and ``party.close()`` before it
+    exits.  Each ``begin`` builds the epoch's ``EpochShared`` in the child,
+    from the child's copy of the broker.  Every cut-layer message has at
+    most ``rows`` rows and ``cols`` columns, the size of a mailbox slot, and
+    neither process runs more than ``waiters`` workers.  ``cpus`` is the
+    (parent, child) split from :func:`split_cpus`; the parent's runtime
+    threads pin themselves to ``cpus[0]``.
     """
 
-    def __init__(self, broker: bk.Broker, party, rows: int, cols: int, waiters: int):
+    def __init__(self, party, rows: int, cols: int, waiters: int):
         self.cpus = split_cpus()
         ctx = multiprocessing.get_context("fork")
-        mailbox = Mailbox(broker.num_channels, rows, cols, waiters)
+        mailbox = Mailbox(party.broker.num_channels, rows, cols, waiters)
         parent_end, child_end = ctx.Pipe()
         self._epoch = 0
         self._process = ctx.Process(
             target=_child_main, name="splitbus-passive", daemon=True,
-            args=(broker, mailbox, party, self.cpus[1], child_end, parent_end),
+            args=(mailbox, party, self.cpus[1], child_end, parent_end),
         )
         self._process.start()
         child_end.close()
-        self._broker = broker
         self._link = Link(parent_end, mailbox, peer="passive", cpus=self.cpus[0])
-        broker.connect(mailbox, bk.MessageKind.EMBEDDING)
+        party.broker.connect(mailbox, bk.MessageKind.EMBEDDING)
         self._link.start()
         self._link.recv_control()  # the child's workers are up (None: it died, as finish reports)
 
-    def begin(self, epoch: int, end_sync: bool, shared) -> None:
+    def begin(self, epoch: int, end_sync: bool) -> None:
         self._epoch = epoch
         self._link.send_control(("epoch", epoch, end_sync))
 
@@ -432,8 +434,8 @@ class PassiveProcess:
         return result
 
     def close(self) -> None:
-        """Stop the child, reap it, and join the receiver thread."""
-        self._broker.close()  # closes the bus, which ends an epoch the child may still be in
+        """Stop the child, reap it, and join the receiver thread.  Close the
+        bus first: that ends an epoch the child may still be in."""
         self._link.send_control(("stop",))
         self._process.join(_JOIN_SECONDS)
         if self._process.exitcode is None:
@@ -442,17 +444,14 @@ class PassiveProcess:
         self._link.close()
 
 
-def _child_main(broker: bk.Broker, mailbox: Mailbox, party, cpus: Sequence[int],
-                conn, parent_end) -> None:
+def _child_main(mailbox: Mailbox, party, cpus: Sequence[int], conn, parent_end) -> None:
     """The child's command loop: one passive epoch per ``("epoch", e, end_sync)``."""
-    from .runtime import EpochShared  # runtime imports this module
-
     pin_thread(cpus)  # before any thread starts, so every thread inherits it
     parent_end.close()
     link = Link(conn, mailbox, peer="active")
-    broker.connect(mailbox, bk.MessageKind.GRADIENT)
+    party.broker.connect(mailbox, bk.MessageKind.GRADIENT)
     link.start()
-    workers = party.start_workers()
+    party.start()
     link.send_control(("ready",))
     try:
         while True:
@@ -460,12 +459,13 @@ def _child_main(broker: bk.Broker, mailbox: Mailbox, party, cpus: Sequence[int],
             if command is None or command[0] != "epoch":
                 return
             _, epoch, end_sync = command
-            broker.flush_all()  # the last epoch's late gradients, all in by now
-            result = party.run_epoch(epoch, end_sync, EpochShared(broker, epoch))
+            party.broker.flush_all()  # the last epoch's late gradients, all in by now
+            party.begin(epoch, end_sync)
+            result = party.finish()
             if result.failure is not None:
                 result.failure = _portable_failure(result.failure)
             link.send_control(result)
             if result.failure is not None:
                 return
     finally:
-        workers.close()
+        party.close()

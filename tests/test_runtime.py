@@ -813,6 +813,10 @@ class TestWorkerPools:
         else:
             assert parent == ["active-0", "active-1", "passive-0", "passive-1"]
             assert started == {}
+            # Nothing else starts a thread: each party runs its epochs on the
+            # run's own thread.
+            assert sorted(line.split(" ", 1)[1] for line in starts.read_text().splitlines()) \
+                == ["active-0", "active-1", "passive-0", "passive-1"]
 
     def test_a_pool_hands_every_epoch_to_every_worker_once(self):
         # More workers than CPUs and a short switch interval, so hand-offs
@@ -834,7 +838,8 @@ class TestWorkerPools:
                     if epoch == failing and w == 3:
                         raise RuntimeError("injected")
 
-                total = pool.run(shared, body)
+                pool.start(shared, body)
+                total = pool.wait()
                 ran.append((sorted(seen) == list(range(workers)), total.completed))
                 if shared.failure is not None:
                     failures.append(str(shared.failure))
@@ -1145,8 +1150,7 @@ class TestDeadlines:
             sigma=0.0, noise_seed=0,
         )
         shared = EpochShared(broker, epoch=1)
-        barrier = threading.Barrier(2)
-        shared.add_barrier(barrier)
+        barrier = shared.barrier = threading.Barrier(2)
         queue = WorkQueue([b.batch_id for b in plan.batches], barrier)
 
         def answer_batch_0_then_close():
@@ -1383,6 +1387,52 @@ class TestFailurePlumbing:
         assert multiprocessing.active_children() == []
         assert threading.active_count() == baseline
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc/<pid>/stat")
+    @pytest.mark.parametrize("mode", [Mode.PUBSUB, Mode.SYNC_PS, Mode.ASYNC_PS])
+    def test_the_child_of_a_killed_parent_exits_by_itself(self, mode, monkeypatch, tmp_path):
+        # A harness process stands in for the parent and is killed mid-epoch,
+        # so nothing closes the bus or sends a stop: only the EOF on its
+        # pipe can end the orphaned child's epoch and then the child.
+        train, _ = vertical_pair(n=400, d=10, seed=3)
+        cfg = TrainConfig(
+            mode=mode, batch_size=32, workers_active=2, workers_passive=2,
+            learning_rate=0.05, epochs=100, seed=5, shape=SMALL_SHAPE,
+            skew_active_seconds=0.02,
+        )
+        use_transport(monkeypatch, "process")
+        pid_file, real_init = tmp_path / "child", tp.PassiveProcess.__init__
+
+        def noting_init(self, *args):
+            real_init(self, *args)
+            (tmp_path / "partial").write_text(str(self._process.pid))
+            os.replace(tmp_path / "partial", pid_file)
+
+        def state(pid: int) -> str | None:
+            try:  # the field after the parenthesised command name
+                return pathlib.Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return None
+
+        monkeypatch.setattr(tp.PassiveProcess, "__init__", noting_init)
+        harness = multiprocessing.get_context("fork").Process(
+            target=run_training, args=(train, None, cfg), name="harness")
+        harness.start()
+        waited = time.monotonic() + 5.0
+        while not pid_file.exists() and harness.is_alive() and time.monotonic() < waited:
+            time.sleep(0.005)
+        time.sleep(0.1)  # into the run's first epochs, each about 0.1 s
+        os.kill(harness.pid, signal.SIGKILL)
+        harness.join()
+        assert harness.exitcode == -signal.SIGKILL  # still running when killed
+        child = int(pid_file.read_text())
+        gone = time.monotonic() + 5.0
+        while state(child) not in (None, "Z", "X") and time.monotonic() < gone:
+            time.sleep(0.005)
+        left = state(child)
+        if left not in (None, "Z", "X"):
+            os.kill(child, signal.SIGKILL)  # so a failure leaves no orphan behind
+        assert left in (None, "Z", "X"), f"child {child} is still {left} after 5 s"
+
     def test_peer_failure_does_not_wait_for_the_mailbox_lock(self):
         # A peer killed while it writes a slot leaves the shared lock held.
         # The receiver's EOF path must not need that lock, and a worker
@@ -1476,10 +1526,14 @@ class TestFailurePlumbing:
         )
         use_transport(monkeypatch, transport)
 
-        def failing_run_epoch(self, *args):
-            raise RuntimeError("injected active pool failure")
+        real_start = runtime.WorkerPool.start
 
-        monkeypatch.setattr(runtime.ActiveEngine, "run_epoch", failing_run_epoch)
+        def failing_start(self, *args):  # in the active party's begin, before its pool starts
+            if self.name == "active":
+                raise RuntimeError("injected active pool failure")
+            return real_start(self, *args)
+
+        monkeypatch.setattr(runtime.WorkerPool, "start", failing_start)
         started = time.perf_counter()
         with pytest.raises(RuntimeError, match="injected active pool failure") as failure:
             run_training(train, None, cfg)
